@@ -2,12 +2,12 @@
 # ci.sh — the single CI entry point.
 #
 # With no argument, runs the full pipeline: builds every preset, runs the
-# tier-1 test suite on the default and ubsan builds, runs the static
-# verification driver (platform_lint) over the shipped platform plus both
-# negative fixtures, and finishes with the conformance-fuzzer stages (a
-# deterministic smoke sweep plus corpus replay under ASAN). clang-tidy (the
-# lint preset) runs only when the tool is installed, so the script works in
-# minimal containers too.
+# tier-1 test suite on the default and ubsan builds, the perf ledger's
+# selftest and smoke run (every workload's seed-2026 output hash must match
+# its pin), the static verification driver (platform_lint) over the shipped
+# platform plus both negative fixtures, and finishes with every named stage
+# below except coverage. clang-tidy (the lint preset) runs only when the
+# tool is installed, so the script works in minimal containers too.
 #
 # Individual stages can be run by name:
 #   ci.sh coverage     — ASCP_COVERAGE build, tier-1 + fuzz smoke, then the
@@ -17,23 +17,27 @@
 #   ci.sh fuzz-corpus  — replay every checked-in .scenario under ASAN
 #   ci.sh chaos-smoke  — deterministic seeded fleet-chaos run (stalls,
 #                        exceptions, checkpoint corruption; zero lost
-#                        channels required) plus a checkpoint round-trip
-#                        replay under ASAN
+#                        channels required) plus, under ASAN, a checkpoint
+#                        round-trip replay, the framed-container byte-layout
+#                        pins and the forged-length rejection tests
 #   ci.sh wcet         — static timing proof: platform_lint --timing must be
 #                        error-free on the shipped platform, the unbounded-
 #                        loop fixture must be flagged, and the differential
 #                        WCET validation bench (static >= ISS-observed for
 #                        every corpus function) must pass in smoke mode
-#   ci.sh replay       — stimulus record/replay proof: stimulus_tool
+#   ci.sh replay       — stimulus record/replay proof: ascp_tool
 #                        record→replay hash round-trip on two corpus
-#                        scenarios (one under ASAN), a stimulus_tool diff
+#                        scenarios (one under ASAN), an ascp_tool diff
 #                        self-check on the recorded traces, and the
 #                        queue/recorded channel-farm tests under TSan
 #   ci.sh blackbox     — crash-forensics proof under ASAN: chaos smoke with
-#                        --blackbox-dir, blackbox_tool inspect/export/replay
-#                        round-trip on a dumped image, and a bit-flipped
-#                        image must fail replay with the distinct blackbox
-#                        CRC error
+#                        --blackbox-dir, ascp_tool inspect/export/replay
+#                        round-trip on a dumped image, a bit-flipped image
+#                        must fail replay with the distinct blackbox CRC
+#                        error, and ascp_tool inspect must pass a captured
+#                        checkpoint, a recorded trace and the dumped image
+#                        but reject a forged-length copy of each (exit 1, no
+#                        sanitizer report)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,9 +67,9 @@ stage_chaos_smoke() {
   echo "== fleet chaos: deterministic smoke (seed 2026) =="
   ./build/bench/fleet_chaos --smoke --seed 2026
   build_preset asan --target test_checkpoint
-  echo "== checkpoint round-trip replay under ASAN (corpus subset) =="
+  echo "== checkpoint round-trip replay, layout pins, forged lengths under ASAN =="
   ./build-asan/tests/test_checkpoint \
-    --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*'
+    --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*:FrameLayout.*:FrameForgedLength.*'
 }
 
 stage_wcet() {
@@ -82,23 +86,23 @@ stage_wcet() {
 }
 
 stage_replay() {
-  build_preset default --target stimulus_tool
-  build_preset asan --target stimulus_tool
+  build_preset default --target ascp_tool
+  build_preset asan --target ascp_tool
   local tmp
   tmp=$(mktemp -d)
   echo "== stimulus record→replay round-trip: vibration_shock (default build) =="
-  ./build/tools/stimulus_tool record tests/conformance/corpus/vibration_shock.scenario \
+  ./build/tools/ascp_tool record tests/conformance/corpus/vibration_shock.scenario \
     "$tmp/vibration_shock.strace"
-  ./build/tools/stimulus_tool replay tests/conformance/corpus/vibration_shock.scenario \
-    "$tmp/vibration_shock.strace"
+  ./build/tools/ascp_tool replay "$tmp/vibration_shock.strace" \
+    tests/conformance/corpus/vibration_shock.scenario
   echo "== stimulus record→replay round-trip: trace_segment_replay (ASAN) =="
-  ./build-asan/tools/stimulus_tool record tests/conformance/corpus/trace_segment_replay.scenario \
+  ./build-asan/tools/ascp_tool record tests/conformance/corpus/trace_segment_replay.scenario \
     "$tmp/trace_segment_replay.strace"
-  ./build-asan/tools/stimulus_tool replay tests/conformance/corpus/trace_segment_replay.scenario \
-    "$tmp/trace_segment_replay.strace"
-  echo "== stimulus_tool diff: self vs self must be identical, cross must not =="
-  ./build/tools/stimulus_tool diff "$tmp/vibration_shock.strace" "$tmp/vibration_shock.strace"
-  if ./build/tools/stimulus_tool diff "$tmp/vibration_shock.strace" \
+  ./build-asan/tools/ascp_tool replay "$tmp/trace_segment_replay.strace" \
+    tests/conformance/corpus/trace_segment_replay.scenario
+  echo "== ascp_tool diff: self vs self must be identical, cross must not =="
+  ./build/tools/ascp_tool diff "$tmp/vibration_shock.strace" "$tmp/vibration_shock.strace"
+  if ./build/tools/ascp_tool diff "$tmp/vibration_shock.strace" \
       "$tmp/trace_segment_replay.strace"; then
     echo "ERROR: diff of two different traces reported identical" >&2
     exit 1
@@ -110,8 +114,34 @@ stage_replay() {
   ./build-tsan/tests/test_engine --gtest_filter='FarmStimulus.*'
 }
 
+# Copy FILE to OUT with the little-endian u64 at byte OFFSET set to VALUE.
+forge_u64() {
+  python3 - "$@" <<'EOF'
+import struct, sys
+data = bytearray(open(sys.argv[1], 'rb').read())
+struct.pack_into('<Q', data, int(sys.argv[2]), int(sys.argv[3]))
+open(sys.argv[4], 'wb').write(data)
+EOF
+}
+
+# ascp_tool inspect (ASAN build) must pass FILE, and must reject a copy whose
+# length field at OFFSET is forged to VALUE as a bad frame (exit 1) without
+# a sanitizer report.
+inspect_and_forge() {
+  local file="$1" offset="$2" value="$3" rc=0
+  ./build-asan/tools/ascp_tool inspect "$file"
+  forge_u64 "$file" "$offset" "$value" "$file.forged"
+  ./build-asan/tools/ascp_tool inspect "$file.forged" >/dev/null 2>"$file.err" || rc=$?
+  if (( rc != 1 )) || grep -qE 'Sanitizer|runtime error' "$file.err"; then
+    echo "ERROR: forged-length copy of $(basename "$file") was not rejected cleanly" \
+      "(exit $rc)" >&2
+    cat "$file.err" >&2
+    exit 1
+  fi
+}
+
 stage_blackbox() {
-  build_preset asan --target fleet_chaos --target blackbox_tool
+  build_preset asan --target fleet_chaos --target ascp_tool
   local tmp
   tmp=$(mktemp -d)
   echo "== fleet chaos under ASAN, dumping .blackbox crash images =="
@@ -119,13 +149,13 @@ stage_blackbox() {
     --blackbox-dir "$tmp/bb")
   local image
   image=$(ls "$tmp"/bb/*.blackbox | head -1)
-  echo "== blackbox_tool round-trip on $(basename "$image") =="
-  ./build-asan/tools/blackbox_tool inspect "$image"
-  ./build-asan/tools/blackbox_tool export "$image" --json "$tmp/bb.json" \
+  echo "== ascp_tool round-trip on $(basename "$image") =="
+  ./build-asan/tools/ascp_tool inspect "$image"
+  ./build-asan/tools/ascp_tool export "$image" --json "$tmp/bb.json" \
     --trace "$tmp/bb_trace.json"
   python3 -c "import json,sys; json.load(open(sys.argv[1])); json.load(open(sys.argv[2]))" \
     "$tmp/bb.json" "$tmp/bb_trace.json"
-  ./build-asan/tools/blackbox_tool replay "$image"
+  ./build-asan/tools/ascp_tool replay "$image"
   echo "== corrupted image must fail replay with the blackbox CRC error =="
   python3 - "$image" "$tmp/corrupt.blackbox" <<'EOF'
 import sys
@@ -133,7 +163,7 @@ data = bytearray(open(sys.argv[1], 'rb').read())
 data[28 + (len(data) - 28) // 3] ^= 0x01  # flip one payload bit past the header
 open(sys.argv[2], 'wb').write(data)
 EOF
-  if ./build-asan/tools/blackbox_tool replay "$tmp/corrupt.blackbox" 2>"$tmp/err.txt"; then
+  if ./build-asan/tools/ascp_tool replay "$tmp/corrupt.blackbox" 2>"$tmp/err.txt"; then
     echo "ERROR: corrupted .blackbox image replayed successfully" >&2
     exit 1
   fi
@@ -142,6 +172,14 @@ EOF
     cat "$tmp/err.txt" >&2
     exit 1
   fi
+  echo "== ascp_tool inspect under ASAN: checkpoint, trace, blackbox + forged lengths =="
+  ./build-asan/tools/ascp_tool capture tests/conformance/corpus/trace_diff_ideal.scenario \
+    "$tmp/capture.ckpt"
+  ./build-asan/tools/ascp_tool record tests/conformance/corpus/trace_diff_ideal.scenario \
+    "$tmp/record.strace"
+  inspect_and_forge "$tmp/capture.ckpt" 16 18446744073709551607  # 2^64 - 9 bytes
+  inspect_and_forge "$tmp/record.strace" 24 1152921504606846975  # 2^60 - 1 samples
+  inspect_and_forge "$image" 16 18446744073709551607             # 2^64 - 9 bytes
   rm -rf "$tmp"
 }
 
@@ -207,6 +245,10 @@ echo "== observability: platform_top fleet health table =="
 
 echo "== observability: record-path cost + zero-allocation proof =="
 ./build/bench/perf_obs --smoke --json /tmp/ci_perf_obs.json
+
+echo "== perf ledger: selftest + smoke (seed-2026 output hashes must match their pins) =="
+bash bench/ledger/run.sh selftest
+bash bench/ledger/run.sh smoke
 
 echo "== platform_lint: event-category coverage =="
 ./build/tools/platform_lint --events

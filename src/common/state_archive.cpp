@@ -2,20 +2,11 @@
 
 namespace ascp {
 
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
-  // Bitwise reflected CRC-32; no table keeps the hot loop cache-neutral and
-  // the function header-independent. Checkpoints are O(100 KB), so the ~8
-  // shifts per byte are invisible next to the simulation itself.
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc ^= data[i];
-    for (int b = 0; b < 8; ++b)
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-  }
-  return crc ^ 0xFFFFFFFFu;
+StateArchive StateArchive::saver(std::vector<std::uint8_t> prefix) {
+  StateArchive ar(true);
+  ar.out_ = std::move(prefix);
+  return ar;
 }
-
-StateArchive StateArchive::saver() { return StateArchive(true); }
 
 StateArchive StateArchive::loader(const std::uint8_t* data, std::size_t len) {
   StateArchive ar(false);
@@ -28,19 +19,10 @@ StateArchive StateArchive::loader(const std::vector<std::uint8_t>& bytes) {
   return loader(bytes.data(), bytes.size());
 }
 
-void StateArchive::put(const std::uint8_t* p, std::size_t n) {
-  out_.insert(out_.end(), p, p + n);
-  pos_ += n;
-  size_ = out_.size();
-}
-
-void StateArchive::get(std::uint8_t* p, std::size_t n) {
-  if (pos_ + n > limit())
-    throw StateError("archive truncated: need " + std::to_string(n) +
-                     " bytes at offset " + std::to_string(pos_) + ", have " +
-                     std::to_string(limit() - pos_));
-  std::memcpy(p, in_ + pos_, n);
-  pos_ += n;
+void StateArchive::fail_truncated(std::size_t n) const {
+  throw StateError("archive truncated: need " + std::to_string(n) +
+                   " bytes at offset " + std::to_string(pos_) + ", have " +
+                   std::to_string(limit() - pos_));
 }
 
 void StateArchive::guard_count(std::uint64_t n, std::size_t elem_size) const {

@@ -12,7 +12,7 @@
 // brackets a component's fields with a fourcc tag and a byte length. On load
 // the tag and length are verified, so a field added on one side of a
 // save/load pair fails loudly (StateError) instead of silently shearing the
-// byte stream. The framing also lets tools/checkpoint_tool walk a checkpoint
+// byte stream. The framing also lets tools/ascp_tool walk a checkpoint
 // without linking the whole platform.
 #pragma once
 
@@ -27,10 +27,6 @@
 
 namespace ascp {
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte range.
-/// Used by the checkpoint container to reject bit-flipped images.
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
-
 /// Any structural problem while loading: truncation, tag mismatch, length
 /// disagreement, oversized counts. The message says what went wrong where.
 class StateError : public std::runtime_error {
@@ -40,7 +36,9 @@ class StateError : public std::runtime_error {
 
 class StateArchive {
  public:
-  static StateArchive saver();
+  /// Save mode; the encoded bytes append to `prefix` (a container header
+  /// the caller fills in once the payload is complete).
+  static StateArchive saver(std::vector<std::uint8_t> prefix = {});
   static StateArchive loader(const std::uint8_t* data, std::size_t len);
   static StateArchive loader(const std::vector<std::uint8_t>& bytes);
 
@@ -103,8 +101,19 @@ class StateArchive {
   explicit StateArchive(bool saving) : saving_(saving) {}
 
   std::size_t limit() const { return limits_.empty() ? size_ : limits_.back(); }
-  void put(const std::uint8_t* p, std::size_t n);
-  void get(std::uint8_t* p, std::size_t n);
+  // put/get run once per scalar (a 1.15 M-sample trace is 2.3 M doubles),
+  // so they are inline; only the error path is out of line.
+  void put(const std::uint8_t* p, std::size_t n) {
+    out_.insert(out_.end(), p, p + n);
+    pos_ += n;
+    size_ = out_.size();
+  }
+  void get(std::uint8_t* p, std::size_t n) {
+    if (pos_ + n > limit()) fail_truncated(n);
+    std::memcpy(p, in_ + pos_, n);
+    pos_ += n;
+  }
+  [[noreturn]] void fail_truncated(std::size_t n) const;
   void guard_count(std::uint64_t n, std::size_t elem_size) const;
 
   template <typename U>

@@ -1,35 +1,8 @@
 #include "platform/engine/blackbox.hpp"
 
-#include <cstdio>
-#include <cstring>
-
-#include "platform/engine/checkpoint.hpp"
-
 namespace ascp::engine {
 
 namespace {
-
-constexpr char kMagic[8] = {'A', 'S', 'C', 'P', 'B', 'B', 'O', 'X'};
-
-void put_u32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& v, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t x = 0;
-  for (int i = 0; i < 4; ++i) x |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return x;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t x = 0;
-  for (int i = 0; i < 8; ++i) x |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return x;
-}
 
 /// StateArchive has no string field (checkpoints never carry text); blackbox
 /// payloads do, so strings ride as u64 length + raw bytes.
@@ -135,59 +108,19 @@ void serialize_image(StateArchive& ar, BlackboxImage& img) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_blackbox(const BlackboxImage& img) {
-  StateArchive ar = StateArchive::saver();
-  serialize_image(ar, const_cast<BlackboxImage&>(img));
-  const std::vector<std::uint8_t> payload = ar.take();
-
-  std::vector<std::uint8_t> out;
-  out.reserve(kBlackboxHeaderSize + payload.size());
-  out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
-  put_u32(out, kBlackboxVersion);
-  put_u32(out, img.kind);
-  put_u64(out, payload.size());
-  put_u32(out, crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  return frame::encode(kBlackboxFrame, {img.kind}, [&img](StateArchive& ar) {
+    serialize_image(ar, const_cast<BlackboxImage&>(img));
+  });
 }
 
 BlackboxImage decode_blackbox(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < kBlackboxHeaderSize) throw StateError("blackbox truncated: no header");
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
-    throw StateError("blackbox bad magic");
-  const std::uint32_t version = get_u32(bytes.data() + 8);
-  if (version != kBlackboxVersion)
-    throw StateError("blackbox version " + std::to_string(version) + " unsupported");
-  const std::uint64_t payload_len = get_u64(bytes.data() + 16);
-  if (bytes.size() < kBlackboxHeaderSize + payload_len)
-    throw StateError("blackbox truncated: payload shorter than declared");
-  const std::uint32_t want = get_u32(bytes.data() + 24);
-  const std::uint32_t got =
-      crc32(bytes.data() + kBlackboxHeaderSize, static_cast<std::size_t>(payload_len));
-  if (want != got) throw StateError("blackbox CRC mismatch: payload corrupted");
-
+  const frame::Frame f = frame::decode(kBlackboxFrame, bytes);
   BlackboxImage img;
-  StateArchive ar = StateArchive::loader(bytes.data() + kBlackboxHeaderSize,
-                                         static_cast<std::size_t>(payload_len));
+  StateArchive ar = StateArchive::loader(f.payload, f.size);
   serialize_image(ar, img);
   if (!ar.exhausted()) throw StateError("blackbox has trailing bytes");
-  if (img.kind != get_u32(bytes.data() + 12))
-    throw StateError("blackbox header/payload kind disagreement");
+  if (img.kind != f.meta.word) throw StateError("blackbox header/payload kind disagreement");
   return img;
-}
-
-bool inspect_blackbox(const std::vector<std::uint8_t>& bytes, BlackboxInfo* info) {
-  if (bytes.size() < kBlackboxHeaderSize) return false;
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) return false;
-  BlackboxInfo out;
-  out.version = get_u32(bytes.data() + 8);
-  out.kind = get_u32(bytes.data() + 12);
-  out.payload_len = get_u64(bytes.data() + 16);
-  out.crc = get_u32(bytes.data() + 24);
-  out.crc_ok = bytes.size() >= kBlackboxHeaderSize + out.payload_len &&
-               crc32(bytes.data() + kBlackboxHeaderSize,
-                     static_cast<std::size_t>(out.payload_len)) == out.crc;
-  if (info) *info = out;
-  return true;
 }
 
 void capture_flight_records(const obs::FlightRecorder& rec,
@@ -287,25 +220,6 @@ BlackboxReplay replay_blackbox(const BlackboxImage& img, const ChannelConfig* ba
   rep.hash_match =
       rep.replay_hash == img.crash_hash && rep.replay_ticks == img.crash_ticks;
   return rep;
-}
-
-void save_blackbox_file(const std::string& path, const std::vector<std::uint8_t>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw StateError("cannot open blackbox file for writing: " + path);
-  const std::size_t n = bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (n != bytes.size()) throw StateError("short write to blackbox file: " + path);
-}
-
-std::vector<std::uint8_t> load_blackbox_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw StateError("cannot open blackbox file: " + path);
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.insert(bytes.end(), buf, buf + n);
-  std::fclose(f);
-  return bytes;
 }
 
 }  // namespace ascp::engine

@@ -17,34 +17,25 @@
 //     spans, metric snapshot — decoded into owning structs so a tool can
 //     render them long after the producing process is gone.
 //
-// Frame layout mirrors checkpoint.hpp on purpose (magic + version + kind +
-// length + CRC, 28-byte header) with its own magic "ASCPBBOX" and its own
-// distinct error messages, so a blackbox can never be mistaken for a
-// checkpoint by either reader. Same versioning rules: any payload-layout
-// change bumps the version; no cross-version migration.
-//   v1  PR 9 original layout
+// The container is the shared frame (common/frame.hpp) with the checkpoint's
+// meta — the channel kind — but its own magic "ASCPBBOX" and "blackbox …"
+// error messages, so a blackbox can never be mistaken for a checkpoint by
+// either reader.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/frame.hpp"
 #include "common/state_archive.hpp"
 #include "platform/engine/conditioning_channel.hpp"
 
 namespace ascp::engine {
 
-constexpr std::uint32_t kBlackboxVersion = 1;
-constexpr std::size_t kBlackboxHeaderSize = 28;
-
-/// Parsed frame header (blackbox_tool's inspect view).
-struct BlackboxInfo {
-  std::uint32_t version = 0;
-  std::uint32_t kind = 0;  ///< engine::ChannelKind of the crashed channel
-  std::uint64_t payload_len = 0;
-  std::uint32_t crc = 0;
-  bool crc_ok = false;
-};
+/// The `.blackbox` container: meta = channel kind (u32), payload = the
+/// image's StateArchive stream. Versions: v1 original layout.
+inline constexpr frame::Format kBlackboxFrame{"ASCPBBOX", 1, "blackbox", 4, 1};
 
 /// One flight-recorder record, decoded into owning strings (the in-process
 /// FlightRecord holds static-literal pointers that do not survive export).
@@ -129,10 +120,6 @@ std::vector<std::uint8_t> encode_blackbox(const BlackboxImage& img);
 /// checkpoint reader's ("blackbox …" vs "checkpoint …").
 BlackboxImage decode_blackbox(const std::vector<std::uint8_t>& bytes);
 
-/// Parse the header without throwing: false only when the stream is too
-/// short for a header or the magic is wrong.
-bool inspect_blackbox(const std::vector<std::uint8_t>& bytes, BlackboxInfo* info);
-
 // ---- capture (producer side) --------------------------------------------
 /// Snapshot a live obs bundle's tails into the image's owning vectors.
 void capture_flight_records(const obs::FlightRecorder& rec,
@@ -160,9 +147,5 @@ struct BlackboxReplay {
 /// output hash against the recorded crash fingerprint.
 BlackboxReplay replay_blackbox(const BlackboxImage& img,
                                const ChannelConfig* base = nullptr);
-
-// ---- file helpers --------------------------------------------------------
-void save_blackbox_file(const std::string& path, const std::vector<std::uint8_t>& bytes);
-std::vector<std::uint8_t> load_blackbox_file(const std::string& path);
 
 }  // namespace ascp::engine

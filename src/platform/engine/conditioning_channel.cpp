@@ -4,7 +4,6 @@
 
 #include "core/baselines.hpp"
 #include "core/gyro_system.hpp"
-#include "platform/engine/checkpoint.hpp"
 #include "safety/standard_faults.hpp"
 
 namespace ascp::engine {
@@ -237,8 +236,8 @@ void ConditioningChannel::serialize_state(StateArchive& ar) {
     throw StateError("checkpoint channel-kind mismatch");
   if (seed != cfg_.seed) throw StateError("checkpoint channel-seed mismatch");
 
-  // Stimulus-source summary at a fixed offset (checkpoint_tool inspect reads
-  // these two fields without linking the platform), then the source's own
+  // Stimulus-source summary at a fixed offset (ascp_tool inspect reads
+  // these two fields without building a channel), then the source's own
   // state so a mid-replay snapshot resumes at the exact cursor.
   std::uint32_t stim_kind = static_cast<std::uint32_t>(stimulus_->kind());
   std::int64_t stim_cursor = stimulus_->cursor();
@@ -280,17 +279,15 @@ void ConditioningChannel::serialize_state(StateArchive& ar) {
 }
 
 std::vector<std::uint8_t> ConditioningChannel::snapshot() {
-  StateArchive ar = StateArchive::saver();
-  serialize_state(ar);
-  return wrap_checkpoint(static_cast<std::uint32_t>(cfg_.kind), ar.take());
+  return frame::encode(kCheckpointFrame, {static_cast<std::uint32_t>(cfg_.kind)},
+                       [this](StateArchive& ar) { serialize_state(ar); });
 }
 
 void ConditioningChannel::restore(const std::vector<std::uint8_t>& image) {
-  std::uint32_t kind = 0;
-  const std::vector<std::uint8_t> payload = unwrap_checkpoint(image, &kind);
-  if (kind != static_cast<std::uint32_t>(cfg_.kind))
+  const frame::Frame f = frame::decode(kCheckpointFrame, image);
+  if (f.meta.word != static_cast<std::uint32_t>(cfg_.kind))
     throw StateError("checkpoint is for a different channel kind");
-  StateArchive ar = StateArchive::loader(payload);
+  StateArchive ar = StateArchive::loader(f.payload, f.size);
   serialize_state(ar);
   if (!ar.exhausted()) throw StateError("checkpoint has trailing bytes");
 }

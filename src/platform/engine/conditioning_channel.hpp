@@ -23,6 +23,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/frame.hpp"
 #include "common/state_archive.hpp"
 #include "common/trace.hpp"
 #include "core/rate_sensor.hpp"
@@ -46,6 +47,13 @@ enum class ChannelKind {
   Adxrs300,   ///< analog baseline, Table 2 configuration
   Gyrostar,   ///< analog baseline, Table 3 configuration
 };
+
+/// The `.ckpt` container (common/frame.hpp): meta = channel kind (u32),
+/// payload = the channel's StateArchive stream. Versions:
+///   v1  original layout
+///   v2  CHAN section gains the stimulus-source summary (kind u32 + cursor
+///       i64 at payload offsets 20/24) and the embedded source state
+inline constexpr frame::Format kCheckpointFrame{"ASCPCKPT", 2, "checkpoint", 4, 1};
 
 /// What advance() does with freshly produced output samples once the
 /// channel's result queue holds `queue_capacity` entries the consumer has

@@ -8,7 +8,6 @@
 
 #include "common/rng.hpp"
 #include "platform/engine/blackbox.hpp"
-#include "platform/engine/checkpoint.hpp"
 #include "safety/dtc.hpp"
 
 namespace ascp::engine {
@@ -22,6 +21,16 @@ std::int64_t steady_ns() {
 }
 
 }  // namespace
+
+const char* channel_kind_name(ChannelKind k) {
+  switch (k) {
+    case ChannelKind::GyroFull: return "GyroFull";
+    case ChannelKind::GyroIdeal: return "GyroIdeal";
+    case ChannelKind::Adxrs300: return "Adxrs300";
+    case ChannelKind::Gyrostar: return "Gyrostar";
+  }
+  return "?";
+}
 
 const char* channel_health_name(ChannelHealth h) {
   switch (h) {
@@ -186,7 +195,7 @@ void FleetSupervisor::dump_blackbox(std::size_t i) {
     std::filesystem::create_directories(cfg_.blackbox_dir);
     char name[64];
     std::snprintf(name, sizeof name, "bb%05ld_ch%02zu.blackbox", seq, i);
-    save_blackbox_file(cfg_.blackbox_dir + "/" + name, bytes);
+    frame::write_file(cfg_.blackbox_dir + "/" + name, bytes);
   }
   if (cfg_.events)
     cfg_.events->emit(now_sim(), obs::EventSeverity::Warn, obs::EventCategory::Recorder,
@@ -511,7 +520,8 @@ void FleetSupervisor::run_ticks(long n) {
 
 void FleetSupervisor::corrupt_last_checkpoint(std::size_t i) {
   auto& img = states_[i]->last_good;
-  if (img.size() > kCheckpointHeaderSize) img[kCheckpointHeaderSize + img.size() / 3] ^= 0x40;
+  const std::size_t at = kCheckpointFrame.header_size() + img.size() / 3;
+  if (at < img.size()) img[at] ^= 0x40;
 }
 
 void FleetSupervisor::truncate_last_checkpoint(std::size_t i, std::size_t keep) {

@@ -59,6 +59,7 @@ enum class ChannelHealth {
   Quarantined,  ///< permanently parked after max_restarts failures
 };
 
+const char* channel_kind_name(ChannelKind k);
 const char* channel_health_name(ChannelHealth h);
 
 struct FleetChannelSpec {

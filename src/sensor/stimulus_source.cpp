@@ -1,7 +1,6 @@
 #include "sensor/stimulus_source.hpp"
 
-#include <cstring>
-#include <fstream>
+#include <bit>
 
 namespace ascp::sensor {
 
@@ -27,129 +26,34 @@ const char* probe_point_name(ProbePoint p) {
 
 // ---- .strace container -----------------------------------------------------
 
-namespace {
-
-constexpr char kStraceMagic[8] = {'A', 'S', 'C', 'P', 'S', 'T', 'R', 'C'};
-
-void put_u32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& v, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& v, double x) {
-  std::uint64_t u;
-  std::memcpy(&u, &x, sizeof u);
-  put_u64(v, u);
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t x = 0;
-  for (int i = 0; i < 4; ++i) x |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return x;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t x = 0;
-  for (int i = 0; i < 8; ++i) x |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return x;
-}
-
-double get_f64(const std::uint8_t* p) {
-  const std::uint64_t u = get_u64(p);
-  double x;
-  std::memcpy(&x, &u, sizeof x);
-  return x;
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_strace(const StimulusTrace& trace) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(trace.samples.size() * 16);
-  for (const auto& s : trace.samples) {
-    put_f64(payload, s.rate_dps);
-    put_f64(payload, s.temp_c);
-  }
-  std::vector<std::uint8_t> image;
-  image.reserve(kStraceHeaderSize + payload.size());
-  image.insert(image.end(), kStraceMagic, kStraceMagic + sizeof kStraceMagic);
-  put_u32(image, kStraceVersion);
-  put_u32(image, static_cast<std::uint32_t>(trace.interp));
-  put_f64(image, trace.sample_rate_hz);
-  put_u64(image, trace.samples.size());
-  put_u32(image, crc32(payload.data(), payload.size()));
-  image.insert(image.end(), payload.begin(), payload.end());
-  return image;
-}
-
-bool inspect_strace(const std::vector<std::uint8_t>& bytes, StraceInfo* info) {
-  if (bytes.size() < kStraceHeaderSize) return false;
-  if (std::memcmp(bytes.data(), kStraceMagic, sizeof kStraceMagic) != 0) return false;
-  StraceInfo out;
-  out.version = get_u32(bytes.data() + 8);
-  out.interp = get_u32(bytes.data() + 12);
-  out.sample_rate_hz = get_f64(bytes.data() + 16);
-  out.count = get_u64(bytes.data() + 24);
-  out.crc = get_u32(bytes.data() + 32);
-  const std::uint64_t payload_len = out.count * 16;
-  out.crc_ok = bytes.size() >= kStraceHeaderSize + payload_len &&
-               crc32(bytes.data() + kStraceHeaderSize, static_cast<std::size_t>(payload_len)) ==
-                   out.crc;
-  if (info) *info = out;
-  return true;
+  const frame::Meta meta{static_cast<std::uint32_t>(trace.interp),
+                         std::bit_cast<std::uint64_t>(trace.sample_rate_hz)};
+  return frame::encode(
+      kStraceFrame, meta,
+      [&trace](StateArchive& ar) {
+        for (StimulusSample s : trace.samples) {
+          ar.value(s.rate_dps);
+          ar.value(s.temp_c);
+        }
+      },
+      trace.samples.size() * kStraceFrame.unit);
 }
 
 StimulusTrace decode_strace(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < kStraceHeaderSize) throw StateError("strace truncated: no header");
-  if (std::memcmp(bytes.data(), kStraceMagic, sizeof kStraceMagic) != 0)
-    throw StateError("strace bad magic");
-  const std::uint32_t version = get_u32(bytes.data() + 8);
-  if (version != kStraceVersion)
-    throw StateError("strace version " + std::to_string(version) + " unsupported");
-  const std::uint32_t interp = get_u32(bytes.data() + 12);
-  if (interp > static_cast<std::uint32_t>(TraceInterp::Linear))
-    throw StateError("strace unknown interpolation mode " + std::to_string(interp));
-  const std::uint64_t count = get_u64(bytes.data() + 24);
-  if (count > (1ull << 32)) throw StateError("strace sample count implausible");
-  const std::uint64_t payload_len = count * 16;
-  if (bytes.size() < kStraceHeaderSize + payload_len)
-    throw StateError("strace truncated: payload shorter than declared");
-  const std::uint32_t want = get_u32(bytes.data() + 32);
-  const std::uint32_t got =
-      crc32(bytes.data() + kStraceHeaderSize, static_cast<std::size_t>(payload_len));
-  if (want != got) throw StateError("strace CRC mismatch: payload corrupted");
-
+  const frame::Frame f = frame::decode(kStraceFrame, bytes);
+  if (f.meta.word > static_cast<std::uint32_t>(TraceInterp::Linear))
+    throw StateError("strace unknown interpolation mode " + std::to_string(f.meta.word));
   StimulusTrace trace;
-  trace.sample_rate_hz = get_f64(bytes.data() + 16);
-  trace.interp = static_cast<TraceInterp>(interp);
-  trace.samples.resize(static_cast<std::size_t>(count));
-  const std::uint8_t* p = bytes.data() + kStraceHeaderSize;
+  trace.sample_rate_hz = std::bit_cast<double>(f.meta.wide);
+  trace.interp = static_cast<TraceInterp>(f.meta.word);
+  trace.samples.resize(f.size / kStraceFrame.unit);
+  StateArchive ar = StateArchive::loader(f.payload, f.size);
   for (auto& s : trace.samples) {
-    s.rate_dps = get_f64(p);
-    s.temp_c = get_f64(p + 8);
-    p += 16;
+    ar.value(s.rate_dps);
+    ar.value(s.temp_c);
   }
   return trace;
-}
-
-bool save_strace(const std::string& path, const StimulusTrace& trace) {
-  const auto bytes = encode_strace(trace);
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(f);
-}
-
-StimulusTrace load_strace(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw StateError("cannot open strace file: " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                                  std::istreambuf_iterator<char>());
-  return decode_strace(bytes);
 }
 
 // ---- RecordedSource --------------------------------------------------------

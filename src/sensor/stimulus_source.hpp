@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/frame.hpp"
 #include "common/state_archive.hpp"
 #include "sensor/environment.hpp"
 
@@ -63,7 +64,7 @@ class StimulusSource {
   /// still frame an (empty) section for format stability.
   virtual void serialize_state(StateArchive& ar) = 0;
 
-  /// Replay/ingest position for tools (checkpoint_tool inspect): the index
+  /// Replay/ingest position for tools (ascp_tool inspect): the index
   /// of the last sample consumed, −1 when not meaningful (synthetic).
   virtual std::int64_t cursor() const { return -1; }
 
@@ -122,44 +123,16 @@ struct StimulusTrace {
   std::vector<StimulusSample> samples;
 };
 
-// `.strace` container frame (all little-endian):
-//
-//   offset  size  field
-//   0       8     magic "ASCPSTRC"
-//   8       4     format version (u32)
-//   12      4     interpolation (u32, TraceInterp)
-//   16      8     sample rate [Hz] (IEEE-754 double bit pattern)
-//   24      8     sample count (u64)
-//   32      4     CRC-32 of the payload (reflected 0xEDB88320)
-//   36      16·n  payload: n × { rate_dps double, temp_c double }
-//
-// Versioning rules match the checkpoint container (see checkpoint.hpp):
-// any layout change bumps kStraceVersion, readers reject versions they do
-// not know, and truncation / bit-rot / bad magic raise distinct StateError
-// messages so the chaos harness can tell the failure classes apart.
-constexpr std::uint32_t kStraceVersion = 1;
-constexpr std::size_t kStraceHeaderSize = 36;
-
-/// Parsed frame header (stimulus_tool's inspect view).
-struct StraceInfo {
-  std::uint32_t version = 0;
-  std::uint32_t interp = 0;
-  double sample_rate_hz = 0.0;
-  std::uint64_t count = 0;
-  std::uint32_t crc = 0;
-  bool crc_ok = false;
-};
+/// The `.strace` container (common/frame.hpp): meta = interpolation (u32,
+/// TraceInterp) + sample rate [Hz] (u64, IEEE-754 bit pattern); the length
+/// counts samples, each 16 payload bytes { rate_dps double, temp_c double }.
+/// Versions: v1 original layout.
+inline constexpr frame::Format kStraceFrame{"ASCPSTRC", 1, "strace", 12, 16};
 
 std::vector<std::uint8_t> encode_strace(const StimulusTrace& trace);
-/// Throws StateError on bad magic, unsupported version, truncation or CRC
-/// mismatch (distinct messages).
+/// Throws StateError with the frame's messages (truncation, magic, version,
+/// CRC) or on an unknown interpolation mode.
 StimulusTrace decode_strace(const std::vector<std::uint8_t>& bytes);
-/// Parse the header without throwing: false only when the image is too short
-/// for a header or the magic is wrong.
-bool inspect_strace(const std::vector<std::uint8_t>& bytes, StraceInfo* info);
-
-bool save_strace(const std::string& path, const StimulusTrace& trace);
-StimulusTrace load_strace(const std::string& path);  ///< throws on I/O or format errors
 
 class RecordedSource final : public StimulusSource {
  public:

@@ -70,7 +70,7 @@ BlackboxImage sample_image() {
 TEST(Blackbox, EncodeDecodeRoundTripsEveryField) {
   const BlackboxImage img = sample_image();
   const auto bytes = encode_blackbox(img);
-  ASSERT_GT(bytes.size(), kBlackboxHeaderSize);
+  ASSERT_GT(bytes.size(), kBlackboxFrame.header_size());
 
   const BlackboxImage back = decode_blackbox(bytes);
   EXPECT_EQ(back.kind, img.kind);
@@ -104,24 +104,24 @@ TEST(Blackbox, EncodeDecodeRoundTripsEveryField) {
 
 TEST(Blackbox, InspectParsesHeaderWithoutThrowing) {
   const auto bytes = encode_blackbox(sample_image());
-  BlackboxInfo info;
-  ASSERT_TRUE(inspect_blackbox(bytes, &info));
-  EXPECT_EQ(info.version, kBlackboxVersion);
-  EXPECT_EQ(info.kind, static_cast<std::uint32_t>(ChannelKind::GyroIdeal));
-  EXPECT_EQ(info.payload_len, bytes.size() - kBlackboxHeaderSize);
+  frame::Header info;
+  ASSERT_TRUE(frame::inspect(kBlackboxFrame, bytes, &info));
+  EXPECT_EQ(info.version, kBlackboxFrame.version);
+  EXPECT_EQ(info.meta.word, static_cast<std::uint32_t>(ChannelKind::GyroIdeal));
+  EXPECT_EQ(info.length, bytes.size() - kBlackboxFrame.header_size());
   EXPECT_TRUE(info.crc_ok);
 
   // Bit-rot is visible through inspect without a throw.
   auto bad = bytes;
-  bad[kBlackboxHeaderSize + bad.size() / 2] ^= 0x10;
-  ASSERT_TRUE(inspect_blackbox(bad, &info));
+  bad[kBlackboxFrame.header_size() + bad.size() / 2] ^= 0x10;
+  ASSERT_TRUE(frame::inspect(kBlackboxFrame, bad, &info));
   EXPECT_FALSE(info.crc_ok);
 
   // Too-short and wrong-magic streams are the only false cases.
-  EXPECT_FALSE(inspect_blackbox({1, 2, 3}, &info));
+  EXPECT_FALSE(frame::inspect(kBlackboxFrame, {1, 2, 3}, &info));
   auto wrong = bytes;
   wrong[0] = 'X';
-  EXPECT_FALSE(inspect_blackbox(wrong, &info));
+  EXPECT_FALSE(frame::inspect(kBlackboxFrame, wrong, &info));
 }
 
 TEST(Blackbox, DistinctErrorsPerCorruptionClass) {
@@ -158,7 +158,7 @@ TEST(Blackbox, DistinctErrorsPerCorruptionClass) {
 
   // Single bit flip anywhere in the payload → CRC mismatch.
   auto flip = bytes;
-  flip[kBlackboxHeaderSize + flip.size() / 3] ^= 0x01;
+  flip[kBlackboxFrame.header_size() + flip.size() / 3] ^= 0x01;
   EXPECT_NE(message(flip).find("blackbox CRC mismatch: payload corrupted"),
             std::string::npos);
 

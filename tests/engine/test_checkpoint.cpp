@@ -16,7 +16,6 @@
 #include "conformance/oracle.hpp"
 #include "conformance/scenario.hpp"
 #include "platform/engine/channel_farm.hpp"
-#include "platform/engine/checkpoint.hpp"
 #include "platform/engine/conditioning_channel.hpp"
 
 namespace ascp::engine {
@@ -147,7 +146,7 @@ TEST(CheckpointFrame, TruncationDetected) {
 
   ConditioningChannel target(cheap_config());
   auto no_header = image;
-  no_header.resize(kCheckpointHeaderSize - 4);
+  no_header.resize(kCheckpointFrame.header_size() - 4);
   EXPECT_THROW(target.restore(no_header), StateError);
 
   auto short_payload = image;
@@ -159,7 +158,7 @@ TEST(CheckpointFrame, BitRotDetectedByCrc) {
   ConditioningChannel ch(cheap_config());
   ch.advance(20000);
   auto image = ch.snapshot();
-  image[kCheckpointHeaderSize + image.size() / 2] ^= 0x01;
+  image[kCheckpointFrame.header_size() + image.size() / 2] ^= 0x01;
 
   ConditioningChannel target(cheap_config());
   try {
@@ -186,19 +185,19 @@ TEST(CheckpointFrame, InspectReportsHeaderAndCrc) {
   ch.advance(20000);
   auto image = ch.snapshot();
 
-  CheckpointInfo info;
-  ASSERT_TRUE(inspect_checkpoint(image, &info));
-  EXPECT_EQ(info.version, kCheckpointVersion);
-  EXPECT_EQ(info.kind, static_cast<std::uint32_t>(ChannelKind::Adxrs300));
-  EXPECT_EQ(info.payload_len, image.size() - kCheckpointHeaderSize);
+  frame::Header info;
+  ASSERT_TRUE(frame::inspect(kCheckpointFrame, image, &info));
+  EXPECT_EQ(info.version, kCheckpointFrame.version);
+  EXPECT_EQ(info.meta.word, static_cast<std::uint32_t>(ChannelKind::Adxrs300));
+  EXPECT_EQ(info.length, image.size() - kCheckpointFrame.header_size());
   EXPECT_TRUE(info.crc_ok);
 
   image.back() ^= 0xFF;
-  ASSERT_TRUE(inspect_checkpoint(image, &info));
+  ASSERT_TRUE(frame::inspect(kCheckpointFrame, image, &info));
   EXPECT_FALSE(info.crc_ok);
 
   std::vector<std::uint8_t> garbage(64, 0xAB);
-  EXPECT_FALSE(inspect_checkpoint(garbage, &info));
+  EXPECT_FALSE(frame::inspect(kCheckpointFrame, garbage, &info));
 }
 
 }  // namespace

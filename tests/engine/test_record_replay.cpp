@@ -18,7 +18,6 @@
 #include "conformance/oracle.hpp"
 #include "conformance/scenario.hpp"
 #include "platform/engine/channel_farm.hpp"
-#include "platform/engine/checkpoint.hpp"
 #include "platform/engine/conditioning_channel.hpp"
 #include "sensor/stimulus_source.hpp"
 
@@ -142,8 +141,8 @@ TEST(RecordReplay, CheckpointRefusesWrongStimulusKind) {
 
 // ---- checkpoint image layout -----------------------------------------------
 
-// checkpoint_tool reads the stimulus summary without linking the platform;
-// this pins the contract: CHAN payload offset 20 = stimulus kind (u32 LE),
+// ascp_tool reads the stimulus summary without building a channel; this
+// pins the contract: CHAN payload offset 20 = stimulus kind (u32 LE),
 // 24 = cursor (i64 LE), i.e. image offsets 48/52 past the 28-byte header.
 TEST(RecordReplay, StimulusSummarySitsAtFixedImageOffsets) {
   const auto s = corpus_scenario("open_loop_batched.scenario");
@@ -152,14 +151,15 @@ TEST(RecordReplay, StimulusSummarySitsAtFixedImageOffsets) {
   ch.advance(12345);
   const auto image = ch.snapshot();
 
-  ASSERT_GE(image.size(), kCheckpointHeaderSize + 32);
-  ASSERT_EQ(std::memcmp(image.data() + kCheckpointHeaderSize, "CHAN", 4), 0);
+  const std::size_t header = kCheckpointFrame.header_size();
+  ASSERT_GE(image.size(), header + 32);
+  ASSERT_EQ(std::memcmp(image.data() + header, "CHAN", 4), 0);
   std::uint32_t kind = 0;
   std::uint64_t cursor = 0;
   for (int i = 0; i < 4; ++i)
-    kind |= static_cast<std::uint32_t>(image[kCheckpointHeaderSize + 20 + i]) << (8 * i);
+    kind |= static_cast<std::uint32_t>(image[header + 20 + i]) << (8 * i);
   for (int i = 0; i < 8; ++i)
-    cursor |= static_cast<std::uint64_t>(image[kCheckpointHeaderSize + 24 + i]) << (8 * i);
+    cursor |= static_cast<std::uint64_t>(image[header + 24 + i]) << (8 * i);
   EXPECT_EQ(kind, static_cast<std::uint32_t>(sensor::StimulusKind::Recorded));
   EXPECT_EQ(static_cast<std::int64_t>(cursor), ch.stimulus()->cursor());
 }

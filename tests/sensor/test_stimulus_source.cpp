@@ -5,6 +5,7 @@
 // engine/test_record_replay.cpp.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <memory>
 
@@ -64,12 +65,12 @@ TEST(Strace, InspectReportsHeaderFields) {
   auto t = demo_trace(5, 250.0);
   t.interp = TraceInterp::Linear;
   const auto bytes = encode_strace(t);
-  StraceInfo info;
-  ASSERT_TRUE(inspect_strace(bytes, &info));
-  EXPECT_EQ(info.version, kStraceVersion);
-  EXPECT_EQ(info.interp, 1u);
-  EXPECT_EQ(info.sample_rate_hz, 250.0);
-  EXPECT_EQ(info.count, 5u);
+  frame::Header info;
+  ASSERT_TRUE(frame::inspect(kStraceFrame, bytes, &info));
+  EXPECT_EQ(info.version, kStraceFrame.version);
+  EXPECT_EQ(info.meta.word, 1u);
+  EXPECT_EQ(std::bit_cast<double>(info.meta.wide), 250.0);
+  EXPECT_EQ(info.length, 5u);
   EXPECT_TRUE(info.crc_ok);
 }
 
@@ -79,13 +80,13 @@ TEST(Strace, DistinctErrorsForTruncationMagicVersionAndBitRot) {
   const auto good = encode_strace(demo_trace());
 
   auto headerless = good;
-  headerless.resize(kStraceHeaderSize - 1);
+  headerless.resize(kStraceFrame.header_size() - 1);
   EXPECT_THROW(decode_strace(headerless), StateError);
 
   auto bad_magic = good;
   bad_magic[0] ^= 0xFF;
   EXPECT_THROW(decode_strace(bad_magic), StateError);
-  EXPECT_FALSE(inspect_strace(bad_magic, nullptr));
+  EXPECT_FALSE(frame::inspect(kStraceFrame, bad_magic, nullptr));
 
   auto bad_version = good;
   bad_version[8] = 0x7F;
@@ -96,10 +97,10 @@ TEST(Strace, DistinctErrorsForTruncationMagicVersionAndBitRot) {
   EXPECT_THROW(decode_strace(truncated), StateError);
 
   auto corrupted = good;
-  corrupted[kStraceHeaderSize + 3] ^= 0x10;
+  corrupted[kStraceFrame.header_size() + 3] ^= 0x10;
   EXPECT_THROW(decode_strace(corrupted), StateError);
-  StraceInfo info;
-  ASSERT_TRUE(inspect_strace(corrupted, &info));
+  frame::Header info;
+  ASSERT_TRUE(frame::inspect(kStraceFrame, corrupted, &info));
   EXPECT_FALSE(info.crc_ok);
 
   // And the messages are distinct (the chaos harness keys on them).
@@ -112,12 +113,12 @@ TEST(Strace, DistinctErrorsForTruncationMagicVersionAndBitRot) {
 TEST(Strace, SaveLoadFileRoundTrip) {
   const char* path = "strace_roundtrip_test.strace";
   const StimulusTrace t = demo_trace(12);
-  ASSERT_TRUE(save_strace(path, t));
-  const StimulusTrace back = load_strace(path);
+  ASSERT_NO_THROW(frame::write_file(path, encode_strace(t)));
+  const StimulusTrace back = decode_strace(frame::read_file(path));
   EXPECT_EQ(back.samples.size(), t.samples.size());
   EXPECT_EQ(back.samples.back().rate_dps, t.samples.back().rate_dps);
   std::remove(path);
-  EXPECT_THROW(load_strace(path), StateError);
+  EXPECT_THROW(frame::read_file(path), StateError);
 }
 
 // ---- RecordedSource --------------------------------------------------------

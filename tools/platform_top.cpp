@@ -48,16 +48,6 @@ bool write_file(const char* path, const std::string& content) {
   return true;
 }
 
-const char* kind_name(engine::ChannelKind k) {
-  switch (k) {
-    case engine::ChannelKind::GyroFull: return "GyroFull";
-    case engine::ChannelKind::GyroIdeal: return "GyroIdeal";
-    case engine::ChannelKind::Adxrs300: return "Adxrs300";
-    case engine::ChannelKind::Gyrostar: return "Gyrostar";
-  }
-  return "?";
-}
-
 // ---- supervised-fleet mode: top(1) for a fleet, not a chip -----------------
 // A small mixed fleet with flight recorders + causal spans armed, advanced a
 // deterministic number of fleet ticks; the digest is a per-channel health
@@ -98,7 +88,8 @@ int run_fleet_mode(bool smoke) {
     const auto* obs = ch.observability();
     const auto* rec = ch.flight_recorder();
     std::printf("%3zu %-10s %-11s %8d %10ld %10llu %7llu 0x%04X %7llu %8llu\n", i,
-                kind_name(ch.config().kind), engine::channel_health_name(fleet.health(i)),
+                engine::channel_kind_name(ch.config().kind),
+                engine::channel_health_name(fleet.health(i)),
                 fleet.restarts(i), fleet.ticks_done(i),
                 static_cast<unsigned long long>(ch.stimulus()->underruns()),
                 static_cast<unsigned long long>(ch.dropped_outputs()), fleet.fleet_dtcs(i),
