@@ -6,8 +6,8 @@
 # selftest and smoke run (every workload's seed-2026 output hash must match
 # its pin), the static verification driver (platform_lint) over the shipped
 # platform plus both negative fixtures, and finishes with every named stage
-# below except coverage. clang-tidy (the lint preset) runs only when the
-# tool is installed, so the script works in minimal containers too.
+# below except coverage and ledger. clang-tidy (the lint preset) runs only
+# when the tool is installed, so the script works in minimal containers too.
 #
 # Individual stages can be run by name:
 #   ci.sh coverage     — ASCP_COVERAGE build, tier-1 + fuzz smoke, then the
@@ -19,7 +19,8 @@
 #                        exceptions, checkpoint corruption; zero lost
 #                        channels required) plus, under ASAN, a checkpoint
 #                        round-trip replay, the framed-container byte-layout
-#                        pins and the forged-length rejection tests
+#                        pins and the forged-length and forged-count
+#                        rejection tests
 #   ci.sh wcet         — static timing proof: platform_lint --timing must be
 #                        error-free on the shipped platform, the unbounded-
 #                        loop fixture must be flagged, and the differential
@@ -38,6 +39,14 @@
 #                        checkpoint, a recorded trace and the dumped image
 #                        but reject a forged-length copy of each (exit 1, no
 #                        sanitizer report)
+#   ci.sh ledger       — timing regression check: bench/ledger/run.sh check 3
+#                        runs every ledger workload three times plus one
+#                        traced run, and compares the medians with the
+#                        committed bench/ledger/baseline.json under the
+#                        end-to-end bounds in BENCHMARK.json; exits 1 on a
+#                        regression and names the metric that moved most.
+#                        Not part of the full pipeline: it takes about six
+#                        minutes and its timings depend on the host.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,9 +76,9 @@ stage_chaos_smoke() {
   echo "== fleet chaos: deterministic smoke (seed 2026) =="
   ./build/bench/fleet_chaos --smoke --seed 2026
   build_preset asan --target test_checkpoint
-  echo "== checkpoint round-trip replay, layout pins, forged lengths under ASAN =="
+  echo "== checkpoint round-trip replay, layout pins, forged lengths and counts under ASAN =="
   ./build-asan/tests/test_checkpoint \
-    --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*:FrameLayout.*:FrameForgedLength.*'
+    --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*:FrameLayout.*:FrameForgedLength.*:FrameForgedCount.*'
 }
 
 stage_wcet() {
@@ -183,6 +192,11 @@ EOF
   rm -rf "$tmp"
 }
 
+stage_ledger() {
+  echo "== perf ledger: medians of 3 runs against baseline.json =="
+  bash bench/ledger/run.sh check 3
+}
+
 stage_coverage() {
   build_preset coverage
   echo "== tier-1 tests (coverage build) =="
@@ -201,8 +215,9 @@ case "$stage" in
   replay)      stage_replay;      echo "CI STAGE replay PASSED";      exit 0 ;;
   blackbox)    stage_blackbox;    echo "CI STAGE blackbox PASSED";    exit 0 ;;
   coverage)    stage_coverage;    echo "CI STAGE coverage PASSED";    exit 0 ;;
+  ledger)      stage_ledger;      echo "CI STAGE ledger PASSED";      exit 0 ;;
   all) ;;
-  *) echo "usage: ci.sh [coverage|fuzz-smoke|fuzz-corpus|chaos-smoke|wcet|replay|blackbox]" >&2; exit 2 ;;
+  *) echo "usage: ci.sh [coverage|fuzz-smoke|fuzz-corpus|chaos-smoke|wcet|replay|blackbox|ledger]" >&2; exit 2 ;;
 esac
 
 build_preset default

@@ -25,11 +25,11 @@ void StateArchive::fail_truncated(std::size_t n) const {
                    std::to_string(limit() - pos_));
 }
 
-void StateArchive::guard_count(std::uint64_t n, std::size_t elem_size) const {
-  // A corrupted length prefix must fail as StateError, not as a gigabyte
-  // allocation. Every element needs at least one encoded byte.
-  const std::size_t min_bytes = (elem_size == 0) ? 1 : 1;
-  if (n * min_bytes > limit() - pos_)
+void StateArchive::guard_count(std::uint64_t n, std::size_t encoded_size) const {
+  // A corrupted length prefix must fail as StateError before it sizes an
+  // allocation. Dividing the bytes left, rather than multiplying the count,
+  // cannot overflow.
+  if (n > remaining() / encoded_size)
     throw StateError("archive count " + std::to_string(n) +
                      " exceeds remaining bytes at offset " +
                      std::to_string(pos_));

@@ -23,6 +23,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace ascp {
@@ -75,7 +76,9 @@ class StateArchive {
     std::uint64_t n = v.size();
     value(n);
     if (!saving_) {
-      guard_count(n, sizeof(T));
+      // Arithmetic elements encode at their full width; others (an
+      // optional<double> takes 1 or 9 bytes) at no less than one byte.
+      guard_count(n, std::is_arithmetic_v<T> ? sizeof(T) : 1);
       v.resize(static_cast<std::size_t>(n));
     }
     for (auto& e : v) value(e);
@@ -95,7 +98,10 @@ class StateArchive {
   std::vector<std::uint8_t> take();
   /// Load mode: true once every byte has been consumed.
   bool exhausted() const { return pos_ == size_; }
-  std::size_t remaining() const { return size_ - pos_; }
+  /// Load mode: bytes left to read in the innermost open section (in the
+  /// whole archive outside any). A decoded count must fit in these before
+  /// it sizes an allocation.
+  std::size_t remaining() const { return limit() - pos_; }
 
  private:
   explicit StateArchive(bool saving) : saving_(saving) {}
@@ -114,7 +120,9 @@ class StateArchive {
     pos_ += n;
   }
   [[noreturn]] void fail_truncated(std::size_t n) const;
-  void guard_count(std::uint64_t n, std::size_t elem_size) const;
+  /// Throws StateError unless `n` elements of at least `encoded_size` bytes
+  /// each fit in remaining().
+  void guard_count(std::uint64_t n, std::size_t encoded_size) const;
 
   template <typename U>
   void scalar(U& v) {

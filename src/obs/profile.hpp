@@ -40,12 +40,14 @@ class TaskProfiler {
 
   /// Clock-sampling stride. Timing every invocation costs two host clock
   /// reads per task per tick — at a 240 kHz base rate that is ~10x the work
-  /// being measured. With stride N the scheduler wall-times every Nth
-  /// invocation of each task and scales the sampled cost by N, so
-  /// accumulated wall estimates stay unbiased while invocation counts stay
-  /// exact. 0 (the default) means auto: the scheduler derives a per-task
-  /// stride from its firing rate targeting ~kAutoSampleHz samples per
-  /// simulated second. 1 restores exact per-invocation timing.
+  /// being measured. With stride N the scheduler wall-times one invocation
+  /// in each window of N firings of a task, at a position that moves from
+  /// window to window so it cannot alias with another task's period, and
+  /// scales the sampled cost by N: accumulated wall estimates stay unbiased
+  /// while invocation counts stay exact. 0 (the default) means auto: the
+  /// scheduler derives a per-task stride from its firing rate targeting
+  /// ~kAutoSampleHz samples per simulated second. 1 restores exact
+  /// per-invocation timing.
   void set_sample_stride(long stride) { sample_stride_ = stride < 0 ? 0 : stride; }
   long sample_stride() const { return sample_stride_; }
 

@@ -5,12 +5,14 @@ namespace ascp::engine {
 namespace {
 
 /// StateArchive has no string field (checkpoints never carry text); blackbox
-/// payloads do, so strings ride as u64 length + raw bytes.
+/// payloads do, so strings ride as u64 length + raw bytes. Decoded lengths
+/// and counts are bounded by the bytes left before they size an allocation.
 void str_field(StateArchive& ar, std::string& s) {
   std::uint64_t n = s.size();
   ar.value(n);
   if (!ar.saving()) {
-    if (n > (1ull << 24)) throw StateError("blackbox string length implausible");
+    if (n > (1ull << 24) || n > ar.remaining())
+      throw StateError("blackbox string length implausible");
     s.resize(static_cast<std::size_t>(n));
   }
   if (n) ar.bytes(reinterpret_cast<std::uint8_t*>(&s[0]), static_cast<std::size_t>(n));
@@ -22,7 +24,8 @@ void vec_field(StateArchive& ar, std::vector<T>& v,
   std::uint64_t n = v.size();
   ar.value(n);
   if (!ar.saving()) {
-    if (n > (1ull << 24)) throw StateError("blackbox element count implausible");
+    if (n > (1ull << 24) || n > ar.remaining())
+      throw StateError("blackbox element count implausible");
     v.resize(static_cast<std::size_t>(n));
   }
   for (auto& e : v) each(ar, e);

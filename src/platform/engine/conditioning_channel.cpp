@@ -1,7 +1,5 @@
 #include "platform/engine/conditioning_channel.hpp"
 
-#include <cstring>
-
 #include "core/baselines.hpp"
 #include "core/gyro_system.hpp"
 #include "safety/standard_faults.hpp"
@@ -181,14 +179,7 @@ void ConditioningChannel::advance(long n_base_ticks) {
   last_underruns_ = stimulus_->underruns();
   // Hash every produced sample before the queue bound can discard any: the
   // fingerprint is a property of the simulation, not of consumer timing.
-  for (std::size_t i = before; i < out_.size(); ++i) {
-    std::uint64_t u;
-    std::memcpy(&u, &out_[i], sizeof u);
-    for (int b = 0; b < 8; ++b) {
-      hash_ ^= (u >> (8 * b)) & 0xFF;
-      hash_ *= 1099511628211ull;
-    }
-  }
+  hash_ = fnv1a_doubles(hash_, out_.data() + before, out_.size() - before);
   const std::uint64_t produced = out_.size() - before;
   total_outputs_ += produced;
   apply_queue_bound();
@@ -257,7 +248,8 @@ void ConditioningChannel::serialize_state(StateArchive& ar) {
   std::uint64_t pending = out_.size();
   ar.value(pending);
   if (!ar.saving()) {
-    if (pending > (1ull << 32)) throw StateError("checkpoint pending-queue count implausible");
+    if (pending > ar.remaining() / sizeof(double))
+      throw StateError("checkpoint pending-queue count implausible");
     out_.resize(static_cast<std::size_t>(pending));
   }
   for (auto& v : out_) ar.value(v);

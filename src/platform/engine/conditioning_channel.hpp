@@ -23,6 +23,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "common/frame.hpp"
 #include "common/state_archive.hpp"
 #include "common/trace.hpp"
@@ -215,7 +216,7 @@ class ConditioningChannel {
   std::vector<double> out_;
   double base_rate_hz_ = 0.0;
   long ticks_ = 0;
-  std::uint64_t hash_ = 1469598103934665603ull;  ///< FNV-1a offset basis
+  std::uint64_t hash_ = kFnv1aOutputBasis;
   std::uint64_t total_outputs_ = 0;
   std::uint64_t dropped_outputs_ = 0;
 };

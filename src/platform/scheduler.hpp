@@ -80,11 +80,12 @@ class Scheduler {
     Task task;
     std::string name;
     int profile_id = -1;
-    long sample_stride = 1;  ///< wall-time every Nth firing of this entry
-    long fired = 0;          ///< firings since profiler attach (sampling phase)
+    long sample_stride = 1;  ///< wall-time one firing in each window of this many
+    long until_timed = 0;    ///< untimed firings before the next timed one
   };
 
   long entry_stride(const Entry& e) const;
+  long firings_until_timed(const Entry& e) const;
 
   double base_rate_;
   long ticks_ = 0;

@@ -370,7 +370,11 @@ void SafetySupervisor::serialize_state(StateArchive& ar) {
   int_field(quiet_slow_);
   std::uint32_t n_shadows = static_cast<std::uint32_t>(shadows_.size());
   ar.value(n_shadows);
-  if (!ar.saving()) shadows_.resize(n_shadows);
+  if (!ar.saving()) {
+    if (n_shadows > ar.remaining() / (2 * sizeof(std::uint16_t)))
+      throw StateError("checkpoint supervisor shadow count implausible");
+    shadows_.resize(n_shadows);
+  }
   for (auto& sh : shadows_) {
     ar.value(sh.addr);
     ar.value(sh.value);

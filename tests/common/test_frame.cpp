@@ -1,7 +1,8 @@
 // The framed-container codec on a toy format: header placement, in-place
 // payload view, the five error messages, the overflow-safe length check,
-// non-throwing inspect, file I/O and a CRC-32 known answer. The three real
-// formats are pinned byte-for-byte in engine/test_frame_layout.cpp.
+// non-throwing inspect, file I/O, a CRC-32 known answer and the table CRC
+// against a bitwise reference. The three real formats are pinned
+// byte-for-byte in engine/test_frame_layout.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "common/frame.hpp"
+#include "common/rng.hpp"
 
 namespace ascp::frame {
 namespace {
@@ -36,11 +38,43 @@ std::string decode_error(const std::vector<std::uint8_t>& image) {
   return "decoded";
 }
 
+/// The bitwise reflected CRC-32 the table-driven codec must reproduce.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int b = 0; b < 8; ++b) crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint8_t> v(n);
+  Rng rng(seed);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng.next_u64() >> 56);
+  return v;
+}
+
 TEST(Frame, Crc32KnownAnswer) {
   const std::string check = "123456789";
   EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()), check.size()),
             0xCBF43926u);
   EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+// Every length 0..64 from every start offset 0..7 covers each alignment of
+// the 8-byte body and every tail length.
+TEST(Frame, Crc32MatchesBitwiseReferenceAtEveryOffsetAndLength) {
+  const auto buf = random_bytes(64 + 8, 13);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 64; ++len)
+      ASSERT_EQ(crc32(buf.data() + offset, len), crc32_bitwise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+}
+
+TEST(Frame, Crc32MatchesBitwiseReferenceOnACheckpointSizedBuffer) {
+  const auto buf = random_bytes(311 * 1024 + 5, 2026);
+  EXPECT_EQ(crc32(buf.data(), buf.size()), crc32_bitwise(buf.data(), buf.size()));
 }
 
 TEST(Frame, HeaderPrecedesPayloadAndLengthCountsUnits) {

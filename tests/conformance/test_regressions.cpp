@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "common/trace.hpp"
@@ -71,9 +72,9 @@ TEST(ConformanceRegressions, BatchedSensePathMatchesSerialWhenRunEndsMidBlock) {
 }
 
 // The profiler fix that the fuzzer's smoke budget forced: wall-timing is
-// sampled (every Nth firing per task), but invocation counts stay exact and
-// the sampled costs are scaled by the stride so accumulated wall estimates
-// stay unbiased.
+// sampled (one firing per window of N per task), but invocation counts stay
+// exact and the sampled costs are scaled by the stride so accumulated wall
+// estimates stay unbiased.
 TEST(ConformanceRegressions, SampledProfilerKeepsExactInvocationCounts) {
   platform::Scheduler sched(240e3);
   long fired = 0;
@@ -116,6 +117,30 @@ TEST(ConformanceRegressions, ExactStrideTimesEveryInvocation) {
   sched.run_ticks(5000);
   EXPECT_EQ(prof.stats()[0].invocations, 5000u);
   EXPECT_EQ(prof.timed_invocations(0), 5000u);
+}
+
+// At 1.92 MHz the auto stride is 960, a multiple of the ADC divider 8, so a
+// timed firing at a fixed place in each window would land every sample of a
+// divider-1 task on one ADC phase. The timed place moves from window to
+// window and carries on across the fresh Scheduler each GyroSystem run
+// builds, even when runs are shorter than a window.
+TEST(ConformanceRegressions, SampledProfilerCoversEveryAdcPhase) {
+  constexpr long kTicks = 61440;  // 64 windows of 960
+  for (const long run_ticks : {kTicks, 96L}) {
+    obs::TaskProfiler prof;
+    for (long origin = 0; origin < kTicks; origin += run_ticks) {
+      platform::Scheduler sched(1.92e6);
+      sched.every(1, [] {}, "analog");
+      prof.set_tick_origin(origin);
+      sched.set_profiler(&prof);
+      sched.run_ticks(run_ticks);
+    }
+    EXPECT_EQ(prof.stats()[0].invocations, static_cast<std::uint64_t>(kTicks));
+    EXPECT_EQ(prof.timed_invocations(0), 64u) << "runs of " << run_ticks;
+    std::set<long> phases;
+    for (const auto& slice : prof.slices()) phases.insert(slice.tick % 8);
+    EXPECT_EQ(phases.size(), 8u) << "runs of " << run_ticks;
+  }
 }
 
 // Attaching observability must not perturb the numeric path: same seed, same

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "core/baselines.hpp"
 #include "core/gyro_system.hpp"
 
@@ -26,19 +27,6 @@ std::uint64_t bits(double v) {
   return u;
 }
 
-// FNV-1a over the little-endian byte stream of the double bit patterns.
-std::uint64_t fnv1a(const std::vector<double>& v) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (double d : v) {
-    const std::uint64_t u = bits(d);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
 void expect_golden(const std::vector<double>& v, std::size_t n, std::uint64_t hash,
                    std::uint64_t first, std::uint64_t last) {
   ASSERT_EQ(v.size(), n);
@@ -46,7 +34,7 @@ void expect_golden(const std::vector<double>& v, std::size_t n, std::uint64_t ha
   // hash; the hash is what actually guarantees every sample in between.
   EXPECT_EQ(bits(v.front()), first);
   EXPECT_EQ(bits(v.back()), last);
-  EXPECT_EQ(fnv1a(v), hash);
+  EXPECT_EQ(fnv1a_doubles(kFnv1aOutputBasis, v.data(), v.size()), hash);
 }
 
 TEST(GoldenTraces, FullFidelityClosedLoopAcrossTwoRuns) {

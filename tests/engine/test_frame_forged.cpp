@@ -1,30 +1,62 @@
 // Forged length fields in real images: every reader must report truncation
 // (StateError) and inspect must report a bad CRC, instead of forming
-// header + length past 2^64 and reading beyond the buffer. ci.sh
-// chaos-smoke runs these under ASAN.
+// header + length past 2^64 and reading beyond the buffer. Forged element
+// counts inside CRC-valid payloads must fail with the count error before
+// they size an allocation. ci.sh chaos-smoke runs these under ASAN.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "platform/engine/blackbox.hpp"
 #include "platform/engine/conditioning_channel.hpp"
+#include "safety/supervisor.hpp"
 #include "sensor/stimulus_source.hpp"
 
 namespace ascp::engine {
 namespace {
 
+void set_le(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 /// Overwrite the u64 length field (the 12 bytes before the payload hold
 /// length + CRC).
 void forge_length(std::vector<std::uint8_t>& image, const frame::Format& f, std::uint64_t v) {
-  const std::size_t at = f.header_size() - 12;
-  for (int i = 0; i < 8; ++i) image[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  set_le(image, f.header_size() - 12, v, 8);
 }
 
 void expect_rejected_by_inspect(const frame::Format& f, const std::vector<std::uint8_t>& image) {
   frame::Header h;
   ASSERT_TRUE(frame::inspect(f, image, &h));
   EXPECT_FALSE(h.crc_ok);
+}
+
+/// Re-seal a payload edited in place, so only the payload decoder can object.
+void refresh_crc(std::vector<std::uint8_t>& image, const frame::Format& f) {
+  const std::size_t hs = f.header_size();
+  set_le(image, hs - 4, frame::crc32(image.data() + hs, image.size() - hs), 4);
+}
+
+/// Offset of the first occurrence of `needle` in `image`.
+std::size_t find_bytes(const std::vector<std::uint8_t>& image,
+                       const std::vector<std::uint8_t>& needle) {
+  const auto it = std::search(image.begin(), image.end(), needle.begin(), needle.end());
+  EXPECT_NE(it, image.end());
+  return static_cast<std::size_t>(it - image.begin());
+}
+
+template <typename F>
+std::string error_of(F&& decode) {
+  try {
+    decode();
+  } catch (const StateError& e) {
+    return e.what();
+  }
+  return "decoded";
 }
 
 ChannelConfig cheap_config() {
@@ -65,6 +97,93 @@ TEST(FrameForgedLength, BlackboxLengthNearTwoTo64) {
 
   EXPECT_THROW(decode_blackbox(image), StateError);
   expect_rejected_by_inspect(kBlackboxFrame, image);
+}
+
+constexpr frame::Format kVectors{"TESTVECS", 1, "vectors", 4, 1};
+
+template <typename T>
+std::size_t decode_vector(const std::vector<std::uint8_t>& image) {
+  const frame::Frame f = frame::decode(kVectors, image);
+  StateArchive ar = StateArchive::loader(f.payload, f.size);
+  std::vector<T> v;
+  ar.value(v);
+  return v.size();
+}
+
+// A count is checked against the bytes left at the element's encoded width:
+// 8 for a double, and 1 for an optional<double>, which takes 1 or 9 bytes.
+TEST(FrameForgedCount, ArchiveVectorCountsBoundedByEncodedSize) {
+  std::vector<double> doubles(100, 1.5);
+  auto image = frame::encode(kVectors, {}, [&](StateArchive& ar) { ar.value(doubles); });
+  ASSERT_EQ(decode_vector<double>(image), 100u);
+  set_le(image, kVectors.header_size(), 700, 8);
+  refresh_crc(image, kVectors);
+  EXPECT_EQ(error_of([&] { decode_vector<double>(image); }),
+            "archive count 700 exceeds remaining bytes at offset 8");
+
+  std::vector<std::optional<double>> empty(100);
+  image = frame::encode(kVectors, {}, [&](StateArchive& ar) { ar.value(empty); });
+  ASSERT_EQ(decode_vector<std::optional<double>>(image), 100u);
+  set_le(image, kVectors.header_size(), 101, 8);
+  refresh_crc(image, kVectors);
+  EXPECT_EQ(error_of([&] { decode_vector<std::optional<double>>(image); }),
+            "archive count 101 exceeds remaining bytes at offset 8");
+}
+
+BlackboxImage small_blackbox() {
+  BlackboxImage img;
+  img.reason = "forged-count";
+  BlackboxSpan span;
+  span.name = "channel.advance";
+  img.channel_spans = {span};
+  return img;
+}
+
+TEST(FrameForgedCount, BlackboxSpanCount) {
+  auto image = encode_blackbox(small_blackbox());
+  // BSPN tag, u32 section length, then the channel-span count.
+  set_le(image, find_bytes(image, {'B', 'S', 'P', 'N'}) + 8, 100000, 8);
+  refresh_crc(image, kBlackboxFrame);
+  EXPECT_EQ(error_of([&] { decode_blackbox(image); }), "blackbox element count implausible");
+}
+
+TEST(FrameForgedCount, BlackboxStringLength) {
+  auto image = encode_blackbox(small_blackbox());
+  const std::string reason = "forged-count";
+  set_le(image, find_bytes(image, {reason.begin(), reason.end()}) - 8, 1000, 8);
+  refresh_crc(image, kBlackboxFrame);
+  EXPECT_EQ(error_of([&] { decode_blackbox(image); }), "blackbox string length implausible");
+}
+
+TEST(FrameForgedCount, CheckpointPendingOutputCount) {
+  ConditioningChannel ch(cheap_config());
+  ch.advance(20000);
+  ASSERT_FALSE(ch.outputs().empty());
+  auto image = ch.snapshot();
+  // output_hash, total and dropped output counts, then the pending count.
+  std::vector<std::uint8_t> hash(8);
+  set_le(hash, 0, ch.output_hash(), 8);
+  set_le(image, find_bytes(image, hash) + 24, 1u << 20, 8);
+  refresh_crc(image, kCheckpointFrame);
+  ConditioningChannel target(cheap_config());
+  EXPECT_EQ(error_of([&] { target.restore(image); }),
+            "checkpoint pending-queue count implausible");
+}
+
+TEST(FrameForgedCount, SupervisorShadowCount) {
+  safety::SafetySupervisor saved(safety::SupervisorConfig{});
+  StateArchive out = StateArchive::saver();
+  saved.serialize_state(out);
+  auto bytes = out.take();
+  // Unattached, the supervisor shadows no registers: its last field is the
+  // u32 shadow count, zero.
+  ASSERT_EQ(std::vector<std::uint8_t>(bytes.end() - 4, bytes.end()),
+            std::vector<std::uint8_t>(4, 0));
+  set_le(bytes, bytes.size() - 4, 1u << 20, 4);
+  safety::SafetySupervisor loaded(safety::SupervisorConfig{});
+  StateArchive in = StateArchive::loader(bytes);
+  EXPECT_EQ(error_of([&] { loaded.serialize_state(in); }),
+            "checkpoint supervisor shadow count implausible");
 }
 
 }  // namespace

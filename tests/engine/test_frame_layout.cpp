@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "platform/engine/blackbox.hpp"
 #include "platform/engine/conditioning_channel.hpp"
 #include "sensor/stimulus_source.hpp"
@@ -19,12 +20,7 @@ namespace ascp::engine {
 namespace {
 
 std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
+  return fnv1a_bytes(kFnv1aBasis, bytes.data(), bytes.size());
 }
 
 std::vector<std::uint8_t> head(const std::vector<std::uint8_t>& image, std::size_t n) {

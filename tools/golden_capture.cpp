@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "core/baselines.hpp"
 #include "core/gyro_system.hpp"
 
@@ -15,20 +16,9 @@ static std::uint64_t bits(double v) {
   return u;
 }
 
-static std::uint64_t fnv1a(const std::vector<double>& v) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (double d : v) {
-    std::uint64_t u = bits(d);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
 static void dump(const char* name, const std::vector<double>& v) {
-  std::printf("%s n=%zu hash=0x%016" PRIx64 "\n", name, v.size(), fnv1a(v));
+  std::printf("%s n=%zu hash=0x%016" PRIx64 "\n", name, v.size(),
+              fnv1a_doubles(kFnv1aOutputBasis, v.data(), v.size()));
   for (std::size_t i = 0; i < v.size() && i < 4; ++i)
     std::printf("  [%zu] 0x%016" PRIx64 "\n", i, bits(v[i]));
   if (v.size() > 4) std::printf("  [last] 0x%016" PRIx64 "\n", bits(v.back()));
