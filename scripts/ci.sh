@@ -21,11 +21,17 @@
 #                        round-trip replay, the framed-container byte-layout
 #                        pins and the forged-length and forged-count
 #                        rejection tests
-#   ci.sh wcet         — static timing proof: platform_lint --timing must be
-#                        error-free on the shipped platform, the unbounded-
-#                        loop fixture must be flagged, and the differential
-#                        WCET validation bench (static >= ISS-observed for
-#                        every corpus function) must pass in smoke mode
+#   ci.sh wcet         — static timing proof: the MCS-51 opcode table must
+#                        agree with the ISS for all 256 opcodes (decoded
+#                        length, flow and targets, write flags, machine
+#                        cycles, CDATA accesses) and its listing must
+#                        round-trip through the assembler (OpcodeTable.*,
+#                        CycleTable.*, IssFuzz.*); platform_lint --timing
+#                        must be error-free on the shipped platform, the
+#                        unbounded-loop fixture must be flagged, and the
+#                        differential WCET validation bench (static >=
+#                        ISS-observed for every corpus function) must pass
+#                        in smoke mode
 #   ci.sh replay       — stimulus record/replay proof: ascp_tool
 #                        record→replay hash round-trip on two corpus
 #                        scenarios (one under ASAN), an ascp_tool diff
@@ -82,7 +88,11 @@ stage_chaos_smoke() {
 }
 
 stage_wcet() {
-  build_preset default --target platform_lint --target wcet_validation
+  build_preset default --target platform_lint --target wcet_validation \
+    --target test_mcu --target test_analysis
+  echo "== opcode table vs ISS: decode, cycles, CDATA accesses, listing round-trip =="
+  ./build/tests/test_mcu --gtest_filter='OpcodeTable.*:IssFuzz.*'
+  ./build/tests/test_analysis --gtest_filter='CycleTable.*'
   echo "== platform_lint --timing: shipped platform real-time budget =="
   ./build/tools/platform_lint --timing
   echo "== platform_lint --timing: unbounded loop must be flagged =="

@@ -37,7 +37,7 @@ Cfg build_cfg(const FirmwareImage& fw, Report* rep) {
     const std::uint16_t addr = work.front();
     work.pop_front();
     if (cfg.insns.contains(addr)) continue;
-    const Insn in = decode(fw.image.data(), fw.image.size(), fw.base, addr);
+    const Insn in = mcu::decode(fw.image, fw.base, addr);
     cfg.insns.emplace(addr, in);
     if (in.truncated) {
       report(Severity::Error, at(addr),
@@ -191,25 +191,12 @@ std::map<std::uint16_t, std::uint16_t> resolve_movx_stores(const Cfg& cfg) {
         if (in.bytes[1] == 0x82) dpl = in.bytes[2];
         if (in.bytes[1] == 0x83) dph = in.bytes[2];
         break;
-      default: {
-        // Any other write to DPL/DPH makes the half unknown. The opcodes
-        // that can write a direct address with the operand in bytes[1]:
-        const std::uint8_t op = in.opcode();
-        const bool dir_write =
-            op == 0x05 || op == 0x15 || op == 0x42 || op == 0x43 || op == 0x52 ||
-            op == 0x53 || op == 0x62 || op == 0x63 || op == 0xC5 || op == 0xD0 ||
-            op == 0xD5 || op == 0xF5 || op == 0x86 || op == 0x87 ||
-            (op & 0xF8) == 0x88;
-        if (dir_write) {
-          if (in.bytes[1] == 0x82) dpl = -1;
-          if (in.bytes[1] == 0x83) dph = -1;
-        }
-        if (op == 0x85) {  // MOV dst,src — dst encoded second
-          if (in.bytes[2] == 0x82) dpl = -1;
-          if (in.bytes[2] == 0x83) dph = -1;
+      default:  // any other write to DPL/DPH makes the half unknown
+        if (const auto dest = in.written(mcu::Opd::Direct)) {
+          if (*dest == 0x82) dpl = -1;
+          if (*dest == 0x83) dph = -1;
         }
         break;
-      }
     }
   }
   return stores;

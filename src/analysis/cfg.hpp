@@ -15,11 +15,14 @@
 #include <set>
 #include <vector>
 
-#include "analysis/disasm.hpp"
 #include "analysis/findings.hpp"
 #include "analysis/firmware_lint.hpp"
+#include "mcu/opcode_table.hpp"
 
 namespace ascp::analysis {
+
+using mcu::Flow;
+using mcu::Insn;
 
 /// Reachable-instruction CFG of one firmware image. Successor edges exist
 /// only between in-image instructions; a CALL contributes its fall-through

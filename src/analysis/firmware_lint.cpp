@@ -32,41 +32,6 @@ constexpr std::uint8_t kCoreSfrs[] = {
     0xD0, 0xE0, 0xF0,                          // PSW ACC B
 };
 
-/// Direct-address destination of an instruction, if it writes one.
-std::optional<std::uint8_t> direct_write_dest(const Insn& in) {
-  switch (in.opcode()) {
-    case 0x05: case 0x15:  // INC/DEC dir
-    case 0x42: case 0x43:  // ORL dir,…
-    case 0x52: case 0x53:  // ANL dir,…
-    case 0x62: case 0x63:  // XRL dir,…
-    case 0x75:             // MOV dir,#imm
-    case 0xC5:             // XCH A,dir
-    case 0xD0:             // POP dir
-    case 0xD5:             // DJNZ dir,rel
-    case 0xF5:             // MOV dir,A
-      return in.bytes[1];
-    case 0x85:             // MOV dst,src — src is encoded first
-      return in.bytes[2];
-    default:
-      if ((in.opcode() & 0xF8) == 0x88) return in.bytes[1];  // MOV dir,Rn
-      if (in.opcode() == 0x86 || in.opcode() == 0x87) return in.bytes[1];  // MOV dir,@Ri
-      return std::nullopt;
-  }
-}
-
-/// Bit-address destination of an instruction, if it writes one.
-std::optional<std::uint8_t> bit_write_dest(const Insn& in) {
-  switch (in.opcode()) {
-    case 0x10:  // JBC bit,rel (clears the bit)
-    case 0x92:  // MOV bit,C
-    case 0xB2:  // CPL bit
-    case 0xC2:  // CLR bit
-    case 0xD2:  // SETB bit
-      return in.bytes[1];
-    default: return std::nullopt;
-  }
-}
-
 int stack_push_bytes(std::uint8_t op) {
   if (op == 0xC0) return 1;                              // PUSH
   if (op == 0xD0) return -1;                             // POP
@@ -282,59 +247,15 @@ class FirmwareAnalysis {
 
   // ---- phase 4: MOVX / SFR store checking ----------------------------------
   void analyze_stores() {
-    // Block-local DPTR constant propagation: state survives straight-line
-    // fall-through, resets at branch targets and after calls (the callee may
-    // clobber DPTR).
-    std::set<std::uint16_t> leaders{fw_.entry};
+    const auto movx = resolve_movx_stores(cfg_);
     for (const auto& [addr, in] : cfg_.insns) {
-      if (in.flow == Flow::Jump || in.flow == Flow::CondJump || in.flow == Flow::Call)
-        if (in_image(in.target)) leaders.insert(in.target);
-      if (in.flow != Flow::Seq)
-        leaders.insert(static_cast<std::uint16_t>(addr + in.length));
-    }
-
-    int dpl = -1, dph = -1;  // tracked DPTR halves, -1 = unknown
-    std::uint16_t prev_end = 0;
-    bool first = true;
-    for (const auto& [addr, in] : cfg_.insns) {
-      if (first || addr != prev_end || leaders.contains(addr)) dpl = dph = -1;
-      first = false;
-      prev_end = static_cast<std::uint16_t>(addr + in.length);
-
       // SFR-space direct/bit writes.
-      if (const auto dest = direct_write_dest(in); dest && *dest >= 0x80)
+      if (const auto dest = in.written(mcu::Opd::Direct); dest && *dest >= 0x80)
         check_sfr_write(addr, in, *dest, /*bit=*/false);
-      if (const auto bit = bit_write_dest(in); bit && *bit >= 0x80)
+      if (const auto bit = in.written(mcu::Opd::Bit); bit && *bit >= 0x80)
         check_sfr_write(addr, in, static_cast<std::uint8_t>(*bit & 0xF8), /*bit=*/true);
-
-      // MOVX stores through a tracked DPTR.
-      if (in.opcode() == 0xF0 && dpl >= 0 && dph >= 0)
-        check_movx_store(addr, static_cast<std::uint16_t>(dph << 8 | dpl));
-
-      // DPTR tracking.
-      switch (in.opcode()) {
-        case 0x90:  // MOV DPTR,#imm16
-          dph = in.bytes[1];
-          dpl = in.bytes[2];
-          break;
-        case 0xA3:  // INC DPTR
-          if (dpl >= 0 && dph >= 0) {
-            const auto v = static_cast<std::uint16_t>((dph << 8 | dpl) + 1);
-            dpl = v & 0xFF;
-            dph = v >> 8;
-          }
-          break;
-        case 0x75:  // MOV dir,#imm
-          if (in.bytes[1] == 0x82) dpl = in.bytes[2];
-          if (in.bytes[1] == 0x83) dph = in.bytes[2];
-          break;
-        default:
-          if (const auto dest = direct_write_dest(in)) {
-            if (*dest == 0x82) dpl = -1;
-            if (*dest == 0x83) dph = -1;
-          }
-          break;
-      }
+      // MOVX stores through a statically resolved DPTR.
+      if (const auto it = movx.find(addr); it != movx.end()) check_movx_store(addr, it->second);
     }
   }
 

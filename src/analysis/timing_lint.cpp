@@ -21,68 +21,10 @@ std::string hex16(std::uint16_t v) {
   return buf;
 }
 
-/// Direct-address destination of an instruction, if it writes one (the
-/// firmware analyzer has the same table for its store checks).
-std::optional<std::uint8_t> direct_write_dest(const Insn& in) {
-  switch (in.opcode()) {
-    case 0x05: case 0x15:  // INC/DEC dir
-    case 0x42: case 0x43:  // ORL dir,…
-    case 0x52: case 0x53:  // ANL dir,…
-    case 0x62: case 0x63:  // XRL dir,…
-    case 0x75:             // MOV dir,#imm
-    case 0xC5:             // XCH A,dir
-    case 0xD0:             // POP dir
-    case 0xD5:             // DJNZ dir,rel
-    case 0xF5:             // MOV dir,A
-      return in.bytes[1];
-    case 0x85:             // MOV dst,src — src is encoded first
-      return in.bytes[2];
-    default:
-      if ((in.opcode() & 0xF8) == 0x88) return in.bytes[1];  // MOV dir,Rn
-      if (in.opcode() == 0x86 || in.opcode() == 0x87) return in.bytes[1];  // MOV dir,@Ri
-      return std::nullopt;
-  }
-}
-
-/// Does the instruction read or write direct address `dir` (operand view —
-/// bit accesses are excluded; the cache data window is not bit-addressable)?
-bool touches_direct(const Insn& in, std::uint8_t dir) {
-  const std::uint8_t op = in.opcode();
-  switch (op) {
-    case 0x05: case 0x15: case 0x25: case 0x35:  // INC/DEC/ADD/ADDC dir
-    case 0x42: case 0x43: case 0x45:             // ORL
-    case 0x52: case 0x53: case 0x55:             // ANL
-    case 0x62: case 0x63: case 0x65:             // XRL
-    case 0x75: case 0x86: case 0x87:             // MOV dir,#imm / dir,@Ri
-    case 0xB5:                                   // CJNE A,dir,rel
-    case 0xC0: case 0xC5: case 0xD0: case 0xD5:  // PUSH/XCH/POP/DJNZ dir
-    case 0xE5: case 0xF5:                        // MOV A,dir / dir,A
-      if (in.bytes[1] == dir) return true;
-      break;
-    case 0x85:  // MOV dst,src — both operands are direct
-      if (in.bytes[1] == dir || in.bytes[2] == dir) return true;
-      break;
-    default:
-      if ((op & 0xF8) == 0x88 && in.bytes[1] == dir) return true;  // MOV dir,Rn
-      if ((op & 0xF8) == 0xA8 && in.bytes[1] == dir) return true;  // MOV Rn,dir
-      if ((op == 0xA6 || op == 0xA7) && in.bytes[1] == dir) return true;  // MOV @Ri,dir
-      break;
-  }
-  return false;
-}
-
-/// Does the instruction write register-bank slot `n` (bank 0)?
-bool writes_rn(const Insn& in, int n) {
-  const std::uint8_t op = in.opcode();
-  const int low = op & 0x07;
-  if (low == n) {
-    const std::uint8_t hi = op & 0xF8;
-    if (hi == 0x78 || hi == 0xA8 || hi == 0x08 || hi == 0x18 || hi == 0xC8 ||
-        hi == 0xD8 || hi == 0xF8)
-      return true;
-  }
-  if (const auto d = direct_write_dest(in); d && *d == n) return true;  // bank 0 alias
-  return false;
+/// Does `in` write register-bank slot `n`, by name or through its bank-0
+/// direct address?
+bool writes_reg(const Insn& in, int n) {
+  return in.written(mcu::Opd::Rn) == n || in.written(mcu::Opd::Direct) == n;
 }
 
 long lcm_capped(long a, long b, long cap) {
@@ -162,14 +104,10 @@ class TimingAnalysis {
 
   // ---- per-instruction costs ----------------------------------------------
   long insn_cost(const Insn& in, int metric) const {
-    if (metric == kMetricSbuf) {
-      const auto d = direct_write_dest(in);
-      return d && *d == 0x99 ? 1 : 0;  // SBUF
-    }
-    long c = opcode_cycles(in.opcode());
-    if (opt_.cache_miss_penalty > 0 && touches_direct(in, opt_.cache_data_sfr))
-      c += opt_.cache_miss_penalty;  // assume every access misses
-    return c;
+    if (metric == kMetricSbuf) return in.written(mcu::Opd::Direct) == 0x99 ? 1 : 0;  // SBUF
+    // Every CDATA access is assumed to miss; a read-modify-write makes two.
+    return in.cycles() + static_cast<long>(opt_.cache_miss_penalty) *
+                             in.accesses(mcu::Opd::Direct, opt_.cache_data_sfr);
   }
 
   /// Node cost including the callee for CALL nodes; kUnbounded propagates.
@@ -414,7 +352,7 @@ class TimingAnalysis {
     if ((op & 0xF8) == 0xD8) {  // DJNZ Rn,rel
       const int n = op & 0x07;
       for (const std::uint16_t a : scc)
-        if (a != src && writes_rn(cfg_.insns.at(a), n)) return kUnbounded;
+        if (a != src && writes_reg(cfg_.insns.at(a), n)) return kUnbounded;
       const auto init = find_init([n](const Insn& in) -> std::optional<int> {
         if (in.opcode() == (0x78 | n)) return in.bytes[1];  // MOV Rn,#imm
         return std::nullopt;
@@ -426,8 +364,7 @@ class TimingAnalysis {
       const std::uint8_t dir = br.bytes[1];
       for (const std::uint16_t a : scc) {
         if (a == src) continue;
-        if (const auto d = direct_write_dest(cfg_.insns.at(a)); d && *d == dir)
-          return kUnbounded;
+        if (cfg_.insns.at(a).written(mcu::Opd::Direct) == dir) return kUnbounded;
       }
       const auto init = find_init([dir](const Insn& in) -> std::optional<int> {
         if (in.opcode() == 0x75 && in.bytes[1] == dir) return in.bytes[2];
@@ -445,7 +382,7 @@ class TimingAnalysis {
         if (a == src) continue;
         if (in.opcode() == (0x08 | n)) { ++incs; continue; }  // INC Rn
         if (in.opcode() == (0x18 | n)) { ++decs; continue; }  // DEC Rn
-        if (writes_rn(in, n)) return kUnbounded;
+        if (writes_reg(in, n)) return kUnbounded;
       }
       if (incs + decs != 1) return kUnbounded;
       const auto init = find_init([n](const Insn& in) -> std::optional<int> {
@@ -649,36 +586,6 @@ class TimingAnalysis {
 };
 
 }  // namespace
-
-int opcode_cycles(std::uint8_t op) {
-  if (op == 0xA4 || op == 0x84) return 4;                    // MUL, DIV
-  if ((op & 0x1F) == 0x01 || (op & 0x1F) == 0x11) return 2;  // AJMP, ACALL
-  if ((op & 0xF8) == 0xB8) return 2;                         // CJNE Rn,#imm
-  if ((op & 0xF8) == 0xD8) return 2;                         // DJNZ Rn
-  if ((op & 0xF8) == 0x88) return 2;                         // MOV dir,Rn
-  if ((op & 0xF8) == 0xA8) return 2;                         // MOV Rn,dir
-  switch (op) {
-    case 0x02: case 0x12: case 0x22: case 0x32:  // LJMP LCALL RET RETI
-    case 0x80: case 0x73:                        // SJMP, JMP @A+DPTR
-    case 0x10: case 0x20: case 0x30:             // JBC JB JNB
-    case 0x40: case 0x50: case 0x60: case 0x70:  // JC JNC JZ JNZ
-    case 0xB4: case 0xB5: case 0xB6: case 0xB7:  // CJNE A/@Ri forms
-    case 0xD5:                                   // DJNZ dir
-    case 0xE0: case 0xE2: case 0xE3:             // MOVX A,…
-    case 0xF0: case 0xF2: case 0xF3:             // MOVX …,A
-    case 0x83: case 0x93:                        // MOVC
-    case 0x90: case 0xA3:                        // MOV DPTR,# / INC DPTR
-    case 0xC0: case 0xD0:                        // PUSH, POP
-    case 0x43: case 0x53: case 0x63:             // ORL/ANL/XRL dir,#imm
-    case 0x75: case 0x85: case 0x86: case 0x87:  // MOV dir,# / dir,dir / dir,@Ri
-    case 0xA6: case 0xA7:                        // MOV @Ri,dir
-    case 0x72: case 0x82: case 0xA0: case 0xB0:  // ORL/ANL C,bit (and /bit)
-    case 0x92:                                   // MOV bit,C
-      return 2;
-    default:
-      return 1;
-  }
-}
 
 const FunctionWcet* WcetResult::find(std::uint16_t entry) const {
   for (const auto& f : functions)

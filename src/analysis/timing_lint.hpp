@@ -6,8 +6,9 @@
 // cycle). The dynamic profilers (obs::McuProfiler, obs::TaskProfiler)
 // *observe* those budgets; this analyzer *proves* them before anything runs:
 //
-//   * per-opcode machine-cycle table mirroring core8051's execute() exactly
-//     (verified instruction-by-instruction by the tier-1 tests)
+//   * machine cycles and operand accesses from the MCS-51 opcode table
+//     (mcu/opcode_table.hpp), checked against core8051::step() for all 256
+//     opcodes by the tier-1 tests
 //   * loop bounds: counted DJNZ/CJNE idioms are inferred from the
 //     initializing MOV; every other back edge needs a `;@loop-bound N` or
 //     `;@loop-wait` assembler annotation, and a back edge with neither is a
@@ -23,9 +24,11 @@
 //     bytes-per-round are bounded instead of demanding a loop bound
 //   * interrupt-path WCET for every vector the image enables (2-cycle
 //     dispatch + handler-to-RETI longest path)
-//   * cache-miss penalties: accesses to the cache controller's CDATA SFR
-//     are charged `miss_penalty_cycles` each (the static model assumes
-//     every access misses — a sound over-approximation of cache_ctrl)
+//   * cache-miss penalties: every direct read and every direct write of the
+//     cache controller's CDATA SFR is charged `miss_penalty_cycles`, so a
+//     read-modify-write such as INC CDATA pays twice, as the ISS accesses it
+//     twice (the static model assumes every access misses — a sound
+//     over-approximation of cache_ctrl)
 //
 // The schedulability half takes explicit task specs (rate dividers, phase
 // offsets, worst-case cycle demand per firing) against a per-tick cycle
@@ -43,11 +46,6 @@
 #include "analysis/firmware_lint.hpp"
 
 namespace ascp::analysis {
-
-/// Machine cycles consumed by `opcode`, exactly as core8051::step() accounts
-/// them (fixed per opcode — branch outcome and operand values never change
-/// the cost on this core, which is what makes the static table exact).
-int opcode_cycles(std::uint8_t opcode);
 
 struct TimingOptions {
   /// Cycles charged per access to the cache controller's data-window SFR

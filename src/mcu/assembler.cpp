@@ -381,7 +381,9 @@ void Assembler::encode(const Line& l, std::uint16_t addr, std::vector<std::uint8
       throw AsmError(ln, m + " expects " + std::to_string(count) + " operand(s)");
   };
   auto rel_to = [&](const std::string& target, std::uint16_t end_addr) {
-    const int delta = static_cast<int>(eval(target, ln)) - static_cast<int>(end_addr);
+    // The PC is 16 bits wide, so a branch from 0x0000 back to 0xFFE2 is -32.
+    const int delta =
+        static_cast<std::int16_t>(static_cast<std::uint16_t>(eval(target, ln) - end_addr));
     if (delta < -128 || delta > 127)
       throw AsmError(ln, "relative branch out of range (" + std::to_string(delta) + ")");
     return delta & 0xFF;

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "mcu/opcode_table.hpp"
+
 namespace ascp::mcu {
 
 namespace {
@@ -18,207 +20,11 @@ std::string hex16(std::uint16_t v) {
   return buf;
 }
 
-std::string reg(int n) { return "R" + std::string(1, static_cast<char>('0' + n)); }
-std::string ind(int n) { return n ? "@R1" : "@R0"; }
-
 }  // namespace
 
 DisasmInsn disassemble_one(std::span<const std::uint8_t> code, std::uint16_t addr) {
-  auto byte = [&](std::uint16_t a) -> std::uint8_t {
-    return a < code.size() ? code[a] : 0;
-  };
-  const std::uint8_t op = byte(addr);
-  const std::uint8_t b1 = byte(static_cast<std::uint16_t>(addr + 1));
-  const std::uint8_t b2 = byte(static_cast<std::uint16_t>(addr + 2));
-
-  DisasmInsn out;
-  out.addr = addr;
-
-  auto one = [&](std::string text) {
-    out.size = 1;
-    out.text = std::move(text);
-  };
-  auto two = [&](std::string text) {
-    out.size = 2;
-    out.text = std::move(text);
-  };
-  auto three = [&](std::string text) {
-    out.size = 3;
-    out.text = std::move(text);
-  };
-  // Branch target from a relative byte at the end of a `size`-byte insn.
-  auto rel_target = [&](int size, std::uint8_t rel) {
-    return hex16(static_cast<std::uint16_t>(addr + size + static_cast<std::int8_t>(rel)));
-  };
-
-  // AJMP / ACALL: 3 page bits live in the opcode.
-  if ((op & 0x1F) == 0x01 || (op & 0x1F) == 0x11) {
-    const std::uint16_t next = static_cast<std::uint16_t>(addr + 2);
-    const std::uint16_t target =
-        static_cast<std::uint16_t>((next & 0xF800) | (static_cast<std::uint16_t>(op & 0xE0) << 3) | b1);
-    two(((op & 0x1F) == 0x01 ? "AJMP " : "ACALL ") + hex16(target));
-    return out;
-  }
-
-  switch (op) {
-    case 0x00: one("NOP"); break;
-    case 0x02: three("LJMP " + hex16(static_cast<std::uint16_t>(b1 << 8 | b2))); break;
-    case 0x03: one("RR A"); break;
-    case 0x04: one("INC A"); break;
-    case 0x05: two("INC " + hex8(b1)); break;
-    case 0x06: case 0x07: one("INC " + ind(op & 1)); break;
-    case 0x08: case 0x09: case 0x0A: case 0x0B:
-    case 0x0C: case 0x0D: case 0x0E: case 0x0F: one("INC " + reg(op & 7)); break;
-
-    case 0x10: three("JBC " + hex8(b1) + ", " + rel_target(3, b2)); break;
-    case 0x12: three("LCALL " + hex16(static_cast<std::uint16_t>(b1 << 8 | b2))); break;
-    case 0x13: one("RRC A"); break;
-    case 0x14: one("DEC A"); break;
-    case 0x15: two("DEC " + hex8(b1)); break;
-    case 0x16: case 0x17: one("DEC " + ind(op & 1)); break;
-    case 0x18: case 0x19: case 0x1A: case 0x1B:
-    case 0x1C: case 0x1D: case 0x1E: case 0x1F: one("DEC " + reg(op & 7)); break;
-
-    case 0x20: three("JB " + hex8(b1) + ", " + rel_target(3, b2)); break;
-    case 0x22: one("RET"); break;
-    case 0x23: one("RL A"); break;
-    case 0x24: two("ADD A, #" + hex8(b1)); break;
-    case 0x25: two("ADD A, " + hex8(b1)); break;
-    case 0x26: case 0x27: one("ADD A, " + ind(op & 1)); break;
-    case 0x28: case 0x29: case 0x2A: case 0x2B:
-    case 0x2C: case 0x2D: case 0x2E: case 0x2F: one("ADD A, " + reg(op & 7)); break;
-
-    case 0x30: three("JNB " + hex8(b1) + ", " + rel_target(3, b2)); break;
-    case 0x32: one("RETI"); break;
-    case 0x33: one("RLC A"); break;
-    case 0x34: two("ADDC A, #" + hex8(b1)); break;
-    case 0x35: two("ADDC A, " + hex8(b1)); break;
-    case 0x36: case 0x37: one("ADDC A, " + ind(op & 1)); break;
-    case 0x38: case 0x39: case 0x3A: case 0x3B:
-    case 0x3C: case 0x3D: case 0x3E: case 0x3F: one("ADDC A, " + reg(op & 7)); break;
-
-    case 0x40: two("JC " + rel_target(2, b1)); break;
-    case 0x42: two("ORL " + hex8(b1) + ", A"); break;
-    case 0x43: three("ORL " + hex8(b1) + ", #" + hex8(b2)); break;
-    case 0x44: two("ORL A, #" + hex8(b1)); break;
-    case 0x45: two("ORL A, " + hex8(b1)); break;
-    case 0x46: case 0x47: one("ORL A, " + ind(op & 1)); break;
-    case 0x48: case 0x49: case 0x4A: case 0x4B:
-    case 0x4C: case 0x4D: case 0x4E: case 0x4F: one("ORL A, " + reg(op & 7)); break;
-
-    case 0x50: two("JNC " + rel_target(2, b1)); break;
-    case 0x52: two("ANL " + hex8(b1) + ", A"); break;
-    case 0x53: three("ANL " + hex8(b1) + ", #" + hex8(b2)); break;
-    case 0x54: two("ANL A, #" + hex8(b1)); break;
-    case 0x55: two("ANL A, " + hex8(b1)); break;
-    case 0x56: case 0x57: one("ANL A, " + ind(op & 1)); break;
-    case 0x58: case 0x59: case 0x5A: case 0x5B:
-    case 0x5C: case 0x5D: case 0x5E: case 0x5F: one("ANL A, " + reg(op & 7)); break;
-
-    case 0x60: two("JZ " + rel_target(2, b1)); break;
-    case 0x62: two("XRL " + hex8(b1) + ", A"); break;
-    case 0x63: three("XRL " + hex8(b1) + ", #" + hex8(b2)); break;
-    case 0x64: two("XRL A, #" + hex8(b1)); break;
-    case 0x65: two("XRL A, " + hex8(b1)); break;
-    case 0x66: case 0x67: one("XRL A, " + ind(op & 1)); break;
-    case 0x68: case 0x69: case 0x6A: case 0x6B:
-    case 0x6C: case 0x6D: case 0x6E: case 0x6F: one("XRL A, " + reg(op & 7)); break;
-
-    case 0x70: two("JNZ " + rel_target(2, b1)); break;
-    case 0x72: two("ORL C, " + hex8(b1)); break;
-    case 0x73: one("JMP @A+DPTR"); break;
-    case 0x74: two("MOV A, #" + hex8(b1)); break;
-    case 0x75: three("MOV " + hex8(b1) + ", #" + hex8(b2)); break;
-    case 0x76: case 0x77: two("MOV " + ind(op & 1) + ", #" + hex8(b1)); break;
-    case 0x78: case 0x79: case 0x7A: case 0x7B:
-    case 0x7C: case 0x7D: case 0x7E: case 0x7F:
-      two("MOV " + reg(op & 7) + ", #" + hex8(b1));
-      break;
-
-    case 0x80: two("SJMP " + rel_target(2, b1)); break;
-    case 0x82: two("ANL C, " + hex8(b1)); break;
-    case 0x83: one("MOVC A, @A+PC"); break;
-    case 0x84: one("DIV AB"); break;
-    // MOV dir,dir encodes source first; text order is destination first.
-    case 0x85: three("MOV " + hex8(b2) + ", " + hex8(b1)); break;
-    case 0x86: case 0x87: two("MOV " + hex8(b1) + ", " + ind(op & 1)); break;
-    case 0x88: case 0x89: case 0x8A: case 0x8B:
-    case 0x8C: case 0x8D: case 0x8E: case 0x8F:
-      two("MOV " + hex8(b1) + ", " + reg(op & 7));
-      break;
-
-    case 0x90: three("MOV DPTR, #" + hex16(static_cast<std::uint16_t>(b1 << 8 | b2))); break;
-    case 0x92: two("MOV " + hex8(b1) + ", C"); break;
-    case 0x93: one("MOVC A, @A+DPTR"); break;
-    case 0x94: two("SUBB A, #" + hex8(b1)); break;
-    case 0x95: two("SUBB A, " + hex8(b1)); break;
-    case 0x96: case 0x97: one("SUBB A, " + ind(op & 1)); break;
-    case 0x98: case 0x99: case 0x9A: case 0x9B:
-    case 0x9C: case 0x9D: case 0x9E: case 0x9F: one("SUBB A, " + reg(op & 7)); break;
-
-    case 0xA0: two("ORL C, /" + hex8(b1)); break;
-    case 0xA2: two("MOV C, " + hex8(b1)); break;
-    case 0xA3: one("INC DPTR"); break;
-    case 0xA4: one("MUL AB"); break;
-    case 0xA5: one("DB 0xA5"); break;  // the one undefined MCS-51 opcode
-    case 0xA6: case 0xA7: two("MOV " + ind(op & 1) + ", " + hex8(b1)); break;
-    case 0xA8: case 0xA9: case 0xAA: case 0xAB:
-    case 0xAC: case 0xAD: case 0xAE: case 0xAF:
-      two("MOV " + reg(op & 7) + ", " + hex8(b1));
-      break;
-
-    case 0xB0: two("ANL C, /" + hex8(b1)); break;
-    case 0xB2: two("CPL " + hex8(b1)); break;
-    case 0xB3: one("CPL C"); break;
-    case 0xB4: three("CJNE A, #" + hex8(b1) + ", " + rel_target(3, b2)); break;
-    case 0xB5: three("CJNE A, " + hex8(b1) + ", " + rel_target(3, b2)); break;
-    case 0xB6: case 0xB7:
-      three("CJNE " + ind(op & 1) + ", #" + hex8(b1) + ", " + rel_target(3, b2));
-      break;
-    case 0xB8: case 0xB9: case 0xBA: case 0xBB:
-    case 0xBC: case 0xBD: case 0xBE: case 0xBF:
-      three("CJNE " + reg(op & 7) + ", #" + hex8(b1) + ", " + rel_target(3, b2));
-      break;
-
-    case 0xC0: two("PUSH " + hex8(b1)); break;
-    case 0xC2: two("CLR " + hex8(b1)); break;
-    case 0xC3: one("CLR C"); break;
-    case 0xC4: one("SWAP A"); break;
-    case 0xC5: two("XCH A, " + hex8(b1)); break;
-    case 0xC6: case 0xC7: one("XCH A, " + ind(op & 1)); break;
-    case 0xC8: case 0xC9: case 0xCA: case 0xCB:
-    case 0xCC: case 0xCD: case 0xCE: case 0xCF: one("XCH A, " + reg(op & 7)); break;
-
-    case 0xD0: two("POP " + hex8(b1)); break;
-    case 0xD2: two("SETB " + hex8(b1)); break;
-    case 0xD3: one("SETB C"); break;
-    case 0xD4: one("DA A"); break;
-    case 0xD5: three("DJNZ " + hex8(b1) + ", " + rel_target(3, b2)); break;
-    case 0xD6: case 0xD7: one("XCHD A, " + ind(op & 1)); break;
-    case 0xD8: case 0xD9: case 0xDA: case 0xDB:
-    case 0xDC: case 0xDD: case 0xDE: case 0xDF:
-      two("DJNZ " + reg(op & 7) + ", " + rel_target(2, b1));
-      break;
-
-    case 0xE0: one("MOVX A, @DPTR"); break;
-    case 0xE2: case 0xE3: one("MOVX A, " + ind(op & 1)); break;
-    case 0xE4: one("CLR A"); break;
-    case 0xE5: two("MOV A, " + hex8(b1)); break;
-    case 0xE6: case 0xE7: one("MOV A, " + ind(op & 1)); break;
-    case 0xE8: case 0xE9: case 0xEA: case 0xEB:
-    case 0xEC: case 0xED: case 0xEE: case 0xEF: one("MOV A, " + reg(op & 7)); break;
-
-    case 0xF0: one("MOVX @DPTR, A"); break;
-    case 0xF2: case 0xF3: one("MOVX " + ind(op & 1) + ", A"); break;
-    case 0xF4: one("CPL A"); break;
-    case 0xF5: two("MOV " + hex8(b1) + ", A"); break;
-    case 0xF6: case 0xF7: one("MOV " + ind(op & 1) + ", A"); break;
-    case 0xF8: case 0xF9: case 0xFA: case 0xFB:
-    case 0xFC: case 0xFD: case 0xFE: case 0xFF: one("MOV " + reg(op & 7) + ", A"); break;
-
-    default: one("DB " + hex8(op)); break;  // unreachable; keeps the switch total
-  }
-  return out;
+  const Insn in = decode(code, 0, addr);
+  return DisasmInsn{addr, in.length, in.text()};
 }
 
 std::string disassemble_range(std::span<const std::uint8_t> code, std::uint16_t begin,

@@ -3,9 +3,12 @@
 // Decodes code images back into assembler-ready source: every line it emits
 // re-assembles to the exact bytes it was decoded from, which is what the
 // conformance fuzzer's assemble → disassemble → assemble round-trip checks.
-// Branch targets are printed as absolute addresses (the assembler re-derives
-// the relative/paged encodings), the one undefined opcode (0xA5) round-trips
-// as a DB directive, and operands use plain hex so no symbol table is needed.
+// The lines are the text of the opcode-table decoder (opcode_table.hpp), so
+// the listing, the firmware analyzer's findings and platform_top's hot
+// spots print the same thing. Branch targets are printed as absolute
+// addresses that wrap at 64 K like the PC (the assembler re-derives the
+// relative/paged encodings), the one undefined opcode (0xA5) round-trips as
+// a DB directive, and operands use plain hex so no symbol table is needed.
 #pragma once
 
 #include <cstdint>

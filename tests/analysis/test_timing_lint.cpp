@@ -1,8 +1,9 @@
 // Static WCET & schedulability analyzer (analysis/timing_lint).
 //
 // The analyzer's soundness rests on three legs, each tested here:
-//   1. the per-opcode cycle table agrees with core8051::step() for every one
-//      of the 256 opcodes (exhaustive differential test, not a sample);
+//   1. the opcode table's machine cycles, and the CDATA accesses the cost
+//      model charges, agree with core8051::step() for every one of the 256
+//      opcodes (exhaustive differential tests, not a sample);
 //   2. loop bounds: counted DJNZ/CJNE inference, ;@loop-bound/;@loop-wait
 //      annotations (including their parse errors), and the hard error on a
 //      back edge with neither;
@@ -16,12 +17,16 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/firmware_corpus.hpp"
 #include "analysis/timing_lint.hpp"
 #include "mcu/assembler.hpp"
 #include "mcu/bus.hpp"
+#include "mcu/cache_ctrl.hpp"
 #include "mcu/core8051.hpp"
+#include "mcu/disassembler.hpp"
+#include "mcu/opcode_table.hpp"
 
 namespace ascp::analysis {
 namespace {
@@ -59,10 +64,41 @@ TEST(CycleTable, AgreesWithIssForAllOpcodes) {
     core.set_xdata_bus(&bus);
     core.load_program({static_cast<std::uint8_t>(op), 0x42, 0x03});
     const int executed = core.step();
-    EXPECT_EQ(executed, opcode_cycles(static_cast<std::uint8_t>(op)))
+    EXPECT_EQ(executed, mcu::opcode_info(static_cast<std::uint8_t>(op)).cycles)
         << "opcode 0x" << std::hex << op;
     EXPECT_EQ(static_cast<long>(executed), core.cycle_count())
         << "opcode 0x" << std::hex << op;
+  }
+}
+
+TEST(CycleTable, CacheAccessesAgreeWithIss) {
+  // The cache model charges the miss penalty once per CDATA access. With
+  // both operand bytes naming CDATA, every opcode's charged accesses must
+  // equal the cache accesses one ISS step makes (hits + misses on a cold
+  // cache), read-modify-write forms counting their read and their write.
+  constexpr long kPenalty = 34;
+  for (int op = 0; op < 256; ++op) {
+    std::vector<std::uint8_t> image = {static_cast<std::uint8_t>(op), 0xA4, 0xA4};
+    mcu::Core8051 core;
+    mcu::BridgedBus bus(4096);
+    mcu::CacheController cache;
+    core.set_xdata_bus(&bus);
+    core.attach_sfr_device(&cache);
+    core.load_program(image);
+    core.step();
+    const long iss_accesses = cache.hits() + cache.misses();
+
+    // The same instruction as a one-instruction image parked on SJMP $.
+    image.resize(static_cast<std::size_t>(mcu::disassemble_one(image, 0).size));
+    image.insert(image.end(), {0x80, 0xFE});
+    FirmwareImage fw;
+    fw.name = "op";
+    fw.image = image;
+    TimingOptions opt;
+    opt.cache_miss_penalty = static_cast<int>(kPenalty);
+    opt.cache_data_sfr = static_cast<std::uint8_t>(cache.config().sfr_base + 3);
+    const long charged = analyze_wcet(fw, opt).find(0)->cycles - analyze_wcet(fw).find(0)->cycles;
+    EXPECT_EQ(charged, kPenalty * iss_accesses) << "opcode 0x" << std::hex << op;
   }
 }
 

@@ -170,6 +170,18 @@ TEST(Assembler, BranchOutOfRangeThrows) {
   EXPECT_THROW(as.assemble("SJMP far \n ORG 200h \n far: NOP"), AsmError);
 }
 
+TEST(Assembler, RelativeBranchWrapsAt64KButStaysBounded) {
+  // The displacement is taken modulo 2^16, as the PC wraps: from 0x0000,
+  // 0xFFE2 is 32 bytes back. A target really 200 bytes ahead still throws.
+  EXPECT_EQ(bytes("SJMP 0FFE2h"), (std::vector<std::uint8_t>{0x80, 0xE0}));
+  try {
+    bytes("SJMP 0CAh");
+    FAIL() << "SJMP +200 assembled";
+  } catch (const AsmError& e) {
+    EXPECT_STREQ(e.what(), "line 1: relative branch out of range (200)");
+  }
+}
+
 TEST(Assembler, AjmpCrossPageThrows) {
   Assembler as;
   EXPECT_THROW(as.assemble("AJMP 0F00h"), AsmError);  // target in another 2K page

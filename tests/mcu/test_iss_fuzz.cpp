@@ -135,19 +135,25 @@ TEST(IssFuzz, MonitorRomRoundTripsThroughDisassembler) {
 }
 
 TEST(IssFuzz, EveryDefinedOpcodeDecodesAndRoundTrips) {
-  // Single-instruction images for all 256 opcodes with fixed operand bytes.
-  // Relative branches use offset 0 so targets stay in range either way.
-  for (int op = 0; op < 256; ++op) {
-    std::vector<std::uint8_t> image = {static_cast<std::uint8_t>(op), 0x34, 0x00};
-    // Bit operands must name a legal bit address (0x34 is fine: iram 0x26.4).
-    const auto insn = disassemble_one(image, 0);
-    ASSERT_GE(insn.size, 1);
-    ASSERT_LE(insn.size, 3);
-    image.resize(static_cast<std::size_t>(insn.size));
-    const auto again =
-        Assembler().assemble("ORG 0x0000\n" + insn.text + "\n").image;
-    ASSERT_EQ(again, image) << "opcode " << hex8(static_cast<std::uint8_t>(op)) << " -> "
-                            << insn.text;
+  // Single-instruction images for all 256 opcodes under three operand
+  // patterns. {0x34, 0x00} is an iram bit (0x26.4) and offset 0. The other
+  // two name SFRs and bits (ACC.0, SCON.1) and branch backwards, mostly past
+  // 0x0000, so targets wrap to the top of the 64 K code space as the PC does.
+  const std::uint8_t patterns[][2] = {{0x34, 0x00}, {0xE0, 0xFE}, {0x99, 0x80}};
+  for (const auto& operands : patterns) {
+    for (int op = 0; op < 256; ++op) {
+      std::vector<std::uint8_t> image = {static_cast<std::uint8_t>(op), operands[0],
+                                         operands[1]};
+      const auto insn = disassemble_one(image, 0);
+      ASSERT_GE(insn.size, 1);
+      ASSERT_LE(insn.size, 3);
+      image.resize(static_cast<std::size_t>(insn.size));
+      std::vector<std::uint8_t> again;
+      EXPECT_NO_THROW(again = Assembler().assemble("ORG 0x0000\n" + insn.text + "\n").image)
+          << insn.text;
+      EXPECT_EQ(again, image) << "opcode " << hex8(static_cast<std::uint8_t>(op)) << " -> "
+                              << insn.text;
+    }
   }
 }
 

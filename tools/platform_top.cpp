@@ -27,9 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/disasm.hpp"
 #include "analysis/firmware_corpus.hpp"
 #include "core/gyro_system.hpp"
+#include "mcu/opcode_table.hpp"
 #include "obs/export.hpp"
 #include "obs/observability.hpp"
 #include "platform/engine/fleet.hpp"
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
     code[a] = gyro.platform().cpu().code_byte(static_cast<std::uint16_t>(a));
   std::printf("== mcu hot spots (disassembled) ==\n");
   for (const auto& p : obs.mcu.top_pcs(10)) {
-    const auto insn = analysis::decode(code.data(), code.size(), 0, p.pc);
+    const auto insn = mcu::decode(code, 0, p.pc);
     std::printf("  0x%04X  %-20s %llu\n", p.pc, insn.text().c_str(),
                 static_cast<unsigned long long>(p.count));
   }
