@@ -17,10 +17,13 @@
 #   ci.sh fuzz-corpus  — replay every checked-in .scenario under ASAN
 #   ci.sh chaos-smoke  — deterministic seeded fleet-chaos run (stalls,
 #                        exceptions, checkpoint corruption; zero lost
-#                        channels required) plus, under ASAN, a checkpoint
-#                        round-trip replay, the framed-container byte-layout
-#                        pins and the forged-length and forged-count
-#                        rejection tests
+#                        channels required), the same run and the fleet,
+#                        farm and blackbox tests under TSan (the one channel
+#                        runtime: the farm's pool, its per-channel busy
+#                        stamps and the fleet watchdog that reads them),
+#                        plus, under ASAN, a checkpoint round-trip replay,
+#                        the framed-container byte-layout pins and the
+#                        forged-length and forged-count rejection tests
 #   ci.sh wcet         — static timing proof: the MCS-51 opcode table must
 #                        agree with the ISS for all 256 opcodes (decoded
 #                        length, flow and targets, write flags, machine
@@ -81,6 +84,10 @@ stage_chaos_smoke() {
   build_preset default --target fleet_chaos
   echo "== fleet chaos: deterministic smoke (seed 2026) =="
   ./build/bench/fleet_chaos --smoke --seed 2026
+  build_preset tsan --target test_engine --target fleet_chaos
+  echo "== tsan: fleet, farm and blackbox tests + fleet chaos smoke (seed 2026) =="
+  ./build-tsan/tests/test_engine --gtest_filter='Fleet.*:ChannelFarm.*:Blackbox.*'
+  ./build-tsan/bench/fleet_chaos --smoke --seed 2026
   build_preset asan --target test_checkpoint
   echo "== checkpoint round-trip replay, layout pins, forged lengths and counts under ASAN =="
   ./build-asan/tests/test_checkpoint \

@@ -17,11 +17,13 @@ ChannelFarm::ChannelFarm(std::vector<ChannelConfig> specs, const FarmConfig& cfg
   Rng root(cfg.root_seed);
   channels_.reserve(specs.size());
   slots_.reserve(specs.size());
+  all_.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (cfg.reseed_channels)
       specs[i].seed = root.fork(static_cast<std::uint64_t>(i) + 1).next_u64();
     channels_.push_back(std::make_unique<ConditioningChannel>(specs[i]));
     slots_.push_back(std::make_unique<Slot>());
+    all_.push_back(i);
   }
 
   threads_ = cfg.threads != 0 ? cfg.threads : std::max(1u, std::thread::hardware_concurrency());
@@ -45,25 +47,26 @@ ChannelFarm::~ChannelFarm() {
   for (auto& t : pool_) t.join();
 }
 
-void ChannelFarm::advance_channel(std::size_t i, double seconds) {
+void ChannelFarm::run_channel(std::size_t i, const Step& step) {
   Slot& slot = *slots_[i];
   if (slot.failed.load(std::memory_order_acquire)) return;
   ConditioningChannel& ch = *channels_[i];
-  // Each channel converts the common wall of simulated time to its own base
-  // ticks (farms may mix base rates), exactly as a solo run would.
-  const long ticks = std::llround(seconds * ch.base_rate_hz());
-  const std::uint64_t before = ch.total_outputs();
+  const long ticks_before = ch.ticks_advanced();
+  const std::uint64_t outputs_before = ch.total_outputs();
+  bool ok = false;
+  slot.busy_since_ns.store(steady_ns(), std::memory_order_release);
   try {
-    ch.advance(ticks);
+    step(i, ch);
+    ok = true;
   } catch (const std::exception& e) {
-    // Contain the failure to this channel: the worker thread survives, the
-    // siblings never notice, and the channel is skipped from here on.
     slot.error = e.what();
-    slot.failed.store(true, std::memory_order_release);
-    if (metrics_) metrics_->add(m_exceptions_);
-    return;
   } catch (...) {
     slot.error = "unknown exception";
+  }
+  slot.busy_since_ns.store(0, std::memory_order_release);
+  if (!ok) {
+    // Contain the failure to this channel: the worker thread survives, the
+    // siblings never notice, and the channel is skipped from here on.
     slot.failed.store(true, std::memory_order_release);
     if (metrics_) metrics_->add(m_exceptions_);
     return;
@@ -71,22 +74,23 @@ void ChannelFarm::advance_channel(std::size_t i, double seconds) {
   if (metrics_) {
     // Sharded, commutative records only: the merged totals are independent
     // of which worker ran which channel. total_outputs() rather than queue
-    // size: a bounded queue can shrink across an advance.
+    // size: a bounded queue can shrink across a step.
     metrics_->add(m_advances_);
-    metrics_->add(m_samples_, static_cast<double>(ch.total_outputs() - before));
-    metrics_->observe(h_ticks_, static_cast<double>(ticks));
+    metrics_->add(m_samples_, static_cast<double>(ch.total_outputs() - outputs_before));
+    metrics_->observe(h_ticks_, static_cast<double>(ch.ticks_advanced() - ticks_before));
   }
 }
 
-void ChannelFarm::advance(double seconds) {
+void ChannelFarm::run(std::span<const std::size_t> which, const Step& step) {
   if (pool_.empty()) {
-    for (std::size_t i = 0; i < channels_.size(); ++i) advance_channel(i, seconds);
+    for (std::size_t i : which) run_channel(i, step);
     return;
   }
 
   {
     std::lock_guard<std::mutex> lk(m_);
-    pending_seconds_ = seconds;
+    pending_which_ = which;
+    pending_step_ = &step;
     cursor_.store(0, std::memory_order_relaxed);
     active_ = pool_.size();
     ++generation_;
@@ -97,21 +101,31 @@ void ChannelFarm::advance(double seconds) {
   cv_done_.wait(lk, [this] { return active_ == 0; });
 }
 
+void ChannelFarm::advance(double seconds) {
+  // Each channel converts the common wall of simulated time to its own base
+  // ticks (farms may mix base rates), exactly as a solo run would.
+  run(all_, [seconds](std::size_t, ConditioningChannel& ch) {
+    ch.advance(std::llround(seconds * ch.base_rate_hz()));
+  });
+}
+
 void ChannelFarm::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
-    double seconds;
+    std::span<const std::size_t> which;
+    const Step* step = nullptr;
     {
       std::unique_lock<std::mutex> lk(m_);
       cv_work_.wait(lk, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
-      seconds = pending_seconds_;
+      which = pending_which_;
+      step = pending_step_;
     }
 
-    std::size_t i;
-    while ((i = cursor_.fetch_add(1, std::memory_order_relaxed)) < channels_.size())
-      advance_channel(i, seconds);
+    std::size_t k;
+    while ((k = cursor_.fetch_add(1, std::memory_order_relaxed)) < which.size())
+      run_channel(which[k], *step);
 
     {
       std::lock_guard<std::mutex> lk(m_);
@@ -131,6 +145,12 @@ std::size_t ChannelFarm::failed_channels() const {
   for (std::size_t i = 0; i < slots_.size(); ++i)
     if (channel_failed(i)) ++n;
   return n;
+}
+
+void ChannelFarm::rebuild_channel(std::size_t i) {
+  channels_[i] = std::make_unique<ConditioningChannel>(channels_[i]->config());
+  slots_[i]->error.clear();
+  slots_[i]->failed.store(false, std::memory_order_release);
 }
 
 }  // namespace ascp::engine

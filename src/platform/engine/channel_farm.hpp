@@ -1,24 +1,29 @@
-// channel_farm.hpp — parallel multi-channel simulation engine.
+// channel_farm.hpp — the channel runtime: N ConditioningChannels on one pool.
 //
 // Runs N independent ConditioningChannels across a fixed pool of worker
 // threads: the scale-out layer that turns the single-device simulator into a
 // characterization farm (Monte Carlo seed sweeps, mixed platform/baseline
-// fleets, per-channel fault campaigns).
+// fleets, per-channel fault campaigns). It is the one channel runtime:
+// FleetSupervisor (fleet.hpp) runs on a farm it owns, and only the farm
+// builds channels, forks seeds, runs the pool and contains exceptions.
 //
 // Determinism: each channel's seed is forked from the farm's root seed by
-// channel index, every channel is advanced by exactly one worker per
-// advance() call, and channels share no mutable state — so the per-channel
+// channel index, every listed channel is stepped by exactly one worker per
+// run() call, and channels share no mutable state — so the per-channel
 // output streams are byte-identical whether the farm runs on 1 thread or 64.
 // Result collection is lock-free: each channel appends to its own
 // preallocated output vector; the pool synchronizes only on the work-queue
-// cursor (one atomic fetch_add per channel per advance).
+// cursor (one atomic fetch_add per channel per run).
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +31,13 @@
 #include "platform/engine/conditioning_channel.hpp"
 
 namespace ascp::engine {
+
+/// The clock of ChannelFarm::busy_since_ns(): steady_clock time in ns.
+inline std::int64_t steady_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 struct FarmConfig {
   /// Root of the per-channel seed tree: channel i is powered on with
@@ -37,7 +49,7 @@ struct FarmConfig {
   /// the exact stream of a solo run of the same scenario.
   bool reseed_channels = true;
   /// Worker threads; 0 selects std::thread::hardware_concurrency(). The pool
-  /// is created once at construction and reused by every advance() call.
+  /// is created once at construction and reused by every run() call.
   unsigned threads = 1;
   /// Optional farm-level metric registry (non-owning). Workers record
   /// per-channel progress into their thread's shard lock-free; because every
@@ -49,6 +61,9 @@ struct FarmConfig {
 
 class ChannelFarm {
  public:
+  /// Work run() applies to channel i on a worker; touches only i's state.
+  using Step = std::function<void(std::size_t i, ConditioningChannel& channel)>;
+
   /// Builds one channel per spec. Each spec's `seed` field is overwritten
   /// with the farm-derived stream for its index (see FarmConfig::root_seed).
   ChannelFarm(std::vector<ChannelConfig> specs, const FarmConfig& cfg);
@@ -57,9 +72,14 @@ class ChannelFarm {
   ChannelFarm(const ChannelFarm&) = delete;
   ChannelFarm& operator=(const ChannelFarm&) = delete;
 
-  /// Advance every channel by `seconds` of simulated base time. Blocks until
-  /// all channels have caught up. Repeated calls accumulate, with decimation
-  /// phase carrying across calls per channel.
+  /// Calls step(i, channel(i)) once for each listed channel (distinct
+  /// indices) that has not failed, each call on exactly one worker. Blocks
+  /// until all are done.
+  void run(std::span<const std::size_t> which, const Step& step);
+
+  /// Advance every channel by `seconds` of simulated base time (run() over
+  /// all channels). Repeated calls accumulate, with decimation phase
+  /// carrying across calls per channel.
   void advance(double seconds);
 
   std::size_t size() const { return channels_.size(); }
@@ -70,12 +90,18 @@ class ChannelFarm {
   /// Total decimated output samples across all channels so far.
   std::size_t total_samples() const;
 
+  /// steady_ns() at which channel i's current step began, 0 while idle.
+  /// Written by the worker; any thread (a watchdog) may read it.
+  std::int64_t busy_since_ns(std::size_t i) const {
+    return slots_[i]->busy_since_ns.load(std::memory_order_acquire);
+  }
+
   // ---- exception containment ----------------------------------------------
-  // A channel that throws mid-advance() is marked failed and skipped by
-  // every later advance; the exception never crosses a worker thread
-  // boundary, so the pool and the sibling channels are unaffected. The
-  // failed channel's partial state is considered poisoned — a supervisor
-  // layer (FleetSupervisor) decides whether to rebuild it.
+  // A channel whose step throws (any type) is marked failed and skipped by
+  // every later run; the exception never crosses a worker thread boundary,
+  // so the pool and the sibling channels are unaffected. The failed
+  // instance is left as it was when it threw, for forensics; its partial
+  // state cannot be resumed, only replaced by rebuild_channel().
   bool channel_failed(std::size_t i) const {
     return slots_[i]->failed.load(std::memory_order_acquire);
   }
@@ -84,41 +110,42 @@ class ChannelFarm {
     return channel_failed(i) ? slots_[i]->error : std::string();
   }
   std::size_t failed_channels() const;
-  /// Clear a channel's failed mark after replacing/repairing it in place.
-  void clear_channel_failure(std::size_t i) {
-    slots_[i]->error.clear();
-    slots_[i]->failed.store(false, std::memory_order_release);
-  }
+  /// Replace channel i with a fresh instance built from its own config()
+  /// (derived seed included) and clear its failure. Not during run().
+  void rebuild_channel(std::size_t i);
 
  private:
-  // One worker owns a channel for the duration of an advance, so `error` is
+  // One worker owns a channel for the duration of a run, so `error` is
   // written by exactly one thread before the release-store on `failed`;
   // cross-thread readers pair it with the acquire-load above.
   struct Slot {
     std::atomic<bool> failed{false};
     std::string error;
+    std::atomic<std::int64_t> busy_since_ns{0};
   };
 
   void worker_loop();
-  void advance_channel(std::size_t i, double seconds);
+  void run_channel(std::size_t i, const Step& step);
 
   std::vector<std::unique_ptr<ConditioningChannel>> channels_;
   std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<std::size_t> all_;  ///< 0 … size()-1, advance()'s work list
   unsigned threads_ = 1;
 
   obs::MetricRegistry* metrics_ = nullptr;
   obs::MetricRegistry::Id m_advances_ = 0, m_samples_ = 0, m_exceptions_ = 0;
   obs::MetricRegistry::Id h_ticks_ = 0;
 
-  // Pool coordination: advance() publishes the time quantum under the mutex
-  // and bumps the generation; workers race down the atomic cursor, and the
-  // last one out signals completion. Channel work runs with no lock held.
+  // Pool coordination: run() publishes the work list and step under the
+  // mutex and bumps the generation; workers race down the atomic cursor, and
+  // the last one out signals completion. Channel work runs with no lock held.
   std::vector<std::thread> pool_;
   std::mutex m_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::uint64_t generation_ = 0;
-  double pending_seconds_ = 0.0;
+  std::span<const std::size_t> pending_which_;
+  const Step* pending_step_ = nullptr;
   std::atomic<std::size_t> cursor_{0};
   std::size_t active_ = 0;
   bool stop_ = false;

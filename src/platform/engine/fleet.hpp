@@ -2,18 +2,19 @@
 //
 // ChannelFarm answers "how do N channels advance in parallel"; the
 // FleetSupervisor answers "what happens when one of them goes wrong while
-// the rest must keep streaming". It advances the fleet in fixed *fleet
-// ticks* of simulated time and wraps every channel in the full resilience
-// loop:
+// the rest must keep streaming". It runs on a ChannelFarm (channels, seeds,
+// pool, containment) and keeps only supervision state. It advances the
+// fleet in fixed *fleet ticks* of simulated time and wraps every channel in
+// the full resilience loop:
 //
 //   * checkpointing    — every `checkpoint_interval` ticks each channel's
 //                        bit-exact state image (ConditioningChannel::
 //                        snapshot) is retained as the last-good point;
-//   * worker watchdog  — a scan thread observes per-worker heartbeats and
-//                        flags any channel whose advance has exceeded the
+//   * watchdog         — a scan thread reads the farm's per-channel busy
+//                        stamps and flags any step that has exceeded the
 //                        tick deadline (detection is asynchronous: the
 //                        stalled advance itself cannot be interrupted);
-//   * containment      — a channel that throws mid-advance never unwinds a
+//   * containment      — a channel that throws mid-step never unwinds a
 //                        worker thread or touches its siblings; the wrecked
 //                        instance is discarded;
 //   * restart          — the channel is rebuilt from its config and restored
@@ -29,6 +30,9 @@
 //                        until the fleet is back under budget; shed channels
 //                        catch up later, so no simulated time is ever lost.
 //
+// Live ticks and run_ticks()' final catch-up share one step, one watchdog
+// and one failure path.
+//
 // Determinism: chaos (stalls, exceptions, checkpoint corruption) is injected
 // from *outside* the channel's simulation state, and catch-up replays the
 // exact missed ticks — so a recovered channel's output_hash() equals a
@@ -37,18 +41,16 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/observability.hpp"
-#include "platform/engine/conditioning_channel.hpp"
+#include "platform/engine/channel_farm.hpp"
 
 namespace ascp::engine {
 
@@ -74,16 +76,16 @@ struct FleetChannelSpec {
 };
 
 struct FleetConfig {
-  /// Per-channel seeds fork from here exactly like ChannelFarm's, so a fleet
+  /// Root of the per-channel seed tree (FarmConfig::root_seed): a fleet
   /// channel reproduces the stream of a solo channel with the same derived
   /// seed.
   std::uint64_t root_seed = 1;
-  bool reseed_channels = true;
-  /// Worker threads (1 = advance on the calling thread, no pool).
+  /// Worker threads of the fleet's farm (1 = step on the calling thread, no
+  /// pool; 0 = std::thread::hardware_concurrency()).
   unsigned threads = 1;
   /// Simulated seconds per fleet tick.
   double tick_seconds = 0.005;
-  /// Wall-clock deadline for one channel advance; 0 disables the watchdog.
+  /// Wall-clock deadline for one channel step; 0 disables the watchdog.
   double tick_deadline_ms = 0.0;
   /// Fleet ticks between checkpoints; 0 disables checkpointing (restarts
   /// then always cold-rebuild and replay from tick zero).
@@ -131,7 +133,7 @@ struct FleetStats {
   long delivered_samples = 0;    ///< outputs drained to the consumer
   long blackbox_dumps = 0;       ///< `.blackbox` crash images written
   /// Wall-clock detection latency of stall incidents [ms] (time from the
-  /// advance starting to the watchdog flagging it).
+  /// step starting to the watchdog flagging it).
   std::vector<double> stall_detect_ms;
   /// Wall-clock mean time to repair [ms]: failure observed → channel caught
   /// back up with the fleet.
@@ -154,16 +156,16 @@ class FleetSupervisor {
   std::size_t size() const { return states_.size(); }
   long ticks_run() const { return fleet_tick_; }
   /// The live channel instance (rebuilt across restarts; never null).
-  ConditioningChannel& channel(std::size_t i) { return *states_[i]->channel; }
-  const ConditioningChannel& channel(std::size_t i) const { return *states_[i]->channel; }
+  ConditioningChannel& channel(std::size_t i) { return farm_.channel(i); }
+  const ConditioningChannel& channel(std::size_t i) const { return farm_.channel(i); }
 
-  ChannelHealth health(std::size_t i) const { return states_[i]->health; }
+  ChannelHealth health(std::size_t i) const { return states_[i].health; }
   /// Fleet-level trouble codes for channel i (safety::Dtc vocabulary —
   /// kDtcEngineFault after any crash/stall/restart/quarantine).
-  std::uint16_t fleet_dtcs(std::size_t i) const { return states_[i]->dtcs; }
-  int restarts(std::size_t i) const { return states_[i]->restarts; }
-  long ticks_done(std::size_t i) const { return states_[i]->ticks_done; }
-  std::string last_error(std::size_t i) const { return states_[i]->last_error; }
+  std::uint16_t fleet_dtcs(std::size_t i) const { return states_[i].dtcs; }
+  int restarts(std::size_t i) const { return states_[i].restarts; }
+  long ticks_done(std::size_t i) const { return states_[i].ticks_done; }
+  std::string last_error(std::size_t i) const { return states_[i].last_error; }
 
   const FleetStats& stats() const { return stats_; }
 
@@ -179,12 +181,12 @@ class FleetSupervisor {
   void corrupt_last_checkpoint(std::size_t i);
   /// Truncate channel i's last-good checkpoint to `keep` bytes.
   void truncate_last_checkpoint(std::size_t i, std::size_t keep);
-  bool has_checkpoint(std::size_t i) const { return !states_[i]->last_good.empty(); }
+  bool has_checkpoint(std::size_t i) const { return !states_[i].last_good.empty(); }
 
  private:
+  /// Supervision state of one channel (the channel lives in farm_). During a
+  /// farm run a worker writes only the `ticks_done` of the channel it steps.
   struct ChannelState {
-    std::unique_ptr<ConditioningChannel> channel;
-    ChannelConfig config;  ///< derived seed baked in (restart recipe)
     int priority = 0;
     std::function<void(long)> before_advance;
 
@@ -198,27 +200,19 @@ class FleetSupervisor {
     std::string last_error;
     long shed_ticks = 0;
 
-    // Worker → supervisor failure handoff (one worker per channel per tick).
-    std::atomic<bool> tick_failed{false};
-    std::string tick_error;
-
     // Open incident (failure observed, catch-up not yet complete).
     bool incident_open = false;
     std::chrono::steady_clock::time_point incident_start{};
     std::uint64_t incident_span = 0;  ///< open "incident" span id (0 = none)
   };
 
-  /// Per-worker heartbeat the watchdog thread scans. `channel` is the index
-  /// being advanced (-1 idle); `start_ns` the steady-clock start.
-  struct Heartbeat {
-    std::atomic<long> channel{-1};
-    std::atomic<std::int64_t> start_ns{0};
-    std::atomic<bool> flagged{false};
-  };
-
-  void worker_loop(unsigned worker_index);
-  void advance_one(std::size_t i, unsigned worker_index);
   void run_one_tick();
+  /// One farm run over runnable_ (chaos hook on live ticks only; pause while
+  /// the queue is full, else advance to the base tick of fleet tick
+  /// fleet_tick_), then stall reports and failure handling. Returns the
+  /// run's wall time [ms].
+  double step(bool live);
+  void report_stalls();
   void handle_failures();
   void drain_outputs();
   void take_checkpoints();
@@ -235,8 +229,9 @@ class FleetSupervisor {
                  const char* k1 = nullptr, double v1 = 0.0);
   void open_incident(std::size_t i);
 
-  std::vector<std::unique_ptr<ChannelState>> states_;
   FleetConfig cfg_;
+  ChannelFarm farm_;
+  std::vector<ChannelState> states_;
   FleetStats stats_;
   long fleet_tick_ = 0;
   std::function<void(std::size_t, std::vector<double>&&)> consumer_;
@@ -245,22 +240,11 @@ class FleetSupervisor {
                           m_quarantines_ = 0, m_shed_ = 0, m_delivered_ = 0,
                           m_checkpoints_ = 0, m_blackbox_ = 0;
 
-  // Tick work list (indices of channels advancing this tick).
+  // Step work list (indices of channels the next farm run advances).
   std::vector<std::size_t> runnable_;
 
-  // Worker pool (created when cfg.threads > 1), ChannelFarm-style barrier.
-  std::vector<std::thread> pool_;
-  std::vector<std::unique_ptr<Heartbeat>> heartbeats_;
-  std::mutex m_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;
-  std::atomic<std::size_t> cursor_{0};
-  std::size_t active_ = 0;
-  bool stop_ = false;
-
   // Watchdog thread + its detection journal (consumed by the supervisor
-  // thread after each tick).
+  // thread after each farm run).
   std::thread watchdog_;
   std::atomic<bool> watchdog_stop_{false};
   std::mutex stall_m_;

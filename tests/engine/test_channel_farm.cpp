@@ -176,10 +176,12 @@ TEST(ChannelFarm, FailedChannelIsSkippedByLaterAdvances) {
 }
 
 TEST(ChannelFarm, ClearedFailureResumesAdvancing) {
-  // clear_channel_failure is the supervisor's hook after repairing a channel
-  // in place; the farm must advance it again. The bomb is one-shot: a throw
-  // unwinds before FaultCampaign marks the entry injected, so a persistent
-  // thrower would just re-fire on the next advance.
+  // rebuild_channel is the supervisor's repair hook: it replaces the wreck
+  // with a fresh instance built from the channel's own config (derived seed
+  // included) and clears the failure, so the farm advances it again from
+  // tick 0. The bomb is one-shot: a throw unwinds before FaultCampaign marks
+  // the entry injected, so a persistent thrower would just re-fire on the
+  // rebuilt channel.
   auto fired = std::make_shared<std::atomic<int>>(0);
   ChannelConfig one_shot;
   one_shot.kind = ChannelKind::GyroIdeal;
@@ -196,13 +198,18 @@ TEST(ChannelFarm, ClearedFailureResumesAdvancing) {
   ChannelFarm farm(specs, fc);
   farm.advance(0.03);
   ASSERT_TRUE(farm.channel_failed(0));
-  const long at_failure = farm.channel(0).ticks_advanced();
+  const std::uint64_t seed = farm.channel(0).config().seed;
 
-  farm.clear_channel_failure(0);
+  farm.rebuild_channel(0);
   EXPECT_FALSE(farm.channel_failed(0));
   EXPECT_EQ(farm.channel_error(0), "");
+  EXPECT_EQ(farm.channel(0).config().seed, seed);
+  EXPECT_EQ(farm.channel(0).ticks_advanced(), 0);
   farm.advance(0.01);
-  EXPECT_GT(farm.channel(0).ticks_advanced(), at_failure);
+  EXPECT_EQ(farm.channel(0).ticks_advanced(), 19200);  // 10 ms at 1.92 MHz
+  ConditioningChannel solo(farm.channel(0).config());
+  solo.advance(19200);
+  EXPECT_EQ(farm.channel(0).output_hash(), solo.output_hash());
 }
 
 TEST(ChannelFarm, ExceptionsAreCountedInSharedMetrics) {

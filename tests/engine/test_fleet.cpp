@@ -9,7 +9,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "obs/observability.hpp"
 #include "platform/engine/fleet.hpp"
 #include "safety/dtc.hpp"
+#include "safety/fault_injection.hpp"
 
 namespace ascp::engine {
 namespace {
@@ -265,6 +269,69 @@ TEST(Fleet, BlockPolicyBackpressuresInsteadOfDropping) {
   EXPECT_EQ(fleet.channel(0).dropped_outputs(), 0u);
   EXPECT_EQ(fleet.ticks_done(0), 6);
   EXPECT_EQ(fleet.channel(0).output_hash(), clean_hash(kFleetKinds[0], fc.root_seed, 0, 6));
+}
+
+/// Two GyroIdeal channels under constant overload: channel 0 (priority 1)
+/// ticks live, channel 1 (priority 0) is shed on every tick after the first,
+/// so only the final catch-up of run_ticks(6) reaches DSP sample 1500, where
+/// channel 1's one-shot campaign action runs `bomb`.
+std::vector<FleetChannelSpec> catch_up_bomb_specs(std::function<void()> bomb) {
+  auto fired = std::make_shared<std::atomic<int>>(0);
+  ChannelConfig bombed = spec_config(ChannelKind::GyroIdeal);
+  bombed.campaign_factory = [fired, bomb](core::GyroSystem&) {
+    auto campaign = std::make_unique<safety::FaultCampaign>();
+    campaign->add({"explode_in_catch_up", safety::FaultLayer::Dsp, 1500, -1, false, 0},
+                  [fired, bomb] {
+                    if (fired->fetch_add(1) == 0) bomb();
+                  });
+    return campaign;
+  };
+  return {{spec_config(ChannelKind::GyroIdeal), 1, nullptr}, {bombed, 0, nullptr}};
+}
+
+FleetConfig overload_cfg() {
+  FleetConfig fc = base_cfg();
+  fc.realtime_budget_ms = 1e-6;  // every tick is over budget → constant shedding
+  return fc;
+}
+
+TEST(Fleet, CatchUpExceptionIsContainedCountedAndCaughtUp) {
+  obs::Observability obs;
+  FleetConfig fc = overload_cfg();
+  fc.metrics = &obs.metrics;
+  fc.events = &obs.events;
+  FleetSupervisor fleet(catch_up_bomb_specs([] { throw std::runtime_error("catch-up bomb"); }),
+                        fc);
+  fleet.run_ticks(6);
+
+  std::size_t exception_events = 0;
+  obs.events.for_each([&](const obs::Event& e) {
+    if (std::string_view(e.name) == "channel_exception") ++exception_events;
+  });
+  EXPECT_EQ(obs.metrics.snapshot().counter_value("fleet.channel_exceptions"), 1.0);
+  EXPECT_EQ(fleet.stats().exceptions, 1);
+  EXPECT_EQ(exception_events, 1u);
+  EXPECT_EQ(fleet.restarts(1), 1);
+  EXPECT_EQ(fleet.last_error(1), "catch-up bomb");
+  EXPECT_EQ(fleet.health(1), ChannelHealth::Running);
+  EXPECT_EQ(fleet.ticks_done(1), fleet.ticks_run());
+
+  // The clean twin: the same config (its one-shot bomb already spent),
+  // advanced the same simulated time solo.
+  ConditioningChannel twin(fleet.channel(1).config());
+  twin.advance(std::llround(6 * kTickSeconds * twin.base_rate_hz()));
+  EXPECT_EQ(fleet.channel(1).output_hash(), twin.output_hash());
+}
+
+TEST(Fleet, CatchUpNonStdExceptionIsContained) {
+  FleetSupervisor fleet(catch_up_bomb_specs([] { throw 42; }), overload_cfg());
+  ASSERT_NO_THROW(fleet.run_ticks(6));
+
+  EXPECT_EQ(fleet.stats().exceptions, 1);
+  EXPECT_EQ(fleet.restarts(1), 1);
+  EXPECT_EQ(fleet.last_error(1), "unknown exception");
+  EXPECT_EQ(fleet.health(1), ChannelHealth::Running);
+  EXPECT_EQ(fleet.ticks_done(1), fleet.ticks_run());
 }
 
 }  // namespace
