@@ -22,8 +22,12 @@
 #                        runtime: the farm's pool, its per-channel busy
 #                        stamps and the fleet watchdog that reads them),
 #                        plus, under ASAN, a checkpoint round-trip replay,
-#                        the framed-container byte-layout pins and the
-#                        forged-length and forged-count rejection tests
+#                        the framed-container byte-layout pins, the
+#                        forged-length, forged-count and forged-SAR-phase
+#                        rejection tests, and the tests that the DAC, noise
+#                        and MEMS coefficient caches are invisible (a
+#                        component stepped straight matches a twin reloaded
+#                        from its state before every step, bit for bit)
 #   ci.sh wcet         — static timing proof: the MCS-51 opcode table must
 #                        agree with the ISS for all 256 opcodes (decoded
 #                        length, flow and targets, write flags, machine
@@ -88,10 +92,13 @@ stage_chaos_smoke() {
   echo "== tsan: fleet, farm and blackbox tests + fleet chaos smoke (seed 2026) =="
   ./build-tsan/tests/test_engine --gtest_filter='Fleet.*:ChannelFarm.*:Blackbox.*'
   ./build-tsan/bench/fleet_chaos --smoke --seed 2026
-  build_preset asan --target test_checkpoint
-  echo "== checkpoint round-trip replay, layout pins, forged lengths and counts under ASAN =="
+  build_preset asan --target test_checkpoint --target test_afe --target test_sensor
+  echo "== checkpoint round-trip replay, layout pins, forged lengths, counts and SAR phase under ASAN =="
   ./build-asan/tests/test_checkpoint \
-    --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*:FrameLayout.*:FrameForgedLength.*:FrameForgedCount.*'
+    --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*:FrameLayout.*:FrameForgedLength.*:FrameForgedCount.*:FrameForgedPhase.*'
+  echo "== coefficient caches invisible to a cold twin under ASAN =="
+  ./build-asan/tests/test_afe --gtest_filter='DacCache.*:NoiseCache.*'
+  ./build-asan/tests/test_sensor --gtest_filter='GyroMemsCache.*'
 }
 
 stage_wcet() {

@@ -1,6 +1,7 @@
 #include "afe/dac.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -39,10 +40,14 @@ void Dac::write_volts(double v) {
 
 double Dac::output(double dt, double temp_c) {
   // One-pole settling toward the latched target, plus a decaying glitch.
-  const double alpha = 1.0 - std::exp(-dt / cfg_.settle_tau_s);
-  out_ += alpha * (target_ - out_);
+  if (const auto key = std::bit_cast<std::uint64_t>(dt); key != dt_key_) {
+    dt_key_ = key;
+    alpha_ = 1.0 - std::exp(-dt / cfg_.settle_tau_s);
+    glitch_decay_ = std::exp(-dt / (cfg_.settle_tau_s * 0.25));
+  }
+  out_ += alpha_ * (target_ - out_);
   const double g = glitch_;
-  glitch_ *= std::exp(-dt / (cfg_.settle_tau_s * 0.25));
+  glitch_ *= glitch_decay_;
   return out_ + g + cfg_.offset_drift * (temp_c - 25.0);
 }
 

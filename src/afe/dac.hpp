@@ -34,7 +34,8 @@ class Dac {
   /// Convenience: latch the code nearest to `v` volts.
   void write_volts(double v);
 
-  /// Advance the analog output by dt seconds and return it.
+  /// Advance the analog output by dt seconds and return it. The settling
+  /// factors are recomputed only when dt changes.
   double output(double dt, double temp_c = 25.0);
 
   /// Instantaneous settled target (ideal value the output approaches).
@@ -61,6 +62,12 @@ class Dac {
   double target_ = 0.0;
   double out_ = 0.0;
   double glitch_ = 0.0;
+  // output()'s settling factors for the dt whose bit pattern is dt_key_
+  // (key 0 is dt = +0.0: no settling, no decay). Not serialized: the key
+  // covers their only input.
+  std::uint64_t dt_key_ = 0;
+  double alpha_ = 0.0;
+  double glitch_decay_ = 1.0;
 };
 
 }  // namespace ascp::afe

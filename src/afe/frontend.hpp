@@ -39,6 +39,9 @@ class AcquisitionChannel {
 
   /// ADC sample rate [Hz].
   double sample_rate() const { return cfg_.analog_fs / cfg_.decimation; }
+  /// Analog steps since the last conversion, in [0, decimation): the next
+  /// conversion pops out decimation − phase() steps from now.
+  int phase() const { return phase_; }
 
   void reset();
 
@@ -48,6 +51,7 @@ class AcquisitionChannel {
     ar.value(aa_state_);
     std::int32_t p = phase_;
     ar.value(p);
+    if (p < 0 || p >= cfg_.decimation) throw StateError("checkpoint SAR phase out of range");
     phase_ = p;
   }
 

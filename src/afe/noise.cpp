@@ -1,5 +1,6 @@
 #include "afe/noise.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace ascp::afe {
@@ -30,10 +31,16 @@ NoiseSource::NoiseSource(const NoiseSpec& spec, double fs, ascp::Rng rng)
             spec.white_density * spec.white_density * corner * std::log(f_hi / f_lo);
         return ascp::FlickerNoise(rng_.fork(1), std::sqrt(power), 20);
       }()),
-      has_flicker_(spec.flicker_corner_hz > 0.0) {}
+      has_flicker_(spec.flicker_corner_hz > 0.0),
+      temp_key_(std::bit_cast<std::uint64_t>(25.0)),
+      thermal_scale_(thermal_noise_scale(25.0)) {}
 
 double NoiseSource::sample(double temp_c) {
-  double n = rng_.gaussian(sigma_white_) * thermal_noise_scale(temp_c);
+  if (const auto key = std::bit_cast<std::uint64_t>(temp_c); key != temp_key_) {
+    temp_key_ = key;
+    thermal_scale_ = thermal_noise_scale(temp_c);
+  }
+  double n = rng_.gaussian(sigma_white_) * thermal_scale_;
   if (has_flicker_) n += flicker_.next();
   return n;
 }

@@ -7,6 +7,8 @@
 // corner frequency — the way an analog datasheet specifies it.
 #pragma once
 
+#include <cstdint>
+
 #include "common/rng.hpp"
 
 namespace ascp::afe {
@@ -24,7 +26,8 @@ class NoiseSource {
   /// `fs` sample rate the process is evaluated at [Hz].
   NoiseSource(const NoiseSpec& spec, double fs, ascp::Rng rng);
 
-  /// One sample of noise at ambient temperature `temp_c`.
+  /// One sample of noise at ambient temperature `temp_c`. The thermal
+  /// scale is recomputed only when the temperature changes.
   double sample(double temp_c = 25.0);
 
   const NoiseSpec& spec() const { return spec_; }
@@ -40,6 +43,10 @@ class NoiseSource {
   ascp::Rng rng_;
   ascp::FlickerNoise flicker_;
   bool has_flicker_;
+  // thermal_noise_scale() of the temperature whose bit pattern is
+  // temp_key_. Not serialized: the key covers its only input.
+  std::uint64_t temp_key_;
+  double thermal_scale_;
 };
 
 /// Thermal scaling factor √(T/T0) with T in kelvin, T0 = 298.15 K.

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/calibration.hpp"
 #include "platform/selftest.hpp"
@@ -304,8 +305,6 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
   sched.every(
       1,
       [this, &st, &src, dt, full] {
-        st.sp.reset();
-        st.ss.reset();
         // base_ticks_ increments at the end of this task, so here it equals
         // the global index of the current tick — the axis every source
         // samples on (SyntheticSource applies its own origin for local-time
@@ -339,37 +338,20 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
       },
       "analog");
 
-  // ---- ideal sampling (240 kHz): the MATLAB level has no AFE, so the
-  // scheduler provides the ADC cadence (phase-aligned with a SAR finishing
-  // its conversion cycle on the adc_div-th clock) -------------------------
-  // The phase keeps the *global* conversion cadence (g % adc_div ==
-  // adc_div-1) even when one timeline is split across several run() calls
-  // (checkpoint resume): base_ticks_ here is this run's tick origin. From a
-  // cold start the expression reduces to the historical adc_div-1.
-  if (!full)
-    sched.every(
-        cfg_.adc_div,
-        (cfg_.adc_div - 1 - base_ticks_ % cfg_.adc_div + cfg_.adc_div) % cfg_.adc_div,
-        [this, &st] {
-          st.sp = ideal_gain_primary_ * st.pick.dc_primary;
-          st.ss = ideal_gain_sense_ * st.pick.dc_sense;
-        },
-        "adc_ideal");
-
   // ---- probe taps (per analog tick) -------------------------------------
-  // Registered only when a probe is attached AND wants a tap this pipeline
-  // produces, so the detached configuration schedules exactly the same task
-  // set as before probes existed (the obs-layer zero-cost discipline). The
-  // frames read state the pipeline computes anyway — nothing is perturbed.
+  // Registered only when a probe is attached AND wants a per-tick tap this
+  // pipeline produces, so the detached configuration schedules exactly the
+  // same task set as before probes existed (the obs-layer zero-cost
+  // discipline). The frames read state the pipeline computes anyway —
+  // nothing is perturbed. The post-ADC tap rides in the DSP frame below.
   if (probe_) {
     const bool w_stim = probe_->wants(sensor::ProbePoint::Stimulus);
     const bool w_mems = probe_->wants(sensor::ProbePoint::PostMems);
     const bool w_afe = full && probe_->wants(sensor::ProbePoint::PostAfe);
-    const bool w_adc = probe_->wants(sensor::ProbePoint::PostAdc);
-    if (w_stim || w_mems || w_afe || w_adc)
+    if (w_stim || w_mems || w_afe)
       sched.every(
           1,
-          [this, &st, w_stim, w_mems, w_afe, w_adc] {
+          [this, &st, w_stim, w_mems, w_afe] {
             using sensor::ProbePoint;
             if (w_stim)
               probe_->on_frame({ProbePoint::Stimulus, st.tick, st.rate_dps, st.temp_c});
@@ -377,92 +359,84 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
               probe_->on_frame(
                   {ProbePoint::PostMems, st.tick, st.pick.dc_primary, st.pick.dc_sense});
             if (w_afe) probe_->on_frame({ProbePoint::PostAfe, st.tick, st.vp, st.vs});
-            if (w_adc && st.sp)
-              probe_->on_frame({ProbePoint::PostAdc, st.tick, *st.sp, st.ss ? *st.ss : 0.0});
           },
           "probe");
   }
 
-  // ---- fault campaign (per DSP sample): the sample counter is the fault
-  // time base, so it advances here even with no campaign attached ---------
+  // ---- DSP frame (240 kHz): every DSP-rate stage, once per conversion ----
+  // The phase keeps the *global* conversion cadence (g % adc_div ==
+  // adc_div-1, a SAR finishing its conversion cycle on the adc_div-th
+  // clock) even when one timeline is split across several run() calls
+  // (checkpoint resume): base_ticks_ here is this run's tick origin. From a
+  // cold start the expression reduces to adc_div-1. Full fidelity's SAR
+  // converters count the same cadence in their own phase counters, which
+  // restore checks against base_ticks_.
+  const long div = cfg_.adc_div;
+  const bool batch = can_batch_sense();
+  const bool probe_adc = probe_ && probe_->wants(sensor::ProbePoint::PostAdc);
+  const bool probe_out = probe_ && probe_->wants(sensor::ProbePoint::DecimatedOutput);
   sched.every(
-      1,
-      [this, &st] {
-        if (!st.sp) return;
+      div, (div - 1 - base_ticks_ % div + div) % div,
+      [this, &st, out, full, batch, probe_adc, probe_out] {
+        // ---- sampling: the SAR pair, or the MATLAB level's ideal sampler
+        double sp = 0.0, ss = 0.0;
+        if (full) {
+          if (!st.sp || !st.ss)
+            throw std::logic_error("GyroSystem: DSP frame fired without a SAR conversion");
+          sp = *st.sp;
+          ss = *st.ss;
+        } else {
+          sp = ideal_gain_primary_ * st.pick.dc_primary;
+          ss = ideal_gain_sense_ * st.pick.dc_sense;
+        }
+        if (probe_adc) probe_->on_frame({sensor::ProbePoint::PostAdc, st.tick, sp, ss});
+
+        // ---- fault campaign: the sample counter is the fault time base, so
+        // it advances here even with no campaign attached
         ++dsp_samples_;
         if (obs_.metrics) obs_.metrics->add(obs_m_dsp_);
         if (campaign_) campaign_->step(dsp_samples_);
-      },
-      "fault_campaign");
 
-  // ---- DSP sample rate (240 kHz): drive servo + sense conditioning ------
-  if (can_batch_sense()) {
-    // Open-loop batched path: the sense chain has no feedback into the
-    // plant, so pickoff/carrier samples accumulate and flush through the
-    // kernels' block variants. Blocks are sized so every flush lands
-    // exactly on a CIC completion — the output stage below then sees slow
-    // samples on the same ticks as the sample-serial path (bit-identical).
-    sched.every(
-        1,
-        [this, &st, full] {
-          if (!st.sp) return;
-          drive_v_ = drive_->step(*st.sp);
+        // ---- drive servo + sense conditioning
+        drive_v_ = drive_->step(sp);
+        if (batch) {
+          // Open-loop batched path: the sense chain has no feedback into the
+          // plant, so pickoff/carrier samples accumulate and flush through
+          // the kernels' block variants. Blocks are sized so every flush
+          // lands exactly on a CIC completion — the output stage below then
+          // sees slow samples on the same ticks as the sample-serial path
+          // (bit-identical).
           if (blk_ss_.empty()) blk_target_ = sense_->samples_until_slow();
-          blk_ss_.push_back(*st.ss);
+          blk_ss_.push_back(ss);
           blk_ci_.push_back(drive_->carrier_i());
           blk_cq_.push_back(drive_->carrier_q());
           ctrl_v_ = 0.0;  // open loop: the force-feedback servo is disengaged
-          if (full) {
-            dac_drive_->write_volts(drive_v_);
-            dac_ctrl_->write_volts(ctrl_v_);
-          }
-          if (static_cast<long>(blk_ss_.size()) == blk_target_) flush_sense_block();
-        },
-        "dsp_batched");
-  } else {
-    sched.every(
-        1,
-        [this, &st, full] {
-          if (!st.sp) return;
-          drive_v_ = drive_->step(*st.sp);
-          const auto fast = sense_->step(*st.ss, drive_->carrier_i(), drive_->carrier_q());
-          ctrl_v_ = fast.control_v;
-          if (full) {
-            dac_drive_->write_volts(drive_v_);
-            dac_ctrl_->write_volts(ctrl_v_);
-          }
-        },
-        "dsp");
-  }
+        } else {
+          ctrl_v_ = sense_->step(ss, drive_->carrier_i(), drive_->carrier_q()).control_v;
+        }
+        if (full) {
+          dac_drive_->write_volts(drive_v_);
+          dac_ctrl_->write_volts(ctrl_v_);
+        }
+        if (batch && static_cast<long>(blk_ss_.size()) == blk_target_) flush_sense_block();
 
-  // ---- safety supervisor (per DSP sample) -------------------------------
-  if (supervisor_)
-    sched.every(
-        1,
-        [this, &st] {
-          if (!st.sp) return;
+        // ---- safety supervisor
+        if (supervisor_) {
           safety::FastSample fsmp;
-          fsmp.primary_adc_v = *st.sp;
-          fsmp.sense_adc_v = st.ss ? *st.ss : 0.0;
+          fsmp.primary_adc_v = sp;
+          fsmp.sense_adc_v = ss;
           fsmp.pll_locked = drive_->pll_locked();
           fsmp.loop_settled = drive_->locked();
           fsmp.agc_gain = drive_->amplitude_control();
           fsmp.amplitude = drive_->amplitude();
           fsmp.control_v = ctrl_v_;
           supervisor_->on_fast(fsmp);
-        },
-        "supervisor");
+        }
 
-  // ---- observability edge detectors (per DSP sample) --------------------
-  // Read-only taps on the drive loop: PLL lock / lock-loss / relock and AGC
-  // settle / unsettle become structured events. Registered only when an
-  // event sink is attached, so the disabled configuration schedules exactly
-  // the same task set as before the telemetry subsystem existed.
-  if (obs_.events)
-    sched.every(
-        1,
-        [this, &st] {
-          if (!st.sp) return;
+        // ---- observability edge detectors: read-only taps on the drive
+        // loop. PLL lock / lock-loss / relock and AGC settle / unsettle
+        // become structured events; a detached run never reads obs state.
+        if (obs_.events) {
           const double t = static_cast<double>(dsp_samples_) / (cfg_.analog_fs / cfg_.adc_div);
           const bool pll = drive_->pll_locked();
           if (pll != obs_pll_prev_) {
@@ -485,31 +459,20 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
                                {"amplitude", drive_->amplitude()}});
             obs_agc_prev_ = settled;
           }
-        },
-        "obs_events");
+        }
 
-  // ---- trace tap (per DSP sample) ---------------------------------------
-  if (trace_)
-    sched.every(
-        1,
-        [this, &st] {
-          if (!st.sp) return;
+        // ---- trace tap
+        if (trace_) {
           trace_->push("amplitude_control", drive_->amplitude_control());
           trace_->push("phase_error", drive_->phase_error());
           trace_->push("amplitude_error", drive_->amplitude_error());
           trace_->push("vco_control", drive_->vco_control());
-          trace_->push("pickoff", *st.sp);
-        },
-        "trace");
+          trace_->push("pickoff", sp);
+        }
 
-  // ---- decimated output rate (1.875 kHz) + MCU monitor slice ------------
-  const bool probe_out = probe_ && probe_->wants(sensor::ProbePoint::DecimatedOutput);
-  sched.every(
-      1,
-      [this, &st, out, probe_out] {
-        if (!st.sp) return;
-        // The temperature sensor is read every DSP sample (its noise stream
-        // is part of the sample clock domain); the CIC decides when a slow
+        // ---- decimated output rate (1.875 kHz) + MCU monitor slice. The
+        // temperature sensor is read every DSP sample (its noise stream is
+        // part of the sample clock domain); the CIC decides when a slow
         // sample completes.
         const double measured_temp = temp_sensor_ ? temp_sensor_->read(st.temp_c) : st.temp_c;
         const double comp_temp =
@@ -546,7 +509,7 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
           sram->push(4, q312(drive_->vco_control() / 16.0));
         }
       },
-      "output");
+      "dsp_frame");
 }
 
 void GyroSystem::serialize_state(StateArchive& ar) {
@@ -590,6 +553,13 @@ void GyroSystem::serialize_state(StateArchive& ar) {
   if (!ar.saving()) {
     base_ticks_ = static_cast<long>(base);
     dsp_samples_ = static_cast<long>(dsp);
+    // The DSP frame fires on base_ticks_'s conversion cadence and takes the
+    // SAR pair the converters' own phase counters produce on that tick.
+    // Ideal fidelity never steps the converters.
+    const long phase = base_ticks_ % cfg_.adc_div;
+    if (cfg_.fidelity == Fidelity::Full &&
+        (acq_primary_->phase() != phase || acq_sense_->phase() != phase))
+      throw StateError("checkpoint SAR phase disagrees with the tick counter");
   }
   ar.value(obs_pll_prev_);
   ar.value(obs_agc_prev_);

@@ -170,24 +170,27 @@ class GyroSystem : public RateSensor {
 
  private:
   /// State shared between the scheduler tasks of one pipeline instance:
-  /// the current tick's environment and the (optional) ADC sample pair
-  /// flowing from the analog stage into the digital stages.
+  /// the current tick's environment and what the analog stage hands the
+  /// DSP frame.
   struct TickState {
     long tick = 0;         ///< global index of the current analog tick
     double temp_c = 25.0;
     double rate_dps = 0.0;
     sensor::GyroOutputs pick{};
     double vp = 0.0, vs = 0.0;  ///< charge-amp outputs (Full fidelity)
-    std::optional<double> sp, ss;
+    std::optional<double> sp, ss;  ///< this tick's SAR conversions (Full fidelity)
     long cpu_cycles_per_slow = 0;
   };
 
   void build(std::uint64_t seed);
   void define_registers();
   void post_status(double measured_temp);
-  /// Registers the multi-rate conditioning pipeline on `sched`: analog tick
-  /// → ADC sampling → fault campaign → DSP → supervisor → trace → decimated
-  /// output + MCU slice, one scheduler task per stage, in that order.
+  /// Registers the multi-rate conditioning pipeline on `sched`: the analog
+  /// task every tick, the probe taps every tick when a probe wants them, and
+  /// one DSP frame per SAR conversion (divider adc_div, on the converter's
+  /// last clock). The frame runs every DSP-rate stage in order: sampling,
+  /// fault campaign, DSP, supervisor, obs events, trace, decimated output +
+  /// MCU slice.
   void schedule_pipeline(platform::Scheduler& sched, TickState& st,
                          sensor::StimulusSource& src, std::vector<double>* out);
   /// True when the open-loop batched sense path applies (no per-sample

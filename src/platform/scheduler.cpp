@@ -17,13 +17,24 @@ void Scheduler::every(long divider, long phase, Task task, std::string name) {
   if (divider < 1) throw std::invalid_argument("scheduler divider must be >= 1");
   if (phase < 0 || phase >= divider)
     throw std::invalid_argument("scheduler phase must be in [0, divider)");
-  Entry e{divider, phase, std::move(task), std::move(name)};
+  Entry e{divider, phase, first_firing(ticks_, divider, phase), std::move(task), std::move(name)};
   if (profiler_) {
     e.profile_id = profiler_->register_task(e.name, divider, phase);
     e.sample_stride = entry_stride(e);
     e.until_timed = firings_until_timed(e);
   }
   entries_.push_back(std::move(e));
+}
+
+long Scheduler::first_firing(long ticks, long divider, long phase) {
+  long wait = (phase - ticks % divider) % divider;
+  if (wait < 0) wait += divider;
+  return ticks + wait;
+}
+
+void Scheduler::set_ticks(long ticks) {
+  ticks_ = ticks;
+  for (Entry& e : entries_) e.next = first_firing(ticks_, e.divider, e.phase);
 }
 
 long Scheduler::entry_stride(const Entry& e) const {
@@ -82,7 +93,8 @@ void Scheduler::tick() {
   if (profiler_) {
     using clock = std::chrono::steady_clock;
     for (Entry& e : entries_) {
-      if (ticks_ % e.divider != e.phase) continue;
+      if (ticks_ != e.next) continue;
+      e.next += e.divider;
       if (e.until_timed > 0) {
         --e.until_timed;
         e.task();
@@ -96,8 +108,11 @@ void Scheduler::tick() {
       e.until_timed = firings_until_timed(e);
     }
   } else {
-    for (Entry& e : entries_)
-      if (ticks_ % e.divider == e.phase) e.task();
+    for (Entry& e : entries_) {
+      if (ticks_ != e.next) continue;
+      e.next += e.divider;
+      e.task();
+    }
   }
   ++ticks_;
 }

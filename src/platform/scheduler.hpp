@@ -5,7 +5,9 @@
 // at ~1.9 kHz, and the 8051 executes a slice of instructions per DSP sample
 // (20 MHz clock, paper §4.3). The scheduler advances a base tick and fires
 // registered tasks at integer divisions of it, in registration order within
-// a tick — fully deterministic, so every experiment is reproducible.
+// a tick — fully deterministic, so every experiment is reproducible. Each
+// task keeps the tick it fires on next, so a tick compares instead of
+// dividing.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +56,7 @@ class Scheduler {
   /// Checkpoint restore: reposition the tick counter so task phases resume
   /// where the saved run left off. Only meaningful for persistent schedulers
   /// (the analog baselines); per-run schedulers are rebuilt instead.
-  void set_ticks(long ticks) { ticks_ = ticks; }
+  void set_ticks(long ticks);
 
   /// Attach a task profiler (null detaches). Already-registered and future
   /// tasks are registered with it; while attached, tick() counts every task
@@ -77,6 +79,7 @@ class Scheduler {
   struct Entry {
     long divider;
     long phase;
+    long next;  ///< the tick it fires on next: ≥ ticks_, ≡ phase (mod divider)
     Task task;
     std::string name;
     int profile_id = -1;
@@ -84,6 +87,8 @@ class Scheduler {
     long until_timed = 0;    ///< untimed firings before the next timed one
   };
 
+  /// First tick at or after `ticks` on which a (divider, phase) task fires.
+  static long first_firing(long ticks, long divider, long phase);
   long entry_stride(const Entry& e) const;
   long firings_until_timed(const Entry& e) const;
 

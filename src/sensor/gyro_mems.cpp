@@ -1,6 +1,7 @@
 #include "sensor/gyro_mems.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/math.hpp"
@@ -12,6 +13,7 @@ GyroMems::GyroMems(const GyroMemsConfig& cfg, ascp::Rng rng)
   // Brownian force noise: density d [(m/s²)/√Hz] sampled at sim_fs has
   // per-step sigma d·√(sim_fs/2).
   noise_sigma_ = cfg_.brownian_accel_density * std::sqrt(cfg_.sim_fs / 2.0);
+  resolve(25.0);
 }
 
 double GyroMems::f0_at(double temp_c) const {
@@ -31,11 +33,13 @@ double GyroMems::mechanical_sensitivity(double x_amp, double temp_c) const {
   return 2.0 * cfg_.angular_gain * omega_per_dps * vx_amp * qs / (w0 * w0);
 }
 
-GyroMems::Params GyroMems::resolve(const GyroInputs& in) const {
-  Params p{};
-  const double dtc = in.temp_c - 25.0;
-  const double w0d = kTwoPi * f0_at(in.temp_c);
-  const double w0s = kTwoPi * (f0_at(in.temp_c) + cfg_.mode_split_hz * (1.0 + cfg_.f0_tempco * dtc));
+void GyroMems::resolve(double temp_c) {
+  temp_key_ = std::bit_cast<std::uint64_t>(temp_c);
+  quad_key_ = std::bit_cast<std::uint64_t>(quad_step_);
+  Params& p = terms_;
+  const double dtc = temp_c - 25.0;
+  const double w0d = kTwoPi * f0_at(temp_c);
+  const double w0s = kTwoPi * (f0_at(temp_c) + cfg_.mode_split_hz * (1.0 + cfg_.f0_tempco * dtc));
   const double qd = cfg_.q_drive * (1.0 + cfg_.q_tempco * dtc);
   const double qs = cfg_.q_sense * (1.0 + cfg_.q_tempco * dtc);
   p.w0d2 = w0d * w0d;
@@ -44,8 +48,10 @@ GyroMems::Params GyroMems::resolve(const GyroInputs& in) const {
   p.ds = w0s / qs;
   p.fpv = cfg_.force_per_volt * (1.0 + cfg_.force_tempco * dtc);
   p.kq = cfg_.quad_stiffness * (1.0 + cfg_.quad_tempco * dtc) + quad_step_;
-  p.kappa_omega = cfg_.angular_gain * in.rate_dps * kPi / 180.0;
-  return p;
+  // Fluctuation-dissipation scaling of the Brownian force.
+  t_scale_ = std::sqrt((temp_c + 273.15) / 298.15 * cfg_.q_drive /
+                       (cfg_.q_drive * (1.0 + cfg_.q_tempco * (temp_c - 25.0))));
+  cap_k_ = cfg_.cap_per_meter * (1.0 + cfg_.cap_tempco * (temp_c - 25.0));
 }
 
 GyroMems::State GyroMems::derivative(const State& s, const Params& p, double fd, double fc,
@@ -60,28 +66,28 @@ GyroMems::State GyroMems::derivative(const State& s, const Params& p, double fd,
   return d;
 }
 
-double GyroMems::pickoff_cap(double displacement, double temp_c) const {
+double GyroMems::pickoff_cap(double displacement) const {
   // Parallel-plate pickoff: ΔC = k·x / (1 − x/gap) — soft nonlinearity that
   // the closed-loop configuration suppresses (paper §4.1: closed loop gives
   // "more linear and accurate measures").
-  const double k = cfg_.cap_per_meter * (1.0 + cfg_.cap_tempco * (temp_c - 25.0));
   const double ratio = displacement / cfg_.electrode_gap_m;
   const double clamped = std::clamp(ratio, -0.9, 0.9);
-  return k * displacement / (1.0 - clamped * 0.5);
+  return cap_k_ * displacement / (1.0 - clamped * 0.5);
 }
 
 GyroOutputs GyroMems::step(const GyroInputs& in) {
-  const Params p = resolve(in);
+  if (std::bit_cast<std::uint64_t>(in.temp_c) != temp_key_ ||
+      std::bit_cast<std::uint64_t>(quad_step_) != quad_key_)
+    resolve(in.temp_c);
+  Params p = terms_;
+  p.kappa_omega = cfg_.angular_gain * in.rate_dps * kPi / 180.0;
 
   double v_drive = in.v_drive;
   if (drive_fault_ == DriveElectrodeFault::Open) v_drive = 0.0;
   else if (drive_fault_ == DriveElectrodeFault::Stuck) v_drive = stuck_v_;
   const double fd = p.fpv * v_drive;
   const double fc = p.fpv * in.v_control;
-  // Fluctuation-dissipation scaling of the Brownian force.
-  const double t_scale = std::sqrt((in.temp_c + 273.15) / 298.15 * cfg_.q_drive /
-                                   (cfg_.q_drive * (1.0 + cfg_.q_tempco * (in.temp_c - 25.0))));
-  const double noise = rng_.gaussian(noise_sigma_ * t_scale);
+  const double noise = rng_.gaussian(noise_sigma_ * t_scale_);
 
   // Classic RK4 with inputs held over the step (zero-order hold).
   const State k1 = derivative(s_, p, fd, fc, noise);
@@ -99,7 +105,7 @@ GyroOutputs GyroMems::step(const GyroInputs& in) {
   s_.y += dt_ / 6.0 * (k1.y + 2 * k2.y + 2 * k3.y + k4.y);
   s_.vy += dt_ / 6.0 * (k1.vy + 2 * k2.vy + 2 * k3.vy + k4.vy);
 
-  return GyroOutputs{pickoff_cap(s_.x, in.temp_c), pickoff_cap(s_.y, in.temp_c)};
+  return GyroOutputs{pickoff_cap(s_.x), pickoff_cap(s_.y)};
 }
 
 void GyroMems::reset() { s_ = State{}; }

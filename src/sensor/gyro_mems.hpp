@@ -15,6 +15,8 @@
 // and compensation stages exist to fight.
 #pragma once
 
+#include <cstdint>
+
 #include "common/rng.hpp"
 
 namespace ascp::sensor {
@@ -74,7 +76,9 @@ class GyroMems {
  public:
   GyroMems(const GyroMemsConfig& cfg, ascp::Rng rng);
 
-  /// Advance one integration step (1/sim_fs seconds).
+  /// Advance one integration step (1/sim_fs seconds). The temperature
+  /// terms are recomputed only when the temperature or the quadrature step
+  /// changes.
   GyroOutputs step(const GyroInputs& in);
 
   // ---- fault injection -----------------------------------------------------
@@ -129,8 +133,10 @@ class GyroMems {
   };
 
   static State derivative(const State& s, const Params& p, double fd, double fc, double noise);
-  Params resolve(const GyroInputs& in) const;
-  double pickoff_cap(double displacement, double temp_c) const;
+  /// Recompute the temperature terms for `temp_c` and the current
+  /// quadrature step, and key them on both bit patterns.
+  void resolve(double temp_c);
+  double pickoff_cap(double displacement) const;
 
   GyroMemsConfig cfg_;
   State s_;
@@ -140,6 +146,15 @@ class GyroMems {
   DriveElectrodeFault drive_fault_ = DriveElectrodeFault::None;
   double stuck_v_ = 0.0;
   double quad_step_ = 0.0;
+
+  // Temperature terms for the (temp_c, quad_step_) bit patterns in the two
+  // keys: every Params field but kappa_omega, the Brownian fluctuation-
+  // dissipation scale and the pickoff gain. Not serialized: the keys cover
+  // every input, so a restore or fault injection simply recomputes.
+  std::uint64_t temp_key_ = 0, quad_key_ = 0;
+  Params terms_{};
+  double t_scale_ = 0.0;
+  double cap_k_ = 0.0;
 };
 
 }  // namespace ascp::sensor

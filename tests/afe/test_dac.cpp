@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "afe/dac.hpp"
+#include "support/state_twin.hpp"
 
 namespace ascp::afe {
 namespace {
+
+using ascp::state_twin::bits;
+using ascp::state_twin::kCacheTemps;
+using ascp::state_twin::load;
+using ascp::state_twin::state_of;
 
 DacConfig quiet_config() {
   DacConfig cfg;
@@ -98,6 +105,26 @@ TEST(Dac, OffsetDriftScalesWithTemperature) {
   const double at25 = dac.output(1e-6, 25.0);
   const double at125 = dac.output(1e-6, 125.0);
   EXPECT_NEAR(at125 - at25, 0.1, 1e-3);
+}
+
+// The settling factors are cached on dt. A DAC stepped continuously must
+// match, bit for bit, a twin rebuilt and loaded from its state before every
+// step (so the twin's cache is always cold), with dt alternating between
+// two values and every temperature in kCacheTemps.
+TEST(DacCache, InvisibleAcrossAlternatingDt) {
+  const DacConfig cfg;
+  Dac dac(cfg, ascp::Rng(9));
+  const double dts[] = {1.0 / 1.92e6, 1.0 / 240e3};
+  const int pattern[] = {0, 0, 1, 0, 1, 1, 0};
+  for (int k = 0; k < 400; ++k) {
+    if (k % 8 == 7) dac.write_volts(0.9 * std::sin(0.05 * k));
+    const double dt = dts[pattern[k % 7]];
+    const double temp = kCacheTemps[static_cast<std::size_t>(k) % kCacheTemps.size()];
+    Dac twin(cfg, ascp::Rng(9));
+    load(twin, state_of(dac));
+    ASSERT_EQ(bits(dac.output(dt, temp)), bits(twin.output(dt, temp))) << "step " << k;
+    ASSERT_EQ(state_of(dac), state_of(twin)) << "step " << k;
+  }
 }
 
 }  // namespace

@@ -6,9 +6,15 @@
 #include "afe/noise.hpp"
 #include "common/math.hpp"
 #include "common/spectrum.hpp"
+#include "support/state_twin.hpp"
 
 namespace ascp::afe {
 namespace {
+
+using ascp::state_twin::bits;
+using ascp::state_twin::kCacheTemps;
+using ascp::state_twin::load;
+using ascp::state_twin::state_of;
 
 TEST(NoiseSource, WhiteDensityRealizedCorrectly) {
   // density d at rate fs ⇒ sigma = d·√(fs/2).
@@ -63,6 +69,33 @@ TEST(NoiseSource, FlickerRaisesLowFrequencyPsd) {
   // Well above the corner both are close to the white density.
   EXPECT_NEAR(pp.band_mean(20e3, 40e3), pw.band_mean(20e3, 40e3),
               1.0 * pw.band_mean(20e3, 40e3));
+}
+
+// The thermal scale is cached on the temperature: a source sampled
+// continuously must match, bit for bit, a twin rebuilt and loaded from its
+// state before every sample, over every temperature in kCacheTemps.
+TEST(NoiseCache, InvisibleOverTemperatureSequence) {
+  const NoiseSpec spec{50e-9, 2e3};
+  NoiseSource src(spec, 1.92e6, ascp::Rng(4));
+  for (int round = 0; round < 3; ++round)
+    for (const double temp : kCacheTemps) {
+      NoiseSource twin(spec, 1.92e6, ascp::Rng(4));
+      load(twin, state_of(src));
+      ASSERT_EQ(bits(src.sample(temp)), bits(twin.sample(temp))) << "temp " << temp;
+      ASSERT_EQ(state_of(src), state_of(twin));
+    }
+}
+
+// A stale scale would fool both twins above alike; this check has its own
+// oracle. At 25 °C the scale is exactly 1, so white noise at any temperature
+// is the 25 °C draw times thermal_noise_scale(temp).
+TEST(NoiseCache, ServesTheScaleOfTheCurrentTemperature) {
+  ASSERT_EQ(thermal_noise_scale(25.0), 1.0);
+  NoiseSource src(NoiseSpec{50e-9, 0.0}, 1.92e6, ascp::Rng(4));
+  NoiseSource ref(NoiseSpec{50e-9, 0.0}, 1.92e6, ascp::Rng(4));
+  for (const double temp : kCacheTemps)
+    ASSERT_EQ(bits(src.sample(temp)), bits(ref.sample(25.0) * thermal_noise_scale(temp)))
+        << "temp " << temp;
 }
 
 }  // namespace

@@ -2,12 +2,19 @@
 // (≈20× faster); a few tests exercise the Full AFE path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/math.hpp"
 #include "common/spectrum.hpp"
 #include "core/calibration.hpp"
 #include "core/gyro_system.hpp"
+#include "platform/engine/conditioning_channel.hpp"
 
 namespace ascp::core {
 namespace {
@@ -209,6 +216,120 @@ TEST(GyroSystem, RespondsToRateStep) {
   const double before = o[static_cast<std::size_t>(0.03 * 1875)];
   const double after = tail(o);
   EXPECT_GT(std::abs(after - before), 0.05);  // ≈ 100 °/s · 1.2 mV raw
+}
+
+using TaskTable = std::vector<std::tuple<std::string, long, long>>;
+
+TaskTable table_of(GyroSystem& sys) {
+  TaskTable t;
+  for (const auto& task : sys.schedule_tasks()) t.emplace_back(task.name, task.divider, task.phase);
+  return t;
+}
+
+// The scheduler table timing_lint reads: one analog task every tick and one
+// DSP frame on each SAR conversion's last clock, whatever is attached.
+TEST(GyroSystem, ScheduleTasksAreAnalogPlusOneDspFrame) {
+  const TaskTable expected{{"analog", 1, 0}, {"dsp_frame", 8, 7}};
+
+  GyroSystemConfig full = default_gyro_system(Fidelity::Full);
+  full.with_safety = true;
+  full.with_mcu = true;
+  GyroSystem loaded(full);
+  obs::Observability o;
+  loaded.set_observability(o.sink());
+  TraceRecorder trace;
+  loaded.set_trace(&trace);
+  EXPECT_EQ(table_of(loaded), expected);
+
+  GyroSystemConfig ideal = default_gyro_system(Fidelity::Ideal);
+  ideal.sense.mode = SenseMode::OpenLoop;
+  GyroSystem open_loop(ideal);
+  EXPECT_EQ(table_of(open_loop), expected);
+}
+
+/// Records the (point, tick) of every probe frame.
+class OrderProbe final : public sensor::Probe {
+ public:
+  std::vector<std::pair<sensor::ProbePoint, long>> frames;
+  void on_frame(const sensor::ProbeFrame& f) override { frames.emplace_back(f.point, f.tick); }
+};
+
+// The per-tick taps run in their own task, the post-ADC and decimated-output
+// taps inside the DSP frame: a conversion tick still reads Stimulus,
+// PostMems, PostAfe, PostAdc and, on an output tick, DecimatedOutput.
+TEST(GyroSystem, ProbeFramesKeepChainOrderAtConversionTicks) {
+  using sensor::ProbePoint;
+  for (const Fidelity fid : {Fidelity::Full, Fidelity::Ideal}) {
+    GyroSystem sys(default_gyro_system(fid));
+    OrderProbe probe;
+    sys.set_probe(&probe);
+    EXPECT_EQ(table_of(sys), (TaskTable{{"analog", 1, 0}, {"probe", 1, 0}, {"dsp_frame", 8, 7}}));
+    sys.power_on(1);
+    sys.run(sensor::Profile::constant(0.0), sensor::Profile::constant(25.0), 0.003, nullptr);
+
+    std::vector<ProbePoint> tick_order = {ProbePoint::Stimulus, ProbePoint::PostMems};
+    if (fid == Fidelity::Full) tick_order.push_back(ProbePoint::PostAfe);
+    long outputs = 0;
+    std::size_t k = 0;
+    for (long tick = 0; tick < 5760; ++tick) {
+      std::vector<ProbePoint> expected = tick_order;
+      if (tick % 8 == 7) expected.push_back(ProbePoint::PostAdc);
+      if (k + expected.size() < probe.frames.size() &&
+          probe.frames[k + expected.size()].first == ProbePoint::DecimatedOutput) {
+        ASSERT_EQ(tick % 8, 7) << "decimated output off a conversion tick";
+        expected.push_back(ProbePoint::DecimatedOutput);
+        ++outputs;
+      }
+      for (const ProbePoint p : expected) {
+        ASSERT_LT(k, probe.frames.size());
+        ASSERT_EQ(probe.frames[k].first, p) << "tick " << tick;
+        ASSERT_EQ(probe.frames[k].second, tick);
+        ++k;
+      }
+    }
+    EXPECT_EQ(k, probe.frames.size());
+    EXPECT_EQ(outputs, 5);  // one every 1024 ticks, the first at tick 1023
+  }
+}
+
+// One timeline cut into run() calls of 1, 3, 7, 13 and 1001 ticks (none a
+// multiple of adc_div), snapshotted and restored into a fresh channel at an
+// odd tick, must hash like a straight run: the DSP frame's phase follows
+// the global tick, not the run origin.
+TEST(GyroSystem, ChunkedRunsWithRestoreMatchStraightRun) {
+  constexpr long kTicks = 40000;
+  constexpr long kChunks[] = {1, 3, 7, 13, 1001};
+  for (const auto kind : {engine::ChannelKind::GyroFull, engine::ChannelKind::GyroIdeal})
+    for (const bool batched : {true, false}) {
+      engine::ChannelConfig cfg;
+      cfg.kind = kind;
+      cfg.seed = 5;
+      cfg.configure = [batched](GyroSystemConfig& g) {
+        g.sense.mode = batched ? SenseMode::OpenLoop : SenseMode::ClosedLoop;
+      };
+      engine::ConditioningChannel straight(cfg);
+      straight.advance(kTicks);
+      ASSERT_GT(straight.total_outputs(), 20u);
+
+      auto ch = std::make_unique<engine::ConditioningChannel>(cfg);
+      bool restored = false;
+      for (long done = 0, i = 0; done < kTicks; ++i) {
+        const long n = std::min(kChunks[i % 5], kTicks - done);
+        ch->advance(n);
+        done += n;
+        if (!restored && done > kTicks / 2 && done % 2 == 1) {
+          const auto image = ch->snapshot();
+          ch = std::make_unique<engine::ConditioningChannel>(cfg);
+          ch->restore(image);
+          restored = true;
+        }
+      }
+      ASSERT_TRUE(restored);
+      EXPECT_EQ(ch->total_outputs(), straight.total_outputs());
+      EXPECT_EQ(ch->output_hash(), straight.output_hash())
+          << (kind == engine::ChannelKind::GyroFull ? "full" : "ideal")
+          << (batched ? " batched" : " scalar");
+    }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // (StateError) and inspect must report a bad CRC, instead of forming
 // header + length past 2^64 and reading beyond the buffer. Forged element
 // counts inside CRC-valid payloads must fail with the count error before
-// they size an allocation. ci.sh chaos-smoke runs these under ASAN.
+// they size an allocation, and a forged SAR phase with the phase error
+// before it can overflow or desynchronize the DSP frame. ci.sh chaos-smoke
+// runs these under ASAN.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "core/gyro_system.hpp"
 #include "platform/engine/blackbox.hpp"
 #include "platform/engine/conditioning_channel.hpp"
 #include "safety/supervisor.hpp"
 #include "sensor/stimulus_source.hpp"
+#include "support/state_twin.hpp"
 
 namespace ascp::engine {
 namespace {
@@ -184,6 +188,36 @@ TEST(FrameForgedCount, SupervisorShadowCount) {
   StateArchive in = StateArchive::loader(bytes);
   EXPECT_EQ(error_of([&] { loaded.serialize_state(in); }),
             "checkpoint supervisor shadow count implausible");
+}
+
+// The primary SAR converter's phase counter (the last i32 of its state)
+// forged to a value that disagrees with the image's tick counter, to −1,
+// and to INT32_MAX, where the next step() would overflow.
+TEST(FrameForgedPhase, GyroFullSarPhase) {
+  ChannelConfig cfg;
+  cfg.kind = ChannelKind::GyroFull;
+  cfg.seed = 11;
+  ConditioningChannel ch(cfg);
+  ch.advance(20003);
+  const auto acq_bytes = state_twin::state_of(*ch.gyro()->acq_primary());
+  const auto clean = ch.snapshot();
+  const std::size_t at = find_bytes(clean, acq_bytes) + acq_bytes.size() - 4;
+  ASSERT_EQ(ch.gyro()->acq_primary()->phase(), 20003 % 8);
+
+  const std::uint32_t forged_phases[] = {(20003 + 1) % 8, 0xFFFFFFFFu, 0x7FFFFFFFu};
+  const std::string expected[] = {"checkpoint SAR phase disagrees with the tick counter",
+                                  "checkpoint SAR phase out of range",
+                                  "checkpoint SAR phase out of range"};
+  for (int i = 0; i < 3; ++i) {
+    auto image = clean;
+    set_le(image, at, forged_phases[i], 4);
+    refresh_crc(image, kCheckpointFrame);
+    ConditioningChannel target(cfg);
+    EXPECT_EQ(error_of([&] { target.restore(image); }), expected[i]) << "phase " << i;
+  }
+  ConditioningChannel target(cfg);
+  target.restore(clean);
+  EXPECT_EQ(target.ticks_advanced(), 20003);
 }
 
 }  // namespace

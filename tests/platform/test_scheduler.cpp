@@ -166,6 +166,57 @@ TEST(Scheduler, ProfilerDoesNotChangeFiringPattern) {
   EXPECT_EQ(firing_log(false), firing_log(true));
 }
 
+TEST(Scheduler, SetTicksRephasesToTheNextMatchingTick) {
+  // A restored persistent scheduler (the analog baselines) must fire each
+  // task on the first tick at or after the restored counter that matches its
+  // phase, whatever the counter was before.
+  for (long k = 0; k < 16; ++k) {
+    Scheduler sched(1000.0);
+    std::vector<long> fired_at;
+    sched.every(8, 7, [&] { fired_at.push_back(sched.ticks()); });
+    sched.run_ticks(3);
+    sched.set_ticks(k);
+    sched.run_ticks(16);
+    const long first = k + (7 - k % 8 + 8) % 8;
+    EXPECT_EQ(fired_at, (std::vector<long>{first, first + 8})) << "set_ticks(" << k << ")";
+  }
+}
+
+TEST(Scheduler, TaskRegisteredAfterTicksAdvancedFiresOnItsPhase) {
+  Scheduler sched(1000.0);
+  sched.run_ticks(5);
+  std::vector<std::pair<char, long>> log;
+  sched.every(8, 7, [&] { log.emplace_back('a', sched.ticks()); });
+  sched.every(8, 2, [&] { log.emplace_back('b', sched.ticks()); });
+  sched.every(1, [&] { log.emplace_back('c', sched.ticks()); });
+  sched.run_ticks(6);  // ticks 5..10
+  EXPECT_EQ(log, (std::vector<std::pair<char, long>>{
+                     {'c', 5}, {'c', 6}, {'a', 7}, {'c', 7}, {'c', 8}, {'c', 9}, {'b', 10},
+                     {'c', 10}}));
+}
+
+TEST(Scheduler, ProfiledAndUnprofiledRunsFireTheSameSequence) {
+  // Stride 1 times every firing, stride 0 (auto) a sampled subset; neither
+  // may move a firing. One task registers while the profiler is attached.
+  const auto firing_log = [](bool profiled, long stride) {
+    Scheduler sched(1.92e6);
+    obs::TaskProfiler prof;
+    prof.set_sample_stride(stride);
+    std::vector<std::pair<int, long>> log;
+    sched.every(1, [&] { log.emplace_back(0, sched.ticks()); }, "analog");
+    sched.every(8, 7, [&] { log.emplace_back(1, sched.ticks()); }, "frame");
+    sched.run_ticks(5);
+    if (profiled) sched.set_profiler(&prof);
+    sched.every(3, 1, [&] { log.emplace_back(2, sched.ticks()); }, "thirds");
+    sched.run_ticks(4000);
+    return log;
+  };
+  const auto plain = firing_log(false, 1);
+  EXPECT_EQ(plain.size(), 4005u + 500u + 1333u);
+  EXPECT_EQ(firing_log(true, 1), plain);
+  EXPECT_EQ(firing_log(true, 0), plain);
+}
+
 TEST(Scheduler, ProfilerDetachStopsRecording) {
   Scheduler sched(1000.0);
   obs::TaskProfiler prof;

@@ -6,9 +6,15 @@
 #include "common/math.hpp"
 #include "common/spectrum.hpp"
 #include "sensor/gyro_mems.hpp"
+#include "support/state_twin.hpp"
 
 namespace ascp::sensor {
 namespace {
+
+using ascp::state_twin::bits;
+using ascp::state_twin::kCacheTemps;
+using ascp::state_twin::load;
+using ascp::state_twin::state_of;
 
 GyroMemsConfig quiet_config() {
   GyroMemsConfig cfg;
@@ -256,6 +262,45 @@ TEST_P(GyroRateSweep, SenseScalesLinearly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Rates, GyroRateSweep, ::testing::Values(25.0, 75.0, 150.0, 300.0));
+
+// The temperature terms are cached on (temperature, quadrature step). A ring
+// stepped continuously must match, bit for bit, a twin rebuilt and loaded
+// from its state before every step, across quadrature-step injections, each
+// of which must act on the very next step, and over kCacheTemps.
+TEST(GyroMemsCache, InvisibleOverTemperatureAndQuadratureSteps) {
+  const GyroMemsConfig cfg;
+  GyroMems ring(cfg, ascp::Rng(6));
+  const auto input = [&](int k, double temp) {
+    GyroInputs in;
+    in.v_drive = 0.5 * std::sin(kTwoPi * cfg.f0_hz * k / cfg.sim_fs);
+    in.rate_dps = 40.0 * std::sin(0.01 * k);
+    in.temp_c = temp;
+    return in;
+  };
+  const auto step_both = [&](int k, double temp) {
+    GyroMems twin(cfg, ascp::Rng(6));
+    load(twin, state_of(ring));
+    const GyroOutputs a = ring.step(input(k, temp)), b = twin.step(input(k, temp));
+    ASSERT_EQ(bits(a.dc_primary), bits(b.dc_primary)) << "step " << k;
+    ASSERT_EQ(bits(a.dc_sense), bits(b.dc_sense)) << "step " << k;
+    ASSERT_EQ(state_of(ring), state_of(twin)) << "step " << k;
+  };
+  int k = 0;
+  for (; k < 300; ++k) step_both(k, 25.0 + (k / 50) * 5.0);
+
+  for (const double dkq : {2e4, -3e4, 0.0}) {
+    GyroMems before(cfg, ascp::Rng(6));  // the ring as it was before the injection
+    load(before, state_of(ring));
+    ring.inject_quadrature_step(dkq);
+    before.step(input(k, 45.0));
+    step_both(k++, 45.0);
+    EXPECT_NE(bits(ring.vy()), bits(before.vy())) << "step to " << dkq << " acted late";
+    for (int j = 0; j < 20; ++j) step_both(k++, 45.0);
+  }
+
+  for (int round = 0; round < 2; ++round)
+    for (const double temp : kCacheTemps) step_both(k++, temp);
+}
 
 }  // namespace
 }  // namespace ascp::sensor
