@@ -32,13 +32,18 @@
 #                        agree with the ISS for all 256 opcodes (decoded
 #                        length, flow and targets, write flags, machine
 #                        cycles, CDATA accesses) and its listing must
-#                        round-trip through the assembler (OpcodeTable.*,
-#                        CycleTable.*, IssFuzz.*); platform_lint --timing
-#                        must be error-free on the shipped platform, the
-#                        unbounded-loop fixture must be flagged, and the
-#                        differential WCET validation bench (static >=
-#                        ISS-observed for every corpus function) must pass
-#                        in smoke mode
+#                        round-trip through the assembler, which encodes
+#                        from the same table (OpcodeTable.*, CycleTable.*,
+#                        IssFuzz.*, Assembler.*, AsmFuzz.*); platform_lint
+#                        --timing must be error-free on the shipped
+#                        platform, the unbounded-loop fixture must be
+#                        flagged, and the differential WCET validation
+#                        bench (static >= ISS-observed for every corpus
+#                        function) must pass in smoke mode. Under ASAN the
+#                        assembler tests and its seeded mutation fuzz must
+#                        pass, and platform_lint --asm must reject the
+#                        code-past-64K fixture with an asm finding (exit 1,
+#                        no sanitizer report)
 #   ci.sh replay       — stimulus record/replay proof: ascp_tool
 #                        record→replay hash round-trip on two corpus
 #                        scenarios (one under ASAN), an ascp_tool diff
@@ -104,8 +109,8 @@ stage_chaos_smoke() {
 stage_wcet() {
   build_preset default --target platform_lint --target wcet_validation \
     --target test_mcu --target test_analysis
-  echo "== opcode table vs ISS: decode, cycles, CDATA accesses, listing round-trip =="
-  ./build/tests/test_mcu --gtest_filter='OpcodeTable.*:IssFuzz.*'
+  echo "== opcode table vs ISS: decode, cycles, CDATA accesses, listing round-trip, assembler =="
+  ./build/tests/test_mcu --gtest_filter='OpcodeTable.*:IssFuzz.*:Assembler.*:AsmFuzz.*'
   ./build/tests/test_analysis --gtest_filter='CycleTable.*'
   echo "== platform_lint --timing: shipped platform real-time budget =="
   ./build/tools/platform_lint --timing
@@ -116,6 +121,22 @@ stage_wcet() {
   fi
   echo "== wcet_validation: static WCET >= ISS-observed (smoke) =="
   ./build/bench/wcet_validation --smoke
+  build_preset asan --target test_mcu --target platform_lint
+  echo "== assembler tests and seeded mutation fuzz under ASAN =="
+  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_mcu --gtest_filter='Assembler.*:AsmFuzz.*'
+  echo "== platform_lint --asm under ASAN: code past 64 K must be an asm finding =="
+  local tmp rc=0
+  tmp=$(mktemp -d)
+  ./build-asan/tools/platform_lint --asm tests/analysis/fixtures/code_past_64k.asm \
+    >"$tmp/out.txt" 2>"$tmp/err.txt" || rc=$?
+  cat "$tmp/out.txt"
+  if (( rc != 1 )) || ! grep -q '\[asm\]' "$tmp/out.txt" ||
+      grep -qE 'Sanitizer|runtime error' "$tmp/err.txt"; then
+    echo "ERROR: code_past_64k.asm was not rejected cleanly (exit $rc)" >&2
+    cat "$tmp/err.txt" >&2
+    exit 1
+  fi
+  rm -rf "$tmp"
 }
 
 stage_replay() {

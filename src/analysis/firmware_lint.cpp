@@ -8,6 +8,7 @@
 #include <set>
 
 #include "analysis/cfg.hpp"
+#include "mcu/core8051.hpp"
 
 namespace ascp::analysis {
 namespace {
@@ -23,14 +24,6 @@ std::string hex8(std::uint8_t v) {
   std::snprintf(buf, sizeof(buf), "0x%02X", v);
   return buf;
 }
-
-/// SFRs implemented by Core8051 itself (core8051.hpp sfr namespace).
-constexpr std::uint8_t kCoreSfrs[] = {
-    0x80, 0x81, 0x82, 0x83, 0x87,              // P0 SP DPL DPH PCON
-    0x88, 0x89, 0x8A, 0x8B, 0x8C, 0x8D,        // TCON TMOD TL0 TL1 TH0 TH1
-    0x90, 0x98, 0x99, 0xA0, 0xA8, 0xB0, 0xB8,  // P1 SCON SBUF P2 IE P3 IP
-    0xD0, 0xE0, 0xF0,                          // PSW ACC B
-};
 
 int stack_push_bytes(std::uint8_t op) {
   if (op == 0xC0) return 1;                              // PUSH
@@ -75,7 +68,7 @@ class FirmwareAnalysis {
  public:
   FirmwareAnalysis(const FirmwareImage& fw, const FirmwareLintOptions& opt)
       : fw_(fw), opt_(opt) {
-    known_sfrs_.insert(std::begin(kCoreSfrs), std::end(kCoreSfrs));
+    for (const auto& core : mcu::sfr::kNamed) known_sfrs_.insert(core.addr);
     known_sfrs_.insert(opt.extra_sfrs.begin(), opt.extra_sfrs.end());
     if (opt.map) bytemap_.emplace(*opt.map);
   }

@@ -5,9 +5,14 @@
 #include <cstdlib>
 #include <optional>
 
+#include "mcu/core8051.hpp"
+#include "mcu/opcode_table.hpp"
+
 namespace ascp::mcu {
 
 namespace {
+
+using enum Opd;
 
 std::string upper(std::string_view s) {
   std::string out(s);
@@ -34,35 +39,44 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(begin, end - begin + 1));
 }
 
-bool is_reg(const std::string& op, int& n) {
-  if (op.size() == 2 && op[0] == 'R' && op[1] >= '0' && op[1] <= '7') {
-    n = op[1] - '0';
-    return true;
-  }
-  return false;
+/// The operand syntax `op` is written in: a fixed shape (A, DPTR, @A+PC, ...)
+/// by its spelling, Rn, AtRi, Imm8 for any '#', NotBit for any '/', and
+/// Direct for a bare expression.
+Opd syntax(const std::string& op) {
+  for (Opd fixed : {A, AB, C, Dptr, AtDptr, AtAPlusDptr, AtAPlusPc})
+    if (op == spelling(fixed)) return fixed;
+  if (op.size() == 2 && op[0] == 'R' && op[1] >= '0' && op[1] <= '7') return Rn;
+  if (op == "@R0" || op == "@R1") return AtRi;
+  if (op.starts_with('#')) return Imm8;
+  if (op.starts_with('/')) return NotBit;
+  return Direct;
 }
 
-bool is_ind(const std::string& op, int& n) {
-  if (op.size() == 3 && op[0] == '@' && op[1] == 'R' && (op[2] == '0' || op[2] == '1')) {
-    n = op[2] - '0';
-    return true;
+/// Whether an operand written in `written` syntax fills a table operand of
+/// `shape`.
+bool takes(Opd shape, Opd written) {
+  switch (shape) {
+    case Imm16: return written == Imm8;
+    case Bit: case Rel: case Addr11: case Addr16: return written == Direct;
+    default: return shape == written;
   }
-  return false;
 }
 
-bool is_imm(const std::string& op) { return !op.empty() && op[0] == '#'; }
+/// `head` and then `operands`, comma-separated, as an instruction is written.
+std::string spell(std::string head, const std::vector<std::string>& operands) {
+  const char* sep = " ";
+  for (const std::string& op : operands) {
+    head += sep;
+    head += op;
+    sep = ", ";
+  }
+  return head;
+}
 
 }  // namespace
 
 Assembler::Assembler() {
-  // Standard SFR byte symbols.
-  const std::pair<const char*, std::uint16_t> sfrs[] = {
-      {"P0", 0x80},  {"SP", 0x81},   {"DPL", 0x82},  {"DPH", 0x83}, {"PCON", 0x87},
-      {"TCON", 0x88}, {"TMOD", 0x89}, {"TL0", 0x8A}, {"TL1", 0x8B}, {"TH0", 0x8C},
-      {"TH1", 0x8D}, {"P1", 0x90},   {"SCON", 0x98}, {"SBUF", 0x99}, {"P2", 0xA0},
-      {"IE", 0xA8},  {"P3", 0xB0},   {"IP", 0xB8},   {"PSW", 0xD0}, {"ACC", 0xE0},
-      {"B", 0xF0}};
-  for (const auto& [name, value] : sfrs) symbols_[name] = value;
+  for (const auto& [name, addr] : sfr::kNamed) symbols_[name] = addr;
 
   // Standard bit symbols.
   const std::pair<const char*, std::uint8_t> bits[] = {
@@ -196,9 +210,9 @@ std::vector<Assembler::Line> Assembler::parse(std::string_view source) {
 }
 
 std::uint16_t Assembler::eval(const std::string& expr, int line) const {
-  // Sum of +/- separated terms; each term is a literal or symbol.
+  // Sum of +/- separated terms, modulo 2^16; each term is a literal or symbol.
   std::size_t i = 0;
-  long total = 0;
+  std::uint16_t total = 0;
   int sign = 1;
   bool any = false;
 
@@ -255,16 +269,13 @@ std::uint16_t Assembler::eval(const std::string& expr, int line) const {
       ++i;
       continue;
     }
-    total += sign * parse_term(i);
+    const auto term = static_cast<std::uint16_t>(parse_term(i));
+    total = static_cast<std::uint16_t>(sign > 0 ? total + term : total - term);
     sign = 1;
     any = true;
   }
   if (!any) throw AsmError(line, "empty expression");
-  return static_cast<std::uint16_t>(total & 0xFFFF);
-}
-
-std::uint8_t Assembler::eval8(const std::string& expr, int line) const {
-  return static_cast<std::uint8_t>(eval(expr, line) & 0xFF);
+  return total;
 }
 
 std::uint8_t Assembler::eval_bit(const std::string& expr, int line) const {
@@ -290,333 +301,88 @@ std::uint8_t Assembler::eval_bit(const std::string& expr, int line) const {
   return static_cast<std::uint8_t>(eval(expr, line) & 0xFF);
 }
 
-int Assembler::instruction_size(const Line& l) const {
-  const std::string& m = l.mnemonic;
-  const auto& ops = l.operands;
-  int n = 0;
+const Form& Assembler::form_of(const Line& l) {
+  const auto matches = [&l](const Form& form) {
+    return l.mnemonic == form.info.mnemonic &&
+           std::ranges::equal(form.info.operands(), l.operands,
+                              [](const Operand& o, const std::string& op) {
+                                return takes(o.shape, syntax(op));
+                              });
+  };
+  const auto rows = forms();
+  if (const auto it = std::ranges::find_if(rows, matches); it != rows.end()) return *it;
 
-  auto op_is = [&](std::size_t i, const char* s) { return i < ops.size() && ops[i] == s; };
-
-  if (m == "NOP" || m == "RET" || m == "RETI") return 1;
-  if (m == "AJMP" || m == "ACALL") return 2;
-  if (m == "LJMP" || m == "LCALL") return 3;
-  if (m == "SJMP") return 2;
-  if (m == "JMP") return 1;  // JMP @A+DPTR
-  if (m == "JC" || m == "JNC" || m == "JZ" || m == "JNZ") return 2;
-  if (m == "JB" || m == "JNB" || m == "JBC") return 3;
-  if (m == "RR" || m == "RRC" || m == "RL" || m == "RLC" || m == "SWAP" || m == "DA") return 1;
-  if (m == "MUL" || m == "DIV") return 1;
-  if (m == "XCHD") return 1;
-  if (m == "INC" || m == "DEC") {
-    if (op_is(0, "A") || op_is(0, "DPTR")) return 1;
-    if (!ops.empty() && (is_reg(ops[0], n) || is_ind(ops[0], n))) return 1;
-    return 2;  // direct
+  std::string known;  // the mnemonic's forms, for the error
+  for (const Form& form : rows) {
+    if (l.mnemonic != form.info.mnemonic) continue;
+    std::vector<std::string> spelled;
+    for (const Operand& o : form.info.operands()) spelled.emplace_back(spelling(o.shape));
+    known += (known.empty() ? "" : " | ") + spell(l.mnemonic, spelled);
   }
-  if (m == "ADD" || m == "ADDC" || m == "SUBB") {
-    // ADD A,src
-    if (ops.size() == 2 && (is_reg(ops[1], n) || is_ind(ops[1], n))) return 1;
-    return 2;  // #imm or direct
-  }
-  if (m == "ORL" || m == "ANL" || m == "XRL") {
-    if (ops.size() == 2 && ops[0] == "A") {
-      if (is_reg(ops[1], n) || is_ind(ops[1], n)) return 1;
-      return 2;
-    }
-    if (ops.size() == 2 && ops[0] == "C") return 2;  // ORL/ANL C,bit
-    // dir,A = 2 bytes; dir,#imm = 3 bytes
-    if (ops.size() == 2 && ops[1] == "A") return 2;
-    return 3;
-  }
-  if (m == "MOV") {
-    if (ops.size() != 2) throw AsmError(l.number, "MOV needs two operands");
-    const std::string& d = ops[0];
-    const std::string& s = ops[1];
-    if (d == "DPTR") return 3;
-    if (d == "C" || s == "C") return 2;  // MOV C,bit / MOV bit,C
-    if (d == "A") {
-      if (is_reg(s, n) || is_ind(s, n)) return 1;
-      return 2;  // #imm or direct
-    }
-    if (is_reg(d, n)) {
-      if (s == "A") return 1;
-      return 2;  // #imm or direct
-    }
-    if (is_ind(d, n)) {
-      if (s == "A") return 1;
-      return 2;
-    }
-    // direct destination
-    if (s == "A") return 2;
-    if (is_reg(s, n) || is_ind(s, n)) return 2;
-    return 3;  // dir,dir or dir,#imm
-  }
-  if (m == "MOVC") return 1;
-  if (m == "MOVX") return 1;
-  if (m == "PUSH" || m == "POP") return 2;
-  if (m == "XCH") {
-    if (ops.size() == 2 && (is_reg(ops[1], n) || is_ind(ops[1], n))) return 1;
-    return 2;
-  }
-  if (m == "CJNE") return 3;
-  if (m == "DJNZ") {
-    if (!ops.empty() && is_reg(ops[0], n)) return 2;
-    return 3;
-  }
-  if (m == "CLR" || m == "SETB" || m == "CPL") {
-    if (op_is(0, "A") || op_is(0, "C")) return 1;
-    return 2;  // bit
-  }
-  throw AsmError(l.number, "unknown mnemonic '" + m + "'");
+  if (known.empty()) throw AsmError(l.number, "unknown mnemonic '" + l.mnemonic + "'");
+  throw AsmError(l.number, "'" + spell(l.mnemonic, l.operands) + "' matches no " + l.mnemonic +
+                               " form (" + known + ")");
 }
 
-void Assembler::encode(const Line& l, std::uint16_t addr, std::vector<std::uint8_t>& out) const {
-  const std::string& m = l.mnemonic;
-  const auto& ops = l.operands;
-  const int ln = l.number;
-  int n = 0;
-
-  auto emit = [&](int b) { out.push_back(static_cast<std::uint8_t>(b & 0xFF)); };
-  auto need = [&](std::size_t count) {
-    if (ops.size() != count)
-      throw AsmError(ln, m + " expects " + std::to_string(count) + " operand(s)");
-  };
-  auto rel_to = [&](const std::string& target, std::uint16_t end_addr) {
-    // The PC is 16 bits wide, so a branch from 0x0000 back to 0xFFE2 is -32.
-    const int delta =
-        static_cast<std::int16_t>(static_cast<std::uint16_t>(eval(target, ln) - end_addr));
-    if (delta < -128 || delta > 127)
-      throw AsmError(ln, "relative branch out of range (" + std::to_string(delta) + ")");
-    return delta & 0xFF;
-  };
-  auto imm_of = [&](const std::string& op) { return eval8(op.substr(1), ln); };
-
-  if (m == "NOP") { emit(0x00); return; }
-  if (m == "RET") { emit(0x22); return; }
-  if (m == "RETI") { emit(0x32); return; }
-
-  if (m == "LJMP") { need(1); const auto t = eval(ops[0], ln); emit(0x02); emit(t >> 8); emit(t); return; }
-  if (m == "LCALL") { need(1); const auto t = eval(ops[0], ln); emit(0x12); emit(t >> 8); emit(t); return; }
-  if (m == "AJMP" || m == "ACALL") {
-    need(1);
-    const auto t = eval(ops[0], ln);
-    const std::uint16_t end_addr = static_cast<std::uint16_t>(addr + 2);
-    if ((t & 0xF800) != (end_addr & 0xF800))
-      throw AsmError(ln, m + " target outside the current 2K page");
-    emit(((t >> 3) & 0xE0) | (m == "AJMP" ? 0x01 : 0x11));
-    emit(t & 0xFF);
-    return;
-  }
-  if (m == "SJMP") { need(1); emit(0x80); emit(rel_to(ops[0], addr + 2)); return; }
-  if (m == "JMP") { emit(0x73); return; }
-  if (m == "JC") { need(1); emit(0x40); emit(rel_to(ops[0], addr + 2)); return; }
-  if (m == "JNC") { need(1); emit(0x50); emit(rel_to(ops[0], addr + 2)); return; }
-  if (m == "JZ") { need(1); emit(0x60); emit(rel_to(ops[0], addr + 2)); return; }
-  if (m == "JNZ") { need(1); emit(0x70); emit(rel_to(ops[0], addr + 2)); return; }
-  if (m == "JB" || m == "JNB" || m == "JBC") {
-    need(2);
-    emit(m == "JB" ? 0x20 : (m == "JNB" ? 0x30 : 0x10));
-    emit(eval_bit(ops[0], ln));
-    emit(rel_to(ops[1], addr + 3));
-    return;
-  }
-
-  if (m == "RR") { emit(0x03); return; }
-  if (m == "RRC") { emit(0x13); return; }
-  if (m == "RL") { emit(0x23); return; }
-  if (m == "RLC") { emit(0x33); return; }
-  if (m == "SWAP") { emit(0xC4); return; }
-  if (m == "DA") { emit(0xD4); return; }
-  if (m == "MUL") { emit(0xA4); return; }
-  if (m == "DIV") { emit(0x84); return; }
-  if (m == "XCHD") { need(2); is_ind(ops[1], n); emit(0xD6 | n); return; }
-
-  if (m == "INC" || m == "DEC") {
-    need(1);
-    const int base = m == "INC" ? 0x04 : 0x14;
-    if (ops[0] == "A") { emit(base); return; }
-    if (m == "INC" && ops[0] == "DPTR") { emit(0xA3); return; }
-    if (is_reg(ops[0], n)) { emit(base + 4 + n); return; }
-    if (is_ind(ops[0], n)) { emit(base + 2 + n); return; }
-    emit(base + 1);
-    emit(eval8(ops[0], ln));
-    return;
-  }
-
-  if (m == "ADD" || m == "ADDC" || m == "SUBB") {
-    need(2);
-    if (ops[0] != "A") throw AsmError(ln, m + " destination must be A");
-    const int base = m == "ADD" ? 0x24 : (m == "ADDC" ? 0x34 : 0x94);
-    if (is_imm(ops[1])) { emit(base); emit(imm_of(ops[1])); return; }
-    if (is_reg(ops[1], n)) { emit(base + 4 + n); return; }
-    if (is_ind(ops[1], n)) { emit(base + 2 + n); return; }
-    emit(base + 1);
-    emit(eval8(ops[1], ln));
-    return;
-  }
-
-  if (m == "ORL" || m == "ANL" || m == "XRL") {
-    need(2);
-    const int base = m == "ORL" ? 0x40 : (m == "ANL" ? 0x50 : 0x60);
-    if (ops[0] == "C") {
-      if (m == "XRL") throw AsmError(ln, "XRL C,bit does not exist");
-      const bool inverted = !ops[1].empty() && ops[1][0] == '/';
-      const std::string bit = inverted ? trim(ops[1].substr(1)) : ops[1];
-      emit(m == "ORL" ? (inverted ? 0xA0 : 0x72) : (inverted ? 0xB0 : 0x82));
-      emit(eval_bit(bit, ln));
-      return;
+std::vector<std::uint8_t> Assembler::encode(const Line& l, const Form& form,
+                                            std::uint16_t addr) const {
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(form.info.length()));
+  const auto end = static_cast<std::uint16_t>(addr + out.size());
+  int variant = 0;  // register number or 2 KB page: see Form::variant
+  for (std::size_t i = 0; i < l.operands.size(); ++i) {
+    const std::string& op = l.operands[i];
+    const Operand& o = form.info.slots[i];
+    std::uint16_t v = 0;
+    switch (o.shape) {
+      case Rn: variant = op[1] - '0'; break;
+      case AtRi: variant = op[2] - '0'; break;
+      case Imm8: case Imm16: v = eval(op.substr(1), l.number); break;
+      case Direct: case Addr16: v = eval(op, l.number); break;
+      case Bit: v = eval_bit(op, l.number); break;
+      case NotBit: v = eval_bit(trim(op.substr(1)), l.number); break;
+      case Rel: {
+        // The PC is 16 bits wide, so a branch from 0x0000 back to 0xFFE2 is -32.
+        const int delta = static_cast<std::int16_t>(eval(op, l.number) - end);
+        if (delta < -128 || delta > 127)
+          throw AsmError(l.number, "relative branch out of range (" + std::to_string(delta) + ")");
+        v = static_cast<std::uint16_t>(delta);
+        break;
+      }
+      case Addr11:
+        v = eval(op, l.number);
+        if ((v & 0xF800) != (end & 0xF800))
+          throw AsmError(l.number, l.mnemonic + " target outside the current 2K page");
+        variant = (v >> 8) & 7;
+        break;
+      default: break;  // a fixed shape: no operand byte
     }
-    if (ops[0] == "A") {
-      if (is_imm(ops[1])) { emit(base + 4); emit(imm_of(ops[1])); return; }
-      if (is_reg(ops[1], n)) { emit(base + 8 + n); return; }
-      if (is_ind(ops[1], n)) { emit(base + 6 + n); return; }
-      emit(base + 5);
-      emit(eval8(ops[1], ln));
-      return;
-    }
-    // direct destination
-    if (ops[1] == "A") { emit(base + 2); emit(eval8(ops[0], ln)); return; }
-    if (is_imm(ops[1])) { emit(base + 3); emit(eval8(ops[0], ln)); emit(imm_of(ops[1])); return; }
-    throw AsmError(ln, "bad operands for " + m);
+    // 16-bit operands go high byte first.
+    if (width(o.shape) == 2) out[o.at] = static_cast<std::uint8_t>(v >> 8);
+    if (width(o.shape) > 0) out[o.at + width(o.shape) - 1] = static_cast<std::uint8_t>(v);
   }
-
-  if (m == "CLR" || m == "SETB" || m == "CPL") {
-    need(1);
-    if (ops[0] == "A") {
-      if (m == "CLR") { emit(0xE4); return; }
-      if (m == "CPL") { emit(0xF4); return; }
-      throw AsmError(ln, "SETB A does not exist");
-    }
-    if (ops[0] == "C") {
-      emit(m == "CLR" ? 0xC3 : (m == "SETB" ? 0xD3 : 0xB3));
-      return;
-    }
-    emit(m == "CLR" ? 0xC2 : (m == "SETB" ? 0xD2 : 0xB2));
-    emit(eval_bit(ops[0], ln));
-    return;
-  }
-
-  if (m == "MOV") {
-    need(2);
-    const std::string& d = ops[0];
-    const std::string& s = ops[1];
-    if (d == "DPTR") {
-      if (!is_imm(s)) throw AsmError(ln, "MOV DPTR needs immediate");
-      const auto v = eval(s.substr(1), ln);
-      emit(0x90); emit(v >> 8); emit(v);
-      return;
-    }
-    if (d == "C") { emit(0xA2); emit(eval_bit(s, ln)); return; }
-    if (s == "C") { emit(0x92); emit(eval_bit(d, ln)); return; }
-    if (d == "A") {
-      if (is_imm(s)) { emit(0x74); emit(imm_of(s)); return; }
-      if (is_reg(s, n)) { emit(0xE8 + n); return; }
-      if (is_ind(s, n)) { emit(0xE6 + n); return; }
-      emit(0xE5); emit(eval8(s, ln));
-      return;
-    }
-    if (is_reg(d, n)) {
-      if (s == "A") { emit(0xF8 + n); return; }
-      if (is_imm(s)) { emit(0x78 + n); emit(imm_of(s)); return; }
-      emit(0xA8 + n); emit(eval8(s, ln));
-      return;
-    }
-    if (is_ind(d, n)) {
-      if (s == "A") { emit(0xF6 + n); return; }
-      if (is_imm(s)) { emit(0x76 + n); emit(imm_of(s)); return; }
-      emit(0xA6 + n); emit(eval8(s, ln));
-      return;
-    }
-    // direct destination
-    if (s == "A") { emit(0xF5); emit(eval8(d, ln)); return; }
-    if (is_reg(s, n)) { emit(0x88 + n); emit(eval8(d, ln)); return; }
-    if (is_ind(s, n)) { emit(0x86 + n); emit(eval8(d, ln)); return; }
-    if (is_imm(s)) { emit(0x75); emit(eval8(d, ln)); emit(imm_of(s)); return; }
-    // MOV dir,dir: source byte first.
-    emit(0x85); emit(eval8(s, ln)); emit(eval8(d, ln));
-    return;
-  }
-
-  if (m == "MOVC") {
-    need(2);
-    if (ops[1] == "@A+DPTR") { emit(0x93); return; }
-    if (ops[1] == "@A+PC") { emit(0x83); return; }
-    throw AsmError(ln, "MOVC source must be @A+DPTR or @A+PC");
-  }
-  if (m == "MOVX") {
-    need(2);
-    if (ops[0] == "A") {
-      if (ops[1] == "@DPTR") { emit(0xE0); return; }
-      if (is_ind(ops[1], n)) { emit(0xE2 + n); return; }
-    } else if (ops[1] == "A") {
-      if (ops[0] == "@DPTR") { emit(0xF0); return; }
-      if (is_ind(ops[0], n)) { emit(0xF2 + n); return; }
-    }
-    throw AsmError(ln, "bad MOVX operands");
-  }
-
-  if (m == "PUSH") { need(1); emit(0xC0); emit(eval8(ops[0], ln)); return; }
-  if (m == "POP") { need(1); emit(0xD0); emit(eval8(ops[0], ln)); return; }
-
-  if (m == "XCH") {
-    need(2);
-    if (ops[0] != "A") throw AsmError(ln, "XCH destination must be A");
-    if (is_reg(ops[1], n)) { emit(0xC8 + n); return; }
-    if (is_ind(ops[1], n)) { emit(0xC6 + n); return; }
-    emit(0xC5); emit(eval8(ops[1], ln));
-    return;
-  }
-
-  if (m == "CJNE") {
-    need(3);
-    const std::uint16_t end_addr = static_cast<std::uint16_t>(addr + 3);
-    if (ops[0] == "A") {
-      if (is_imm(ops[1])) { emit(0xB4); emit(imm_of(ops[1])); }
-      else { emit(0xB5); emit(eval8(ops[1], ln)); }
-      emit(rel_to(ops[2], end_addr));
-      return;
-    }
-    if (!is_imm(ops[1])) throw AsmError(ln, "CJNE Rn/@Ri needs immediate comparand");
-    if (is_reg(ops[0], n)) { emit(0xB8 + n); }
-    else if (is_ind(ops[0], n)) { emit(0xB6 + n); }
-    else throw AsmError(ln, "bad CJNE operands");
-    emit(imm_of(ops[1]));
-    emit(rel_to(ops[2], end_addr));
-    return;
-  }
-
-  if (m == "DJNZ") {
-    need(2);
-    if (is_reg(ops[0], n)) {
-      emit(0xD8 + n);
-      emit(rel_to(ops[1], addr + 2));
-      return;
-    }
-    emit(0xD5);
-    emit(eval8(ops[0], ln));
-    emit(rel_to(ops[1], addr + 3));
-    return;
-  }
-
-  throw AsmError(ln, "unknown mnemonic '" + m + "'");
+  out[0] = form.variant(variant);
+  return out;
 }
 
 AsmResult Assembler::assemble(std::string_view source) {
   const auto lines = parse(source);
+  const auto define_new = [this](const Line& l, std::uint16_t value) {
+    if (!symbols_.emplace(l.label, value).second)
+      throw AsmError(l.number, "duplicate symbol '" + l.label + "'");
+  };
 
-  // Pass 1: resolve label addresses and EQUs; compute total extent.
-  std::uint16_t addr = 0;
-  std::uint16_t lowest = 0xFFFF, highest = 0;
+  // Pass 1: resolve label addresses and EQUs; compute total extent. Addresses
+  // are kept wider than 16 bits so that code running past 0xFFFF is caught
+  // rather than wrapped.
+  std::uint32_t addr = 0, lowest = 0xFFFF, highest = 0;
   bool emitted = false;
   for (const Line& l : lines) {
-    if (!l.label.empty() && l.mnemonic != "EQU") {
-      if (symbols_.contains(l.label))
-        throw AsmError(l.number, "duplicate symbol '" + l.label + "'");
-      symbols_[l.label] = addr;
-    }
+    if (!l.label.empty() && l.mnemonic != "EQU")
+      define_new(l, static_cast<std::uint16_t>(addr));
     if (l.mnemonic.empty()) continue;
     if (l.mnemonic == "EQU") {
       if (l.operands.size() != 1) throw AsmError(l.number, "EQU needs one value");
-      symbols_[l.label] = eval(l.operands[0], l.number);
+      define_new(l, eval(l.operands[0], l.number));
       continue;
     }
     if (l.mnemonic == "ORG") {
@@ -625,20 +391,28 @@ AsmResult Assembler::assemble(std::string_view source) {
       continue;
     }
     if (l.mnemonic == "END") break;
-    int size = 0;
-    if (l.mnemonic == "DB") size = static_cast<int>(l.operands.size());
-    else if (l.mnemonic == "DW") size = static_cast<int>(l.operands.size()) * 2;
-    else if (l.mnemonic == "DS") size = eval(l.operands.at(0), l.number);
-    else size = instruction_size(l);
+    std::uint32_t size = 0;
+    if (l.mnemonic == "DB") {
+      size = static_cast<std::uint32_t>(l.operands.size());
+    } else if (l.mnemonic == "DW") {
+      size = static_cast<std::uint32_t>(l.operands.size()) * 2;
+    } else if (l.mnemonic == "DS") {
+      if (l.operands.size() != 1) throw AsmError(l.number, "DS needs one value");
+      size = eval(l.operands[0], l.number);
+    } else {
+      size = static_cast<std::uint32_t>(form_of(l).info.length());
+    }
     lowest = std::min(lowest, addr);
-    addr = static_cast<std::uint16_t>(addr + size);
+    addr += size;
+    if (addr > 0x10000)
+      throw AsmError(l.number, "code runs past 0xFFFF, the top of the 64 K code space");
     highest = std::max(highest, addr);
     emitted = true;
   }
 
   AsmResult result;
   if (!emitted) return result;
-  result.entry = lowest;
+  result.entry = static_cast<std::uint16_t>(lowest);
   result.image.assign(highest, 0x00);
 
   // Pass 2: encode. Loop annotations bind to the instruction emitted on
@@ -669,7 +443,8 @@ AsmResult Assembler::assemble(std::string_view source) {
                      "loop annotation must precede an instruction, not data");
     std::vector<std::uint8_t> bytes;
     if (l.mnemonic == "DB") {
-      for (const auto& op : l.operands) bytes.push_back(eval8(op, l.number));
+      for (const auto& op : l.operands)
+        bytes.push_back(static_cast<std::uint8_t>(eval(op, l.number)));
     } else if (l.mnemonic == "DW") {
       for (const auto& op : l.operands) {
         const auto v = eval(op, l.number);
@@ -677,18 +452,16 @@ AsmResult Assembler::assemble(std::string_view source) {
         bytes.push_back(static_cast<std::uint8_t>(v & 0xFF));
       }
     } else if (l.mnemonic == "DS") {
-      bytes.assign(eval(l.operands.at(0), l.number), 0x00);
+      bytes.assign(eval(l.operands[0], l.number), 0x00);
     } else {
-      encode(l, addr, bytes);
-      if (static_cast<int>(bytes.size()) != instruction_size(l))
-        throw AsmError(l.number, "internal: size mismatch for '" + l.mnemonic + "'");
+      bytes = encode(l, form_of(l), static_cast<std::uint16_t>(addr));
       if (pending) {
-        result.loop_annots[addr] = pending->annot;
+        result.loop_annots[static_cast<std::uint16_t>(addr)] = pending->annot;
         pending.reset();
       }
     }
     std::copy(bytes.begin(), bytes.end(), result.image.begin() + addr);
-    addr = static_cast<std::uint16_t>(addr + bytes.size());
+    addr += static_cast<std::uint32_t>(bytes.size());
   }
   if (pending)
     throw AsmError(pending->line, "loop annotation binds to no instruction");

@@ -7,8 +7,17 @@
 //
 // Supported: the full MCS-51 mnemonic set, labels, EQU, ORG, DB, DW, DS,
 // numeric literals (decimal, 0x…/…h hex, …b binary, 'c' char), +/- constant
-// expressions, predefined SFR and SFR-bit symbols, and dotted bit syntax
-// (P1.3, ACC.7, 20h.0).
+// expressions taken modulo 2^16, predefined SFR and SFR-bit symbols, and
+// dotted bit syntax (P1.3, ACC.7, 20h.0).
+//
+// Instructions are encoded from the rows of the MCS-51 opcode table
+// (opcode_table.hpp): an instruction's operands must match one form of its
+// mnemonic, written as a fixed name (A, C, DPTR, @A+DPTR, ...), Rn, @Ri,
+// #expr, /bit or a bare expression, and anything else is an AsmError that
+// lists the mnemonic's forms. There is no generic JMP or CALL: JMP is only
+// JMP @A+DPTR, and a jump to a label is SJMP, AJMP or LJMP. The image stops
+// at 64 K: an item may end at 0x10000 but not past it. EQU cannot redefine
+// a name that is already a label, an EQU, a define() or a predefined SFR.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +28,8 @@
 #include <vector>
 
 namespace ascp::mcu {
+
+struct Form;
 
 /// Error with source line context.
 class AsmError : public std::runtime_error {
@@ -75,12 +86,14 @@ class Assembler {
   std::map<std::string, std::uint8_t> bit_symbols_;
 
   static std::vector<Line> parse(std::string_view source);
-  int instruction_size(const Line& line) const;
-  void encode(const Line& line, std::uint16_t addr, std::vector<std::uint8_t>& out) const;
+  /// The table row whose mnemonic and operand shapes `line` matches; throws
+  /// an AsmError listing the mnemonic's forms when no row does.
+  static const Form& form_of(const Line& line);
+  /// The bytes of `line`, encoded by its row `form`, placed at `addr`.
+  std::vector<std::uint8_t> encode(const Line& line, const Form& form, std::uint16_t addr) const;
 
   std::uint16_t eval(const std::string& expr, int line) const;
   std::uint8_t eval_bit(const std::string& expr, int line) const;
-  std::uint8_t eval8(const std::string& expr, int line) const;
 };
 
 }  // namespace ascp::mcu

@@ -50,6 +50,17 @@ constexpr std::uint8_t TCON = 0x88, TMOD = 0x89, TL0 = 0x8A, TL1 = 0x8B, TH0 = 0
 constexpr std::uint8_t P1 = 0x90, SCON = 0x98, SBUF = 0x99;
 constexpr std::uint8_t P2 = 0xA0, IE = 0xA8, P3 = 0xB0, IP = 0xB8;
 constexpr std::uint8_t PSW = 0xD0, ACC = 0xE0, B = 0xF0;
+
+/// Every SFR above, by the name firmware source uses for it.
+struct Named {
+  const char* name;
+  std::uint8_t addr;
+};
+constexpr Named kNamed[] = {
+    {"P0", P0},     {"SP", SP},     {"DPL", DPL}, {"DPH", DPH}, {"PCON", PCON}, {"TCON", TCON},
+    {"TMOD", TMOD}, {"TL0", TL0},   {"TL1", TL1}, {"TH0", TH0}, {"TH1", TH1},   {"P1", P1},
+    {"SCON", SCON}, {"SBUF", SBUF}, {"P2", P2},   {"IE", IE},   {"P3", P3},     {"IP", IP},
+    {"PSW", PSW},   {"ACC", ACC},   {"B", B}};
 }  // namespace sfr
 
 /// Interrupt vector addresses.

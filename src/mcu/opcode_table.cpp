@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdio>
-#include <initializer_list>
 #include <iterator>
 
 namespace ascp::mcu {
@@ -11,33 +10,6 @@ namespace {
 using enum Opd;
 using enum Flow;
 constexpr Access R = kRead, W = kWrite, RW = kReadWrite;
-
-/// Operand bytes a shape encodes.
-constexpr int width(Opd shape) {
-  switch (shape) {
-    case Imm16: case Addr16: return 2;
-    case Imm8: case Direct: case Bit: case NotBit: case Rel: case Addr11: return 1;
-    default: return 0;
-  }
-}
-
-/// One instruction form. Operands take their encoded bytes in text order
-/// unless `at` says otherwise (MOV dir,dir encodes its source first).
-struct Form {
-  std::uint8_t opcode;
-  OpcodeInfo info;
-
-  constexpr Form(std::uint8_t op, const char* mnemonic, int cycles, Flow flow,
-                 std::initializer_list<Operand> operands = {})
-      : opcode(op), info{mnemonic, {}, 0, cycles, flow} {
-    int next = 1;
-    for (Operand o : operands) {
-      if (width(o.shape) > 0 && o.at == 0) o.at = static_cast<std::uint8_t>(next);
-      next += width(o.shape);
-      info.slots[info.n_operands++] = o;
-    }
-  }
-};
 
 // Operands default to read-only; the access is spelled out where the
 // instruction writes.
@@ -155,23 +127,10 @@ constexpr Form kForms[] = {
     {0xF8, "MOV", 1, Seq, {{Rn, W}, {A}}},
 };
 
-/// Call `fn` with every opcode `form` covers: Rn forms take R0..R7 from the
-/// low three bits, @Ri forms @R0/@R1 from bit 0, AJMP/ACALL the 2 KB page
-/// from bits 7..5.
-template <typename Fn>
-constexpr void for_each_opcode(const Form& form, Fn fn) {
-  int count = 1, stride = 1;
-  for (const Operand& o : form.info.operands()) {
-    if (o.shape == Rn) count = 8;
-    if (o.shape == AtRi) count = 2;
-    if (o.shape == Addr11) count = 8, stride = 0x20;
-  }
-  for (int k = 0; k < count; ++k) fn(form.opcode + k * stride);
-}
-
 constexpr bool every_opcode_but_a5_defined_once() {
   int defined[256] = {};
-  for (const Form& form : kForms) for_each_opcode(form, [&](int op) { ++defined[op]; });
+  for (const Form& form : kForms)
+    for (int k = 0; k < form.variants(); ++k) ++defined[form.variant(k)];
   for (int op = 0; op < 256; ++op)
     if (defined[op] != (op == 0xA5 ? 0 : 1)) return false;
   return true;
@@ -182,11 +141,17 @@ constexpr std::array<OpcodeInfo, 256> build_table() {
   std::array<OpcodeInfo, 256> table{};
   table[0xA5].mnemonic = "DB 0xA5";  // undefined: a 1-cycle, 1-byte NOP on the ISS
   for (const Form& form : kForms)
-    for_each_opcode(form, [&](int op) { table[static_cast<std::size_t>(op)] = form.info; });
+    for (int k = 0; k < form.variants(); ++k) table[form.variant(k)] = form.info;
   return table;
 }
 
 constexpr std::array<OpcodeInfo, 256> kTable = build_table();
+
+/// spelling(), indexed by Opd.
+constexpr const char* kSpelling[] = {
+    "A", "AB", "C", "DPTR", "@DPTR", "@A+DPTR", "@A+PC",  // the fixed shapes
+    "Rn", "@Ri", "#data", "#data16", "direct", "bit", "/bit", "rel", "addr11", "addr16"};
+static_assert(std::size(kSpelling) == static_cast<std::size_t>(Addr16) + 1);
 
 std::string format(const char* fmt, unsigned v) {
   char buf[16];
@@ -204,13 +169,6 @@ std::uint8_t value_of(const Insn& in, const Operand& o) {
 std::string operand_text(const Insn& in, const Operand& o) {
   const unsigned v = value_of(in, o);
   switch (o.shape) {
-    case A: return "A";
-    case AB: return "AB";
-    case C: return "C";
-    case Dptr: return "DPTR";
-    case AtDptr: return "@DPTR";
-    case AtAPlusDptr: return "@A+DPTR";
-    case AtAPlusPc: return "@A+PC";
     case Rn: return format("R%u", v);
     case AtRi: return format("@R%u", v);
     case Imm8: return format("#0x%02X", v);
@@ -218,11 +176,15 @@ std::string operand_text(const Insn& in, const Operand& o) {
     case Direct: case Bit: return format("0x%02X", v);
     case NotBit: return format("/0x%02X", v);
     case Rel: case Addr11: case Addr16: return format("0x%04X", in.target);
+    default: return spelling(o.shape);  // a fixed shape
   }
-  return {};
 }
 
 }  // namespace
+
+const char* spelling(Opd shape) { return kSpelling[static_cast<int>(shape)]; }
+
+std::span<const Form> forms() { return kForms; }
 
 const OpcodeInfo& opcode_info(std::uint8_t opcode) { return kTable[opcode]; }
 
@@ -238,8 +200,7 @@ Insn decode(std::span<const std::uint8_t> code, std::uint16_t base, std::uint16_
   };
   fetch(0);
   const OpcodeInfo& info = in.info();
-  in.length = 1;
-  for (const Operand& o : info.operands()) in.length += width(o.shape);
+  in.length = info.length();
   for (int i = 1; i < static_cast<int>(std::size(in.bytes)); ++i)
     if (i < in.length) fetch(i);
 

@@ -1,11 +1,13 @@
 // opcode_table.hpp — the MCS-51 opcode table and the one instruction decoder.
 //
-// What the disassembler, the firmware analyzer and the WCET model know about
-// an 8051 opcode lives in one constexpr 256-entry table (opcode_table.cpp):
-// the mnemonic, the operand shapes in text order with the encoded byte each
+// What the assembler, the disassembler, the firmware analyzer and the WCET
+// model know about an 8051 opcode lives in one constexpr 256-entry table
+// (opcode_table.cpp), built from one row per instruction form: the
+// mnemonic, the operand shapes in text order with the encoded byte each
 // comes from, whether each operand is read, written or both, the machine
 // cycles and the control-flow kind. Instruction length follows from the
-// operand shapes. The decoder below serves the disassembler listing
+// operand shapes. The assembler (assembler.hpp) encodes from the rows
+// (forms()). The decoder below serves the disassembler listing
 // (disassembler.hpp), the CFG builder and operand queries of the firmware
 // analyzer (analysis/cfg, firmware_lint), the WCET cost model
 // (analysis/timing_lint) and platform_top's hot-spot listing. Core8051 does
@@ -16,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
@@ -48,6 +51,21 @@ enum class Opd : std::uint8_t {
   Addr16,  ///< LJMP/LCALL, high byte first
 };
 
+/// How assembler text spells `shape`: the operand itself for the seven
+/// fixed shapes (A, AB, C, DPTR, @DPTR, @A+DPTR, @A+PC), the data book's
+/// placeholder for the rest (Rn, @Ri, #data, direct, bit, rel, ...).
+const char* spelling(Opd shape);
+
+/// Operand bytes a shape encodes.
+constexpr int width(Opd shape) {
+  switch (shape) {
+    case Opd::Imm16: case Opd::Addr16: return 2;
+    case Opd::Imm8: case Opd::Direct: case Opd::Bit: case Opd::NotBit: case Opd::Rel:
+    case Opd::Addr11: return 1;
+    default: return 0;
+  }
+}
+
 /// How an instruction uses an operand.
 enum Access : std::uint8_t { kRead = 1, kWrite = 2, kReadWrite = 3 };
 
@@ -70,7 +88,50 @@ struct OpcodeInfo {
   constexpr std::span<const Operand> operands() const {
     return {slots, static_cast<std::size_t>(n_operands)};
   }
+  /// Encoded bytes: the opcode and each operand's.
+  constexpr int length() const {
+    int n = 1;
+    for (const Operand& o : operands()) n += width(o.shape);
+    return n;
+  }
 };
+
+/// One instruction form: a row of the table. Operands take their encoded
+/// bytes in text order unless `at` says otherwise (MOV dir,dir encodes its
+/// source first).
+struct Form {
+  std::uint8_t opcode;  ///< the first opcode the row covers
+  OpcodeInfo info;
+
+  constexpr Form(std::uint8_t op, const char* mnemonic, int cycles, Flow flow,
+                 std::initializer_list<Operand> operands = {})
+      : opcode(op), info{mnemonic, {}, 0, cycles, flow} {
+    int next = 1;
+    for (Operand o : operands) {
+      if (width(o.shape) > 0 && o.at == 0) o.at = static_cast<std::uint8_t>(next);
+      next += width(o.shape);
+      info.slots[info.n_operands++] = o;
+    }
+  }
+
+  /// The row covers opcodes variant(0) to variant(variants() - 1): Rn rows
+  /// number R0..R7 in the low three bits, @Ri rows @R0/@R1 in bit 0 and
+  /// AJMP/ACALL rows the 2 KB page in bits 7..5.
+  constexpr int variants() const {
+    return has(Opd::AtRi) ? 2 : has(Opd::Rn) || has(Opd::Addr11) ? 8 : 1;
+  }
+  constexpr std::uint8_t variant(int k) const {
+    return static_cast<std::uint8_t>(opcode + k * (has(Opd::Addr11) ? 0x20 : 1));
+  }
+  constexpr bool has(Opd shape) const {
+    for (const Operand& o : info.operands())
+      if (o.shape == shape) return true;
+    return false;
+  }
+};
+
+/// The table's rows, one per instruction form.
+std::span<const Form> forms();
 
 /// The table entry for `opcode`.
 const OpcodeInfo& opcode_info(std::uint8_t opcode);

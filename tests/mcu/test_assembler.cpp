@@ -252,5 +252,79 @@ TEST(Assembler, PushPopXchEncodings) {
   EXPECT_EQ(bytes("XCHD A,@R1"), (std::vector<std::uint8_t>{0xD7}));
 }
 
+/// The line of the AsmError `src` throws, or 0 if it assembles.
+int error_line(const std::string& src) {
+  try {
+    Assembler().assemble(src);
+  } catch (const AsmError& e) {
+    return e.line();
+  }
+  return 0;
+}
+
+TEST(Assembler, RejectsOperandsNoFormTakes) {
+  // Each of these used to assemble to bytes the author did not write: a
+  // generic "JMP label" became JMP @A+DPTR, operands were dropped, and
+  // XCHD and MOVC ignored the registers they were given.
+  for (const char* src :
+       {"JMP done\ndone: NOP", "RR R0", "NOP 5", "RET 7", "DA B", "MUL", "XCHD A,R0",
+        "XCHD R1,@R0", "MOVC B,@A+DPTR", "DEC DPTR", "SETB A", "MOV R0,R1"})
+    EXPECT_EQ(error_line(src), 1) << src;
+  try {
+    bytes("movc b,@a+dptr");
+    FAIL() << "MOVC B,@A+DPTR assembled";
+  } catch (const AsmError& e) {
+    EXPECT_STREQ(e.what(),
+                 "line 1: 'MOVC B, @A+DPTR' matches no MOVC form "
+                 "(MOVC A, @A+PC | MOVC A, @A+DPTR)");
+  }
+}
+
+TEST(Assembler, CodeEndingAt64KFillsTheImage) {
+  // The last byte of the code space is 0xFFFF; an item may end right there.
+  const auto nop = bytes("ORG 0FFFFh\nNOP");
+  ASSERT_EQ(nop.size(), 0x10000u);
+  EXPECT_EQ(nop[0xFFFF], 0x00);
+  const auto mov = bytes("ORG 0FFFEh\nMOV A,#1");
+  ASSERT_EQ(mov.size(), 0x10000u);
+  EXPECT_EQ(mov[0xFFFE], 0x74);
+  EXPECT_EQ(mov[0xFFFF], 0x01);
+}
+
+TEST(Assembler, CodePast64KThrows) {
+  EXPECT_EQ(error_line("ORG 0FFFFh\nLJMP 0"), 2);
+  EXPECT_EQ(error_line("ORG 0FFF0h\nDS 20h"), 2);
+  EXPECT_EQ(error_line("ORG 0FFFFh\nNOP\nNOP"), 3);
+}
+
+TEST(Assembler, EquCannotRedefineAName) {
+  // A redefined EQU used to move an ORG between the two passes.
+  EXPECT_EQ(error_line("X EQU 5\nORG X\nNOP\nX EQU 0FFF0h"), 4);
+  EXPECT_EQ(error_line("L: NOP\nL EQU 3"), 2);
+  EXPECT_EQ(error_line("ACC EQU 5"), 1);
+  Assembler as;
+  as.define("BASE", 0x40);
+  try {
+    as.assemble("BASE EQU 50h");
+    FAIL() << "EQU redefined a define()";
+  } catch (const AsmError& e) {
+    EXPECT_STREQ(e.what(), "line 1: duplicate symbol 'BASE'");
+  }
+}
+
+TEST(Assembler, DsWithoutSizeThrowsAsmError) {
+  EXPECT_EQ(error_line("DS"), 1);
+  EXPECT_EQ(error_line("NOP\nDS 1,2"), 2);
+}
+
+TEST(Assembler, LiteralSumsWrapModulo64K) {
+  // Terms are summed modulo 2^16, so a sum past the range of a long is
+  // still defined: (2^63 - 1) * 2 = 2^64 - 2 = 0xFFFE (mod 2^16).
+  EXPECT_EQ(bytes("MOV A,#0x7FFFFFFFFFFFFFFF+0x7FFFFFFFFFFFFFFF"),
+            (std::vector<std::uint8_t>{0x74, 0xFE}));
+  EXPECT_EQ(bytes("MOV DPTR,#0-0x7FFFFFFFFFFFFFFF-2"),
+            (std::vector<std::uint8_t>{0x90, 0xFF, 0xFF}));
+}
+
 }  // namespace
 }  // namespace ascp::mcu
