@@ -295,221 +295,280 @@ void GyroSystem::flush_sense_block() {
   blk_cq_.clear();
 }
 
-void GyroSystem::schedule_pipeline(platform::Scheduler& sched, TickState& st,
-                                   sensor::StimulusSource& src, std::vector<double>* out) {
-  const bool full = cfg_.fidelity == Fidelity::Full;
-  const double dt = 1.0 / cfg_.analog_fs;
-  st.cpu_cycles_per_slow = cfg_.with_mcu ? platform_.cycles_per_sample(output_rate_hz()) : 0;
+template <typename Fn>
+void GyroSystem::Group::each(Fn&& fn) {
+  // A lone member's exception unwinds the tick, as a solo run's always has;
+  // run_group catches it.
+  if (size == 1) return fn(*lanes[0].member->sys, std::size_t{0});
+  bool dropped = false;
+  for (std::size_t k = 0; k < size; ++k) {
+    try {
+      fn(*lanes[k].member->sys, k);
+    } catch (...) {
+      lanes[k].member->error = std::current_exception();
+      dropped = true;
+    }
+  }
+  if (!dropped) return;
+  // Keep the survivors in member order, their ring and tick data with them.
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < size; ++k) {
+    if (lanes[k].member->error) continue;
+    lanes[kept] = lanes[k];
+    rings[kept] = rings[k];
+    in[kept] = in[k];
+    pick[kept] = pick[k];
+    ++kept;
+  }
+  size = kept;
+}
 
-  // ---- analog tick (1.92 MHz): environment, MEMS, charge amps, AFE -------
+void GyroSystem::begin_lane(Lane& m) {
+  m.dt = 1.0 / cfg_.analog_fs;
+  m.cpu_cycles_per_slow = cfg_.with_mcu ? platform_.cycles_per_sample(output_rate_hz()) : 0;
+  m.batch = can_batch_sense();
+  // Probe taps are resolved once per run, so a detached probe (or one that
+  // wants no tap this fidelity produces) costs nothing per tick.
+  if (!probe_) return;
+  m.w_stim = probe_->wants(sensor::ProbePoint::Stimulus);
+  m.w_mems = probe_->wants(sensor::ProbePoint::PostMems);
+  m.w_afe = cfg_.fidelity == Fidelity::Full && probe_->wants(sensor::ProbePoint::PostAfe);
+  m.w_adc = probe_->wants(sensor::ProbePoint::PostAdc);
+  m.w_out = probe_->wants(sensor::ProbePoint::DecimatedOutput);
+}
+
+void GyroSystem::analog_inputs(Group& g, std::size_t k) {
+  Lane& m = g.lanes[k];
+  sensor::GyroInputs& in = g.in[k];
+  // base_ticks_ increments at the end of the analog tick (analog_afe), so
+  // here it equals the global index of the current tick — the axis every
+  // source samples on (SyntheticSource applies its own origin for
+  // local-time runs, reproducing the historical sched.ticks()·dt arithmetic).
+  m.tick = base_ticks_;
+  const sensor::StimulusSample smp = m.member->src->sample(base_ticks_);
+  // The two stimulus fields are stored on either side of the branch: stored
+  // together, they are packed into one vector through the stack, and that
+  // reload stalls on store forwarding every tick.
+  in.temp_c = smp.temp_c;
+  if (cfg_.fidelity == Fidelity::Full) {
+    in.v_drive = dac_drive_->output(m.dt, in.temp_c);
+    in.v_control = dac_ctrl_->output(m.dt, in.temp_c);
+  } else {
+    in.v_drive = drive_v_;
+    in.v_control = ctrl_v_;
+  }
+  in.rate_dps = smp.rate_dps;
+}
+
+void GyroSystem::analog_afe(Group& g, std::size_t k) {
+  if (cfg_.fidelity == Fidelity::Full) {
+    // The SAR converters decimate internally: an ADC code pops out of the
+    // acquisition channel every adc_div analog steps.
+    Lane& m = g.lanes[k];
+    const double temp_c = g.in[k].temp_c;
+    m.vp = champ_primary_->step(g.pick[k].dc_primary, temp_c);
+    m.vs = champ_sense_->step(g.pick[k].dc_sense, temp_c);
+    m.sp = acq_primary_->step(m.vp, temp_c);
+    m.ss = acq_sense_->step(m.vs, temp_c);
+  }
+  ++base_ticks_;
+}
+
+void GyroSystem::dsp_frame(Group& g, std::size_t k) {
+  Lane& m = g.lanes[k];
+  const double temp_c = g.in[k].temp_c;
+  const bool full = cfg_.fidelity == Fidelity::Full;
+  // ---- sampling: the SAR pair, or the MATLAB level's ideal sampler
+  double sp = 0.0, ss = 0.0;
+  if (full) {
+    if (!m.sp || !m.ss)
+      throw std::logic_error("GyroSystem: DSP frame fired without a SAR conversion");
+    sp = *m.sp;
+    ss = *m.ss;
+  } else {
+    sp = ideal_gain_primary_ * g.pick[k].dc_primary;
+    ss = ideal_gain_sense_ * g.pick[k].dc_sense;
+  }
+  if (m.w_adc) probe_->on_frame({sensor::ProbePoint::PostAdc, m.tick, sp, ss});
+
+  // ---- fault campaign: the sample counter is the fault time base, so it
+  // advances here even with no campaign attached
+  ++dsp_samples_;
+  if (obs_.metrics) obs_.metrics->add(obs_m_dsp_);
+  if (campaign_) campaign_->step(dsp_samples_);
+
+  // ---- drive servo + sense conditioning
+  drive_v_ = drive_->step(sp);
+  if (m.batch) {
+    // Open-loop batched path: the sense chain has no feedback into the
+    // plant, so pickoff/carrier samples accumulate and flush through the
+    // kernels' block variants. Blocks are sized so every flush lands exactly
+    // on a CIC completion — the output stage below then sees slow samples on
+    // the same ticks as the sample-serial path (bit-identical).
+    if (blk_ss_.empty()) blk_target_ = sense_->samples_until_slow();
+    blk_ss_.push_back(ss);
+    blk_ci_.push_back(drive_->carrier_i());
+    blk_cq_.push_back(drive_->carrier_q());
+    ctrl_v_ = 0.0;  // open loop: the force-feedback servo is disengaged
+  } else {
+    ctrl_v_ = sense_->step(ss, drive_->carrier_i(), drive_->carrier_q()).control_v;
+  }
+  if (full) {
+    dac_drive_->write_volts(drive_v_);
+    dac_ctrl_->write_volts(ctrl_v_);
+  }
+  if (m.batch && static_cast<long>(blk_ss_.size()) == blk_target_) flush_sense_block();
+
+  // ---- safety supervisor
+  if (supervisor_) {
+    safety::FastSample fsmp;
+    fsmp.primary_adc_v = sp;
+    fsmp.sense_adc_v = ss;
+    fsmp.pll_locked = drive_->pll_locked();
+    fsmp.loop_settled = drive_->locked();
+    fsmp.agc_gain = drive_->amplitude_control();
+    fsmp.amplitude = drive_->amplitude();
+    fsmp.control_v = ctrl_v_;
+    supervisor_->on_fast(fsmp);
+  }
+
+  // ---- observability edge detectors: read-only taps on the drive loop.
+  // PLL lock / lock-loss / relock and AGC settle / unsettle become
+  // structured events; a detached run never reads obs state.
+  if (obs_.events) {
+    const double t = static_cast<double>(dsp_samples_) / (cfg_.analog_fs / cfg_.adc_div);
+    const bool pll = drive_->pll_locked();
+    if (pll != obs_pll_prev_) {
+      if (pll) {
+        obs_.events->emit(t, obs::EventSeverity::Info, obs::EventCategory::Pll,
+                          obs_pll_ever_ ? "pll_relock" : "pll_lock", {},
+                          {{"freq_hz", drive_->frequency()}});
+        obs_pll_ever_ = true;
+      } else {
+        obs_.events->emit(t, obs::EventSeverity::Warn, obs::EventCategory::Pll,
+                          "pll_lock_loss");
+      }
+      obs_pll_prev_ = pll;
+    }
+    const bool settled = drive_->locked();
+    if (settled != obs_agc_prev_) {
+      obs_.events->emit(t, obs::EventSeverity::Info, obs::EventCategory::Agc,
+                        settled ? "agc_settled" : "agc_unsettled", {},
+                        {{"gain", drive_->amplitude_control()},
+                         {"amplitude", drive_->amplitude()}});
+      obs_agc_prev_ = settled;
+    }
+  }
+
+  // ---- trace tap
+  if (trace_) {
+    trace_->push("amplitude_control", drive_->amplitude_control());
+    trace_->push("phase_error", drive_->phase_error());
+    trace_->push("amplitude_error", drive_->amplitude_error());
+    trace_->push("vco_control", drive_->vco_control());
+    trace_->push("pickoff", sp);
+  }
+
+  // ---- decimated output rate (1.875 kHz) + MCU monitor slice. The
+  // temperature sensor is read every DSP sample (its noise stream is part of
+  // the sample clock domain); the CIC decides when a slow sample completes.
+  const double measured_temp = temp_sensor_ ? temp_sensor_->read(temp_c) : temp_c;
+  const double comp_temp = supervisor_ ? supervisor_->comp_temp(measured_temp) : measured_temp;
+  const auto slow = sense_->slow_output(comp_temp);
+  if (!slow) return;
+  double out_v = slow->rate;
+  if (supervisor_) {
+    const auto decision = supervisor_->on_slow({slow->rate, slow->quad, measured_temp});
+    out_v = decision.output_v;
+  }
+  last_output_ = out_v;
+  if (m.member->out) m.member->out->push_back(out_v);
+  if (m.w_out)
+    probe_->on_frame({sensor::ProbePoint::DecimatedOutput, m.tick, out_v, measured_temp});
+  if (obs_.metrics) {
+    obs_.metrics->add(obs_m_outputs_);
+    obs_.metrics->observe(obs_h_output_v_, out_v);
+  }
+  if (trace_) trace_->push("rate_out", out_v);
+  post_status(measured_temp);
+  if (cfg_.with_mcu && m.cpu_cycles_per_slow > 0) platform_.run_cpu(m.cpu_cycles_per_slow);
+  if (auto* sram = platform_.sram_trace()) {
+    // Selectable chain nodes (paper §4.2: "digital data coming from any node
+    // of the DSP chain"), Q3.12 signed format.
+    const auto q312 = [](double v) {
+      return static_cast<std::uint16_t>(static_cast<std::int32_t>(v * 8192.0) & 0xFFFF);
+    };
+    sram->push(0, q312(sense_->raw_rate()));
+    sram->push(1, q312(sense_->raw_quad()));
+    sram->push(2, q312(drive_->amplitude()));
+    sram->push(3, q312(drive_->amplitude_control()));
+    sram->push(4, q312(drive_->vco_control() / 16.0));
+  }
+}
+
+void GyroSystem::schedule_pipeline(platform::Scheduler& sched, Group& g) {
+  // ---- analog tick (1.92 MHz): environment, DACs, MEMS, charge amps, AFE.
+  // Every member's inputs are staged, then one lane call steps all rings; a
+  // lone ring takes step(), the one-lane instance, without the dispatch.
   sched.every(
       1,
-      [this, &st, &src, dt, full] {
-        // base_ticks_ increments at the end of this task, so here it equals
-        // the global index of the current tick — the axis every source
-        // samples on (SyntheticSource applies its own origin for local-time
-        // runs, reproducing the historical sched.ticks()·dt arithmetic).
-        st.tick = base_ticks_;
-        const sensor::StimulusSample smp = src.sample(base_ticks_);
-        st.temp_c = smp.temp_c;
-        st.rate_dps = smp.rate_dps;
-
-        sensor::GyroInputs in;
-        in.rate_dps = smp.rate_dps;
-        in.temp_c = st.temp_c;
-        if (full) {
-          in.v_drive = dac_drive_->output(dt, st.temp_c);
-          in.v_control = dac_ctrl_->output(dt, st.temp_c);
-        } else {
-          in.v_drive = drive_v_;
-          in.v_control = ctrl_v_;
-        }
-        st.pick = mems_->step(in);
-
-        if (full) {
-          // The SAR converters decimate internally: an ADC code pops out of
-          // the acquisition channel every adc_div analog steps.
-          st.vp = champ_primary_->step(st.pick.dc_primary, st.temp_c);
-          st.vs = champ_sense_->step(st.pick.dc_sense, st.temp_c);
-          st.sp = acq_primary_->step(st.vp, st.temp_c);
-          st.ss = acq_sense_->step(st.vs, st.temp_c);
-        }
-        ++base_ticks_;
+      [&g] {
+        g.each([&g](GyroSystem& s, std::size_t k) { s.analog_inputs(g, k); });
+        if (g.size == 1)
+          g.pick[0] = g.rings[0]->step(g.in[0]);
+        else if (g.size > 1)
+          sensor::GyroMems::step_lanes({g.rings.data(), g.size}, {g.in.data(), g.size},
+                                       {g.pick.data(), g.size});
+        g.each([&g](GyroSystem& s, std::size_t k) { s.analog_afe(g, k); });
       },
       "analog");
 
   // ---- probe taps (per analog tick) -------------------------------------
-  // Registered only when a probe is attached AND wants a per-tick tap this
+  // Registered only when a member's probe wants a per-tick tap this
   // pipeline produces, so the detached configuration schedules exactly the
   // same task set as before probes existed (the obs-layer zero-cost
   // discipline). The frames read state the pipeline computes anyway —
   // nothing is perturbed. The post-ADC tap rides in the DSP frame below.
-  if (probe_) {
-    const bool w_stim = probe_->wants(sensor::ProbePoint::Stimulus);
-    const bool w_mems = probe_->wants(sensor::ProbePoint::PostMems);
-    const bool w_afe = full && probe_->wants(sensor::ProbePoint::PostAfe);
-    if (w_stim || w_mems || w_afe)
-      sched.every(
-          1,
-          [this, &st, w_stim, w_mems, w_afe] {
+  bool any_tick_tap = false;
+  for (std::size_t k = 0; k < g.size; ++k)
+    any_tick_tap |= g.lanes[k].w_stim || g.lanes[k].w_mems || g.lanes[k].w_afe;
+  if (any_tick_tap)
+    sched.every(
+        1,
+        [&g] {
+          g.each([&g](GyroSystem& s, std::size_t k) {
             using sensor::ProbePoint;
-            if (w_stim)
-              probe_->on_frame({ProbePoint::Stimulus, st.tick, st.rate_dps, st.temp_c});
-            if (w_mems)
-              probe_->on_frame(
-                  {ProbePoint::PostMems, st.tick, st.pick.dc_primary, st.pick.dc_sense});
-            if (w_afe) probe_->on_frame({ProbePoint::PostAfe, st.tick, st.vp, st.vs});
-          },
-          "probe");
-  }
+            const Lane& m = g.lanes[k];
+            const sensor::GyroInputs& in = g.in[k];
+            if (m.w_stim)
+              s.probe_->on_frame({ProbePoint::Stimulus, m.tick, in.rate_dps, in.temp_c});
+            if (m.w_mems)
+              s.probe_->on_frame(
+                  {ProbePoint::PostMems, m.tick, g.pick[k].dc_primary, g.pick[k].dc_sense});
+            if (m.w_afe) s.probe_->on_frame({ProbePoint::PostAfe, m.tick, m.vp, m.vs});
+          });
+        },
+        "probe");
 
   // ---- DSP frame (240 kHz): every DSP-rate stage, once per conversion ----
   // The phase keeps the *global* conversion cadence (g % adc_div ==
   // adc_div-1, a SAR finishing its conversion cycle on the adc_div-th
   // clock) even when one timeline is split across several run() calls
-  // (checkpoint resume): base_ticks_ here is this run's tick origin. From a
-  // cold start the expression reduces to adc_div-1. Full fidelity's SAR
-  // converters count the same cadence in their own phase counters, which
-  // restore checks against base_ticks_.
-  const long div = cfg_.adc_div;
-  const bool batch = can_batch_sense();
-  const bool probe_adc = probe_ && probe_->wants(sensor::ProbePoint::PostAdc);
-  const bool probe_out = probe_ && probe_->wants(sensor::ProbePoint::DecimatedOutput);
+  // (checkpoint resume): base_ticks_ here is this run's tick origin, and
+  // every member shares its phase (lane_key). From a cold start the
+  // expression reduces to adc_div-1. Full fidelity's SAR converters count
+  // the same cadence in their own phase counters, which restore checks
+  // against base_ticks_.
+  const GyroSystem& lead = *g.lanes[0].member->sys;
+  const long div = lead.cfg_.adc_div;
   sched.every(
-      div, (div - 1 - base_ticks_ % div + div) % div,
-      [this, &st, out, full, batch, probe_adc, probe_out] {
-        // ---- sampling: the SAR pair, or the MATLAB level's ideal sampler
-        double sp = 0.0, ss = 0.0;
-        if (full) {
-          if (!st.sp || !st.ss)
-            throw std::logic_error("GyroSystem: DSP frame fired without a SAR conversion");
-          sp = *st.sp;
-          ss = *st.ss;
-        } else {
-          sp = ideal_gain_primary_ * st.pick.dc_primary;
-          ss = ideal_gain_sense_ * st.pick.dc_sense;
-        }
-        if (probe_adc) probe_->on_frame({sensor::ProbePoint::PostAdc, st.tick, sp, ss});
-
-        // ---- fault campaign: the sample counter is the fault time base, so
-        // it advances here even with no campaign attached
-        ++dsp_samples_;
-        if (obs_.metrics) obs_.metrics->add(obs_m_dsp_);
-        if (campaign_) campaign_->step(dsp_samples_);
-
-        // ---- drive servo + sense conditioning
-        drive_v_ = drive_->step(sp);
-        if (batch) {
-          // Open-loop batched path: the sense chain has no feedback into the
-          // plant, so pickoff/carrier samples accumulate and flush through
-          // the kernels' block variants. Blocks are sized so every flush
-          // lands exactly on a CIC completion — the output stage below then
-          // sees slow samples on the same ticks as the sample-serial path
-          // (bit-identical).
-          if (blk_ss_.empty()) blk_target_ = sense_->samples_until_slow();
-          blk_ss_.push_back(ss);
-          blk_ci_.push_back(drive_->carrier_i());
-          blk_cq_.push_back(drive_->carrier_q());
-          ctrl_v_ = 0.0;  // open loop: the force-feedback servo is disengaged
-        } else {
-          ctrl_v_ = sense_->step(ss, drive_->carrier_i(), drive_->carrier_q()).control_v;
-        }
-        if (full) {
-          dac_drive_->write_volts(drive_v_);
-          dac_ctrl_->write_volts(ctrl_v_);
-        }
-        if (batch && static_cast<long>(blk_ss_.size()) == blk_target_) flush_sense_block();
-
-        // ---- safety supervisor
-        if (supervisor_) {
-          safety::FastSample fsmp;
-          fsmp.primary_adc_v = sp;
-          fsmp.sense_adc_v = ss;
-          fsmp.pll_locked = drive_->pll_locked();
-          fsmp.loop_settled = drive_->locked();
-          fsmp.agc_gain = drive_->amplitude_control();
-          fsmp.amplitude = drive_->amplitude();
-          fsmp.control_v = ctrl_v_;
-          supervisor_->on_fast(fsmp);
-        }
-
-        // ---- observability edge detectors: read-only taps on the drive
-        // loop. PLL lock / lock-loss / relock and AGC settle / unsettle
-        // become structured events; a detached run never reads obs state.
-        if (obs_.events) {
-          const double t = static_cast<double>(dsp_samples_) / (cfg_.analog_fs / cfg_.adc_div);
-          const bool pll = drive_->pll_locked();
-          if (pll != obs_pll_prev_) {
-            if (pll) {
-              obs_.events->emit(t, obs::EventSeverity::Info, obs::EventCategory::Pll,
-                                obs_pll_ever_ ? "pll_relock" : "pll_lock", {},
-                                {{"freq_hz", drive_->frequency()}});
-              obs_pll_ever_ = true;
-            } else {
-              obs_.events->emit(t, obs::EventSeverity::Warn, obs::EventCategory::Pll,
-                                "pll_lock_loss");
-            }
-            obs_pll_prev_ = pll;
-          }
-          const bool settled = drive_->locked();
-          if (settled != obs_agc_prev_) {
-            obs_.events->emit(t, obs::EventSeverity::Info, obs::EventCategory::Agc,
-                              settled ? "agc_settled" : "agc_unsettled", {},
-                              {{"gain", drive_->amplitude_control()},
-                               {"amplitude", drive_->amplitude()}});
-            obs_agc_prev_ = settled;
-          }
-        }
-
-        // ---- trace tap
-        if (trace_) {
-          trace_->push("amplitude_control", drive_->amplitude_control());
-          trace_->push("phase_error", drive_->phase_error());
-          trace_->push("amplitude_error", drive_->amplitude_error());
-          trace_->push("vco_control", drive_->vco_control());
-          trace_->push("pickoff", sp);
-        }
-
-        // ---- decimated output rate (1.875 kHz) + MCU monitor slice. The
-        // temperature sensor is read every DSP sample (its noise stream is
-        // part of the sample clock domain); the CIC decides when a slow
-        // sample completes.
-        const double measured_temp = temp_sensor_ ? temp_sensor_->read(st.temp_c) : st.temp_c;
-        const double comp_temp =
-            supervisor_ ? supervisor_->comp_temp(measured_temp) : measured_temp;
-        const auto slow = sense_->slow_output(comp_temp);
-        if (!slow) return;
-        double out_v = slow->rate;
-        if (supervisor_) {
-          const auto decision = supervisor_->on_slow({slow->rate, slow->quad, measured_temp});
-          out_v = decision.output_v;
-        }
-        last_output_ = out_v;
-        if (out) out->push_back(out_v);
-        if (probe_out)
-          probe_->on_frame(
-              {sensor::ProbePoint::DecimatedOutput, st.tick, out_v, measured_temp});
-        if (obs_.metrics) {
-          obs_.metrics->add(obs_m_outputs_);
-          obs_.metrics->observe(obs_h_output_v_, out_v);
-        }
-        if (trace_) trace_->push("rate_out", out_v);
-        post_status(measured_temp);
-        if (cfg_.with_mcu && st.cpu_cycles_per_slow > 0) platform_.run_cpu(st.cpu_cycles_per_slow);
-        if (auto* sram = platform_.sram_trace()) {
-          // Selectable chain nodes (paper §4.2: "digital data coming from any
-          // node of the DSP chain"), Q3.12 signed format.
-          const auto q312 = [](double v) {
-            return static_cast<std::uint16_t>(static_cast<std::int32_t>(v * 8192.0) & 0xFFFF);
-          };
-          sram->push(0, q312(sense_->raw_rate()));
-          sram->push(1, q312(sense_->raw_quad()));
-          sram->push(2, q312(drive_->amplitude()));
-          sram->push(3, q312(drive_->amplitude_control()));
-          sram->push(4, q312(drive_->vco_control() / 16.0));
-        }
-      },
+      div, (div - 1 - lead.base_ticks_ % div + div) % div,
+      [&g] { g.each([&g](GyroSystem& s, std::size_t k) { s.dsp_frame(g, k); }); },
       "dsp_frame");
+}
+
+GyroSystem::LaneKey GyroSystem::lane_key() const {
+  return {cfg_.fidelity, cfg_.analog_fs, cfg_.adc_div, base_ticks_ % cfg_.adc_div};
 }
 
 void GyroSystem::serialize_state(StateArchive& ar) {
@@ -580,9 +639,14 @@ std::vector<platform::Scheduler::TaskInfo> GyroSystem::schedule_tasks() {
   // Register the real pipeline on a throwaway scheduler and enumerate it.
   // Nothing ticks, so the captured references to these locals never dangle.
   platform::Scheduler sched(cfg_.analog_fs);
-  TickState st;
   sensor::SyntheticSource src({}, {}, cfg_.analog_fs);
-  schedule_pipeline(sched, st, src, nullptr);
+  GroupMember self{this, &src, nullptr, {}};
+  Group g;
+  g.lanes[0].member = &self;
+  g.rings[0] = mems_.get();
+  g.size = 1;
+  begin_lane(g.lanes[0]);
+  schedule_pipeline(sched, g);
   return sched.tasks();
 }
 
@@ -599,47 +663,89 @@ void GyroSystem::run(const sensor::Profile& rate, const sensor::Profile& temp, d
 }
 
 void GyroSystem::run(sensor::StimulusSource& src, double seconds, std::vector<double>* out) {
-  // One pipeline instance per run() call; the scheduler's tick origin is
-  // this call's first tick. All multi-rate structure lives in the Scheduler
-  // and in the hardware models' own decimators — there is no divider
-  // arithmetic here.
-  platform::Scheduler sched(cfg_.analog_fs);
-  TickState st;
-  const long tick_origin = base_ticks_;
-  schedule_pipeline(sched, st, src, out);
-  if (obs_.tasks) {
+  GroupMember self{this, &src, out, {}};
+  run_group({&self, 1}, seconds);
+  if (self.error) std::rethrow_exception(self.error);
+}
+
+void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
+  if (members.empty() || members.size() > Group::kMax)
+    throw std::invalid_argument("GyroSystem::run_group: 1 to GyroMems::kLanes members");
+  const LaneKey key = members[0].sys->lane_key();
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    GyroSystem* sys = members[k].sys;
+    if (sys->lane_key() != key)
+      throw std::invalid_argument("GyroSystem::run_group: members differ in lane key");
+    if (members.size() > 1 && sys->obs_.enabled())
+      throw std::invalid_argument("GyroSystem::run_group: an observed system runs alone");
+    for (std::size_t j = 0; j < k; ++j)
+      if (members[j].sys == sys)
+        throw std::invalid_argument("GyroSystem::run_group: a system listed twice");
+  }
+
+  // One pipeline instance per call; the scheduler's tick origin is this
+  // call's first tick. All multi-rate structure lives in the Scheduler and in
+  // the hardware models' own decimators — there is no divider arithmetic
+  // here.
+  platform::Scheduler sched(key.analog_fs);
+  Group g;
+  for (GroupMember& m : members) {
+    m.error = nullptr;
+    Lane& lane = g.lanes[g.size];
+    lane.member = &m;
+    g.rings[g.size] = m.sys->mems_.get();
+    ++g.size;
+    m.sys->begin_lane(lane);
+  }
+  schedule_pipeline(sched, g);
+
+  // Observability is the lead's alone: a larger group has none (checked
+  // above), so this is exactly a solo run's bookkeeping.
+  GyroSystem& lead = *members[0].sys;
+  obs::ObsSink& o = lead.obs_;
+  const long tick_origin = lead.base_ticks_;
+  if (o.tasks) {
     // Scheduler instances are per-run; the profiler accumulates across them.
     // The tick origin maps this run's local ticks onto the channel's global
     // tick axis so exported slice timestamps stay monotonic.
-    obs_.tasks->set_tick_origin(tick_origin);
-    sched.set_profiler(obs_.tasks);
+    o.tasks->set_tick_origin(tick_origin);
+    sched.set_profiler(o.tasks);
   }
-  if (obs_.events)
-    obs_.events->emit(static_cast<double>(dsp_samples_) / (cfg_.analog_fs / cfg_.adc_div),
-                      obs::EventSeverity::Debug, obs::EventCategory::Scheduler, "run_begin",
-                      {}, {{"seconds", seconds}});
-  const double t_sim0 = static_cast<double>(tick_origin) / cfg_.analog_fs;
-  if (obs_.spans && obs_.events && !obs_trace_announced_) {
-    obs_trace_announced_ = true;
-    obs_.events->emit(t_sim0, obs::EventSeverity::Debug, obs::EventCategory::Trace,
-                      "trace_begin", {},
-                      {{"trace_id", static_cast<double>(obs_.spans->trace_id())}});
+  const double dsp_fs = key.analog_fs / key.adc_div;
+  if (o.events)
+    o.events->emit(static_cast<double>(lead.dsp_samples_) / dsp_fs, obs::EventSeverity::Debug,
+                   obs::EventCategory::Scheduler, "run_begin", {}, {{"seconds", seconds}});
+  const double t_sim0 = static_cast<double>(tick_origin) / key.analog_fs;
+  if (o.spans && o.events && !lead.obs_trace_announced_) {
+    lead.obs_trace_announced_ = true;
+    o.events->emit(t_sim0, obs::EventSeverity::Debug, obs::EventCategory::Trace, "trace_begin",
+                   {}, {{"trace_id", static_cast<double>(o.spans->trace_id())}});
   }
-  obs::SpanScope run_span(obs_.spans, "gyro.run", obs::SpanCategory::Scheduler, t_sim0);
+  obs::SpanScope run_span(o.spans, "gyro.run", obs::SpanCategory::Scheduler, t_sim0);
   const auto wall0 = std::chrono::steady_clock::now();
-  sched.run_seconds(seconds);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-  // Batched open-loop runs may end mid-block; push the tail through so the
-  // chain's observable state matches the sample-serial path at return.
-  flush_sense_block();
+  double wall = 0.0;
+  try {
+    // Tick while any member runs: once the last one has thrown, nothing is
+    // left to advance.
+    for (long n = sched.ticks_in(seconds); n > 0 && g.size > 0; --n) sched.tick();
+    wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
+    // Batched open-loop runs may end mid-block; push the tail through so the
+    // chain's observable state matches the sample-serial path at return.
+    g.each([](GyroSystem& s, std::size_t) { s.flush_sense_block(); });
+  } catch (...) {
+    // Only a lone member's exception gets here (Group::each).
+    g.lanes[0].member->error = std::current_exception();
+    g.size = 0;
+  }
+  // A lead that threw leaves its run span to close as an unwound one.
+  if (members[0].error) return;
   run_span.close(t_sim0 + seconds, wall * 1e6);
-  if (obs_.tasks) obs_.tasks->record_run(seconds, wall);
-  if (obs_.metrics) obs_.metrics->add(obs_m_runs_);
-  if (obs_.events)
-    obs_.events->emit(static_cast<double>(dsp_samples_) / (cfg_.analog_fs / cfg_.adc_div),
-                      obs::EventSeverity::Debug, obs::EventCategory::Scheduler, "run_end", {},
-                      {{"seconds", seconds}, {"wall_s", wall}});
+  if (o.tasks) o.tasks->record_run(seconds, wall);
+  if (o.metrics) o.metrics->add(lead.obs_m_runs_);
+  if (o.events)
+    o.events->emit(static_cast<double>(lead.dsp_samples_) / dsp_fs, obs::EventSeverity::Debug,
+                   obs::EventCategory::Scheduler, "run_end", {},
+                   {{"seconds", seconds}, {"wall_s", wall}});
 }
 
 }  // namespace ascp::core

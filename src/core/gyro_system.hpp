@@ -16,10 +16,18 @@
 // The platform fabric is attached: status registers updated every decimated
 // sample (readable over JTAG and by the 8051 through the bridge), and an
 // optional MCU monitor slice runs the paper's control/monitoring firmware.
+//
+// Systems that share fidelity, base rate, adc_div and tick phase can run as
+// one lockstep group (run_group): one Scheduler, one GyroMems::step_lanes
+// call per tick for all their rings, and every member's output bit for bit
+// what its own run() gives. run() is the group of one.
 #pragma once
 
+#include <array>
+#include <exception>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "afe/charge_amp.hpp"
 #include "afe/dac.hpp"
@@ -102,6 +110,40 @@ class GyroSystem : public RateSensor {
   void run(const sensor::Profile& rate, const sensor::Profile& temp, double seconds,
            std::vector<double>* out) override;
   void run(sensor::StimulusSource& src, double seconds, std::vector<double>* out) override;
+
+  // ---- lockstep groups ------------------------------------------------------
+  /// What the systems of one run_group must share: fidelity, base rate,
+  /// adc_div and the phase of the next tick within a conversion, so one
+  /// dsp_frame task fires on every member's conversion ticks.
+  struct LaneKey {
+    Fidelity fidelity;
+    double analog_fs;
+    int adc_div;
+    long phase;
+    bool operator==(const LaneKey&) const = default;
+  };
+  LaneKey lane_key() const;
+
+  /// One system of a run_group: its stimulus and output sink, and the
+  /// exception it threw, if it threw.
+  struct GroupMember {
+    GyroSystem* sys = nullptr;
+    sensor::StimulusSource* src = nullptr;
+    std::vector<double>* out = nullptr;
+    std::exception_ptr error;
+  };
+
+  /// Run 1 to GyroMems::kLanes distinct systems with equal lane_key()s for
+  /// `seconds` in lockstep, on one Scheduler with run()'s task graph:
+  /// `analog` stages every member's inputs and makes one step_lanes call
+  /// per tick, `probe` and `dsp_frame` loop over the members. Each member
+  /// ends bit for bit where its own run() would. A member that throws keeps
+  /// the exception in `error`, is left as a throwing run() leaves it, and
+  /// drops out while the others finish. A group of more than one must carry
+  /// no observability sink (the one Scheduler has one task profiler).
+  /// Throws std::invalid_argument when these preconditions fail.
+  static void run_group(std::span<GroupMember> members, double seconds);
+
   double nominal_sensitivity() const override { return 5e-3; }  // 5 mV/°/s, Table 1
   double nominal_null() const override { return cfg_.sense.output_offset; }
   double full_scale_dps() const override { return 300.0; }
@@ -169,30 +211,57 @@ class GyroSystem : public RateSensor {
   void serialize_state(StateArchive& ar);
 
  private:
-  /// State shared between the scheduler tasks of one pipeline instance:
-  /// the current tick's environment and what the analog stage hands the
-  /// DSP frame.
-  struct TickState {
+  /// One member's state between the scheduler tasks of a run besides its
+  /// lane-call arrays: the current tick, what the Full AFE hands the DSP
+  /// frame, and the member's task flags.
+  struct Lane {
+    GroupMember* member = nullptr;
     long tick = 0;         ///< global index of the current analog tick
-    double temp_c = 25.0;
-    double rate_dps = 0.0;
-    sensor::GyroOutputs pick{};
+    double dt = 0.0;       ///< analog tick period [s]
     double vp = 0.0, vs = 0.0;  ///< charge-amp outputs (Full fidelity)
     std::optional<double> sp, ss;  ///< this tick's SAR conversions (Full fidelity)
     long cpu_cycles_per_slow = 0;
+    bool batch = false;  ///< the open-loop batched sense path (can_batch_sense)
+    bool w_stim = false, w_mems = false, w_afe = false;  ///< per-tick probe taps
+    bool w_adc = false, w_out = false;                   ///< DSP-frame probe taps
+  };
+  /// The members still running, in member order, with their rings and the
+  /// arrays of the one step_lanes call per tick: every member's inputs (this
+  /// tick's stimulus included) and the pickoffs its DSP frame samples.
+  struct Group {
+    static constexpr std::size_t kMax = sensor::GyroMems::kLanes;
+    std::array<Lane, kMax> lanes;
+    std::array<sensor::GyroMems*, kMax> rings{};
+    std::array<sensor::GyroInputs, kMax> in;
+    std::array<sensor::GyroOutputs, kMax> pick;
+    std::size_t size = 0;
+
+    /// fn(system, k) for every running member k. A member whose fn throws
+    /// keeps the exception and leaves the group once the loop is done; a
+    /// lone member's exception propagates, for run_group to catch.
+    template <typename Fn>
+    void each(Fn&& fn);
   };
 
   void build(std::uint64_t seed);
   void define_registers();
   void post_status(double measured_temp);
-  /// Registers the multi-rate conditioning pipeline on `sched`: the analog
-  /// task every tick, the probe taps every tick when a probe wants them, and
-  /// one DSP frame per SAR conversion (divider adc_div, on the converter's
-  /// last clock). The frame runs every DSP-rate stage in order: sampling,
+  /// Registers the multi-rate conditioning pipeline for `g` on `sched`: the
+  /// analog task every tick, the probe taps every tick when a member's probe
+  /// wants them, and one DSP frame per SAR conversion (divider adc_div, on
+  /// the converter's last clock). Each task loops over the members.
+  static void schedule_pipeline(platform::Scheduler& sched, Group& g);
+  /// Sets up lane `m` for a run: flags and the MCU slice.
+  void begin_lane(Lane& m);
+  // The member stages of this system, member k of `g`:
+  /// the analog tick up to the MEMS: stimulus and electrode voltages;
+  void analog_inputs(Group& g, std::size_t k);
+  /// the analog tick after the MEMS: charge amps and SAR converters;
+  void analog_afe(Group& g, std::size_t k);
+  /// every DSP-rate stage in order, once per SAR conversion: sampling,
   /// fault campaign, DSP, supervisor, obs events, trace, decimated output +
   /// MCU slice.
-  void schedule_pipeline(platform::Scheduler& sched, TickState& st,
-                         sensor::StimulusSource& src, std::vector<double>* out);
+  void dsp_frame(Group& g, std::size_t k);
   /// True when the open-loop batched sense path applies (no per-sample
   /// observers: supervisor, campaign, trace, MCU).
   bool can_batch_sense();

@@ -1,8 +1,12 @@
 #include "platform/engine/channel_farm.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/rng.hpp"
+#include "core/gyro_system.hpp"
 
 namespace ascp::engine {
 
@@ -17,13 +21,11 @@ ChannelFarm::ChannelFarm(std::vector<ChannelConfig> specs, const FarmConfig& cfg
   Rng root(cfg.root_seed);
   channels_.reserve(specs.size());
   slots_.reserve(specs.size());
-  all_.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (cfg.reseed_channels)
       specs[i].seed = root.fork(static_cast<std::uint64_t>(i) + 1).next_u64();
     channels_.push_back(std::make_unique<ConditioningChannel>(specs[i]));
     slots_.push_back(std::make_unique<Slot>());
-    all_.push_back(i);
   }
 
   threads_ = cfg.threads != 0 ? cfg.threads : std::max(1u, std::thread::hardware_concurrency());
@@ -53,18 +55,55 @@ void ChannelFarm::run_channel(std::size_t i, const Step& step) {
   ConditioningChannel& ch = *channels_[i];
   const long ticks_before = ch.ticks_advanced();
   const std::uint64_t outputs_before = ch.total_outputs();
-  bool ok = false;
+  std::exception_ptr error;
   slot.busy_since_ns.store(steady_ns(), std::memory_order_release);
   try {
     step(i, ch);
-    ok = true;
-  } catch (const std::exception& e) {
-    slot.error = e.what();
   } catch (...) {
-    slot.error = "unknown exception";
+    error = std::current_exception();
   }
   slot.busy_since_ns.store(0, std::memory_order_release);
-  if (!ok) {
+  finish_channel(i, error, ticks_before, outputs_before);
+}
+
+void ChannelFarm::run_group(std::span<const std::size_t> group, long n_base_ticks) {
+  constexpr std::size_t kMax = sensor::GyroMems::kLanes;
+  std::array<ConditioningChannel*, kMax> members;
+  std::array<std::exception_ptr, kMax> errors;
+  std::array<long, kMax> ticks_before;
+  std::array<std::uint64_t, kMax> outputs_before;
+  const std::size_t n = group.size();
+  const std::int64_t now = steady_ns();
+  for (std::size_t k = 0; k < n; ++k) {
+    members[k] = channels_[group[k]].get();
+    ticks_before[k] = members[k]->ticks_advanced();
+    outputs_before[k] = members[k]->total_outputs();
+    slots_[group[k]]->busy_since_ns.store(now, std::memory_order_release);
+  }
+  try {
+    ConditioningChannel::advance_group({members.data(), n}, n_base_ticks, {errors.data(), n});
+  } catch (...) {
+    // A group that breaks advance_group's rules runs nothing: every member
+    // fails with the error, and the worker survives.
+    for (std::size_t k = 0; k < n; ++k) errors[k] = std::current_exception();
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    slots_[group[k]]->busy_since_ns.store(0, std::memory_order_release);
+    finish_channel(group[k], errors[k], ticks_before[k], outputs_before[k]);
+  }
+}
+
+void ChannelFarm::finish_channel(std::size_t i, std::exception_ptr error, long ticks_before,
+                                 std::uint64_t outputs_before) {
+  Slot& slot = *slots_[i];
+  if (error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+      slot.error = e.what();
+    } catch (...) {
+      slot.error = "unknown exception";
+    }
     // Contain the failure to this channel: the worker thread survives, the
     // siblings never notice, and the channel is skipped from here on.
     slot.failed.store(true, std::memory_order_release);
@@ -75,22 +114,23 @@ void ChannelFarm::run_channel(std::size_t i, const Step& step) {
     // Sharded, commutative records only: the merged totals are independent
     // of which worker ran which channel. total_outputs() rather than queue
     // size: a bounded queue can shrink across a step.
+    const ConditioningChannel& ch = *channels_[i];
     metrics_->add(m_advances_);
     metrics_->add(m_samples_, static_cast<double>(ch.total_outputs() - outputs_before));
     metrics_->observe(h_ticks_, static_cast<double>(ch.ticks_advanced() - ticks_before));
   }
 }
 
-void ChannelFarm::run(std::span<const std::size_t> which, const Step& step) {
+void ChannelFarm::dispatch(std::size_t n, const Job& job) {
   if (pool_.empty()) {
-    for (std::size_t i : which) run_channel(i, step);
+    for (std::size_t k = 0; k < n; ++k) job(k);
     return;
   }
 
   {
     std::lock_guard<std::mutex> lk(m_);
-    pending_which_ = which;
-    pending_step_ = &step;
+    pending_units_ = n;
+    pending_job_ = &job;
     cursor_.store(0, std::memory_order_relaxed);
     active_ = pool_.size();
     ++generation_;
@@ -101,31 +141,96 @@ void ChannelFarm::run(std::span<const std::size_t> which, const Step& step) {
   cv_done_.wait(lk, [this] { return active_ == 0; });
 }
 
+void ChannelFarm::run(std::span<const std::size_t> which, const Step& step) {
+  // Each listed channel belongs to exactly one worker: an index out of range
+  // or listed twice is rejected before any step runs.
+  std::vector<bool> listed(channels_.size());
+  for (std::size_t i : which) {
+    if (i >= channels_.size())
+      throw std::invalid_argument("ChannelFarm::run: channel index out of range");
+    if (listed[i]) throw std::invalid_argument("ChannelFarm::run: channel listed twice");
+    listed[i] = true;
+  }
+  dispatch(which.size(), [&](std::size_t k) { run_channel(which[k], step); });
+}
+
 void ChannelFarm::advance(double seconds) {
+  // Lane groups: the observer-free gyro channels, by lane key, in index
+  // order. Baselines and observed channels advance alone.
+  struct Bucket {
+    core::GyroSystem::LaneKey key;
+    std::vector<std::size_t> channels;
+  };
+  std::vector<Bucket> buckets;
+  std::vector<std::size_t> alone;
+  std::size_t eligible = 0;
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    if (channel_failed(i)) continue;
+    const core::GyroSystem* g = channels_[i]->gyro();
+    if (!g || g->observability().enabled()) {
+      alone.push_back(i);
+      continue;
+    }
+    const core::GyroSystem::LaneKey key = g->lane_key();
+    auto b = std::find_if(buckets.begin(), buckets.end(),
+                          [&](const Bucket& x) { return x.key == key; });
+    if (b == buckets.end()) b = buckets.insert(b, Bucket{key, {}});
+    b->channels.push_back(i);
+    ++eligible;
+  }
+  // Groups small enough to give every worker one and never wider than
+  // kLanes: with no more channels than workers, one channel per worker.
+  const std::size_t workers = std::max<std::size_t>(1, pool_.size());
+  const std::size_t lanes =
+      std::min(sensor::GyroMems::kLanes, (eligible + workers - 1) / workers);
+
+  // Work units as ranges of `order`: the groups first (the larger units),
+  // then the lone channels.
+  std::vector<std::size_t> order, start;
+  for (const Bucket& b : buckets)
+    for (std::size_t at = 0; at < b.channels.size(); at += lanes) {
+      start.push_back(order.size());
+      const auto first = b.channels.begin() + static_cast<std::ptrdiff_t>(at);
+      order.insert(order.end(), first,
+                   first + static_cast<std::ptrdiff_t>(std::min(lanes, b.channels.size() - at)));
+    }
+  for (std::size_t i : alone) {
+    start.push_back(order.size());
+    order.push_back(i);
+  }
+  start.push_back(order.size());
+
   // Each channel converts the common wall of simulated time to its own base
   // ticks (farms may mix base rates), exactly as a solo run would.
-  run(all_, [seconds](std::size_t, ConditioningChannel& ch) {
-    ch.advance(std::llround(seconds * ch.base_rate_hz()));
+  const auto ticks_of = [seconds](const ConditioningChannel& ch) {
+    return std::llround(seconds * ch.base_rate_hz());
+  };
+  const Step solo = [&](std::size_t, ConditioningChannel& ch) { ch.advance(ticks_of(ch)); };
+  dispatch(start.size() - 1, [&](std::size_t k) {
+    const std::span<const std::size_t> unit(order.data() + start[k], start[k + 1] - start[k]);
+    if (unit.size() == 1)
+      run_channel(unit[0], solo);
+    else
+      run_group(unit, ticks_of(*channels_[unit[0]]));
   });
 }
 
 void ChannelFarm::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
-    std::span<const std::size_t> which;
-    const Step* step = nullptr;
+    std::size_t units = 0;
+    const Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lk(m_);
       cv_work_.wait(lk, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
-      which = pending_which_;
-      step = pending_step_;
+      units = pending_units_;
+      job = pending_job_;
     }
 
     std::size_t k;
-    while ((k = cursor_.fetch_add(1, std::memory_order_relaxed)) < which.size())
-      run_channel(which[k], *step);
+    while ((k = cursor_.fetch_add(1, std::memory_order_relaxed)) < units) (*job)(k);
 
     {
       std::lock_guard<std::mutex> lk(m_);

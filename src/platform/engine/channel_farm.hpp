@@ -13,13 +13,23 @@
 // output streams are byte-identical whether the farm runs on 1 thread or 64.
 // Result collection is lock-free: each channel appends to its own
 // preallocated output vector; the pool synchronizes only on the work-queue
-// cursor (one atomic fetch_add per channel per run).
+// cursor (one atomic fetch_add per work unit per run).
+//
+// Lockstep lanes: advance() runs observer-free GyroSystem channels that
+// share a GyroSystem::LaneKey (fidelity, base rate, adc_div, tick phase) in
+// groups of min(kLanes, ⌈eligible ÷ workers⌉), one
+// ConditioningChannel::advance_group per group, so their MEMS rings step
+// together in GyroMems::step_lanes. Every other channel (baselines, and any
+// channel with an obs sink, whose one task profiler a shared Scheduler could
+// not carry) advances alone. A member that throws fails alone; its
+// group-mates finish. Grouping never changes a bit of any channel's output.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -72,14 +82,16 @@ class ChannelFarm {
   ChannelFarm(const ChannelFarm&) = delete;
   ChannelFarm& operator=(const ChannelFarm&) = delete;
 
-  /// Calls step(i, channel(i)) once for each listed channel (distinct
-  /// indices) that has not failed, each call on exactly one worker. Blocks
-  /// until all are done.
+  /// Calls step(i, channel(i)) once for each listed channel that has not
+  /// failed, each call on exactly one worker. Blocks until all are done.
+  /// Throws std::invalid_argument, before any step runs, when an index is
+  /// out of range or listed twice.
   void run(std::span<const std::size_t> which, const Step& step);
 
-  /// Advance every channel by `seconds` of simulated base time (run() over
-  /// all channels). Repeated calls accumulate, with decimation phase
-  /// carrying across calls per channel.
+  /// Advance every channel by `seconds` of simulated base time, in lockstep
+  /// lane groups where the channels allow (see the file comment). Repeated
+  /// calls accumulate, with decimation phase carrying across calls per
+  /// channel.
   void advance(double seconds);
 
   std::size_t size() const { return channels_.size(); }
@@ -124,19 +136,29 @@ class ChannelFarm {
     std::atomic<std::int64_t> busy_since_ns{0};
   };
 
+  /// Work unit k of a dispatch, run on exactly one worker.
+  using Job = std::function<void(std::size_t k)>;
+
   void worker_loop();
+  /// Runs job(0 … n-1) across the pool and blocks until all are done.
+  void dispatch(std::size_t n, const Job& job);
   void run_channel(std::size_t i, const Step& step);
+  /// One advance_group over the listed channels (none failed).
+  void run_group(std::span<const std::size_t> group, long n_base_ticks);
+  /// Records channel i's step, which threw `error` (null when it did not):
+  /// the failure, or the metrics.
+  void finish_channel(std::size_t i, std::exception_ptr error, long ticks_before,
+                      std::uint64_t outputs_before);
 
   std::vector<std::unique_ptr<ConditioningChannel>> channels_;
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::vector<std::size_t> all_;  ///< 0 … size()-1, advance()'s work list
   unsigned threads_ = 1;
 
   obs::MetricRegistry* metrics_ = nullptr;
   obs::MetricRegistry::Id m_advances_ = 0, m_samples_ = 0, m_exceptions_ = 0;
   obs::MetricRegistry::Id h_ticks_ = 0;
 
-  // Pool coordination: run() publishes the work list and step under the
+  // Pool coordination: dispatch() publishes the unit count and job under the
   // mutex and bumps the generation; workers race down the atomic cursor, and
   // the last one out signals completion. Channel work runs with no lock held.
   std::vector<std::thread> pool_;
@@ -144,8 +166,8 @@ class ChannelFarm {
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::uint64_t generation_ = 0;
-  std::span<const std::size_t> pending_which_;
-  const Step* pending_step_ = nullptr;
+  std::size_t pending_units_ = 0;
+  const Job* pending_job_ = nullptr;
   std::atomic<std::size_t> cursor_{0};
   std::size_t active_ = 0;
   bool stop_ = false;

@@ -1,5 +1,8 @@
 #include "platform/engine/conditioning_channel.hpp"
 
+#include <array>
+#include <stdexcept>
+
 #include "core/baselines.hpp"
 #include "core/gyro_system.hpp"
 #include "safety/standard_faults.hpp"
@@ -28,8 +31,10 @@ class ChannelRecorderProbe final : public sensor::Probe {
 
   void on_frame(const sensor::ProbeFrame& f) override {
     if (user_ && user_->wants(f.point)) user_->on_frame(f);
+    // Strided on the global tick, so a channel restored mid-run keeps the
+    // same samples as its uninterrupted twin.
     if (f.point == sensor::ProbePoint::Stimulus) {
-      if (stim_seen_++ % kStimulusStride != 0) return;
+      if (static_cast<std::uint64_t>(f.tick) % kStimulusStride != 0) return;
     } else if (f.point != sensor::ProbePoint::DecimatedOutput) {
       return;
     }
@@ -41,7 +46,6 @@ class ChannelRecorderProbe final : public sensor::Probe {
   obs::FlightRecorder* rec_;
   sensor::Probe* user_;
   double base_rate_hz_;
-  std::uint64_t stim_seen_ = 0;
 };
 
 ConditioningChannel::ConditioningChannel(const ChannelConfig& cfg) : cfg_(cfg) {
@@ -157,18 +161,60 @@ ConditioningChannel::ConditioningChannel(const ChannelConfig& cfg) : cfg_(cfg) {
 ConditioningChannel::~ConditioningChannel() = default;
 
 void ConditioningChannel::advance(long n_base_ticks) {
+  ConditioningChannel* self = this;
+  std::exception_ptr error;
+  advance_group({&self, 1}, n_base_ticks, {&error, 1});
+  if (error) std::rethrow_exception(error);
+}
+
+void ConditioningChannel::advance_group(std::span<ConditioningChannel* const> group,
+                                        long n_base_ticks, std::span<std::exception_ptr> errors) {
+  constexpr std::size_t kMax = sensor::GyroMems::kLanes;
+  if (group.empty() || group.size() > kMax || errors.size() != group.size())
+    throw std::invalid_argument("ConditioningChannel::advance_group: 1 to GyroMems::kLanes "
+                                "channels, one error slot each");
+  if (group.size() > 1)
+    for (ConditioningChannel* ch : group)
+      if (!ch->gyro_)
+        throw std::invalid_argument("ConditioningChannel::advance_group: only gyro channels group");
+  for (std::exception_ptr& e : errors) e = nullptr;
   if (n_base_ticks <= 0) return;
-  const std::size_t before = out_.size();
-  const std::uint64_t dropped_before = dropped_outputs_;
-  // Causal wrapper around the whole advance: scheduler-task spans sampled
-  // inside sensor_->run() parent under it. Closed-but-unwound on exception
-  // (SpanScope), so a crashing advance still leaves a complete span trail.
-  obs::SpanScope adv_span(obs_ ? &obs_->spans : nullptr, "channel.advance",
-                          obs::SpanCategory::Channel,
-                          static_cast<double>(ticks_) / base_rate_hz_);
+
+  std::array<Pending, kMax> pending;
+  for (std::size_t k = 0; k < group.size(); ++k) group[k]->begin_advance(pending[k]);
   // RateSensor::run() quantizes seconds back to round(seconds·fs) ticks;
   // n/fs survives that round-trip exactly for any realistic tick count.
-  sensor_->run(*stimulus_, static_cast<double>(n_base_ticks) / base_rate_hz_, &out_);
+  const double seconds = static_cast<double>(n_base_ticks) / group[0]->base_rate_hz_;
+  if (!group[0]->gyro_) {
+    ConditioningChannel& ch = *group[0];
+    try {
+      ch.sensor_->run(*ch.stimulus_, seconds, &ch.out_);
+    } catch (...) {
+      errors[0] = std::current_exception();
+    }
+  } else {
+    std::array<core::GyroSystem::GroupMember, kMax> members;
+    for (std::size_t k = 0; k < group.size(); ++k)
+      members[k] = {group[k]->gyro_, group[k]->stimulus_.get(), &group[k]->out_, {}};
+    core::GyroSystem::run_group({members.data(), group.size()}, seconds);
+    for (std::size_t k = 0; k < group.size(); ++k) errors[k] = members[k].error;
+  }
+  // A member that threw skips the bookkeeping, as a throwing advance() does;
+  // its span closes as an unwound one.
+  for (std::size_t k = 0; k < group.size(); ++k)
+    if (!errors[k]) group[k]->end_advance(pending[k], n_base_ticks);
+}
+
+void ConditioningChannel::begin_advance(Pending& p) {
+  p.outputs_before = out_.size();
+  p.dropped_before = dropped_outputs_;
+  // Causal wrapper around the whole advance: scheduler-task spans sampled
+  // inside the sensor run parent under it.
+  p.span.emplace(obs_ ? &obs_->spans : nullptr, "channel.advance", obs::SpanCategory::Channel,
+                 static_cast<double>(ticks_) / base_rate_hz_);
+}
+
+void ConditioningChannel::end_advance(Pending& p, long n_base_ticks) {
   ticks_ += n_base_ticks;
   const double t_now = static_cast<double>(ticks_) / base_rate_hz_;
   if (obs_ && stimulus_->underruns() > last_underruns_) {
@@ -179,19 +225,19 @@ void ConditioningChannel::advance(long n_base_ticks) {
   last_underruns_ = stimulus_->underruns();
   // Hash every produced sample before the queue bound can discard any: the
   // fingerprint is a property of the simulation, not of consumer timing.
-  hash_ = fnv1a_doubles(hash_, out_.data() + before, out_.size() - before);
-  const std::uint64_t produced = out_.size() - before;
+  hash_ = fnv1a_doubles(hash_, out_.data() + p.outputs_before, out_.size() - p.outputs_before);
+  const std::uint64_t produced = out_.size() - p.outputs_before;
   total_outputs_ += produced;
   apply_queue_bound();
-  adv_span.annotate("ticks", static_cast<double>(n_base_ticks));
-  adv_span.annotate("outputs", static_cast<double>(produced));
-  adv_span.close(t_now);
+  p.span->annotate("ticks", static_cast<double>(n_base_ticks));
+  p.span->annotate("outputs", static_cast<double>(produced));
+  p.span->close(t_now);
   if (cfg_.with_flight_recorder) {
     obs::FlightRecorder& rec = obs_->recorder;
     rec.record_metric(t_now, "channel.outputs", static_cast<double>(produced));
-    if (dropped_outputs_ != dropped_before)
+    if (dropped_outputs_ != p.dropped_before)
       rec.record_metric(t_now, "channel.dropped_outputs",
-                        static_cast<double>(dropped_outputs_ - dropped_before));
+                        static_cast<double>(dropped_outputs_ - p.dropped_before));
   }
 }
 

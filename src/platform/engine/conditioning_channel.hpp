@@ -18,9 +18,11 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/fnv1a.hpp"
@@ -141,6 +143,16 @@ class ConditioningChannel {
   /// phase carries across calls exactly as in a single longer run.
   void advance(long n_base_ticks);
 
+  /// advance() for a lockstep group: 1 to GyroMems::kLanes distinct gyro
+  /// channels whose systems share a GyroSystem::LaneKey and carry no
+  /// observability, run as one GyroSystem::run_group. Each member keeps
+  /// advance()'s bookkeeping. A member that throws gets its exception in
+  /// errors[k] instead of a throw, is left as a throwing advance() leaves it,
+  /// and its group-mates finish. advance() is the group of one, of any kind.
+  /// Throws std::invalid_argument when the group breaks these rules.
+  static void advance_group(std::span<ConditioningChannel* const> group, long n_base_ticks,
+                            std::span<std::exception_ptr> errors);
+
   /// Base (analog) tick rate — the farm's common time base [Hz].
   double base_rate_hz() const { return base_rate_hz_; }
   long ticks_advanced() const { return ticks_; }
@@ -201,6 +213,14 @@ class ConditioningChannel {
   void restore(const std::vector<std::uint8_t>& image);
 
  private:
+  /// advance()'s bookkeeping around one sensor run.
+  struct Pending {
+    std::size_t outputs_before = 0;
+    std::uint64_t dropped_before = 0;
+    std::optional<obs::SpanScope> span;
+  };
+  void begin_advance(Pending& p);
+  void end_advance(Pending& p, long n_base_ticks);
   void serialize_state(StateArchive& ar);
   void apply_queue_bound();
 

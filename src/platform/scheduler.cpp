@@ -122,7 +122,7 @@ void Scheduler::run_ticks(long n) {
 }
 
 void Scheduler::run_seconds(double seconds) {
-  run_ticks(static_cast<long>(seconds * base_rate_ + 0.5));
+  run_ticks(ticks_in(seconds));
 }
 
 }  // namespace ascp::platform

@@ -45,8 +45,10 @@ class Scheduler {
   /// Advance `n` base ticks.
   void run_ticks(long n);
 
-  /// Advance by wall-clock simulation time.
+  /// Advance by wall-clock simulation time: ticks_in(seconds) ticks.
   void run_seconds(double seconds);
+  /// Base ticks in `seconds` of simulated time, rounded to the nearest.
+  long ticks_in(double seconds) const { return static_cast<long>(seconds * base_rate_ + 0.5); }
 
   double base_rate() const { return base_rate_; }
   double dt() const { return 1.0 / base_rate_; }

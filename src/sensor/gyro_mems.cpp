@@ -1,8 +1,11 @@
 #include "sensor/gyro_mems.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 #include "common/math.hpp"
 
@@ -54,18 +57,6 @@ void GyroMems::resolve(double temp_c) {
   cap_k_ = cfg_.cap_per_meter * (1.0 + cfg_.cap_tempco * (temp_c - 25.0));
 }
 
-GyroMems::State GyroMems::derivative(const State& s, const Params& p, double fd, double fc,
-                                     double noise) {
-  // Coriolis terms couple the modal velocities antisymmetrically: energy
-  // pumped into the sense mode is drawn from the drive mode.
-  State d;
-  d.x = s.vx;
-  d.y = s.vy;
-  d.vx = fd - p.dd * s.vx - p.w0d2 * s.x + 2.0 * p.kappa_omega * s.vy;
-  d.vy = fc - p.ds * s.vy - p.w0s2 * s.y - 2.0 * p.kappa_omega * s.vx - p.kq * s.x + noise;
-  return d;
-}
-
 double GyroMems::pickoff_cap(double displacement) const {
   // Parallel-plate pickoff: ΔC = k·x / (1 − x/gap) — soft nonlinearity that
   // the closed-loop configuration suppresses (paper §4.1: closed loop gives
@@ -75,37 +66,106 @@ double GyroMems::pickoff_cap(double displacement) const {
   return cap_k_ * displacement / (1.0 - clamped * 0.5);
 }
 
-GyroOutputs GyroMems::step(const GyroInputs& in) {
-  if (std::bit_cast<std::uint64_t>(in.temp_c) != temp_key_ ||
-      std::bit_cast<std::uint64_t>(quad_step_) != quad_key_)
-    resolve(in.temp_c);
-  Params p = terms_;
-  p.kappa_omega = cfg_.angular_gain * in.rate_dps * kPi / 180.0;
+template <std::size_t L>
+void GyroMems::step_lanes(GyroMems* const* rings, const GyroInputs* in, GyroOutputs* out) {
+  static_assert(L >= 1 && L <= kLanes);
+  // One array per quantity, one element per lane. Every lane runs exactly
+  // the scalar operation sequence, so the lanes only interleave; no result
+  // depends on a neighbour.
+  struct Lanes {
+    double x[L], vx[L], y[L], vy[L];
+  };
+  Lanes s, k1, k2, k3, k4, q;
+  double dt[L], w0d2[L], w0s2[L], dd[L], ds[L], kq[L], coriolis[L], fd[L], fc[L], noise[L];
+  for (std::size_t l = 0; l < L; ++l) {
+    GyroMems& g = *rings[l];
+    const GyroInputs& u = in[l];
+    if (std::bit_cast<std::uint64_t>(u.temp_c) != g.temp_key_ ||
+        std::bit_cast<std::uint64_t>(g.quad_step_) != g.quad_key_)
+      g.resolve(u.temp_c);
+    const Params& p = g.terms_;
+    double v_drive = u.v_drive;
+    if (g.drive_fault_ == DriveElectrodeFault::Open) v_drive = 0.0;
+    else if (g.drive_fault_ == DriveElectrodeFault::Stuck) v_drive = g.stuck_v_;
+    fd[l] = p.fpv * v_drive;
+    fc[l] = p.fpv * u.v_control;
+    noise[l] = g.rng_.gaussian(g.noise_sigma_ * g.t_scale_);
+    const double kappa_omega = g.cfg_.angular_gain * u.rate_dps * kPi / 180.0;
+    coriolis[l] = 2.0 * kappa_omega;
+    w0d2[l] = p.w0d2;
+    w0s2[l] = p.w0s2;
+    dd[l] = p.dd;
+    ds[l] = p.ds;
+    kq[l] = p.kq;
+    dt[l] = g.dt_;
+    s.x[l] = g.s_.x;
+    s.vx[l] = g.s_.vx;
+    s.y[l] = g.s_.y;
+    s.vy[l] = g.s_.vy;
+  }
 
-  double v_drive = in.v_drive;
-  if (drive_fault_ == DriveElectrodeFault::Open) v_drive = 0.0;
-  else if (drive_fault_ == DriveElectrodeFault::Stuck) v_drive = stuck_v_;
-  const double fd = p.fpv * v_drive;
-  const double fc = p.fpv * in.v_control;
-  const double noise = rng_.gaussian(noise_sigma_ * t_scale_);
+  // k = f(r), inputs held over the step (zero-order hold). The Coriolis
+  // terms couple the modal velocities antisymmetrically: energy pumped into
+  // the sense mode is drawn from the drive mode.
+  const auto derivative = [&](const Lanes& r, Lanes& k) {
+    for (std::size_t l = 0; l < L; ++l) {
+      k.x[l] = r.vx[l];
+      k.y[l] = r.vy[l];
+      k.vx[l] = fd[l] - dd[l] * r.vx[l] - w0d2[l] * r.x[l] + coriolis[l] * r.vy[l];
+      k.vy[l] = fc[l] - ds[l] * r.vy[l] - w0s2[l] * r.y[l] - coriolis[l] * r.vx[l] -
+                kq[l] * r.x[l] + noise[l];
+    }
+  };
+  // q = s + c·dt·k
+  const auto stage = [&](const Lanes& k, double c) {
+    for (std::size_t l = 0; l < L; ++l) {
+      const double h = c * dt[l];
+      q.x[l] = s.x[l] + h * k.x[l];
+      q.vx[l] = s.vx[l] + h * k.vx[l];
+      q.y[l] = s.y[l] + h * k.y[l];
+      q.vy[l] = s.vy[l] + h * k.vy[l];
+    }
+  };
 
-  // Classic RK4 with inputs held over the step (zero-order hold).
-  const State k1 = derivative(s_, p, fd, fc, noise);
-  State s2{s_.x + 0.5 * dt_ * k1.x, s_.vx + 0.5 * dt_ * k1.vx, s_.y + 0.5 * dt_ * k1.y,
-           s_.vy + 0.5 * dt_ * k1.vy};
-  const State k2 = derivative(s2, p, fd, fc, noise);
-  State s3{s_.x + 0.5 * dt_ * k2.x, s_.vx + 0.5 * dt_ * k2.vx, s_.y + 0.5 * dt_ * k2.y,
-           s_.vy + 0.5 * dt_ * k2.vy};
-  const State k3 = derivative(s3, p, fd, fc, noise);
-  State s4{s_.x + dt_ * k3.x, s_.vx + dt_ * k3.vx, s_.y + dt_ * k3.y, s_.vy + dt_ * k3.vy};
-  const State k4 = derivative(s4, p, fd, fc, noise);
+  // Classic RK4.
+  derivative(s, k1);
+  stage(k1, 0.5);
+  derivative(q, k2);
+  stage(k2, 0.5);
+  derivative(q, k3);
+  stage(k3, 1.0);
+  derivative(q, k4);
+  for (std::size_t l = 0; l < L; ++l) {
+    GyroMems& g = *rings[l];
+    const double h = dt[l] / 6.0;
+    g.s_.x = s.x[l] + h * (k1.x[l] + 2 * k2.x[l] + 2 * k3.x[l] + k4.x[l]);
+    g.s_.vx = s.vx[l] + h * (k1.vx[l] + 2 * k2.vx[l] + 2 * k3.vx[l] + k4.vx[l]);
+    g.s_.y = s.y[l] + h * (k1.y[l] + 2 * k2.y[l] + 2 * k3.y[l] + k4.y[l]);
+    g.s_.vy = s.vy[l] + h * (k1.vy[l] + 2 * k2.vy[l] + 2 * k3.vy[l] + k4.vy[l]);
+    out[l] = GyroOutputs{g.pickoff_cap(g.s_.x), g.pickoff_cap(g.s_.y)};
+  }
+}
 
-  s_.x += dt_ / 6.0 * (k1.x + 2 * k2.x + 2 * k3.x + k4.x);
-  s_.vx += dt_ / 6.0 * (k1.vx + 2 * k2.vx + 2 * k3.vx + k4.vx);
-  s_.y += dt_ / 6.0 * (k1.y + 2 * k2.y + 2 * k3.y + k4.y);
-  s_.vy += dt_ / 6.0 * (k1.vy + 2 * k2.vy + 2 * k3.vy + k4.vy);
+// Flattened so a lone ring runs the one-lane kernel inline, at the cost of
+// the scalar step it replaced.
+[[gnu::flatten]] GyroOutputs GyroMems::step(const GyroInputs& in) {
+  GyroMems* self = this;
+  GyroOutputs out;
+  step_lanes<1>(&self, &in, &out);
+  return out;
+}
 
-  return GyroOutputs{pickoff_cap(s_.x), pickoff_cap(s_.y)};
+void GyroMems::step_lanes(std::span<GyroMems* const> rings, std::span<const GyroInputs> in,
+                          std::span<GyroOutputs> out) {
+  using Kernel = void (*)(GyroMems* const*, const GyroInputs*, GyroOutputs*);
+  static constexpr auto kKernels = []<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<Kernel, kLanes>{&step_lanes<I + 1>...};
+  }(std::make_index_sequence<kLanes>{});
+  if (rings.empty() || rings.size() > kLanes || in.size() != rings.size() ||
+      out.size() != rings.size())
+    throw std::invalid_argument("GyroMems::step_lanes: 1 to kLanes rings, one input and output "
+                                "each");
+  kKernels[rings.size() - 1](rings.data(), in.data(), out.data());
 }
 
 void GyroMems::reset() { s_ = State{}; }

@@ -13,9 +13,18 @@
 // displacement to ΔC with electrode-gap nonlinearity. Resonance frequency
 // and Q drift with temperature — the effects the conditioning chain's PLL
 // and compensation stages exist to fight.
+//
+// The RK4 is written once, over structure-of-arrays lanes: step_lanes
+// advances up to kLanes independent rings in lockstep, so the serial
+// multiply-add chain of one ring's step overlaps with its neighbours'.
+// Every lane computes exactly its own ring's scalar step (each keeps its
+// temperature-term cache and draws its Brownian deviate from its own Rng),
+// and step() is the one-lane instance.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/rng.hpp"
 
@@ -74,12 +83,22 @@ enum class DriveElectrodeFault {
 /// RK4-integrated two-mode ring model.
 class GyroMems {
  public:
+  /// Most rings one step_lanes call advances.
+  static constexpr std::size_t kLanes = 8;
+
   GyroMems(const GyroMemsConfig& cfg, ascp::Rng rng);
 
   /// Advance one integration step (1/sim_fs seconds). The temperature
   /// terms are recomputed only when the temperature or the quadrature step
   /// changes.
   GyroOutputs step(const GyroInputs& in);
+
+  /// Advance rings[l] one step with in[l], writing out[l], for 1 to kLanes
+  /// distinct rings in lockstep. Each lane is bit-identical to
+  /// rings[l]->step(in[l]). Throws std::invalid_argument on a count outside
+  /// 1…kLanes or spans of unequal length.
+  static void step_lanes(std::span<GyroMems* const> rings, std::span<const GyroInputs> in,
+                         std::span<GyroOutputs> out);
 
   // ---- fault injection -----------------------------------------------------
   void inject_drive_fault(DriveElectrodeFault fault, double stuck_v = 0.0) {
@@ -128,11 +147,13 @@ class GyroMems {
   struct State {
     double x = 0.0, vx = 0.0, y = 0.0, vy = 0.0;
   };
-  struct Params {  ///< temperature-resolved coefficients for one step
-    double w0d2, w0s2, dd, ds, fpv, kq, kappa_omega;
+  struct Params {  ///< temperature-resolved coefficients
+    double w0d2, w0s2, dd, ds, fpv, kq;
   };
 
-  static State derivative(const State& s, const Params& p, double fd, double fc, double noise);
+  /// The one RK4, over L lanes: rings[l] steps with in[l] into out[l].
+  template <std::size_t L>
+  static void step_lanes(GyroMems* const* rings, const GyroInputs* in, GyroOutputs* out);
   /// Recompute the temperature terms for `temp_c` and the current
   /// quadrature step, and key them on both bit patterns.
   void resolve(double temp_c);
@@ -148,9 +169,9 @@ class GyroMems {
   double quad_step_ = 0.0;
 
   // Temperature terms for the (temp_c, quad_step_) bit patterns in the two
-  // keys: every Params field but kappa_omega, the Brownian fluctuation-
-  // dissipation scale and the pickoff gain. Not serialized: the keys cover
-  // every input, so a restore or fault injection simply recomputes.
+  // keys: the Params, the Brownian fluctuation-dissipation scale and the
+  // pickoff gain. Not serialized: the keys cover every input, so a restore
+  // or fault injection simply recomputes.
   std::uint64_t temp_key_ = 0, quad_key_ = 0;
   Params terms_{};
   double t_scale_ = 0.0;

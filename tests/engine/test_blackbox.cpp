@@ -10,6 +10,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -341,6 +342,42 @@ TEST(Blackbox, RecorderArmedChannelIsBitIdenticalSoloAndUnderFarm) {
     return h;
   };
   EXPECT_EQ(fleet_hashes(1), fleet_hashes(4));
+}
+
+/// The (point, tick, a, b) of every ProbeSample record at or after `from`.
+std::vector<std::tuple<int, std::int64_t, double, double>> probe_samples(
+    const obs::FlightRecorder& rec, std::int64_t from) {
+  std::vector<std::tuple<int, std::int64_t, double, double>> out;
+  rec.for_each([&](const obs::FlightRecord& r) {
+    if (r.kind == obs::FlightKind::ProbeSample && r.tick >= from)
+      out.emplace_back(r.category, r.tick, r.a, r.b);
+  });
+  return out;
+}
+
+TEST(Blackbox, RecorderStimulusStrideFollowsTheGlobalTickAcrossRestore) {
+  // A channel snapshotted and restored into a fresh instance at an odd tick
+  // keeps recording the stimulus on the same ticks as its straight twin.
+  ChannelConfig cfg;
+  cfg.kind = ChannelKind::GyroIdeal;
+  cfg.seed = 31;
+  cfg.with_flight_recorder = true;
+  constexpr long kCut = 12345, kTotal = 30000;
+
+  ConditioningChannel straight(cfg);
+  straight.advance(kTotal);
+
+  ConditioningChannel first(cfg);
+  first.advance(kCut);
+  ConditioningChannel resumed(cfg);
+  resumed.restore(first.snapshot());
+  resumed.advance(kTotal - kCut);
+  ASSERT_EQ(resumed.output_hash(), straight.output_hash());
+
+  const auto expected = probe_samples(*straight.flight_recorder(), kCut);
+  const auto got = probe_samples(*resumed.flight_recorder(), kCut);
+  ASSERT_GT(expected.size(), 10u);
+  EXPECT_EQ(got, expected);
 }
 
 }  // namespace

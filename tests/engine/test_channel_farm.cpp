@@ -5,17 +5,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/fnv1a.hpp"
+#include "core/gyro_system.hpp"
 #include "platform/engine/channel_farm.hpp"
 #include "safety/fault_injection.hpp"
+#include "safety/standard_faults.hpp"
 #include "sensor/stimulus_source.hpp"
+#include "support/state_twin.hpp"
 
 namespace ascp::engine {
 namespace {
+
+using state_twin::state_of;
 
 // A mixed fleet: platform customizations at both fidelities (one with the
 // safety supervisor + fault campaign active) and both analog baselines.
@@ -312,6 +319,239 @@ TEST(FarmStimulus, RecordedChannelsBitIdenticalAcrossThreadCounts) {
 
   for (std::size_t i = 0; i < f1.size(); ++i)
     EXPECT_EQ(f1.channel(i).output_hash(), f4.channel(i).output_hash()) << i;
+}
+
+ChannelConfig channel(ChannelKind kind, double rate_dps, double temp_c) {
+  ChannelConfig c;
+  c.kind = kind;
+  c.rate_dps = rate_dps;
+  c.temp_c = temp_c;
+  return c;
+}
+
+// ---- run() index checks -----------------------------------------------------
+
+TEST(ChannelFarm, RunRejectsOutOfRangeAndRepeatedIndices) {
+  std::vector<ChannelConfig> specs = {channel(ChannelKind::Adxrs300, 10.0, 25.0),
+                                      channel(ChannelKind::Adxrs300, 20.0, 25.0)};
+  for (const unsigned threads : {1u, 2u}) {
+    FarmConfig fc;
+    fc.threads = threads;
+    ChannelFarm farm(specs, fc);
+    std::atomic<int> steps{0};
+    const ChannelFarm::Step count = [&](std::size_t, ConditioningChannel&) { ++steps; };
+    const std::vector<std::size_t> repeated = {0, 1, 0};
+    const std::vector<std::size_t> out_of_range = {1, 2};
+    EXPECT_THROW(farm.run(repeated, count), std::invalid_argument);
+    EXPECT_THROW(farm.run(out_of_range, count), std::invalid_argument);
+    EXPECT_EQ(steps.load(), 0) << "a rejected list must run nothing";
+    const std::vector<std::size_t> fine = {1, 0};
+    farm.run(fine, count);
+    EXPECT_EQ(steps.load(), 2);
+  }
+}
+
+// ---- lockstep lanes -----------------------------------------------------------
+// advance() runs observer-free gyro channels that share fidelity, base rate,
+// adc_div and tick phase as lockstep groups. Grouping must never move a bit:
+// every channel hashes like a solo ConditioningChannel from the same config.
+
+/// Folds every probe frame into an FNV-1a hash.
+class FrameHash final : public sensor::Probe {
+ public:
+  std::uint64_t hash = kFnv1aOutputBasis;
+  std::uint64_t frames = 0;
+  void on_frame(const sensor::ProbeFrame& f) override {
+    const double v[] = {static_cast<double>(f.point), static_cast<double>(f.tick), f.a, f.b};
+    hash = fnv1a_doubles(hash, v, 4);
+    ++frames;
+  }
+};
+
+void expect_lockstep_matches_solo(unsigned workers) {
+  const auto ideal = [](bool open_loop, double rate, double temp) {
+    ChannelConfig c = channel(ChannelKind::GyroIdeal, rate, temp);
+    c.configure = [open_loop](core::GyroSystemConfig& g) {
+      g.sense.mode = open_loop ? core::SenseMode::OpenLoop : core::SenseMode::ClosedLoop;
+    };
+    return c;
+  };
+  std::vector<ChannelConfig> specs;
+  for (int i = 0; i < 4; ++i) specs.push_back(ideal(true, -40.0 + 25.0 * i, 25.0 + 15.0 * i));
+  for (int i = 0; i < 3; ++i) specs.push_back(ideal(false, 30.0 - 20.0 * i, 60.0 - 30.0 * i));
+  FrameHash farm_probe;
+  ChannelConfig probed = ideal(true, 12.0, 40.0);
+  probed.probe = &farm_probe;
+  specs.push_back(probed);
+  const std::size_t kProbed = specs.size() - 1;
+  const std::size_t kRebuilt = 1;
+  for (int i = 0; i < 3; ++i)
+    specs.push_back(channel(ChannelKind::GyroFull, 20.0 + 15.0 * i, 10.0 + 20.0 * i));
+  // A register upset and a stuck primary ADC that both fire within the run.
+  ChannelConfig faulted;
+  faulted.kind = ChannelKind::GyroFull;
+  faulted.campaign_factory = [](core::GyroSystem& g) {
+    auto campaign = std::make_unique<safety::FaultCampaign>();
+    safety::faults::add_register_bit_flip(*campaign, g, /*at=*/300);
+    safety::faults::add_primary_adc_stuck(*campaign, g, /*at=*/600, /*code=*/1234,
+                                          /*clear_after=*/400);
+    return campaign;
+  };
+  specs.push_back(faulted);
+  const std::size_t kFaulted = specs.size() - 1;
+
+  FarmConfig fc;
+  fc.root_seed = 2026;
+  fc.threads = workers;
+  ChannelFarm farm(specs, fc);
+
+  // Solo twins from the farm's own configs (derived seeds included); the
+  // probed twin gets a probe of its own.
+  FrameHash solo_probe;
+  std::vector<std::unique_ptr<ConditioningChannel>> solo;
+  for (std::size_t i = 0; i < farm.size(); ++i) {
+    ChannelConfig c = farm.channel(i).config();
+    if (i == kProbed) c.probe = &solo_probe;
+    solo.push_back(std::make_unique<ConditioningChannel>(c));
+  }
+  const auto advance_all = [&](long ticks) {
+    farm.advance(static_cast<double>(ticks) / farm.channel(0).base_rate_hz());
+    for (auto& ch : solo) ch->advance(ticks);
+  };
+  const long kChunks[] = {1, 7, 13, 1001};
+  for (int round = 0; round < 6; ++round) {
+    for (const long n : kChunks) advance_all(n);
+    if (round == 2) {
+      // Rebuilt mid-run: back at tick 0 while the others sit at an odd
+      // tick, so its phase within a conversion differs.
+      ASSERT_NE(farm.channel(0).ticks_advanced() % 8, 0);
+      farm.rebuild_channel(kRebuilt);
+      solo[kRebuilt] = std::make_unique<ConditioningChannel>(farm.channel(kRebuilt).config());
+    }
+  }
+  for (int k = 0; k < 12; ++k) advance_all(1001);
+
+  for (std::size_t i = 0; i < farm.size(); ++i) {
+    EXPECT_FALSE(farm.channel_failed(i)) << farm.channel_error(i);
+    EXPECT_EQ(farm.channel(i).ticks_advanced(), solo[i]->ticks_advanced()) << "channel " << i;
+    EXPECT_GT(farm.channel(i).total_outputs(), 0u) << "channel " << i;
+    EXPECT_EQ(farm.channel(i).total_outputs(), solo[i]->total_outputs()) << "channel " << i;
+    EXPECT_EQ(farm.channel(i).output_hash(), solo[i]->output_hash()) << "channel " << i;
+  }
+  EXPECT_GT(farm_probe.frames, 0u);
+  EXPECT_EQ(farm_probe.frames, solo_probe.frames);
+  EXPECT_EQ(farm_probe.hash, solo_probe.hash);
+
+  // The campaign fired: a twin without it streams differently.
+  ChannelConfig unfaulted = farm.channel(kFaulted).config();
+  unfaulted.campaign_factory = nullptr;
+  unfaulted.with_safety = true;
+  ConditioningChannel clean(unfaulted);
+  clean.advance(farm.channel(kFaulted).ticks_advanced());
+  EXPECT_NE(clean.output_hash(), farm.channel(kFaulted).output_hash());
+}
+
+TEST(ChannelFarm, LockstepMatchesSoloOneWorker) { expect_lockstep_matches_solo(1); }
+
+TEST(ChannelFarm, LockstepMatchesSoloFourWorkers) { expect_lockstep_matches_solo(4); }
+
+/// Logs which channel each stimulus frame came from, into a log it shares
+/// with the other channels' loggers (one worker: no concurrent writers).
+class StimulusOrder final : public sensor::Probe {
+ public:
+  StimulusOrder(std::vector<int>* log, int id) : log_(log), id_(id) {}
+  bool wants(sensor::ProbePoint p) const override { return p == sensor::ProbePoint::Stimulus; }
+  void on_frame(const sensor::ProbeFrame&) override { log_->push_back(id_); }
+
+ private:
+  std::vector<int>* log_;
+  int id_;
+};
+
+TEST(ChannelFarm, ObserverFreeGyroChannelsAdvanceInLockstep) {
+  // One worker, so the frame order shows the grouping: the three
+  // observer-free GyroIdeal channels interleave tick by tick; the observed
+  // one and the baseline each run their whole advance alone.
+  std::vector<int> log;
+  std::vector<std::unique_ptr<StimulusOrder>> probes;
+  std::vector<ChannelConfig> specs;
+  for (int id = 0; id < 5; ++id) {
+    probes.push_back(std::make_unique<StimulusOrder>(&log, id));
+    ChannelConfig c;
+    c.kind = id == 4 ? ChannelKind::Adxrs300 : ChannelKind::GyroIdeal;
+    c.with_obs = id == 3;
+    c.probe = probes.back().get();
+    specs.push_back(c);
+  }
+  ChannelFarm farm(specs, FarmConfig{});
+  constexpr long kTicks = 50;
+  farm.advance(static_cast<double>(kTicks) / farm.channel(0).base_rate_hz());
+
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(5 * kTicks));
+  for (long t = 0; t < kTicks; ++t)
+    for (int id = 0; id < 3; ++id) ASSERT_EQ(log[static_cast<std::size_t>(3 * t + id)], id);
+  for (std::size_t k = 3 * kTicks; k < 4 * kTicks; ++k) ASSERT_EQ(log[k], 3);
+  for (std::size_t k = 4 * kTicks; k < 5 * kTicks; ++k) ASSERT_EQ(log[k], 4);
+}
+
+/// Throws from the post-MEMS tap on one tick: between a group's analog
+/// stage and its DSP frame.
+class ThrowingProbe final : public sensor::Probe {
+ public:
+  explicit ThrowingProbe(long at) : at_(at) {}
+  bool wants(sensor::ProbePoint p) const override { return p == sensor::ProbePoint::PostMems; }
+  void on_frame(const sensor::ProbeFrame& f) override {
+    if (f.tick == at_) throw std::runtime_error("probe exploded");
+  }
+
+ private:
+  long at_;
+};
+
+TEST(ChannelFarm, ThrowingGroupMembersFailAloneGroupMatesFinish) {
+  // One lockstep group on one worker with two members that throw: one from
+  // its fault campaign mid-advance, one from its probe on the first
+  // conversion tick, before that tick's DSP frame. Each is marked failed and
+  // left as a solo throwing advance leaves it; the group-mates stream
+  // exactly like a farm without the bombs.
+  ThrowingProbe bomb(/*at=*/7);
+  ChannelConfig probe_thrower;
+  probe_thrower.kind = ChannelKind::GyroIdeal;
+  probe_thrower.probe = &bomb;
+  std::vector<ChannelConfig> specs = {channel(ChannelKind::GyroIdeal, 20.0, 25.0),
+                                      throwing_config(/*inject_at=*/100),
+                                      channel(ChannelKind::GyroIdeal, -35.0, 50.0),
+                                      probe_thrower,
+                                      channel(ChannelKind::GyroIdeal, 80.0, -10.0)};
+  FarmConfig fc;
+  fc.root_seed = 21;
+  ChannelFarm farm(specs, fc);
+  farm.advance(0.02);
+  farm.advance(0.01);
+
+  EXPECT_EQ(farm.failed_channels(), 2u);
+  EXPECT_EQ(farm.channel_error(1), "campaign action exploded");
+  EXPECT_EQ(farm.channel_error(3), "probe exploded");
+  for (const std::size_t i : {1u, 3u}) {
+    ASSERT_TRUE(farm.channel_failed(i));
+    ConditioningChannel thrower(farm.channel(i).config());
+    EXPECT_THROW(thrower.advance(std::llround(0.02 * thrower.base_rate_hz())),
+                 std::runtime_error);
+    EXPECT_EQ(farm.channel(i).ticks_advanced(), thrower.ticks_advanced());
+    EXPECT_EQ(farm.channel(i).outputs().size(), thrower.outputs().size());
+    EXPECT_EQ(farm.channel(i).gyro()->dsp_samples(), thrower.gyro()->dsp_samples());
+    EXPECT_EQ(state_of(*farm.channel(i).gyro()), state_of(*thrower.gyro())) << "channel " << i;
+  }
+
+  specs[1].campaign_factory = nullptr;
+  specs[3].probe = nullptr;
+  ChannelFarm clean(specs, fc);
+  clean.advance(0.02);
+  clean.advance(0.01);
+  for (const std::size_t i : {0u, 2u, 4u}) {
+    EXPECT_FALSE(farm.channel_failed(i));
+    EXPECT_EQ(farm.channel(i).output_hash(), clean.channel(i).output_hash()) << "channel " << i;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/math.hpp"
@@ -300,6 +302,131 @@ TEST(GyroMemsCache, InvisibleOverTemperatureAndQuadratureSteps) {
 
   for (int round = 0; round < 2; ++round)
     for (const double temp : kCacheTemps) step_both(k++, temp);
+}
+
+// ---- lockstep lanes ----------------------------------------------------------
+// GyroMems::step_lanes advances up to kLanes rings in one call. Each lane must
+// be its ring's own step(), bit for bit, for every lane count: the lanes
+// interleave arithmetic, never share it.
+
+/// L rings with lane-specific configs and seeds, and a twin of each that is
+/// stepped alone.
+struct LaneRig {
+  std::vector<GyroMems> lanes, solo;
+
+  explicit LaneRig(std::size_t n) {
+    for (std::size_t l = 0; l < n; ++l) {
+      GyroMemsConfig cfg;
+      cfg.f0_hz = 15e3 + 37.0 * static_cast<double>(l);
+      cfg.mode_split_hz = 3.0 * static_cast<double>(l % 3);
+      cfg.quad_stiffness = 6.0e4 * (1.0 + 0.1 * static_cast<double>(l));
+      lanes.emplace_back(cfg, ascp::Rng(100 + l));
+      solo.emplace_back(cfg, ascp::Rng(100 + l));
+    }
+  }
+
+  /// Lane l's input at step k: drive near resonance, a yaw rate and control
+  /// voltage of its own, and a temperature that changes on every step (so
+  /// every step misses the temperature-term cache).
+  GyroInputs input(std::size_t l, int k) const {
+    const GyroMemsConfig& cfg = solo[l].config();
+    GyroInputs in;
+    in.v_drive = 0.5 * std::sin(kTwoPi * cfg.f0_hz * k / cfg.sim_fs);
+    in.v_control = 0.01 * std::cos(0.003 * k + static_cast<double>(l));
+    in.rate_dps = 40.0 * std::sin(0.01 * k) + 10.0 * static_cast<double>(l);
+    in.temp_c = -40.0 + 0.01 * k + 7.0 * static_cast<double>(l);
+    return in;
+  }
+
+  /// One step of every ring: the lanes in one call, the twins one by one.
+  void step(int k) {
+    std::vector<GyroMems*> rings;
+    std::vector<GyroInputs> in;
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      rings.push_back(&lanes[l]);
+      in.push_back(input(l, k));
+    }
+    std::vector<GyroOutputs> out(lanes.size());
+    GyroMems::step_lanes(rings, in, out);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      const GyroOutputs ref = solo[l].step(in[l]);
+      ASSERT_EQ(bits(out[l].dc_primary), bits(ref.dc_primary)) << "lane " << l << " step " << k;
+      ASSERT_EQ(bits(out[l].dc_sense), bits(ref.dc_sense)) << "lane " << l << " step " << k;
+    }
+  }
+
+  void expect_same_state() {
+    for (std::size_t l = 0; l < lanes.size(); ++l)
+      EXPECT_EQ(state_of(lanes[l]), state_of(solo[l])) << "lane " << l;
+  }
+};
+
+TEST(GyroMemsLanes, EveryLaneCountMatchesScalarSteps) {
+  for (std::size_t n = 1; n <= GyroMems::kLanes; ++n) {
+    LaneRig rig(n);
+    for (int k = 0; k < 3000; ++k) {
+      rig.step(k);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    rig.expect_same_state();
+  }
+}
+
+TEST(GyroMemsLanes, FaultsAndQuadratureStepsActOnTheirOwnLane) {
+  for (std::size_t n = 1; n <= GyroMems::kLanes; ++n) {
+    LaneRig rig(n);
+    const auto both = [&](std::size_t l, auto&& act) {
+      act(rig.lanes[l]);
+      act(rig.solo[l]);
+    };
+    int k = 0;
+    for (; k < 400; ++k) rig.step(k);
+    // A quadrature step on lane 0, an open drive electrode on the last lane
+    // and a stuck one on lane 1 (when there is one).
+    both(0, [](GyroMems& g) { g.inject_quadrature_step(2e4); });
+    both(n - 1, [](GyroMems& g) { g.inject_drive_fault(DriveElectrodeFault::Open); });
+    if (n > 2) both(1, [](GyroMems& g) { g.inject_drive_fault(DriveElectrodeFault::Stuck, 0.7); });
+    for (; k < 800; ++k) rig.step(k);
+    for (std::size_t l = 0; l < n; ++l) both(l, [](GyroMems& g) { g.clear_faults(); });
+    for (; k < 1200; ++k) rig.step(k);
+    if (::testing::Test::HasFatalFailure()) return;
+    rig.expect_same_state();
+  }
+}
+
+TEST(GyroMemsLanes, RestoredRingsContinueInLanes) {
+  // Every lane serialized mid-run and reloaded into a fresh ring (cold
+  // caches, the Brownian stream mid-flight) continues exactly like its
+  // twin, which was never interrupted.
+  for (std::size_t n = 1; n <= GyroMems::kLanes; ++n) {
+    LaneRig rig(n);
+    int k = 0;
+    for (; k < 777; ++k) rig.step(k);
+    for (std::size_t l = 0; l < n; ++l) {
+      const auto image = state_of(rig.lanes[l]);
+      rig.lanes[l] = GyroMems(rig.solo[l].config(), ascp::Rng(1));
+      load(rig.lanes[l], image);
+    }
+    for (; k < 1500; ++k) rig.step(k);
+    if (::testing::Test::HasFatalFailure()) return;
+    rig.expect_same_state();
+  }
+}
+
+TEST(GyroMemsLanes, RejectsLaneCountsOutsideOneToKLanes) {
+  std::vector<GyroMems> rings(GyroMems::kLanes + 1, GyroMems(GyroMemsConfig{}, ascp::Rng(1)));
+  std::vector<GyroMems*> ptrs;
+  for (auto& r : rings) ptrs.push_back(&r);
+  std::vector<GyroInputs> in(ptrs.size());
+  std::vector<GyroOutputs> out(ptrs.size());
+  EXPECT_THROW(GyroMems::step_lanes({}, {}, {}), std::invalid_argument);
+  EXPECT_THROW(GyroMems::step_lanes(ptrs, in, out), std::invalid_argument);
+  EXPECT_THROW(GyroMems::step_lanes(std::span(ptrs).first(2), std::span(in).first(1),
+                                    std::span(out).first(2)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(GyroMems::step_lanes(std::span(ptrs).first(GyroMems::kLanes),
+                                       std::span(in).first(GyroMems::kLanes),
+                                       std::span(out).first(GyroMems::kLanes)));
 }
 
 }  // namespace
