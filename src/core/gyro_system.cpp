@@ -295,6 +295,16 @@ void GyroSystem::flush_sense_block() {
   blk_cq_.clear();
 }
 
+GyroSystem::Group::Group(std::span<GroupMember> members) {
+  for (GroupMember& m : members) {
+    m.error = nullptr;
+    lanes[size].member = &m;
+    rings[size] = m.sys->mems_.get();
+    m.sys->begin_lane(lanes[size]);
+    ++size;
+  }
+}
+
 template <typename Fn>
 void GyroSystem::Group::each(Fn&& fn) {
   // A lone member's exception unwinds the tick, as a solo run's always has;
@@ -567,8 +577,9 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, Group& g) {
       "dsp_frame");
 }
 
-GyroSystem::LaneKey GyroSystem::lane_key() const {
-  return {cfg_.fidelity, cfg_.analog_fs, cfg_.adc_div, base_ticks_ % cfg_.adc_div};
+std::optional<GyroSystem::LaneKey> GyroSystem::lane_key() const {
+  if (cfg_.fidelity == Fidelity::Full || obs_.enabled()) return std::nullopt;
+  return LaneKey{cfg_.analog_fs, cfg_.adc_div, base_ticks_ % cfg_.adc_div};
 }
 
 void GyroSystem::serialize_state(StateArchive& ar) {
@@ -641,11 +652,7 @@ std::vector<platform::Scheduler::TaskInfo> GyroSystem::schedule_tasks() {
   platform::Scheduler sched(cfg_.analog_fs);
   sensor::SyntheticSource src({}, {}, cfg_.analog_fs);
   GroupMember self{this, &src, nullptr, {}};
-  Group g;
-  g.lanes[0].member = &self;
-  g.rings[0] = mems_.get();
-  g.size = 1;
-  begin_lane(g.lanes[0]);
+  Group g({&self, 1});
   schedule_pipeline(sched, g);
   return sched.tasks();
 }
@@ -671,37 +678,29 @@ void GyroSystem::run(sensor::StimulusSource& src, double seconds, std::vector<do
 void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
   if (members.empty() || members.size() > Group::kMax)
     throw std::invalid_argument("GyroSystem::run_group: 1 to GyroMems::kLanes members");
-  const LaneKey key = members[0].sys->lane_key();
-  for (std::size_t k = 0; k < members.size(); ++k) {
-    GyroSystem* sys = members[k].sys;
-    if (sys->lane_key() != key)
-      throw std::invalid_argument("GyroSystem::run_group: members differ in lane key");
-    if (members.size() > 1 && sys->obs_.enabled())
-      throw std::invalid_argument("GyroSystem::run_group: an observed system runs alone");
-    for (std::size_t j = 0; j < k; ++j)
-      if (members[j].sys == sys)
-        throw std::invalid_argument("GyroSystem::run_group: a system listed twice");
+  GyroSystem& lead = *members[0].sys;
+  if (members.size() > 1) {
+    const std::optional<LaneKey> key = lead.lane_key();
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      GyroSystem* sys = members[k].sys;
+      if (!key || sys->lane_key() != key)
+        throw std::invalid_argument("GyroSystem::run_group: members need one lane key");
+      for (std::size_t j = 0; j < k; ++j)
+        if (members[j].sys == sys)
+          throw std::invalid_argument("GyroSystem::run_group: a system listed twice");
+    }
   }
 
   // One pipeline instance per call; the scheduler's tick origin is this
   // call's first tick. All multi-rate structure lives in the Scheduler and in
   // the hardware models' own decimators — there is no divider arithmetic
   // here.
-  platform::Scheduler sched(key.analog_fs);
-  Group g;
-  for (GroupMember& m : members) {
-    m.error = nullptr;
-    Lane& lane = g.lanes[g.size];
-    lane.member = &m;
-    g.rings[g.size] = m.sys->mems_.get();
-    ++g.size;
-    m.sys->begin_lane(lane);
-  }
+  platform::Scheduler sched(lead.cfg_.analog_fs);
+  Group g(members);
   schedule_pipeline(sched, g);
 
-  // Observability is the lead's alone: a larger group has none (checked
-  // above), so this is exactly a solo run's bookkeeping.
-  GyroSystem& lead = *members[0].sys;
+  // Observability is the lead's alone: a larger group has none (its members
+  // all have lane keys), so this is exactly a solo run's bookkeeping.
   obs::ObsSink& o = lead.obs_;
   const long tick_origin = lead.base_ticks_;
   if (o.tasks) {
@@ -711,11 +710,11 @@ void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
     o.tasks->set_tick_origin(tick_origin);
     sched.set_profiler(o.tasks);
   }
-  const double dsp_fs = key.analog_fs / key.adc_div;
+  const double dsp_fs = lead.cfg_.analog_fs / lead.cfg_.adc_div;
   if (o.events)
     o.events->emit(static_cast<double>(lead.dsp_samples_) / dsp_fs, obs::EventSeverity::Debug,
                    obs::EventCategory::Scheduler, "run_begin", {}, {{"seconds", seconds}});
-  const double t_sim0 = static_cast<double>(tick_origin) / key.analog_fs;
+  const double t_sim0 = static_cast<double>(tick_origin) / lead.cfg_.analog_fs;
   if (o.spans && o.events && !lead.obs_trace_announced_) {
     lead.obs_trace_announced_ = true;
     o.events->emit(t_sim0, obs::EventSeverity::Debug, obs::EventCategory::Trace, "trace_begin",

@@ -17,8 +17,8 @@
 // sample (readable over JTAG and by the 8051 through the bridge), and an
 // optional MCU monitor slice runs the paper's control/monitoring firmware.
 //
-// Systems that share fidelity, base rate, adc_div and tick phase can run as
-// one lockstep group (run_group): one Scheduler, one GyroMems::step_lanes
+// Ideal-fidelity systems that share base rate, adc_div and tick phase can run
+// as one lockstep group (run_group): one Scheduler, one GyroMems::step_lanes
 // call per tick for all their rings, and every member's output bit for bit
 // what its own run() gives. run() is the group of one.
 #pragma once
@@ -112,17 +112,21 @@ class GyroSystem : public RateSensor {
   void run(sensor::StimulusSource& src, double seconds, std::vector<double>* out) override;
 
   // ---- lockstep groups ------------------------------------------------------
-  /// What the systems of one run_group must share: fidelity, base rate,
-  /// adc_div and the phase of the next tick within a conversion, so one
-  /// dsp_frame task fires on every member's conversion ticks.
+  /// What the systems of one run_group must share: base rate, adc_div and
+  /// the phase of the next tick within a conversion, so one dsp_frame task
+  /// fires on every member's conversion ticks.
   struct LaneKey {
-    Fidelity fidelity;
     double analog_fs;
     int adc_div;
     long phase;
     bool operator==(const LaneKey&) const = default;
   };
-  LaneKey lane_key() const;
+  /// This system's key, or none when it must run alone: at Full fidelity,
+  /// whose charge amps, SAR converters and DSP outweigh the MEMS step, so a
+  /// group measured no faster than its members run one by one; and with an
+  /// observability sink, because a group's one Scheduler carries one task
+  /// profiler.
+  std::optional<LaneKey> lane_key() const;
 
   /// One system of a run_group: its stimulus and output sink, and the
   /// exception it threw, if it threw.
@@ -133,15 +137,15 @@ class GyroSystem : public RateSensor {
     std::exception_ptr error;
   };
 
-  /// Run 1 to GyroMems::kLanes distinct systems with equal lane_key()s for
-  /// `seconds` in lockstep, on one Scheduler with run()'s task graph:
-  /// `analog` stages every member's inputs and makes one step_lanes call
-  /// per tick, `probe` and `dsp_frame` loop over the members. Each member
-  /// ends bit for bit where its own run() would. A member that throws keeps
-  /// the exception in `error`, is left as a throwing run() leaves it, and
-  /// drops out while the others finish. A group of more than one must carry
-  /// no observability sink (the one Scheduler has one task profiler).
-  /// Throws std::invalid_argument when these preconditions fail.
+  /// Run 1 to GyroMems::kLanes distinct systems for `seconds` in lockstep,
+  /// on one Scheduler with run()'s task graph: `analog` stages every
+  /// member's inputs and makes one step_lanes call per tick, `probe` and
+  /// `dsp_frame` loop over the members. Each member ends bit for bit where
+  /// its own run() would. A member that throws keeps the exception in
+  /// `error`, is left as a throwing run() leaves it, and drops out while the
+  /// others finish. The members of a group of more than one must have equal
+  /// lane_key()s, none of them empty. Throws std::invalid_argument when
+  /// these preconditions fail.
   static void run_group(std::span<GroupMember> members, double seconds);
 
   double nominal_sensitivity() const override { return 5e-3; }  // 5 mV/°/s, Table 1
@@ -235,6 +239,10 @@ class GyroSystem : public RateSensor {
     std::array<sensor::GyroInputs, kMax> in;
     std::array<sensor::GyroOutputs, kMax> pick;
     std::size_t size = 0;
+
+    /// Every member running, its error cleared and its lane set up for a
+    /// run (begin_lane). At most kMax members.
+    explicit Group(std::span<GroupMember> members);
 
     /// fn(system, k) for every running member k. A member whose fn throws
     /// keeps the exception and leaves the group once the loop is done; a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -155,8 +156,8 @@ void ChannelFarm::run(std::span<const std::size_t> which, const Step& step) {
 }
 
 void ChannelFarm::advance(double seconds) {
-  // Lane groups: the observer-free gyro channels, by lane key, in index
-  // order. Baselines and observed channels advance alone.
+  // Lane groups: the gyro channels with a lane key, by key, in index order.
+  // Baselines and gyro channels without a key advance alone.
   struct Bucket {
     core::GyroSystem::LaneKey key;
     std::vector<std::size_t> channels;
@@ -167,14 +168,14 @@ void ChannelFarm::advance(double seconds) {
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     if (channel_failed(i)) continue;
     const core::GyroSystem* g = channels_[i]->gyro();
-    if (!g || g->observability().enabled()) {
+    const std::optional<core::GyroSystem::LaneKey> key = g ? g->lane_key() : std::nullopt;
+    if (!key) {
       alone.push_back(i);
       continue;
     }
-    const core::GyroSystem::LaneKey key = g->lane_key();
     auto b = std::find_if(buckets.begin(), buckets.end(),
-                          [&](const Bucket& x) { return x.key == key; });
-    if (b == buckets.end()) b = buckets.insert(b, Bucket{key, {}});
+                          [&](const Bucket& x) { return x.key == *key; });
+    if (b == buckets.end()) b = buckets.insert(b, Bucket{*key, {}});
     b->channels.push_back(i);
     ++eligible;
   }
@@ -200,18 +201,12 @@ void ChannelFarm::advance(double seconds) {
   }
   start.push_back(order.size());
 
-  // Each channel converts the common wall of simulated time to its own base
-  // ticks (farms may mix base rates), exactly as a solo run would.
-  const auto ticks_of = [seconds](const ConditioningChannel& ch) {
-    return std::llround(seconds * ch.base_rate_hz());
-  };
-  const Step solo = [&](std::size_t, ConditioningChannel& ch) { ch.advance(ticks_of(ch)); };
+  // Each unit converts the common wall of simulated time to its own base
+  // ticks (farms may mix base rates; a group shares one), exactly as a solo
+  // run would. A lone channel is the group of one.
   dispatch(start.size() - 1, [&](std::size_t k) {
     const std::span<const std::size_t> unit(order.data() + start[k], start[k + 1] - start[k]);
-    if (unit.size() == 1)
-      run_channel(unit[0], solo);
-    else
-      run_group(unit, ticks_of(*channels_[unit[0]]));
+    run_group(unit, std::llround(seconds * channels_[unit[0]]->base_rate_hz()));
   });
 }
 

@@ -15,14 +15,15 @@
 // preallocated output vector; the pool synchronizes only on the work-queue
 // cursor (one atomic fetch_add per work unit per run).
 //
-// Lockstep lanes: advance() runs observer-free GyroSystem channels that
-// share a GyroSystem::LaneKey (fidelity, base rate, adc_div, tick phase) in
-// groups of min(kLanes, ⌈eligible ÷ workers⌉), one
-// ConditioningChannel::advance_group per group, so their MEMS rings step
-// together in GyroMems::step_lanes. Every other channel (baselines, and any
-// channel with an obs sink, whose one task profiler a shared Scheduler could
-// not carry) advances alone. A member that throws fails alone; its
-// group-mates finish. Grouping never changes a bit of any channel's output.
+// Lockstep lanes: advance() runs GyroSystem channels that share a
+// GyroSystem::lane_key() (base rate, adc_div, tick phase) in groups of
+// min(kLanes, ⌈eligible ÷ workers⌉), one ConditioningChannel::advance_group
+// per group, so their MEMS rings step together in GyroMems::step_lanes.
+// Every other channel advances alone, as the group of one: baselines, and
+// gyro channels without a key (Full fidelity, or an obs sink, whose one task
+// profiler a shared Scheduler could not carry). A member that throws fails
+// alone; its group-mates finish. Grouping never changes a bit of any
+// channel's output.
 #pragma once
 
 #include <atomic>
@@ -143,7 +144,8 @@ class ChannelFarm {
   /// Runs job(0 … n-1) across the pool and blocks until all are done.
   void dispatch(std::size_t n, const Job& job);
   void run_channel(std::size_t i, const Step& step);
-  /// One advance_group over the listed channels (none failed).
+  /// One advance_group over the listed channels (none failed): a lane group,
+  /// or a lone channel of any kind as the group of one.
   void run_group(std::span<const std::size_t> group, long n_base_ticks);
   /// Records channel i's step, which threw `error` (null when it did not):
   /// the failure, or the metrics.

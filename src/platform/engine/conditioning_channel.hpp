@@ -144,11 +144,11 @@ class ConditioningChannel {
   void advance(long n_base_ticks);
 
   /// advance() for a lockstep group: 1 to GyroMems::kLanes distinct gyro
-  /// channels whose systems share a GyroSystem::LaneKey and carry no
-  /// observability, run as one GyroSystem::run_group. Each member keeps
-  /// advance()'s bookkeeping. A member that throws gets its exception in
-  /// errors[k] instead of a throw, is left as a throwing advance() leaves it,
-  /// and its group-mates finish. advance() is the group of one, of any kind.
+  /// channels whose systems have one GyroSystem::lane_key(), run as one
+  /// GyroSystem::run_group. Each member keeps advance()'s bookkeeping. A
+  /// member that throws gets its exception in errors[k] instead of a throw,
+  /// is left as a throwing advance() leaves it, and its group-mates finish.
+  /// advance() is the group of one, of any kind.
   /// Throws std::invalid_argument when the group breaks these rules.
   static void advance_group(std::span<ConditioningChannel* const> group, long n_base_ticks,
                             std::span<std::exception_ptr> errors);

@@ -332,5 +332,54 @@ TEST(GyroSystem, ChunkedRunsWithRestoreMatchStraightRun) {
     }
 }
 
+// Who may share a lockstep group is lane_key()'s call alone: Ideal systems
+// without an obs sink at one tick phase. run_group rejects any other group
+// of more than one before a tick runs, and runs any system as the group of
+// one.
+TEST(GyroSystem, RunGroupNeedsOneLaneKey) {
+  const auto make = [](Fidelity f) {
+    auto s = std::make_unique<GyroSystem>(default_gyro_system(f));
+    s->power_on(7);
+    return s;
+  };
+  auto a = make(Fidelity::Ideal), b = make(Fidelity::Ideal), c = make(Fidelity::Ideal);
+  auto full = make(Fidelity::Full), full2 = make(Fidelity::Full);
+  auto observed = make(Fidelity::Ideal);
+  obs::Observability o;
+  observed->set_observability(o.sink());
+  ASSERT_TRUE(a->lane_key());
+  EXPECT_EQ(a->lane_key(), c->lane_key());
+  EXPECT_FALSE(full->lane_key());
+  EXPECT_FALSE(observed->lane_key());
+
+  const double fs = a->config().analog_fs;
+  std::vector<std::unique_ptr<sensor::SyntheticSource>> sources;
+  const auto group = [&](std::initializer_list<GyroSystem*> systems) {
+    std::vector<GyroSystem::GroupMember> members;
+    for (GyroSystem* s : systems) {
+      sources.push_back(std::make_unique<sensor::SyntheticSource>(
+          sensor::Profile::constant(10.0), sensor::Profile::constant(25.0), fs));
+      members.push_back({s, sources.back().get(), nullptr, {}});
+    }
+    return members;
+  };
+  const auto run = [fs](std::vector<GyroSystem::GroupMember> members, long ticks) {
+    GyroSystem::run_group(members, static_cast<double>(ticks) / fs);
+  };
+  run(group({b.get()}), 3);  // b now sits at another tick phase
+  EXPECT_NE(a->lane_key(), b->lane_key());
+  for (auto members : {group({full.get(), full2.get()}), group({a.get(), observed.get()}),
+                       group({a.get(), b.get()}), group({a.get(), a.get()})})
+    EXPECT_THROW(run(members, 16), std::invalid_argument);
+  for (GyroSystem* s : {a.get(), full.get(), full2.get(), observed.get()})
+    EXPECT_EQ(s->dsp_samples(), 0) << "a rejected group runs nothing";
+
+  run(group({a.get(), c.get()}), 16);
+  run(group({full.get()}), 16);
+  run(group({observed.get()}), 16);
+  for (GyroSystem* s : {a.get(), c.get(), full.get(), observed.get()})
+    EXPECT_EQ(s->dsp_samples(), 2);
+}
+
 }  // namespace
 }  // namespace ascp::core

@@ -352,7 +352,7 @@ TEST(ChannelFarm, RunRejectsOutOfRangeAndRepeatedIndices) {
 }
 
 // ---- lockstep lanes -----------------------------------------------------------
-// advance() runs observer-free gyro channels that share fidelity, base rate,
+// advance() runs observer-free GyroIdeal channels that share base rate,
 // adc_div and tick phase as lockstep groups. Grouping must never move a bit:
 // every channel hashes like a solo ConditioningChannel from the same config.
 
@@ -385,20 +385,20 @@ void expect_lockstep_matches_solo(unsigned workers) {
   specs.push_back(probed);
   const std::size_t kProbed = specs.size() - 1;
   const std::size_t kRebuilt = 1;
-  for (int i = 0; i < 3; ++i)
-    specs.push_back(channel(ChannelKind::GyroFull, 20.0 + 15.0 * i, 10.0 + 20.0 * i));
-  // A register upset and a stuck primary ADC that both fire within the run.
-  ChannelConfig faulted;
-  faulted.kind = ChannelKind::GyroFull;
+  // A register upset and a quadrature step on the ring, both firing within
+  // the run, on a group member.
+  ChannelConfig faulted = ideal(true, 55.0, 30.0);
   faulted.campaign_factory = [](core::GyroSystem& g) {
     auto campaign = std::make_unique<safety::FaultCampaign>();
     safety::faults::add_register_bit_flip(*campaign, g, /*at=*/300);
-    safety::faults::add_primary_adc_stuck(*campaign, g, /*at=*/600, /*code=*/1234,
-                                          /*clear_after=*/400);
+    safety::faults::add_quadrature_step(*campaign, g, /*at=*/600);
     return campaign;
   };
   specs.push_back(faulted);
   const std::size_t kFaulted = specs.size() - 1;
+  // Full channels run alone (no lane key) between the groups.
+  for (int i = 0; i < 2; ++i)
+    specs.push_back(channel(ChannelKind::GyroFull, 20.0 + 15.0 * i, 10.0 + 20.0 * i));
 
   FarmConfig fc;
   fc.root_seed = 2026;
@@ -468,17 +468,20 @@ class StimulusOrder final : public sensor::Probe {
   int id_;
 };
 
-TEST(ChannelFarm, ObserverFreeGyroChannelsAdvanceInLockstep) {
+TEST(ChannelFarm, ObserverFreeIdealChannelsAdvanceInLockstep) {
   // One worker, so the frame order shows the grouping: the three
   // observer-free GyroIdeal channels interleave tick by tick; the observed
-  // one and the baseline each run their whole advance alone.
+  // one, the baseline and the GyroFull channel each run their whole advance
+  // alone.
   std::vector<int> log;
   std::vector<std::unique_ptr<StimulusOrder>> probes;
   std::vector<ChannelConfig> specs;
-  for (int id = 0; id < 5; ++id) {
+  for (int id = 0; id < 6; ++id) {
     probes.push_back(std::make_unique<StimulusOrder>(&log, id));
     ChannelConfig c;
-    c.kind = id == 4 ? ChannelKind::Adxrs300 : ChannelKind::GyroIdeal;
+    c.kind = id == 4   ? ChannelKind::Adxrs300
+             : id == 5 ? ChannelKind::GyroFull
+                       : ChannelKind::GyroIdeal;
     c.with_obs = id == 3;
     c.probe = probes.back().get();
     specs.push_back(c);
@@ -487,11 +490,11 @@ TEST(ChannelFarm, ObserverFreeGyroChannelsAdvanceInLockstep) {
   constexpr long kTicks = 50;
   farm.advance(static_cast<double>(kTicks) / farm.channel(0).base_rate_hz());
 
-  ASSERT_EQ(log.size(), static_cast<std::size_t>(5 * kTicks));
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(6 * kTicks));
   for (long t = 0; t < kTicks; ++t)
     for (int id = 0; id < 3; ++id) ASSERT_EQ(log[static_cast<std::size_t>(3 * t + id)], id);
-  for (std::size_t k = 3 * kTicks; k < 4 * kTicks; ++k) ASSERT_EQ(log[k], 3);
-  for (std::size_t k = 4 * kTicks; k < 5 * kTicks; ++k) ASSERT_EQ(log[k], 4);
+  for (int id = 3; id < 6; ++id)
+    for (long t = 0; t < kTicks; ++t) ASSERT_EQ(log[static_cast<std::size_t>(id * kTicks + t)], id);
 }
 
 /// Throws from the post-MEMS tap on one tick: between a group's analog
