@@ -35,7 +35,7 @@ struct Row {
 };
 
 // Homogeneous Ideal-fidelity fleet — the configuration a Monte Carlo
-// characterization sweep would scale out, and the engine's batched path.
+// characterization sweep would scale out.
 std::vector<engine::ChannelConfig> fleet(std::size_t n) {
   std::vector<engine::ChannelConfig> specs(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
 
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
     // CI smoke: a small pooled farm vs its single-threaded twin, checked
-    // byte-identical. Exercises the pool handshake and the batched path
-    // without the full sweep's runtime.
+    // byte-identical. Exercises the pool handshake without the full sweep's
+    // runtime.
     const auto solo = run_fleet(4, 1, 0.1, &metrics);
     const auto pooled = run_fleet(4, hw, 0.1, &metrics);
     const bool ok = pooled.hashes == solo.hashes && pooled.samples == solo.samples;

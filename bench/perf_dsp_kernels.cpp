@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "core/gyro_system.hpp"
@@ -67,58 +66,9 @@ static void BM_CicDecimator(benchmark::State& state) {
 }
 BENCHMARK(BM_CicDecimator);
 
-// ---- batched variants -------------------------------------------------------
-// Same kernels through the *_block APIs at the engine's natural block size
-// (one CIC frame, 128 samples). Counts are per sample so the per-item times
-// compare directly against the scalar benches above.
-
-static void BM_FirFilter33_Block(benchmark::State& state) {
-  dsp::FirFilter fir(dsp::design_lowpass(33, 75.0, 1875.0));
-  std::vector<double> buf(128, 0.3);
-  for (auto _ : state) {
-    fir.process_block(buf, buf);
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(buf.size()));
-}
-BENCHMARK(BM_FirFilter33_Block);
-
-static void BM_Biquad_Block(benchmark::State& state) {
-  dsp::Biquad bq(dsp::design_biquad_lowpass(400.0, 0.707, 240e3));
-  std::vector<double> buf(128, 0.3);
-  for (auto _ : state) {
-    bq.process_block(buf);
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(buf.size()));
-}
-BENCHMARK(BM_Biquad_Block);
-
-static void BM_Nco_Block(benchmark::State& state) {
-  dsp::Nco nco(240e3, 15e3);
-  std::vector<double> s(128), c(128);
-  for (auto _ : state) {
-    nco.step_block(s, c);
-    benchmark::DoNotOptimize(s.data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(s.size()));
-}
-BENCHMARK(BM_Nco_Block);
-
-static void BM_CicDecimator_Block(benchmark::State& state) {
-  dsp::CicDecimator cic(3, 128, 16, 2.5);
-  std::vector<double> in(128, 0.1), out(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cic.push_block(in, out));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(in.size()));
-}
-BENCHMARK(BM_CicDecimator_Block);
-
 // ---- full sense chain, one channel ------------------------------------------
-// Open-loop chain at the 240 kHz DSP rate: the farm's per-channel hot path,
-// scalar vs one-CIC-frame blocks. items/s here is DSP samples per second.
+// Open-loop chain at the 240 kHz DSP rate: the farm's per-channel hot path.
+// items/s here is DSP samples per second.
 
 static void BM_SenseChainStep(benchmark::State& state) {
   core::SenseChainConfig cfg;
@@ -133,23 +83,6 @@ static void BM_SenseChainStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SenseChainStep);
-
-static void BM_SenseChainStepBlock(benchmark::State& state) {
-  core::SenseChainConfig cfg;
-  cfg.mode = core::SenseMode::OpenLoop;
-  core::SenseChain chain(cfg);
-  dsp::Nco nco(cfg.fs, 15e3);
-  const std::size_t n = static_cast<std::size_t>(chain.samples_until_slow());
-  std::vector<double> pk(n), ci(n), cq(n);
-  for (auto _ : state) {
-    nco.step_block(ci, cq);
-    for (std::size_t k = 0; k < n; ++k) pk[k] = 0.3 * cq[k];
-    chain.step_block(pk, ci, cq);
-    benchmark::DoNotOptimize(chain.slow_output(25.0));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SenseChainStepBlock);
 
 static void BM_PllStep(benchmark::State& state) {
   dsp::Pll pll(dsp::PllConfig{});

@@ -2,7 +2,8 @@
 # ci.sh — the single CI entry point.
 #
 # With no argument, runs the full pipeline: builds every preset, runs the
-# tier-1 test suite on the default and ubsan builds, the perf ledger's
+# tier-1 test suite on the default and ubsan builds (the ubsan build also
+# halts on a float-to-integer cast of NaN or ±Inf), the perf ledger's
 # selftest and smoke run (every workload's seed-2026 output hash must match
 # its pin), the static verification driver (platform_lint) over the shipped
 # platform plus both negative fixtures, and finishes with every named stage
@@ -58,8 +59,10 @@
 #                        must fail replay with the distinct blackbox CRC
 #                        error, and ascp_tool inspect must pass a captured
 #                        checkpoint, a recorded trace and the dumped image
-#                        but reject a forged-length copy of each (exit 1, no
-#                        sanitizer report)
+#                        but reject a forged-length copy of each, and a copy
+#                        of the trace whose sample-rate word (outside the
+#                        CRC) is forged to +Inf (exit 1, no sanitizer report,
+#                        float-cast-overflow included)
 #   ci.sh ledger       — timing regression check: bench/ledger/run.sh check 3
 #                        runs every ledger workload three times plus one
 #                        traced run, and compares the medians with the
@@ -183,15 +186,15 @@ EOF
 }
 
 # ascp_tool inspect (ASAN build) must pass FILE, and must reject a copy whose
-# length field at OFFSET is forged to VALUE as a bad frame (exit 1) without
-# a sanitizer report.
+# u64 header word at OFFSET is forged to VALUE as a bad frame (exit 1)
+# without a sanitizer report.
 inspect_and_forge() {
   local file="$1" offset="$2" value="$3" rc=0
   ./build-asan/tools/ascp_tool inspect "$file"
   forge_u64 "$file" "$offset" "$value" "$file.forged"
   ./build-asan/tools/ascp_tool inspect "$file.forged" >/dev/null 2>"$file.err" || rc=$?
   if (( rc != 1 )) || grep -qE 'Sanitizer|runtime error' "$file.err"; then
-    echo "ERROR: forged-length copy of $(basename "$file") was not rejected cleanly" \
+    echo "ERROR: forged copy of $(basename "$file") (offset $offset) was not rejected cleanly" \
       "(exit $rc)" >&2
     cat "$file.err" >&2
     exit 1
@@ -237,6 +240,7 @@ EOF
     "$tmp/record.strace"
   inspect_and_forge "$tmp/capture.ckpt" 16 18446744073709551607  # 2^64 - 9 bytes
   inspect_and_forge "$tmp/record.strace" 24 1152921504606846975  # 2^60 - 1 samples
+  inspect_and_forge "$tmp/record.strace" 16 9218868437227405312  # sample rate +Inf
   inspect_and_forge "$image" 16 18446744073709551607             # 2^64 - 9 bytes
   rm -rf "$tmp"
 }

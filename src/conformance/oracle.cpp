@@ -361,16 +361,15 @@ ScenarioReport run_scenario(const Scenario& s, const OracleConfig& ocfg) {
   switch (s.cls) {
     case ScenarioClass::Invariant: {
       if (s.open_loop && fault_free) {
-        // Composite neutrality check: without supervisor and observability the
-        // open-loop chain takes the batched block path — supervisor
-        // pass-through, observer read-onlyness and batch-vs-serial equivalence
-        // must each be bit-exact, so their composition must be too.
+        // Composite neutrality check: with no faults, supervisor
+        // pass-through and observer read-onlyness must each be bit-exact, so
+        // a run with neither supervisor nor observability must match too.
         engine::ConditioningChannel ref(
             make_config(s, s.full_fidelity, /*with_safety=*/false, /*with_obs=*/false));
         run_channel(ref, s.duration_s);
         if (ref.output_hash() != rep.output_hash)
           chk.fail("neutrality",
-                   "bare batched run diverges from the supervised+observed serial run");
+                   "bare run diverges from the supervised+observed run");
       }
       break;
     }

@@ -151,10 +151,6 @@ void GyroSystem::build(std::uint64_t seed) {
   last_output_ = cfg_.sense.output_offset;
   base_ticks_ = 0;
   dsp_samples_ = 0;
-  blk_ss_.clear();
-  blk_ci_.clear();
-  blk_cq_.clear();
-  blk_target_ = 0;
   obs_pll_prev_ = obs_agc_prev_ = obs_pll_ever_ = false;
   if (supervisor_) supervisor_->reset();
 }
@@ -279,22 +275,6 @@ void GyroSystem::post_status(double measured_temp) {
                  static_cast<std::uint16_t>(static_cast<std::int16_t>(measured_temp * 8.0)));
 }
 
-bool GyroSystem::can_batch_sense() {
-  // Closed loop feeds the control effort back into the plant every sample;
-  // a supervisor, fault campaign, trace tap or firmware monitor observes
-  // per-sample state. Any of those forces the sample-serial path.
-  return sense_->config().mode == SenseMode::OpenLoop && !supervisor_ && !campaign_ &&
-         !trace_ && !cfg_.with_mcu;
-}
-
-void GyroSystem::flush_sense_block() {
-  if (blk_ss_.empty()) return;
-  sense_->step_block(blk_ss_, blk_ci_, blk_cq_);
-  blk_ss_.clear();
-  blk_ci_.clear();
-  blk_cq_.clear();
-}
-
 GyroSystem::Group::Group(std::span<GroupMember> members) {
   for (GroupMember& m : members) {
     m.error = nullptr;
@@ -336,7 +316,6 @@ void GyroSystem::Group::each(Fn&& fn) {
 void GyroSystem::begin_lane(Lane& m) {
   m.dt = 1.0 / cfg_.analog_fs;
   m.cpu_cycles_per_slow = cfg_.with_mcu ? platform_.cycles_per_sample(output_rate_hz()) : 0;
-  m.batch = can_batch_sense();
   // Probe taps are resolved once per run, so a detached probe (or one that
   // wants no tap this fidelity produces) costs nothing per tick.
   if (!probe_) return;
@@ -409,25 +388,11 @@ void GyroSystem::dsp_frame(Group& g, std::size_t k) {
 
   // ---- drive servo + sense conditioning
   drive_v_ = drive_->step(sp);
-  if (m.batch) {
-    // Open-loop batched path: the sense chain has no feedback into the
-    // plant, so pickoff/carrier samples accumulate and flush through the
-    // kernels' block variants. Blocks are sized so every flush lands exactly
-    // on a CIC completion — the output stage below then sees slow samples on
-    // the same ticks as the sample-serial path (bit-identical).
-    if (blk_ss_.empty()) blk_target_ = sense_->samples_until_slow();
-    blk_ss_.push_back(ss);
-    blk_ci_.push_back(drive_->carrier_i());
-    blk_cq_.push_back(drive_->carrier_q());
-    ctrl_v_ = 0.0;  // open loop: the force-feedback servo is disengaged
-  } else {
-    ctrl_v_ = sense_->step(ss, drive_->carrier_i(), drive_->carrier_q()).control_v;
-  }
+  ctrl_v_ = sense_->step(ss, drive_->carrier_i(), drive_->carrier_q()).control_v;
   if (full) {
     dac_drive_->write_volts(drive_v_);
     dac_ctrl_->write_volts(ctrl_v_);
   }
-  if (m.batch && static_cast<long>(blk_ss_.size()) == blk_target_) flush_sense_block();
 
   // ---- safety supervisor
   if (supervisor_) {
@@ -728,9 +693,6 @@ void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
     // left to advance.
     for (long n = sched.ticks_in(seconds); n > 0 && g.size > 0; --n) sched.tick();
     wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-    // Batched open-loop runs may end mid-block; push the tail through so the
-    // chain's observable state matches the sample-serial path at return.
-    g.each([](GyroSystem& s, std::size_t) { s.flush_sense_block(); });
   } catch (...) {
     // Only a lone member's exception gets here (Group::each).
     g.lanes[0].member->error = std::current_exception();

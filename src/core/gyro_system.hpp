@@ -225,7 +225,6 @@ class GyroSystem : public RateSensor {
     double vp = 0.0, vs = 0.0;  ///< charge-amp outputs (Full fidelity)
     std::optional<double> sp, ss;  ///< this tick's SAR conversions (Full fidelity)
     long cpu_cycles_per_slow = 0;
-    bool batch = false;  ///< the open-loop batched sense path (can_batch_sense)
     bool w_stim = false, w_mems = false, w_afe = false;  ///< per-tick probe taps
     bool w_adc = false, w_out = false;                   ///< DSP-frame probe taps
   };
@@ -270,10 +269,6 @@ class GyroSystem : public RateSensor {
   /// fault campaign, DSP, supervisor, obs events, trace, decimated output +
   /// MCU slice.
   void dsp_frame(Group& g, std::size_t k);
-  /// True when the open-loop batched sense path applies (no per-sample
-  /// observers: supervisor, campaign, trace, MCU).
-  bool can_batch_sense();
-  void flush_sense_block();
   /// Watchdog-bite recovery: self-test, calibration replay from EEPROM,
   /// drive re-acquisition, watchdog re-arm. Chained off the platform reset
   /// hook — fires right after the watchdog has reset the CPU.
@@ -317,11 +312,6 @@ class GyroSystem : public RateSensor {
   TraceRecorder* trace_ = nullptr;
   std::size_t trace_decimate_ = 16;
   sensor::Probe* probe_ = nullptr;
-
-  // Open-loop batched sense path: pending (pickoff, carrier) samples and the
-  // block size that makes the next flush coincide with a CIC completion.
-  std::vector<double> blk_ss_, blk_ci_, blk_cq_;
-  long blk_target_ = 0;
 };
 
 }  // namespace ascp::core

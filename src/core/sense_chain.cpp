@@ -1,7 +1,6 @@
 #include "core/sense_chain.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace ascp::core {
@@ -71,30 +70,7 @@ SenseFastOut SenseChain::step(double pickoff, double carrier_i, double carrier_q
 
 void SenseChain::step_block(std::span<const double> pickoff, std::span<const double> carrier_i,
                             std::span<const double> carrier_q) {
-  assert(cfg_.mode == SenseMode::OpenLoop);
-  const std::size_t n = pickoff.size();
-  if (n == 0) return;
-  blk_ci_.resize(n);
-  blk_cq_.resize(n);
-  blk_i_.resize(n);
-  blk_q_.resize(n);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    blk_ci_[k] = cos_d_ * carrier_i[k] + sin_d_ * carrier_q[k];
-    blk_cq_[k] = cos_d_ * carrier_q[k] - sin_d_ * carrier_i[k];
-  }
-  demod_.step_block(pickoff, blk_ci_, blk_cq_, blk_i_, blk_q_);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    dsp::Iq bb{blk_i_[k], blk_q_[k]};
-    if (dp_q_) {
-      bb.i = dp_q_->quantize(bb.i);
-      bb.q = dp_q_->quantize(bb.q);
-    }
-    bb_ = bb;
-    if (const auto y = cic_rate_.push(bb.q)) pending_rate_ = *y;
-    if (const auto y = cic_quad_.push(bb.i)) pending_quad_ = *y;
-  }
+  for (std::size_t k = 0; k < pickoff.size(); ++k) step(pickoff[k], carrier_i[k], carrier_q[k]);
 }
 
 std::optional<SenseSlowOut> SenseChain::slow_output(double measured_temp_c) {

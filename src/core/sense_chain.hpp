@@ -15,7 +15,6 @@
 
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "common/quantizer.hpp"
 #include "dsp/cic.hpp"
@@ -78,17 +77,15 @@ class SenseChain {
   /// carriers come from the drive loop.
   SenseFastOut step(double pickoff, double carrier_i, double carrier_q);
 
-  /// Batched fast path, open-loop mode only (closed loop feeds control back
-  /// into the plant every sample, so it cannot batch). Processes the block
-  /// through the kernels' block variants — bit-identical to calling step()
-  /// per sample. Callers that need every slow sample must size blocks with
-  /// samples_until_slow() so each CIC completion lands on a block end, then
-  /// poll slow_output() there.
+  /// step() over a block of samples, discarding the control outputs. A
+  /// caller that needs every slow sample sizes blocks with
+  /// samples_until_slow(), so each CIC completion lands on a block end, and
+  /// polls slow_output() there.
   void step_block(std::span<const double> pickoff, std::span<const double> carrier_i,
                   std::span<const double> carrier_q);
 
   /// DSP samples left until the rate CIC completes its next decimation
-  /// cycle (the engine's batch-sizing query).
+  /// cycle.
   long samples_until_slow() const { return cic_rate_.ticks_until_output(); }
 
   /// Slow output, valid when the CIC completes a decimation cycle; the
@@ -117,7 +114,7 @@ class SenseChain {
     fir_.serialize_state(ar);
     out_lpf_.serialize_state(ar);
     // Compensation coefficients are runtime-written (cal replay, trim), so
-    // they travel with the state. blk_* scratch is per-call and skipped.
+    // they travel with the state.
     dsp::CompensationCoeffs c = comp_.coeffs();
     for (auto& o : c.offset) ar.value(o);
     ar.value(c.s0);
@@ -153,8 +150,6 @@ class SenseChain {
   double raw_quad_ = 0.0;
   std::optional<double> pending_rate_;
   std::optional<double> pending_quad_;
-  // Block-path scratch (rotated carriers and baseband), reused across calls.
-  std::vector<double> blk_ci_, blk_cq_, blk_i_, blk_q_;
 };
 
 }  // namespace ascp::core

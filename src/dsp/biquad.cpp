@@ -55,27 +55,9 @@ BiquadCascade::BiquadCascade(std::vector<BiquadCoeffs> sections) {
   for (const auto& c : sections) sections_.emplace_back(c);
 }
 
-void Biquad::process_block(std::span<double> xy) {
-  const double b0 = c_.b0, b1 = c_.b1, b2 = c_.b2, a1 = c_.a1, a2 = c_.a2;
-  double s1 = s1_, s2 = s2_;
-  for (double& v : xy) {
-    const double x = v;
-    const double y = b0 * x + s1;
-    s1 = b1 * x - a1 * y + s2;
-    s2 = b2 * x - a2 * y;
-    v = y;
-  }
-  s1_ = s1;
-  s2_ = s2;
-}
-
 double BiquadCascade::process(double x) {
   for (auto& s : sections_) x = s.process(x);
   return x;
-}
-
-void BiquadCascade::process_block(std::span<double> xy) {
-  for (auto& s : sections_) s.process_block(xy);
 }
 
 void BiquadCascade::reset() {

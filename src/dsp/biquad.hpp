@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "common/state_archive.hpp"
@@ -40,11 +39,6 @@ class Biquad {
     return y;
   }
 
-  /// Batched in-place variant: filters `xy` as if process() were called on
-  /// each element in order (bit-identical), with the recurrence state held
-  /// in registers across the block — the form the engine's hot loops use.
-  void process_block(std::span<double> xy);
-
   void reset() { s1_ = s2_ = 0.0; }
   const BiquadCoeffs& coeffs() const { return c_; }
 
@@ -66,10 +60,6 @@ class BiquadCascade {
 
   void append(BiquadCoeffs c) { sections_.emplace_back(c); }
   double process(double x);
-  /// Batched in-place variant: each section sweeps the whole block before
-  /// the next section runs. Bit-identical to per-sample process() — every
-  /// (section, sample) value sees exactly the same operands either way.
-  void process_block(std::span<double> xy);
   void reset();
   std::size_t size() const { return sections_.size(); }
 

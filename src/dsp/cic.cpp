@@ -44,17 +44,6 @@ std::optional<double> CicDecimator::push(double x) {
   return static_cast<double>(y) * lsb_ * inv_gain_;
 }
 
-std::size_t CicDecimator::push_block(std::span<const double> in, std::span<double> out) {
-  std::size_t produced = 0;
-  for (double x : in) {
-    if (const auto y = push(x)) {
-      assert(produced < out.size());
-      out[produced++] = *y;
-    }
-  }
-  return produced;
-}
-
 double CicDecimator::raw_gain() const {
   double g = 1.0;
   for (int i = 0; i < stages_; ++i) g *= static_cast<double>(ratio_);

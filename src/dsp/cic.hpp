@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/state_archive.hpp"
@@ -29,16 +28,10 @@ class CicDecimator {
   /// completes, std::nullopt otherwise.
   std::optional<double> push(double x);
 
-  /// Batched variant: pushes every element of `in`, appending each completed
-  /// decimated sample to `out`. Returns the number of outputs produced.
-  /// Bit-identical to per-sample push() — the integer datapath is exact.
-  std::size_t push_block(std::span<const double> in, std::span<double> out);
-
   int stages() const { return stages_; }
   int ratio() const { return ratio_; }
 
-  /// Inputs still to push before the next decimated output completes —
-  /// how the engine sizes batches so block boundaries land on outputs.
+  /// Inputs still to push before the next decimated output completes.
   int ticks_until_output() const { return ratio_ - phase_; }
 
   /// DC gain before normalization: R^N.

@@ -25,27 +25,6 @@ double FirFilter::process(double x) {
   return acc;
 }
 
-void FirFilter::process_block(std::span<const double> in, std::span<double> out) {
-  assert(in.size() == out.size());
-  // Same per-sample MAC ordering as process(); hoisting head_ and the size
-  // into locals is what the compiler needs to keep the ring index in
-  // registers across the block.
-  const std::size_t n = delay_.size();
-  std::size_t head = head_;
-  for (std::size_t k = 0; k < in.size(); ++k) {
-    delay_[head] = in[k];
-    double acc = 0.0;
-    std::size_t idx = head;
-    for (double tap : taps_) {
-      acc += tap * delay_[idx];
-      idx = (idx == 0) ? n - 1 : idx - 1;
-    }
-    head = (head + 1) % n;
-    out[k] = acc;
-  }
-  head_ = head;
-}
-
 void FirFilter::reset() {
   std::fill(delay_.begin(), delay_.end(), 0.0);
   head_ = 0;

@@ -22,9 +22,6 @@ class FirFilter {
   explicit FirFilter(std::vector<double> taps);
 
   double process(double x);
-  /// Batched variant: `out[k]` is the response to `in[k]`, bit-identical to
-  /// calling process() per sample. `in` and `out` may alias element-wise.
-  void process_block(std::span<const double> in, std::span<double> out);
   void reset();
 
   std::size_t order() const { return taps_.size() - 1; }

@@ -14,19 +14,6 @@ Iq IqDemodulator::step(double x, double carrier_i, double carrier_q) {
   return out_;
 }
 
-void IqDemodulator::step_block(std::span<const double> x, std::span<const double> carrier_i,
-                               std::span<const double> carrier_q, std::span<double> out_i,
-                               std::span<double> out_q) {
-  const std::size_t n = x.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    out_i[k] = 2.0 * x[k] * carrier_i[k];
-    out_q[k] = 2.0 * x[k] * carrier_q[k];
-  }
-  lpf_i_.process_block(out_i.first(n));
-  lpf_q_.process_block(out_q.first(n));
-  if (n > 0) out_ = Iq{out_i[n - 1], out_q[n - 1]};
-}
-
 void IqDemodulator::reset() {
   lpf_i_.reset();
   lpf_q_.reset();

@@ -8,8 +8,6 @@
 // baseband correction onto the carrier for closed-loop force feedback.
 #pragma once
 
-#include <span>
-
 #include "dsp/biquad.hpp"
 
 namespace ascp::dsp {
@@ -30,14 +28,6 @@ class IqDemodulator {
 
   /// One sample: signal plus the in-phase/quadrature carrier pair.
   Iq step(double x, double carrier_i, double carrier_q);
-
-  /// Batched variant: demodulates x[k] against (carrier_i[k], carrier_q[k]),
-  /// writing the baseband pair into out_i/out_q. Bit-identical to per-sample
-  /// step(): the mixer products and each low-pass recurrence see the same
-  /// operands in the same order; output() afterwards reports the last sample.
-  void step_block(std::span<const double> x, std::span<const double> carrier_i,
-                  std::span<const double> carrier_q, std::span<double> out_i,
-                  std::span<double> out_q);
 
   Iq output() const { return out_; }
   void reset();

@@ -46,22 +46,6 @@ double Nco::step() {
   return sin_;
 }
 
-void Nco::step_block(std::span<double> sin_out, std::span<double> cos_out) {
-  assert(sin_out.size() == cos_out.size());
-  std::uint32_t acc = acc_;
-  const std::uint32_t fcw = fcw_;
-  for (std::size_t k = 0; k < sin_out.size(); ++k) {
-    acc += fcw;
-    sin_out[k] = lut_lookup(acc);
-    cos_out[k] = lut_lookup(acc + (1u << 30));
-  }
-  acc_ = acc;
-  if (!sin_out.empty()) {
-    sin_ = sin_out.back();
-    cos_ = cos_out.back();
-  }
-}
-
 double Nco::frequency() const {
   return static_cast<double>(fcw_) * fs_ / 4294967296.0;
 }

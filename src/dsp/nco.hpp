@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "common/state_archive.hpp"
 
@@ -24,11 +23,6 @@ class Nco {
   /// Advance one sample; returns sin(phase). Call cos()/sin_out() afterwards
   /// for the quadrature pair belonging to the same sample.
   double step();
-
-  /// Batched variant at a fixed frequency word: fills the quadrature pair
-  /// for the next sin_out.size() samples. Bit-identical to repeated step();
-  /// the accumulator wrap is exact integer arithmetic.
-  void step_block(std::span<double> sin_out, std::span<double> cos_out);
 
   /// Outputs of the current sample (valid after step()).
   double sine() const { return sin_; }

@@ -96,6 +96,10 @@ void SafetySupervisor::on_fast(const FastSample& s) {
   // different operating point). Fires exactly once per settle crossing.
   if (settle_run_ == cfg_.arm_settle_samples) agc_baseline_ = s.agc_gain;
 
+  // Every monitor threshold (here, in on_slow and in comp_temp) reads "not
+  // inside the healthy band", so a NaN observable trips its monitor instead
+  // of slipping past every comparison.
+
   // PLL lock loss (long debounce: reacquisition blips must not latch).
   if (!s.pll_locked) {
     if (unlock_run_ < cfg_.unlock_trip_samples) ++unlock_run_;
@@ -105,7 +109,7 @@ void SafetySupervisor::on_fast(const FastSample& s) {
   }
 
   // AGC actuator pinned at its upper rail.
-  if (s.agc_gain >= cfg_.agc_rail_frac * cfg_.agc_gain_max) {
+  if (!(s.agc_gain < cfg_.agc_rail_frac * cfg_.agc_gain_max)) {
     if (agc_rail_run_ < cfg_.fast_trip_samples) ++agc_rail_run_;
     if (agc_rail_run_ >= cfg_.fast_trip_samples) latch(kDtcAgcRail);
   } else {
@@ -114,7 +118,7 @@ void SafetySupervisor::on_fast(const FastSample& s) {
 
   // Force-feedback control pinned at its rail (critical: the rebalancing
   // loop has run out of authority, the output is no longer trustworthy).
-  if (std::abs(s.control_v) >= cfg_.ctrl_rail_frac * cfg_.ctrl_limit_v) {
+  if (!(std::abs(s.control_v) < cfg_.ctrl_rail_frac * cfg_.ctrl_limit_v)) {
     if (ctrl_rail_run_ < cfg_.fast_trip_samples) ++ctrl_rail_run_;
     if (ctrl_rail_run_ >= cfg_.fast_trip_samples) latch(kDtcCtrlRail);
   } else {
@@ -122,7 +126,7 @@ void SafetySupervisor::on_fast(const FastSample& s) {
   }
 
   // Drive-pickoff amplitude collapse (critical: no carrier, no rate).
-  if (s.amplitude < cfg_.drive_collapse_frac * cfg_.drive_amplitude_target) {
+  if (!(s.amplitude >= cfg_.drive_collapse_frac * cfg_.drive_amplitude_target)) {
     if (collapse_run_ < cfg_.fast_trip_samples) ++collapse_run_;
     if (collapse_run_ >= cfg_.fast_trip_samples) latch(kDtcDriveCollapse);
   } else {
@@ -132,7 +136,7 @@ void SafetySupervisor::on_fast(const FastSample& s) {
   // Loop-gain anomaly: the AGC quietly re-trims around reference drift and
   // PGA gain faults, so the *actuator position* is the observable.
   if (agc_baseline_ > 0.0 &&
-      std::abs(s.agc_gain - agc_baseline_) > cfg_.gain_anomaly_frac * agc_baseline_) {
+      !(std::abs(s.agc_gain - agc_baseline_) <= cfg_.gain_anomaly_frac * agc_baseline_)) {
     if (gain_run_ < cfg_.fast_trip_samples) ++gain_run_;
     if (gain_run_ >= cfg_.fast_trip_samples) latch(kDtcGainAnomaly);
   } else {
@@ -164,10 +168,10 @@ SlowDecision SafetySupervisor::on_slow(const SlowSample& s) {
   ++slow_index_;
 
   if (armed_) {
-    rate_active_ = std::abs(s.rate_v - cfg_.null_v) > cfg_.rate_range_v;
+    rate_active_ = !(std::abs(s.rate_v - cfg_.null_v) <= cfg_.rate_range_v);
     if (rate_active_) latch(kDtcRateRange);
 
-    quad_active_ = std::abs(s.quad_v) > cfg_.quad_range_v;
+    quad_active_ = !(std::abs(s.quad_v) <= cfg_.quad_range_v);
     if (quad_active_) latch(kDtcQuadRange);
 
     if (cfg_.scrub_interval_slow > 0 && slow_index_ % cfg_.scrub_interval_slow == 0)
@@ -225,8 +229,8 @@ SlowDecision SafetySupervisor::on_slow(const SlowSample& s) {
 }
 
 double SafetySupervisor::comp_temp(double measured_c) {
-  const bool implausible =
-      measured_c < cfg_.temp_min_c || measured_c > cfg_.temp_max_c;
+  // A NaN reading is implausible too: it must not become the last good one.
+  const bool implausible = !(measured_c >= cfg_.temp_min_c && measured_c <= cfg_.temp_max_c);
   if (implausible) {
     temp_active_ = true;
     latch(kDtcTempRange);

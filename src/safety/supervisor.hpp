@@ -23,7 +23,8 @@
 //   * config-register scrub vs. shadows       → CFG_CORRUPT (SEU, repaired)
 //   * periodic EEPROM calibration-CRC audit   → CAL_CRC
 // plus event inputs from the platform: watchdog bite, self-test verdict,
-// calibration-replay verdict.
+// calibration-replay verdict. A NaN observable counts as out of band and
+// trips its monitor.
 //
 // Degradation policy: any latch ⇒ at least DEGRADED. A *critical* condition
 // that stays active for `escalate_slow` output samples ⇒ SAFE_STATE, where

@@ -1,8 +1,11 @@
 #include "sensor/stimulus_source.hpp"
 
 #include <bit>
+#include <cmath>
 
 namespace ascp::sensor {
+
+static bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
 const char* stimulus_kind_name(StimulusKind k) {
   switch (k) {
@@ -46,12 +49,16 @@ StimulusTrace decode_strace(const std::vector<std::uint8_t>& bytes) {
     throw StateError("strace unknown interpolation mode " + std::to_string(f.meta.word));
   StimulusTrace trace;
   trace.sample_rate_hz = std::bit_cast<double>(f.meta.wide);
+  if (!finite_positive(trace.sample_rate_hz))
+    throw StateError("strace sample rate is not finite and positive");
   trace.interp = static_cast<TraceInterp>(f.meta.word);
   trace.samples.resize(f.size / kStraceFrame.unit);
   StateArchive ar = StateArchive::loader(f.payload, f.size);
   for (auto& s : trace.samples) {
     ar.value(s.rate_dps);
     ar.value(s.temp_c);
+    if (!std::isfinite(s.rate_dps) || !std::isfinite(s.temp_c))
+      throw StateError("strace sample is not finite");
   }
   return trace;
 }
@@ -63,10 +70,12 @@ RecordedSource::RecordedSource(std::shared_ptr<const StimulusTrace> trace, doubl
     : trace_(std::move(trace)), tick_rate_hz_(tick_rate_hz), start_(start_tick) {
   if (!trace_ || trace_->samples.empty())
     throw StateError("recorded source needs a non-empty trace");
-  if (!(trace_->sample_rate_hz > 0.0) || !(tick_rate_hz_ > 0.0))
-    throw StateError("recorded source needs positive sample rates");
+  if (!finite_positive(trace_->sample_rate_hz) || !finite_positive(tick_rate_hz_))
+    throw StateError("recorded source needs finite, positive sample rates");
   exact_ = trace_->sample_rate_hz == tick_rate_hz_;
   step_ = trace_->sample_rate_hz / tick_rate_hz_;
+  // sample() casts tick · step_ to an index, so the ratio must be finite too.
+  if (!std::isfinite(step_)) throw StateError("recorded source sample-rate ratio overflows");
 }
 
 StimulusSample RecordedSource::sample(long tick) {

@@ -25,6 +25,7 @@
 // nothing (no task is even scheduled).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -131,7 +132,9 @@ inline constexpr frame::Format kStraceFrame{"ASCPSTRC", 1, "strace", 12, 16};
 
 std::vector<std::uint8_t> encode_strace(const StimulusTrace& trace);
 /// Throws StateError with the frame's messages (truncation, magic, version,
-/// CRC) or on an unknown interpolation mode.
+/// CRC), on an unknown interpolation mode, on a sample rate that is not
+/// finite and positive (the rate word sits outside the CRC) or on a
+/// non-finite sample.
 StimulusTrace decode_strace(const std::vector<std::uint8_t>& bytes);
 
 class RecordedSource final : public StimulusSource {
@@ -140,7 +143,8 @@ class RecordedSource final : public StimulusSource {
   /// `start_tick` maps trace sample 0 onto that global tick. When the trace
   /// was captured at exactly tick_rate_hz, replay indexes samples with
   /// integer arithmetic — bit-exact, no interpolation rounding. Reads past
-  /// the trace end hold the final sample and count as underruns.
+  /// the trace end hold the final sample and count as underruns. Both rates
+  /// must be finite and positive, and so must their ratio (StateError).
   RecordedSource(std::shared_ptr<const StimulusTrace> trace, double tick_rate_hz,
                  long start_tick = 0);
 
@@ -180,10 +184,13 @@ class QueueSource final : public StimulusSource {
   QueueSource() : QueueSource(Config()) {}
   explicit QueueSource(const Config& cfg) : cfg_(cfg) {}
 
-  /// Enqueue one sample; false when the buffer is full (the producer sheds
-  /// or backs off — the source never grows unbounded).
+  /// Enqueue one sample; false, with nothing enqueued, when the buffer is
+  /// full (the producer sheds or backs off — the source never grows
+  /// unbounded) or when a field of `s` is not finite (NaN or ±Inf would
+  /// reach the AFE's float-to-integer conversions).
   bool push(const StimulusSample& s) {
-    if (q_.size() >= cfg_.capacity) return false;
+    if (q_.size() >= cfg_.capacity || !std::isfinite(s.rate_dps) || !std::isfinite(s.temp_c))
+      return false;
     q_.push_back(s);
     return true;
   }

@@ -1,7 +1,6 @@
-// Regression pins for latent-bug audits driven by the conformance fuzzer
-// (ISSUE PR-5 satellite): NCO phase-wrap bit-identity, the open-loop batched
-// sense path against the sample-serial path with a run ending mid-block,
-// profiler neutrality under sampled wall-timing, and the cold-temperature
+// Regression pins for latent-bug audits driven by the conformance fuzzer:
+// an open-loop run against a traced one ending mid-CIC-frame, profiler
+// neutrality under sampled wall-timing, and the cold-temperature
 // supervisor-arming corner that set the fault generator's injection floor.
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 #include "common/trace.hpp"
 #include "core/gyro_system.hpp"
-#include "dsp/nco.hpp"
 #include "obs/observability.hpp"
 #include "platform/scheduler.hpp"
 #include "safety/supervisor.hpp"
@@ -20,31 +18,12 @@
 namespace ascp {
 namespace {
 
-// The fuzzer's first audit target: the NCO's uint32 accumulator wraps many
-// times per block at high f0/fs; blocked and per-sample generation must agree
-// to the bit through every wrap.
-TEST(ConformanceRegressions, NcoBlockPathBitIdenticalThroughPhaseWraps) {
-  dsp::Nco scalar(240e3, 100e3), blocked(240e3, 100e3);  // wraps every ~2.4 samples
-  constexpr int kN = 4096;
-  std::vector<double> want_s(kN), want_c(kN), got_s(kN), got_c(kN);
-  for (int k = 0; k < kN; ++k) {
-    want_s[static_cast<std::size_t>(k)] = scalar.step();
-    want_c[static_cast<std::size_t>(k)] = scalar.cosine();
-  }
-  blocked.step_block(got_s, got_c);
-  for (int k = 0; k < kN; ++k) {
-    ASSERT_EQ(want_s[static_cast<std::size_t>(k)], got_s[static_cast<std::size_t>(k)]) << k;
-    ASSERT_EQ(want_c[static_cast<std::size_t>(k)], got_c[static_cast<std::size_t>(k)]) << k;
-  }
-  // Both must land on the identical accumulator, so the next sample agrees too.
-  ASSERT_EQ(scalar.step(), blocked.step());
-}
-
-// Second audit target: GyroSystem's open-loop batched sense path. A trace
-// tap is a read-only observer that forces the sample-serial path, so the two
-// runs must produce bit-identical decimated outputs — including when the run
-// ends mid-CIC-block (240000 × 0.0501 = 12024 samples; 12024 mod 128 = 120
-// pending samples flushed at run end without emitting a partial output).
+// An open-loop GyroSystem run once took a batched sense path unless an
+// observer such as a trace tap was attached; both now run the one
+// sample-serial path. A trace tap is read-only, so the two runs must produce
+// bit-identical decimated outputs — including when the run ends
+// mid-CIC-frame (240000 × 0.0501 = 12024 samples; 12024 mod 128 = 120
+// samples pending at run end, with no partial output emitted).
 TEST(ConformanceRegressions, BatchedSensePathMatchesSerialWhenRunEndsMidBlock) {
   core::GyroSystemConfig cfg = core::default_gyro_system(core::Fidelity::Ideal);
   cfg.sense.mode = core::SenseMode::OpenLoop;

@@ -2,11 +2,11 @@
 // pipeline.
 //
 // The multi-rate loop was rebuilt from a hand-rolled divider loop onto the
-// platform Scheduler (and the open-loop sense path onto the batched DSP
-// kernels). These goldens were captured from the pre-refactor monolithic
-// loops and pin the refactor to the bit: every scenario below must produce
-// the exact same doubles, sample for sample, forever. If an intentional
-// numerical change is ever made, re-capture with tools/golden_capture.
+// platform Scheduler. These goldens were captured from the pre-refactor
+// monolithic loops and pin the refactor to the bit: every scenario below
+// must produce the exact same doubles, sample for sample, forever. If an
+// intentional numerical change is ever made, re-capture with
+// tools/golden_capture.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -67,8 +67,8 @@ TEST(GoldenTraces, FullFidelityWithSafetyAndMcu) {
 }
 
 TEST(GoldenTraces, IdealOpenLoopBatchedPath) {
-  // Open loop with no per-sample observers — this scenario takes the batched
-  // block-DSP path and must still match the scalar-loop golden exactly.
+  // Open loop with no per-sample observers. This scenario once took a
+  // batched block-DSP path; it must match the scalar-loop golden exactly.
   auto cfg = core::default_gyro_system(core::Fidelity::Ideal);
   cfg.sense.mode = core::SenseMode::OpenLoop;
   core::GyroSystem sys(cfg);

@@ -300,12 +300,12 @@ TEST(GyroSystem, ChunkedRunsWithRestoreMatchStraightRun) {
   constexpr long kTicks = 40000;
   constexpr long kChunks[] = {1, 3, 7, 13, 1001};
   for (const auto kind : {engine::ChannelKind::GyroFull, engine::ChannelKind::GyroIdeal})
-    for (const bool batched : {true, false}) {
+    for (const bool open_loop : {true, false}) {
       engine::ChannelConfig cfg;
       cfg.kind = kind;
       cfg.seed = 5;
-      cfg.configure = [batched](GyroSystemConfig& g) {
-        g.sense.mode = batched ? SenseMode::OpenLoop : SenseMode::ClosedLoop;
+      cfg.configure = [open_loop](GyroSystemConfig& g) {
+        g.sense.mode = open_loop ? SenseMode::OpenLoop : SenseMode::ClosedLoop;
       };
       engine::ConditioningChannel straight(cfg);
       straight.advance(kTicks);
@@ -328,7 +328,7 @@ TEST(GyroSystem, ChunkedRunsWithRestoreMatchStraightRun) {
       EXPECT_EQ(ch->total_outputs(), straight.total_outputs());
       EXPECT_EQ(ch->output_hash(), straight.output_hash())
           << (kind == engine::ChannelKind::GyroFull ? "full" : "ideal")
-          << (batched ? " batched" : " scalar");
+          << (open_loop ? " open loop" : " closed loop");
     }
 }
 

@@ -195,9 +195,9 @@ TEST(SenseChain, OutputBandwidthSetByFir) {
 }
 
 TEST(SenseChain, BlockPathMatchesScalarPathBitExact) {
-  // The engine batches the open-loop hot path through step_block, sizing
-  // blocks with samples_until_slow() so every CIC completion lands on a
-  // block boundary. Slow outputs must match the scalar path to the bit.
+  // step_block over blocks sized with samples_until_slow(), so every CIC
+  // completion lands on a block boundary, must give the scalar path's slow
+  // outputs to the bit.
   SenseChain scalar(open_loop_config());
   SenseChain blocked(open_loop_config());
   dsp::Nco nco(kFs, 15e3);

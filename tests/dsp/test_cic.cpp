@@ -121,5 +121,19 @@ TEST_P(CicStages, AliasRejectionIsSingleStageToTheN) {
 
 INSTANTIATE_TEST_SUITE_P(Stages, CicStages, ::testing::Values(1, 2, 3, 4));
 
+TEST(Cic, TicksUntilOutputTracksPhase) {
+  CicDecimator cic(3, 8);
+  EXPECT_EQ(cic.ticks_until_output(), 8);
+  for (int i = 0; i < 5; ++i) {
+    cic.push(1.0);
+    EXPECT_EQ(cic.ticks_until_output(), 8 - (i + 1));
+  }
+  std::size_t n = 0;
+  for (int i = 0; i < 3; ++i)
+    if (cic.push(1.0)) ++n;
+  EXPECT_EQ(n, 1u);  // the three pushes complete the frame exactly
+  EXPECT_EQ(cic.ticks_until_output(), 8);
+}
+
 }  // namespace
 }  // namespace ascp::dsp

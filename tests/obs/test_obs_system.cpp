@@ -98,7 +98,7 @@ TEST(ObsBitIdentity, FullFidelityWithSafetyAndMcu) {
 }
 
 TEST(ObsBitIdentity, IdealOpenLoopBatchedPath) {
-  // The batched block-DSP path: the obs task must not force the scalar path.
+  // Open loop with no supervisor: attaching obs must not move an output bit.
   auto cfg = core::default_gyro_system(core::Fidelity::Ideal);
   cfg.sense.mode = core::SenseMode::OpenLoop;
   golden_bit_identity_gyro(

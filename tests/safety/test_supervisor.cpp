@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "platform/registers.hpp"
 #include "safety/supervisor.hpp"
@@ -292,6 +294,60 @@ TEST(Supervisor, CompTempFrozenWhileGainAnomalous) {
   // The measured temperature rides the same drifting references — hold the
   // compensation input at the last plausible value.
   EXPECT_DOUBLE_EQ(sup.comp_temp(40.0), 25.0);
+}
+
+// A NaN observable must trip its monitor: every threshold is written as
+// "not inside the healthy band", which a NaN never is.
+TEST(Supervisor, NonFiniteSamplesLatchTheirMonitors) {
+  const auto cfg = small_cfg();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  {
+    SafetySupervisor sup(cfg);
+    arm(sup);
+    SlowSample bad = nominal_slow();
+    bad.rate_v = nan;
+    SlowDecision d = sup.on_slow(bad);
+    EXPECT_NE(sup.dtcs() & kDtcRateRange, 0);
+    EXPECT_EQ(sup.state(), SafetyState::Degraded);
+    for (int i = 1; i < cfg.escalate_slow; ++i) d = sup.on_slow(bad);
+    EXPECT_EQ(sup.state(), SafetyState::SafeState);
+    EXPECT_TRUE(d.output_forced);
+    EXPECT_DOUBLE_EQ(d.output_v, cfg.null_v);
+  }
+  {
+    SafetySupervisor sup(cfg);
+    arm(sup);
+    SlowSample bad = nominal_slow();
+    bad.quad_v = nan;
+    (void)sup.on_slow(bad);
+    EXPECT_NE(sup.dtcs() & kDtcQuadRange, 0);
+  }
+  {
+    SafetySupervisor sup(cfg);
+    arm(sup);
+    EXPECT_DOUBLE_EQ(sup.comp_temp(30.0), 30.0);
+    EXPECT_DOUBLE_EQ(sup.comp_temp(nan), 30.0);
+    EXPECT_NE(sup.dtcs() & kDtcTempRange, 0);
+    EXPECT_DOUBLE_EQ(sup.comp_temp(nan), 30.0);  // NaN is never stored as last good
+  }
+  struct Case {
+    double FastSample::*field;
+    std::uint16_t dtc;
+  };
+  for (const Case c : {Case{&FastSample::amplitude, kDtcDriveCollapse},
+                       Case{&FastSample::agc_gain, kDtcAgcRail},
+                       Case{&FastSample::agc_gain, kDtcGainAnomaly},
+                       Case{&FastSample::control_v, kDtcCtrlRail}}) {
+    SafetySupervisor sup(cfg);
+    arm(sup);
+    for (int i = 0; i < cfg.fast_trip_samples; ++i) {
+      EXPECT_EQ(sup.dtcs() & c.dtc, 0) << dtc_name(c.dtc) << " latched early at " << i;
+      FastSample s = nominal_fast(i);
+      s.*c.field = nan;
+      sup.on_fast(s);
+    }
+    EXPECT_NE(sup.dtcs() & c.dtc, 0) << dtc_name(c.dtc);
+  }
 }
 
 TEST(Supervisor, PlatformEventsLatch) {

@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "common/state_archive.hpp"
@@ -110,6 +111,23 @@ TEST(Strace, DistinctErrorsForTruncationMagicVersionAndBitRot) {
   EXPECT_NE(msgs[0], msgs[1]);
 }
 
+// The sample-rate word sits outside the CRC, so a frame with a valid CRC can
+// still carry a rate that replay would turn into an index cast of 0 · Inf.
+TEST(Strace, RejectsNonFiniteRateAndSamples) {
+  for (const double rate : {std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), 0.0, -1000.0}) {
+    EXPECT_THROW(decode_strace(encode_strace(demo_trace(4, rate))), StateError) << rate;
+  }
+  for (const StimulusSample bad : {StimulusSample{std::numeric_limits<double>::quiet_NaN(), 25.0},
+                                   StimulusSample{1.0, std::numeric_limits<double>::infinity()},
+                                   StimulusSample{-std::numeric_limits<double>::infinity(), 25.0}}) {
+    StimulusTrace t = demo_trace(4);
+    t.samples[2] = bad;
+    EXPECT_THROW(decode_strace(encode_strace(t)), StateError);
+  }
+  EXPECT_NO_THROW(decode_strace(encode_strace(demo_trace(4))));
+}
+
 TEST(Strace, SaveLoadFileRoundTrip) {
   const char* path = "strace_roundtrip_test.strace";
   const StimulusTrace t = demo_trace(12);
@@ -168,6 +186,17 @@ TEST(RecordedSource, RejectsEmptyTraceAndBadRates) {
   EXPECT_THROW(RecordedSource(empty, 1000.0), StateError);
   auto no_rate = std::make_shared<StimulusTrace>(demo_trace(3, 0.0));
   EXPECT_THROW(RecordedSource(no_rate, 1000.0), StateError);
+  auto inf_rate =
+      std::make_shared<StimulusTrace>(demo_trace(3, std::numeric_limits<double>::infinity()));
+  EXPECT_THROW(RecordedSource(inf_rate, 1000.0), StateError);
+  auto nan_rate =
+      std::make_shared<StimulusTrace>(demo_trace(3, std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_THROW(RecordedSource(nan_rate, 1000.0), StateError);
+  auto good = std::make_shared<StimulusTrace>(demo_trace(3, 1000.0));
+  EXPECT_THROW(RecordedSource(good, std::numeric_limits<double>::infinity()), StateError);
+  // Finite rates whose ratio overflows to +Inf.
+  auto huge_rate = std::make_shared<StimulusTrace>(demo_trace(3, 1e300));
+  EXPECT_THROW(RecordedSource(huge_rate, 1e-300), StateError);
 }
 
 TEST(RecordedSource, CheckpointRestoresCursorAndUnderruns) {
@@ -214,6 +243,24 @@ TEST(QueueSource, BoundedCapacityRefusesOverflow) {
   EXPECT_TRUE(src.push({2.0, 25.0}));
   EXPECT_FALSE(src.push({3.0, 25.0}));
   EXPECT_EQ(src.pending(), 2u);
+}
+
+// A NaN or ±Inf sample would reach the SAR converter's float-to-index cast;
+// push() refuses it and leaves the queue as it was.
+TEST(QueueSource, RefusesNonFiniteSamples) {
+  QueueSource src;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(src.push({nan, 25.0}));
+  EXPECT_FALSE(src.push({1.0, nan}));
+  EXPECT_FALSE(src.push({inf, 25.0}));
+  EXPECT_FALSE(src.push({1.0, -inf}));
+  EXPECT_EQ(src.pending(), 0u);
+  EXPECT_TRUE(src.push({2.0, 30.0}));
+  EXPECT_EQ(src.pending(), 1u);
+  const StimulusSample s = src.sample(0);
+  EXPECT_EQ(s.rate_dps, 2.0);
+  EXPECT_EQ(s.temp_c, 30.0);
 }
 
 TEST(QueueSource, UnderrunPoliciesHoldLastVsNull) {

@@ -51,7 +51,7 @@ int main() {
     sys.run(sensor::Profile::constant(30.0), sensor::Profile::constant(35.0), 0.1, &out);
     dump("full_safety_mcu", out);
   }
-  {  // Ideal, open loop (the future batched path).
+  {  // Ideal, open loop.
     auto cfg = core::default_gyro_system(core::Fidelity::Ideal);
     cfg.sense.mode = core::SenseMode::OpenLoop;
     core::GyroSystem sys(cfg);

@@ -181,7 +181,7 @@ int run_smoke(std::uint64_t seed, int runs, const std::string& emit_dir, int emi
 }
 
 /// Curated corpus: every catalogue fault once, plus differential, ISS,
-/// burst/vibration, open-loop batched, and wordlength-ablation coverage.
+/// burst/vibration, open-loop, and wordlength-ablation coverage.
 int gen_corpus(const std::string& dir) {
   fs::create_directories(dir);
   int written = 0;
