@@ -21,17 +21,22 @@
 #                        channels required), the same run and the fleet,
 #                        farm and blackbox tests under TSan (the one channel
 #                        runtime: the farm's pool, its lockstep lane groups
-#                        at 1 and 4 workers, its per-channel busy stamps and
-#                        the fleet watchdog that reads them), plus, under
-#                        ASAN, a checkpoint round-trip replay, the
+#                        at 1 and 4 workers, observed groups with flight
+#                        recorders among them, the fleet's lane groups
+#                        through a crash and restore, its per-channel busy
+#                        stamps and the fleet watchdog that reads them),
+#                        plus, under ASAN, the observed-group and fleet-lane
+#                        tests, a checkpoint round-trip replay, the
 #                        framed-container byte-layout pins, the
 #                        forged-length, forged-count and forged-SAR-phase
 #                        rejection tests, the tests that the DAC, noise and
 #                        MEMS coefficient caches are invisible (a component
 #                        stepped straight matches a twin reloaded from its
-#                        state before every step, bit for bit), and the
-#                        MEMS lane tests (every lane count bit-identical to
-#                        one ring at a time) with UBSan halting on error
+#                        state before every step, bit for bit), the SAR
+#                        converter's NaN-input test and the MEMS lane tests
+#                        (every lane count bit-identical to one ring at a
+#                        time), all but the checkpoint tests with UBSan
+#                        halting on error
 #   ci.sh wcet         — static timing proof: the MCS-51 opcode table must
 #                        agree with the ISS for all 256 opcodes (decoded
 #                        length, flow and targets, write flags, machine
@@ -100,15 +105,20 @@ stage_chaos_smoke() {
   echo "== fleet chaos: deterministic smoke (seed 2026) =="
   ./build/bench/fleet_chaos --smoke --seed 2026
   build_preset tsan --target test_engine --target fleet_chaos
-  echo "== tsan: fleet, farm (lockstep lanes at 1 and 4 workers) and blackbox tests + fleet chaos smoke (seed 2026) =="
+  echo "== tsan: fleet, farm (lockstep lanes at 1 and 4 workers, observed groups, fleet lanes through a crash) and blackbox tests + fleet chaos smoke (seed 2026) =="
   ./build-tsan/tests/test_engine --gtest_filter='Fleet.*:ChannelFarm.*:Blackbox.*'
   ./build-tsan/bench/fleet_chaos --smoke --seed 2026
-  build_preset asan --target test_checkpoint --target test_afe --target test_sensor
+  build_preset asan --target test_engine --target test_checkpoint --target test_afe \
+    --target test_sensor
+  echo "== observed lane groups and fleet lanes through a crash under ASAN =="
+  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_engine \
+    --gtest_filter='ChannelFarm.ObservedLockstep*:ChannelFarm.IdealChannelsAdvanceInLockstep:Fleet.IdealChannelsAdvanceInLanes*'
   echo "== checkpoint round-trip replay, layout pins, forged lengths, counts and SAR phase under ASAN =="
   ./build-asan/tests/test_checkpoint \
     --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*:FrameLayout.*:FrameForgedLength.*:FrameForgedCount.*:FrameForgedPhase.*'
-  echo "== coefficient caches invisible to a cold twin, MEMS lanes bit-identical, under ASAN =="
-  ./build-asan/tests/test_afe --gtest_filter='DacCache.*:NoiseCache.*'
+  echo "== coefficient caches invisible to a cold twin, a NaN at the SAR converter, MEMS lanes bit-identical, under ASAN =="
+  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_afe \
+    --gtest_filter='DacCache.*:NoiseCache.*:SarAdc.NanInputReadsBottomCodeAndIsCounted'
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_sensor \
     --gtest_filter='GyroMemsCache.*:GyroMemsLanes.*'
 }

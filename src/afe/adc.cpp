@@ -52,6 +52,12 @@ std::int32_t SarAdc::convert(double vin, double temp_c) {
   // Ideal quantization first, then displace by the local INL. A shifted
   // reference scales the real LSB; the digital side keeps the nominal one.
   double code_f = v / (lsb_ * (1.0 + ref_shift_));
+  // A real comparator never emits NaN: a NaN input (a model driven out of
+  // its envelope) reads as the bottom code, counted. ±Inf saturate below.
+  if (std::isnan(code_f)) {
+    ++nonfinite_inputs_;
+    return code_min_;
+  }
   const double idx = std::clamp(code_f - static_cast<double>(code_min_), 0.0,
                                 static_cast<double>(inl_.size() - 1));
   code_f += inl_[static_cast<std::size_t>(idx)];

@@ -52,6 +52,10 @@ class SarAdc {
   /// used by the self-test bench).
   double inl_at(std::int32_t code) const;
 
+  /// Conversions whose input was NaN; each returned the bottom code.
+  /// Diagnostic only: not part of the checkpoint state.
+  std::uint64_t nonfinite_inputs() const { return nonfinite_inputs_; }
+
   // ---- fault injection -----------------------------------------------------
   /// Comparator/SAR-logic failure: every conversion returns `code`.
   void inject_stuck_code(std::int32_t code) {
@@ -82,6 +86,7 @@ class SarAdc {
   double offset_;  ///< drawn offset including mismatch
   double gain_;    ///< drawn gain including mismatch
   std::vector<double> inl_;  ///< per-code INL [LSB]
+  std::uint64_t nonfinite_inputs_ = 0;
   NoiseSource noise_;
   bool stuck_ = false;
   std::int32_t stuck_code_ = 0;

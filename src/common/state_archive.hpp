@@ -66,6 +66,44 @@ class StateArchive {
   // --- raw buffers (bulk copy; for code/data memories) ------------------
   void bytes(std::uint8_t* p, std::size_t n);
 
+  /// `n` contiguous fixed-width scalars, no count prefix: the same bytes as
+  /// n value() calls, each element little-endian like value(), but with one
+  /// buffer growth on save and one bounds check on load.
+  template <typename T>
+  void values(T* p, std::size_t n) {
+    static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>,
+                  "values() takes fixed-width scalars; bool is range-checked by value()");
+    using U = std::conditional_t<
+        sizeof(T) == 1, std::uint8_t,
+        std::conditional_t<sizeof(T) == 2, std::uint16_t,
+                           std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>>>;
+    static_assert(sizeof(U) == sizeof(T));
+    if (saving_) {
+      const std::size_t at = out_.size();
+      out_.resize(at + n * sizeof(T));
+      for (std::size_t i = 0; i < n; ++i) {
+        U u;
+        std::memcpy(&u, p + i, sizeof(U));
+        store_le(u, out_.data() + at + i * sizeof(U));
+      }
+      pos_ += n * sizeof(T);
+      size_ = out_.size();
+    } else {
+      const std::size_t fit = remaining() / sizeof(T);
+      if (n > fit) {
+        // Fail where the element-by-element read would: at the first
+        // element that does not fit.
+        pos_ += fit * sizeof(T);
+        fail_truncated(sizeof(T));
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const U u = load_le<U>(in_ + pos_ + i * sizeof(U));
+        std::memcpy(p + i, &u, sizeof(U));
+      }
+      pos_ += n * sizeof(T);
+    }
+  }
+
   // --- containers -------------------------------------------------------
   void value(std::vector<std::uint8_t>& v);
   void value(std::optional<double>& v);
@@ -124,22 +162,31 @@ class StateArchive {
   /// each fit in remaining().
   void guard_count(std::uint64_t n, std::size_t encoded_size) const;
 
+  /// The one encoding of an unsigned scalar: little-endian, whatever the
+  /// host's byte order.
+  template <typename U>
+  static void store_le(U x, std::uint8_t* buf) {
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      buf[i] = static_cast<std::uint8_t>(x & 0xFF);
+      x = static_cast<U>(x >> 8);
+    }
+  }
+  template <typename U>
+  static U load_le(const std::uint8_t* buf) {
+    U x = 0;
+    for (std::size_t i = sizeof(U); i-- > 0;) x = static_cast<U>((x << 8) | buf[i]);
+    return x;
+  }
+
   template <typename U>
   void scalar(U& v) {
     std::uint8_t buf[sizeof(U)];
     if (saving_) {
-      U x = v;
-      for (std::size_t i = 0; i < sizeof(U); ++i) {
-        buf[i] = static_cast<std::uint8_t>(x & 0xFF);
-        x = static_cast<U>(x >> 8);
-      }
+      store_le(v, buf);
       put(buf, sizeof(U));
     } else {
       get(buf, sizeof(U));
-      U x = 0;
-      for (std::size_t i = sizeof(U); i-- > 0;)
-        x = static_cast<U>((x << 8) | buf[i]);
-      v = x;
+      v = load_le<U>(buf);
     }
   }
 

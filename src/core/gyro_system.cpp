@@ -278,11 +278,19 @@ void GyroSystem::post_status(double measured_temp) {
 GyroSystem::Group::Group(std::span<GroupMember> members) {
   for (GroupMember& m : members) {
     m.error = nullptr;
-    lanes[size].member = &m;
+    Lane& lane = lanes[size];
+    lane.member = &m;
     rings[size] = m.sys->mems_.get();
-    m.sys->begin_lane(lanes[size]);
+    m.sys->begin_lane(lane);
+    tick_taps |= lane.w_stim || lane.w_mems || lane.w_afe;
     ++size;
   }
+}
+
+void GyroSystem::Group::attach_profilers() {
+  std::array<obs::TaskProfiler*, kMax> tasks{};
+  for (std::size_t k = 0; k < size; ++k) tasks[k] = lanes[k].member->sys->obs_.tasks;
+  sched->set_profilers({tasks.data(), size});
 }
 
 template <typename Fn>
@@ -299,7 +307,10 @@ void GyroSystem::Group::each(Fn&& fn) {
       dropped = true;
     }
   }
-  if (!dropped) return;
+  if (dropped) drop_failed();
+}
+
+[[gnu::noinline]] void GyroSystem::Group::drop_failed() {
   // Keep the survivors in member order, their ring and tick data with them.
   std::size_t kept = 0;
   for (std::size_t k = 0; k < size; ++k) {
@@ -311,6 +322,7 @@ void GyroSystem::Group::each(Fn&& fn) {
     ++kept;
   }
   size = kept;
+  attach_profilers();
 }
 
 void GyroSystem::begin_lane(Lane& m) {
@@ -383,7 +395,6 @@ void GyroSystem::dsp_frame(Group& g, std::size_t k) {
   // ---- fault campaign: the sample counter is the fault time base, so it
   // advances here even with no campaign attached
   ++dsp_samples_;
-  if (obs_.metrics) obs_.metrics->add(obs_m_dsp_);
   if (campaign_) campaign_->step(dsp_samples_);
 
   // ---- drive servo + sense conditioning
@@ -482,9 +493,12 @@ void GyroSystem::dsp_frame(Group& g, std::size_t k) {
 }
 
 void GyroSystem::schedule_pipeline(platform::Scheduler& sched, Group& g) {
+  g.sched = &sched;
   // ---- analog tick (1.92 MHz): environment, DACs, MEMS, charge amps, AFE.
   // Every member's inputs are staged, then one lane call steps all rings; a
   // lone ring takes step(), the one-lane instance, without the dispatch.
+  // The per-tick probe taps follow, read-only, when a member's probe wants
+  // one (the post-ADC and output taps ride in the DSP frame below).
   sched.every(
       1,
       [&g] {
@@ -495,35 +509,9 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, Group& g) {
           sensor::GyroMems::step_lanes({g.rings.data(), g.size}, {g.in.data(), g.size},
                                        {g.pick.data(), g.size});
         g.each([&g](GyroSystem& s, std::size_t k) { s.analog_afe(g, k); });
+        if (g.tick_taps) tap_tick(g);
       },
       "analog");
-
-  // ---- probe taps (per analog tick) -------------------------------------
-  // Registered only when a member's probe wants a per-tick tap this
-  // pipeline produces, so the detached configuration schedules exactly the
-  // same task set as before probes existed (the obs-layer zero-cost
-  // discipline). The frames read state the pipeline computes anyway —
-  // nothing is perturbed. The post-ADC tap rides in the DSP frame below.
-  bool any_tick_tap = false;
-  for (std::size_t k = 0; k < g.size; ++k)
-    any_tick_tap |= g.lanes[k].w_stim || g.lanes[k].w_mems || g.lanes[k].w_afe;
-  if (any_tick_tap)
-    sched.every(
-        1,
-        [&g] {
-          g.each([&g](GyroSystem& s, std::size_t k) {
-            using sensor::ProbePoint;
-            const Lane& m = g.lanes[k];
-            const sensor::GyroInputs& in = g.in[k];
-            if (m.w_stim)
-              s.probe_->on_frame({ProbePoint::Stimulus, m.tick, in.rate_dps, in.temp_c});
-            if (m.w_mems)
-              s.probe_->on_frame(
-                  {ProbePoint::PostMems, m.tick, g.pick[k].dc_primary, g.pick[k].dc_sense});
-            if (m.w_afe) s.probe_->on_frame({ProbePoint::PostAfe, m.tick, m.vp, m.vs});
-          });
-        },
-        "probe");
 
   // ---- DSP frame (240 kHz): every DSP-rate stage, once per conversion ----
   // The phase keeps the *global* conversion cadence (g % adc_div ==
@@ -542,8 +530,20 @@ void GyroSystem::schedule_pipeline(platform::Scheduler& sched, Group& g) {
       "dsp_frame");
 }
 
+[[gnu::noinline]] void GyroSystem::tap_tick(Group& g) {
+  g.each([&g](GyroSystem& s, std::size_t k) {
+    using sensor::ProbePoint;
+    const Lane& m = g.lanes[k];
+    const sensor::GyroInputs& in = g.in[k];
+    if (m.w_stim) s.probe_->on_frame({ProbePoint::Stimulus, m.tick, in.rate_dps, in.temp_c});
+    if (m.w_mems)
+      s.probe_->on_frame({ProbePoint::PostMems, m.tick, g.pick[k].dc_primary, g.pick[k].dc_sense});
+    if (m.w_afe) s.probe_->on_frame({ProbePoint::PostAfe, m.tick, m.vp, m.vs});
+  });
+}
+
 std::optional<GyroSystem::LaneKey> GyroSystem::lane_key() const {
-  if (cfg_.fidelity == Fidelity::Full || obs_.enabled()) return std::nullopt;
+  if (cfg_.fidelity == Fidelity::Full) return std::nullopt;
   return LaneKey{cfg_.analog_fs, cfg_.adc_div, base_ticks_ % cfg_.adc_div};
 }
 
@@ -664,49 +664,62 @@ void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
   Group g(members);
   schedule_pipeline(sched, g);
 
-  // Observability is the lead's alone: a larger group has none (its members
-  // all have lane keys), so this is exactly a solo run's bookkeeping.
-  obs::ObsSink& o = lead.obs_;
-  const long tick_origin = lead.base_ticks_;
-  if (o.tasks) {
-    // Scheduler instances are per-run; the profiler accumulates across them.
-    // The tick origin maps this run's local ticks onto the channel's global
-    // tick axis so exported slice timestamps stay monotonic.
-    o.tasks->set_tick_origin(tick_origin);
-    sched.set_profiler(o.tasks);
-  }
-  const double dsp_fs = lead.cfg_.analog_fs / lead.cfg_.adc_div;
-  if (o.events)
-    o.events->emit(static_cast<double>(lead.dsp_samples_) / dsp_fs, obs::EventSeverity::Debug,
-                   obs::EventCategory::Scheduler, "run_begin", {}, {{"seconds", seconds}});
-  const double t_sim0 = static_cast<double>(tick_origin) / lead.cfg_.analog_fs;
-  if (o.spans && o.events && !lead.obs_trace_announced_) {
-    lead.obs_trace_announced_ = true;
-    o.events->emit(t_sim0, obs::EventSeverity::Debug, obs::EventCategory::Trace, "trace_begin",
-                   {}, {{"trace_id", static_cast<double>(o.spans->trace_id())}});
-  }
-  obs::SpanScope run_span(o.spans, "gyro.run", obs::SpanCategory::Scheduler, t_sim0);
+  // Every member keeps a solo run's bookkeeping in its own obs bundle.
+  std::array<RunBooks, Group::kMax> books;
+  for (std::size_t k = 0; k < members.size(); ++k) members[k].sys->begin_run(books[k], seconds);
+  g.attach_profilers();
   const auto wall0 = std::chrono::steady_clock::now();
-  double wall = 0.0;
   try {
     // Tick while any member runs: once the last one has thrown, nothing is
     // left to advance.
     for (long n = sched.ticks_in(seconds); n > 0 && g.size > 0; --n) sched.tick();
-    wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
   } catch (...) {
     // Only a lone member's exception gets here (Group::each).
     g.lanes[0].member->error = std::current_exception();
     g.size = 0;
   }
-  // A lead that threw leaves its run span to close as an unwound one.
-  if (members[0].error) return;
-  run_span.close(t_sim0 + seconds, wall * 1e6);
-  if (o.tasks) o.tasks->record_run(seconds, wall);
-  if (o.metrics) o.metrics->add(lead.obs_m_runs_);
-  if (o.events)
-    o.events->emit(static_cast<double>(lead.dsp_samples_) / dsp_fs, obs::EventSeverity::Debug,
-                   obs::EventCategory::Scheduler, "run_end", {},
-                   {{"seconds", seconds}, {"wall_s", wall}});
+  sched.sync_profilers();
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count() /
+      static_cast<double>(members.size());
+  for (std::size_t k = 0; k < members.size(); ++k)
+    members[k].sys->end_run(books[k], seconds, wall, members[k].error != nullptr);
+}
+
+void GyroSystem::begin_run(RunBooks& b, double seconds) {
+  b.dsp_samples = dsp_samples_;
+  // Scheduler instances are per-run; the profiler accumulates across them.
+  // The tick origin maps this run's local ticks onto the channel's global
+  // tick axis so exported slice timestamps stay monotonic.
+  if (obs_.tasks) obs_.tasks->set_tick_origin(base_ticks_);
+  const double dsp_fs = cfg_.analog_fs / cfg_.adc_div;
+  if (obs_.events)
+    obs_.events->emit(static_cast<double>(dsp_samples_) / dsp_fs, obs::EventSeverity::Debug,
+                      obs::EventCategory::Scheduler, "run_begin", {}, {{"seconds", seconds}});
+  b.t_sim0 = static_cast<double>(base_ticks_) / cfg_.analog_fs;
+  if (obs_.spans && obs_.events && !obs_trace_announced_) {
+    obs_trace_announced_ = true;
+    obs_.events->emit(b.t_sim0, obs::EventSeverity::Debug, obs::EventCategory::Trace,
+                      "trace_begin", {},
+                      {{"trace_id", static_cast<double>(obs_.spans->trace_id())}});
+  }
+  b.span.emplace(obs_.spans, "gyro.run", obs::SpanCategory::Scheduler, b.t_sim0);
+}
+
+void GyroSystem::end_run(RunBooks& b, double seconds, double wall, bool threw) {
+  // One add per run, not one per DSP frame; a run that threw counts the
+  // frames it ran, so a crash image holds the same counters.
+  if (obs_.metrics && dsp_samples_ != b.dsp_samples)
+    obs_.metrics->add(obs_m_dsp_, static_cast<double>(dsp_samples_ - b.dsp_samples));
+  // A run that threw leaves its span to close as an unwound one.
+  if (threw) return;
+  b.span->close(b.t_sim0 + seconds, wall * 1e6);
+  if (obs_.tasks) obs_.tasks->record_run(seconds, wall);
+  if (obs_.metrics) obs_.metrics->add(obs_m_runs_);
+  if (obs_.events)
+    obs_.events->emit(static_cast<double>(dsp_samples_) / (cfg_.analog_fs / cfg_.adc_div),
+                      obs::EventSeverity::Debug, obs::EventCategory::Scheduler, "run_end", {},
+                      {{"seconds", seconds}, {"wall_s", wall}});
 }
 
 }  // namespace ascp::core

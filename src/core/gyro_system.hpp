@@ -20,7 +20,10 @@
 // Ideal-fidelity systems that share base rate, adc_div and tick phase can run
 // as one lockstep group (run_group): one Scheduler, one GyroMems::step_lanes
 // call per tick for all their rings, and every member's output bit for bit
-// what its own run() gives. run() is the group of one.
+// what its own run() gives. run() is the group of one. Observed systems
+// group too: each member keeps a solo run's bookkeeping in its own obs
+// bundle (events, gyro.run span, counters, task profiler), and the group's
+// Scheduler counts every task firing for each member's profiler.
 #pragma once
 
 #include <array>
@@ -123,9 +126,7 @@ class GyroSystem : public RateSensor {
   };
   /// This system's key, or none when it must run alone: at Full fidelity,
   /// whose charge amps, SAR converters and DSP outweigh the MEMS step, so a
-  /// group measured no faster than its members run one by one; and with an
-  /// observability sink, because a group's one Scheduler carries one task
-  /// profiler.
+  /// group measured no faster than its members run one by one.
   std::optional<LaneKey> lane_key() const;
 
   /// One system of a run_group: its stimulus and output sink, and the
@@ -139,10 +140,14 @@ class GyroSystem : public RateSensor {
 
   /// Run 1 to GyroMems::kLanes distinct systems for `seconds` in lockstep,
   /// on one Scheduler with run()'s task graph: `analog` stages every
-  /// member's inputs and makes one step_lanes call per tick, `probe` and
-  /// `dsp_frame` loop over the members. Each member ends bit for bit where
-  /// its own run() would. A member that throws keeps the exception in
-  /// `error`, is left as a throwing run() leaves it, and drops out while the
+  /// member's inputs, makes one step_lanes call per tick and ends with the
+  /// members' per-tick probe taps; `dsp_frame` loops over the members. Each
+  /// member ends bit for bit where its own run() would, with its own run
+  /// bookkeeping: run_begin/run_end/trace_begin events, gyro.run span,
+  /// gyro.runs and gyro.dsp_samples counts, exact task counts, and an equal
+  /// share of the group's timed task walls and run wall. A member that
+  /// throws keeps the exception in `error`, is left as a throwing run()
+  /// leaves it (its DSP samples so far counted), and drops out while the
   /// others finish. The members of a group of more than one must have equal
   /// lane_key()s, none of them empty. Throws std::invalid_argument when
   /// these preconditions fail.
@@ -190,7 +195,7 @@ class GyroSystem : public RateSensor {
   /// post-AFE, post-ADC, decimated output — see sensor::ProbePoint). Probes
   /// follow the obs discipline: the numeric output is bit-identical with a
   /// probe attached or not, and when detached (or for rejected points) no
-  /// task is even scheduled. nullptr detaches.
+  /// tap code runs. nullptr detaches.
   void set_probe(sensor::Probe* probe);
   sensor::Probe* probe() const { return probe_; }
 
@@ -238,26 +243,50 @@ class GyroSystem : public RateSensor {
     std::array<sensor::GyroInputs, kMax> in;
     std::array<sensor::GyroOutputs, kMax> pick;
     std::size_t size = 0;
+    bool tick_taps = false;  ///< a member's probe wants a per-tick tap
+    platform::Scheduler* sched = nullptr;  ///< the run's, once scheduled
 
     /// Every member running, its error cleared and its lane set up for a
     /// run (begin_lane). At most kMax members.
     explicit Group(std::span<GroupMember> members);
 
     /// fn(system, k) for every running member k. A member whose fn throws
-    /// keeps the exception and leaves the group once the loop is done; a
-    /// lone member's exception propagates, for run_group to catch.
+    /// keeps the exception and leaves the group once the loop is done, its
+    /// task profiler with it; a lone member's exception propagates, for
+    /// run_group to catch.
     template <typename Fn>
     void each(Fn&& fn);
+    /// Removes the members that threw, their profilers with them; out of
+    /// line, so the tasks that call each() stay small.
+    void drop_failed();
+    /// Attaches the running members' task profilers to sched.
+    void attach_profilers();
+  };
+  /// One member's run bookkeeping between begin_run and end_run.
+  struct RunBooks {
+    double t_sim0 = 0.0;  ///< the run's first tick [s]
+    long dsp_samples = 0;
+    std::optional<obs::SpanScope> span;
   };
 
   void build(std::uint64_t seed);
   void define_registers();
   void post_status(double measured_temp);
   /// Registers the multi-rate conditioning pipeline for `g` on `sched`: the
-  /// analog task every tick, the probe taps every tick when a member's probe
-  /// wants them, and one DSP frame per SAR conversion (divider adc_div, on
-  /// the converter's last clock). Each task loops over the members.
+  /// analog task every tick, ending with the per-tick probe taps when a
+  /// member's probe wants them, and one DSP frame per SAR conversion
+  /// (divider adc_div, on the converter's last clock). Each task loops over
+  /// the members.
   static void schedule_pipeline(platform::Scheduler& sched, Group& g);
+  /// The Stimulus, PostMems and PostAfe probe frames of this tick for every
+  /// member that wants them; out of line, so the analog task stays small.
+  static void tap_tick(Group& g);
+  /// A run's obs bookkeeping before its first tick: tick origin, run_begin
+  /// and trace_begin events, the gyro.run span.
+  void begin_run(RunBooks& b, double seconds);
+  /// ... and after its last: the DSP samples it ran, and unless it threw,
+  /// the span, run wall (`wall`, this system's share), gyro.runs, run_end.
+  void end_run(RunBooks& b, double seconds, double wall, bool threw);
   /// Sets up lane `m` for a run: flags and the MCU slice.
   void begin_lane(Lane& m);
   // The member stages of this system, member k of `g`:

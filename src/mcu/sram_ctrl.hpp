@@ -47,7 +47,7 @@ class SramController : public BridgeDevice {
   std::vector<std::uint16_t> snapshot() const;
 
   void serialize_state(StateArchive& ar) {
-    for (auto& w : mem_) ar.value(w);
+    ar.values(mem_.data(), mem_.size());
     ar.value(count_);
     ar.value(rdptr_);
     ar.value(node_);

@@ -44,8 +44,6 @@ void TaskProfiler::record(int id, long tick, double wall_seconds, double weight)
   }
 }
 
-void TaskProfiler::count(int id) { ++tasks_[static_cast<std::size_t>(id)].invocations; }
-
 void TaskProfiler::record_run(double sim_seconds, double wall_seconds) {
   sim_seconds_ += sim_seconds;
   wall_seconds_ += wall_seconds;

@@ -11,6 +11,13 @@
 // statistics accumulate across runs. set_tick_origin() maps each run's
 // local tick 0 onto the channel's global tick axis so exported slice
 // timestamps stay monotonic across runs.
+//
+// Invocation counts are exact but arrive in bulk: the scheduler counts its
+// untimed firings itself and adds them here (count()) at the task's next
+// timed firing and when a run returns, so an untimed firing costs no call.
+// The systems of a GyroSystem lockstep group share one Scheduler and each
+// keep their own profiler: each is counted every firing and booked an equal
+// share of each timed firing's wall and of the run wall.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +73,12 @@ class TaskProfiler {
   /// invocation stands in for `weight` firings in the wall accumulator.
   void record(int id, long tick, double wall_seconds, double weight = 1.0);
 
-  /// One untimed (skipped-by-sampling) invocation: counts, no wall cost.
-  void count(int id);
+  /// `firings` untimed (skipped-by-sampling) invocations: counts, no wall
+  /// cost. The scheduler books them in bulk, at its next timed firing of the
+  /// task and when a run returns.
+  void count(int id, std::uint64_t firings) {
+    tasks_[static_cast<std::size_t>(id)].invocations += firings;
+  }
 
   /// One completed run of the owning system: `sim_seconds` of simulated time
   /// bought with `wall_seconds` of host time.

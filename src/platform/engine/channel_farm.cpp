@@ -57,6 +57,7 @@ void ChannelFarm::run_channel(std::size_t i, const Step& step) {
   const long ticks_before = ch.ticks_advanced();
   const std::uint64_t outputs_before = ch.total_outputs();
   std::exception_ptr error;
+  slot.busy_width.store(1, std::memory_order_relaxed);
   slot.busy_since_ns.store(steady_ns(), std::memory_order_release);
   try {
     step(i, ch);
@@ -79,6 +80,7 @@ void ChannelFarm::run_group(std::span<const std::size_t> group, long n_base_tick
     members[k] = channels_[group[k]].get();
     ticks_before[k] = members[k]->ticks_advanced();
     outputs_before[k] = members[k]->total_outputs();
+    slots_[group[k]]->busy_width.store(n, std::memory_order_relaxed);
     slots_[group[k]]->busy_since_ns.store(now, std::memory_order_release);
   }
   try {
@@ -142,40 +144,62 @@ void ChannelFarm::dispatch(std::size_t n, const Job& job) {
   cv_done_.wait(lk, [this] { return active_ == 0; });
 }
 
-void ChannelFarm::run(std::span<const std::size_t> which, const Step& step) {
+void ChannelFarm::check_listed(std::span<const std::size_t> which) const {
   // Each listed channel belongs to exactly one worker: an index out of range
-  // or listed twice is rejected before any step runs.
+  // or listed twice is rejected before any channel runs.
   std::vector<bool> listed(channels_.size());
   for (std::size_t i : which) {
     if (i >= channels_.size())
-      throw std::invalid_argument("ChannelFarm::run: channel index out of range");
-    if (listed[i]) throw std::invalid_argument("ChannelFarm::run: channel listed twice");
+      throw std::invalid_argument("ChannelFarm: channel index out of range");
+    if (listed[i]) throw std::invalid_argument("ChannelFarm: channel listed twice");
     listed[i] = true;
   }
+}
+
+void ChannelFarm::run(std::span<const std::size_t> which, const Step& step) {
+  check_listed(which);
   dispatch(which.size(), [&](std::size_t k) { run_channel(which[k], step); });
 }
 
 void ChannelFarm::advance(double seconds) {
-  // Lane groups: the gyro channels with a lane key, by key, in index order.
-  // Baselines and gyro channels without a key advance alone.
+  // Each channel converts the common span of simulated time to its own base
+  // ticks (farms may mix base rates), exactly as a solo run would.
+  std::vector<std::size_t> which(channels_.size());
+  std::vector<long> ticks(channels_.size());
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    which[i] = i;
+    ticks[i] = std::llround(seconds * channels_[i]->base_rate_hz());
+  }
+  advance(which, ticks);
+}
+
+void ChannelFarm::advance(std::span<const std::size_t> which, std::span<const long> ticks) {
+  if (ticks.size() != which.size())
+    throw std::invalid_argument("ChannelFarm::advance: one tick count per listed channel");
+  check_listed(which);
+  // Lane groups: the gyro channels with a lane key, by key and tick count,
+  // in list order. Baselines and gyro channels without a key advance alone.
   struct Bucket {
     core::GyroSystem::LaneKey key;
+    long ticks;
     std::vector<std::size_t> channels;
   };
   std::vector<Bucket> buckets;
-  std::vector<std::size_t> alone;
+  std::vector<std::size_t> alone;  // positions in `which`
   std::size_t eligible = 0;
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
+  for (std::size_t at = 0; at < which.size(); ++at) {
+    const std::size_t i = which[at];
     if (channel_failed(i)) continue;
     const core::GyroSystem* g = channels_[i]->gyro();
     const std::optional<core::GyroSystem::LaneKey> key = g ? g->lane_key() : std::nullopt;
     if (!key) {
-      alone.push_back(i);
+      alone.push_back(at);
       continue;
     }
-    auto b = std::find_if(buckets.begin(), buckets.end(),
-                          [&](const Bucket& x) { return x.key == *key; });
-    if (b == buckets.end()) b = buckets.insert(b, Bucket{*key, {}});
+    auto b = std::find_if(buckets.begin(), buckets.end(), [&](const Bucket& x) {
+      return x.key == *key && x.ticks == ticks[at];
+    });
+    if (b == buckets.end()) b = buckets.insert(b, Bucket{*key, ticks[at], {}});
     b->channels.push_back(i);
     ++eligible;
   }
@@ -185,28 +209,27 @@ void ChannelFarm::advance(double seconds) {
   const std::size_t lanes =
       std::min(sensor::GyroMems::kLanes, (eligible + workers - 1) / workers);
 
-  // Work units as ranges of `order`: the groups first (the larger units),
-  // then the lone channels.
+  // Work units as ranges of `order`, each with its tick count: the groups
+  // first (the larger units), then the lone channels, each the group of one.
   std::vector<std::size_t> order, start;
+  std::vector<long> unit_ticks;
   for (const Bucket& b : buckets)
     for (std::size_t at = 0; at < b.channels.size(); at += lanes) {
       start.push_back(order.size());
+      unit_ticks.push_back(b.ticks);
       const auto first = b.channels.begin() + static_cast<std::ptrdiff_t>(at);
       order.insert(order.end(), first,
                    first + static_cast<std::ptrdiff_t>(std::min(lanes, b.channels.size() - at)));
     }
-  for (std::size_t i : alone) {
+  for (std::size_t at : alone) {
     start.push_back(order.size());
-    order.push_back(i);
+    unit_ticks.push_back(ticks[at]);
+    order.push_back(which[at]);
   }
   start.push_back(order.size());
 
-  // Each unit converts the common wall of simulated time to its own base
-  // ticks (farms may mix base rates; a group shares one), exactly as a solo
-  // run would. A lone channel is the group of one.
-  dispatch(start.size() - 1, [&](std::size_t k) {
-    const std::span<const std::size_t> unit(order.data() + start[k], start[k + 1] - start[k]);
-    run_group(unit, std::llround(seconds * channels_[unit[0]]->base_rate_hz()));
+  dispatch(unit_ticks.size(), [&](std::size_t k) {
+    run_group({order.data() + start[k], start[k + 1] - start[k]}, unit_ticks[k]);
   });
 }
 

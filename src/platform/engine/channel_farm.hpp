@@ -16,14 +16,16 @@
 // cursor (one atomic fetch_add per work unit per run).
 //
 // Lockstep lanes: advance() runs GyroSystem channels that share a
-// GyroSystem::lane_key() (base rate, adc_div, tick phase) in groups of
-// min(kLanes, ⌈eligible ÷ workers⌉), one ConditioningChannel::advance_group
-// per group, so their MEMS rings step together in GyroMems::step_lanes.
-// Every other channel advances alone, as the group of one: baselines, and
-// gyro channels without a key (Full fidelity, or an obs sink, whose one task
-// profiler a shared Scheduler could not carry). A member that throws fails
-// alone; its group-mates finish. Grouping never changes a bit of any
-// channel's output.
+// GyroSystem::lane_key() (base rate, adc_div, tick phase) and a tick count
+// in groups of min(kLanes, ⌈eligible ÷ workers⌉), one
+// ConditioningChannel::advance_group per group, so their MEMS rings step
+// together in GyroMems::step_lanes. Observed channels group like bare ones;
+// each member keeps its own obs bookkeeping. Every other channel advances
+// alone, as the group of one: baselines and Full-fidelity gyro channels,
+// which have no key. advance(seconds) and the FleetSupervisor's per-channel
+// catch-up targets both go through advance(which, ticks), the one grouping
+// rule. A member that throws fails alone; its group-mates finish. Grouping
+// never changes a bit of any channel's output.
 #pragma once
 
 #include <atomic>
@@ -89,11 +91,18 @@ class ChannelFarm {
   /// out of range or listed twice.
   void run(std::span<const std::size_t> which, const Step& step);
 
-  /// Advance every channel by `seconds` of simulated base time, in lockstep
-  /// lane groups where the channels allow (see the file comment). Repeated
-  /// calls accumulate, with decimation phase carrying across calls per
-  /// channel.
+  /// Advance every channel that has not failed by `seconds` of simulated
+  /// base time: advance(which, ticks) with each channel's ticks in
+  /// `seconds`. Repeated calls accumulate, with decimation phase carrying
+  /// across calls per channel.
   void advance(double seconds);
+
+  /// Advance each listed channel that has not failed by its own count of
+  /// base ticks (ticks[k] for which[k]), in lockstep lane groups where the
+  /// channels allow (see the file comment). Throws std::invalid_argument,
+  /// before any channel advances, when the spans differ in length or an
+  /// index is out of range or listed twice.
+  void advance(std::span<const std::size_t> which, std::span<const long> ticks);
 
   std::size_t size() const { return channels_.size(); }
   unsigned threads() const { return threads_; }
@@ -107,6 +116,12 @@ class ChannelFarm {
   /// Written by the worker; any thread (a watchdog) may read it.
   std::int64_t busy_since_ns(std::size_t i) const {
     return slots_[i]->busy_since_ns.load(std::memory_order_acquire);
+  }
+  /// Channels in the lane group of channel i's current step (1 when it runs
+  /// alone): the step does that many channels' work. Read after
+  /// busy_since_ns(i), it belongs to that step or a later one.
+  std::size_t busy_width(std::size_t i) const {
+    return slots_[i]->busy_width.load(std::memory_order_relaxed);
   }
 
   // ---- exception containment ----------------------------------------------
@@ -135,12 +150,16 @@ class ChannelFarm {
     std::atomic<bool> failed{false};
     std::string error;
     std::atomic<std::int64_t> busy_since_ns{0};
+    std::atomic<std::size_t> busy_width{1};
   };
 
   /// Work unit k of a dispatch, run on exactly one worker.
   using Job = std::function<void(std::size_t k)>;
 
   void worker_loop();
+  /// Throws std::invalid_argument when an index is out of range or listed
+  /// twice.
+  void check_listed(std::span<const std::size_t> which) const;
   /// Runs job(0 … n-1) across the pool and blocks until all are done.
   void dispatch(std::size_t n, const Job& job);
   void run_channel(std::size_t i, const Step& step);

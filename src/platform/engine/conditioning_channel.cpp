@@ -298,7 +298,7 @@ void ConditioningChannel::serialize_state(StateArchive& ar) {
       throw StateError("checkpoint pending-queue count implausible");
     out_.resize(static_cast<std::size_t>(pending));
   }
-  for (auto& v : out_) ar.value(v);
+  ar.values(out_.data(), out_.size());
 
   bool has_campaign = campaign_ != nullptr;
   ar.value(has_campaign);

@@ -85,7 +85,8 @@ FleetSupervisor::FleetSupervisor(std::vector<FleetChannelSpec> specs, const Flee
           const std::int64_t since = farm_.busy_since_ns(i);
           if (since == 0 || since == flagged_since[i]) continue;
           const double elapsed_ms = static_cast<double>(now - since) / 1e6;
-          if (elapsed_ms > cfg_.tick_deadline_ms) {
+          // A lane group's step does one channel step per member.
+          if (elapsed_ms > cfg_.tick_deadline_ms * static_cast<double>(farm_.busy_width(i))) {
             flagged_since[i] = since;
             std::lock_guard<std::mutex> lk(stall_m_);
             stall_log_.push_back({static_cast<long>(i), elapsed_ms});
@@ -191,24 +192,42 @@ void FleetSupervisor::dump_blackbox(std::size_t i) {
 double FleetSupervisor::step(bool live) {
   const long tick = fleet_tick_;
   const auto wall0 = std::chrono::steady_clock::now();
-  farm_.run(runnable_, [this, live, tick](std::size_t i, ConditioningChannel& ch) {
-    ChannelState& st = states_[i];
-    // Chaos hooks fire for the *live* tick only; catch-up replays simulated
-    // time the channel missed and must stay pure.
-    if (live && st.before_advance) st.before_advance(tick - 1);
-    // Block-policy backpressure: a full queue pauses the channel (it catches
-    // up after the supervisor drains it).
-    if (ch.queue_full()) return;
-    // Advance to the *absolute* base-tick target for this fleet tick, not by
-    // a relative delta: per-tick llround deltas accumulate rounding when
-    // tick_seconds * base_rate is non-integral, so a channel catching up in
-    // one big advance would land on a different global tick than one that
-    // ticked live — breaking the clean-twin bit-exactness invariant.
+  // Chaos hooks fire for the *live* tick only, on the workers under the
+  // farm's containment and busy stamps; catch-up replays simulated time the
+  // channel missed and must stay pure. A hook that throws fails its channel,
+  // which then does not advance.
+  if (live) {
+    std::vector<std::size_t> hooked;
+    for (std::size_t i : runnable_)
+      if (states_[i].before_advance) hooked.push_back(i);
+    if (!hooked.empty())
+      farm_.run(hooked, [this, tick](std::size_t i, ConditioningChannel&) {
+        states_[i].before_advance(tick - 1);
+      });
+  }
+  // Advance to the *absolute* base-tick target for this fleet tick, not by
+  // a relative delta: per-tick llround deltas accumulate rounding when
+  // tick_seconds * base_rate is non-integral, so a channel catching up in
+  // one big advance would land on a different global tick than one that
+  // ticked live — breaking the clean-twin bit-exactness invariant.
+  // Block-policy backpressure: a full queue pauses the channel (it catches
+  // up after the supervisor drains it).
+  std::vector<std::size_t> advancing;
+  std::vector<long> ticks;
+  for (std::size_t i : runnable_) {
+    const ConditioningChannel& ch = farm_.channel(i);
+    if (ch.queue_full()) continue;
     const long target =
         std::llround(static_cast<double>(tick) * cfg_.tick_seconds * ch.base_rate_hz());
-    ch.advance(std::max<long>(0, target - ch.ticks_advanced()));
-    st.ticks_done = tick;
-  });
+    advancing.push_back(i);
+    ticks.push_back(std::max<long>(0, target - ch.ticks_advanced()));
+  }
+  // One farm path: channels with one lane key and one catch-up count
+  // advance as a lockstep group; a channel restored from a checkpoint
+  // catches up alone, then rejoins.
+  farm_.advance(advancing, ticks);
+  for (std::size_t i : advancing)
+    if (!farm_.channel_failed(i)) states_[i].ticks_done = tick;
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall0)
           .count();

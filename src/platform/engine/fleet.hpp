@@ -31,7 +31,11 @@
 //                        catch up later, so no simulated time is ever lost.
 //
 // Live ticks and run_ticks()' final catch-up share one step, one watchdog
-// and one failure path.
+// and one failure path. A step runs the chaos hooks channel by channel, then
+// advances every channel to its base-tick target through the farm's one
+// grouping path (ChannelFarm::advance(which, ticks)): GyroIdeal channels with
+// equal lane keys and equal tick counts advance in lockstep lane groups, so
+// a restored channel catches up alone and then rejoins a group.
 //
 // Determinism: chaos (stalls, exceptions, checkpoint corruption) is injected
 // from *outside* the channel's simulation state, and catch-up replays the
@@ -68,10 +72,11 @@ struct FleetChannelSpec {
   ChannelConfig config;
   /// Shedding order under overload: lower priority is shed first.
   int priority = 0;
-  /// Chaos/test hook invoked on the worker thread immediately before the
-  /// channel advances one *live* fleet tick (never during catch-up replay).
-  /// Throwing simulates a channel crash; sleeping simulates a stall. Must
-  /// not touch the channel's simulation state.
+  /// Chaos/test hook invoked on a farm worker, under the channel's busy
+  /// stamp, before the channel advances one *live* fleet tick (never during
+  /// catch-up replay). Throwing simulates a channel crash (the channel then
+  /// does not advance); sleeping simulates a stall. Must not touch the
+  /// channel's simulation state.
   std::function<void(long fleet_tick)> before_advance;
 };
 
@@ -85,7 +90,8 @@ struct FleetConfig {
   unsigned threads = 1;
   /// Simulated seconds per fleet tick.
   double tick_seconds = 0.005;
-  /// Wall-clock deadline for one channel step; 0 disables the watchdog.
+  /// Wall-clock deadline for one channel step (a lane group's step gets it
+  /// once per member); 0 disables the watchdog.
   double tick_deadline_ms = 0.0;
   /// Fleet ticks between checkpoints; 0 disables checkpointing (restarts
   /// then always cold-rebuild and replay from tick zero).
@@ -184,8 +190,8 @@ class FleetSupervisor {
   bool has_checkpoint(std::size_t i) const { return !states_[i].last_good.empty(); }
 
  private:
-  /// Supervision state of one channel (the channel lives in farm_). During a
-  /// farm run a worker writes only the `ticks_done` of the channel it steps.
+  /// Supervision state of one channel (the channel lives in farm_). Only the
+  /// supervising thread writes it; a worker only calls before_advance.
   struct ChannelState {
     int priority = 0;
     std::function<void(long)> before_advance;
@@ -207,10 +213,11 @@ class FleetSupervisor {
   };
 
   void run_one_tick();
-  /// One farm run over runnable_ (chaos hook on live ticks only; pause while
-  /// the queue is full, else advance to the base tick of fleet tick
-  /// fleet_tick_), then stall reports and failure handling. Returns the
-  /// run's wall time [ms].
+  /// One step over runnable_: the chaos hooks on live ticks only (one farm
+  /// run), then one farm advance of every channel that did not throw and
+  /// whose queue is not full to the base tick of fleet tick fleet_tick_,
+  /// then stall reports and failure handling. Returns the step's wall
+  /// time [ms].
   double step(bool live);
   void report_stalls();
   void handle_failures();
@@ -240,7 +247,7 @@ class FleetSupervisor {
                           m_quarantines_ = 0, m_shed_ = 0, m_delivered_ = 0,
                           m_checkpoints_ = 0, m_blackbox_ = 0;
 
-  // Step work list (indices of channels the next farm run advances).
+  // Step work list (indices of channels the next step runs).
   std::vector<std::size_t> runnable_;
 
   // Watchdog thread + its detection journal (consumed by the supervisor

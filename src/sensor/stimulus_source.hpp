@@ -22,7 +22,7 @@
 // (stimulus, post-MEMS, post-AFE, post-ADC, decimated output). Probes are
 // read-only observers with the obs-layer discipline: the numeric output is
 // bit-identical with a probe attached or not, and a detached probe costs
-// nothing (no task is even scheduled).
+// nothing (a flag test per tick; no tap code runs).
 #pragma once
 
 #include <cmath>
@@ -255,7 +255,7 @@ struct ProbeFrame {
 /// Read-only observer of chain taps. Discipline matches the obs layer: a
 /// probe must not feed anything back (the output stream is bit-identical
 /// attached or detached), and wants() lets the pipeline skip whole taps —
-/// a detached probe schedules no task at all.
+/// a detached probe runs no tap code at all.
 class Probe {
  public:
   virtual ~Probe() = default;

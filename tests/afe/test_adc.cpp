@@ -54,6 +54,26 @@ TEST(SarAdc, SaturatesAtRails) {
   EXPECT_EQ(adc.convert(-10.0), -512);
 }
 
+// A NaN input (a MEMS model driven out of its envelope) must not reach a
+// float-to-integer cast: it reads as the bottom code and is counted, with
+// the noise stream advanced as for any conversion. ±Inf saturate to the
+// rails and are not counted. Run under the sanitizer builds with
+// float-cast-overflow.
+TEST(SarAdc, NanInputReadsBottomCodeAndIsCounted) {
+  AdcConfig cfg;
+  cfg.bits = 14;
+  SarAdc adc(cfg, ascp::Rng(3)), twin(cfg, ascp::Rng(3));
+  EXPECT_EQ(adc.convert(0.1), twin.convert(0.1));
+  EXPECT_EQ(adc.convert(std::nan("")), -8192);
+  EXPECT_EQ(adc.nonfinite_inputs(), 1u);
+  (void)twin.convert(0.3);
+  EXPECT_EQ(adc.convert(0.2), twin.convert(0.2)) << "the NaN conversion drew its noise";
+  EXPECT_EQ(adc.convert(INFINITY), 8191);
+  EXPECT_EQ(adc.convert(-INFINITY), -8192);
+  EXPECT_EQ(adc.nonfinite_inputs(), 1u);
+  EXPECT_EQ(twin.nonfinite_inputs(), 0u);
+}
+
 TEST(SarAdc, GainIsUnityWithinTolerance) {
   SarAdc adc(quiet_config(), ascp::Rng(5));
   std::vector<double> x, y;

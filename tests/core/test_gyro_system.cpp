@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -263,7 +264,8 @@ TEST(GyroSystem, ProbeFramesKeepChainOrderAtConversionTicks) {
     GyroSystem sys(default_gyro_system(fid));
     OrderProbe probe;
     sys.set_probe(&probe);
-    EXPECT_EQ(table_of(sys), (TaskTable{{"analog", 1, 0}, {"probe", 1, 0}, {"dsp_frame", 8, 7}}));
+    // The per-tick taps run at the end of the analog task: no task of their own.
+    EXPECT_EQ(table_of(sys), (TaskTable{{"analog", 1, 0}, {"dsp_frame", 8, 7}}));
     sys.power_on(1);
     sys.run(sensor::Profile::constant(0.0), sensor::Profile::constant(25.0), 0.003, nullptr);
 
@@ -332,8 +334,8 @@ TEST(GyroSystem, ChunkedRunsWithRestoreMatchStraightRun) {
     }
 }
 
-// Who may share a lockstep group is lane_key()'s call alone: Ideal systems
-// without an obs sink at one tick phase. run_group rejects any other group
+// Who may share a lockstep group is lane_key()'s call alone: Ideal systems,
+// observed or not, at one tick phase. run_group rejects any other group
 // of more than one before a tick runs, and runs any system as the group of
 // one.
 TEST(GyroSystem, RunGroupNeedsOneLaneKey) {
@@ -350,7 +352,7 @@ TEST(GyroSystem, RunGroupNeedsOneLaneKey) {
   ASSERT_TRUE(a->lane_key());
   EXPECT_EQ(a->lane_key(), c->lane_key());
   EXPECT_FALSE(full->lane_key());
-  EXPECT_FALSE(observed->lane_key());
+  EXPECT_EQ(observed->lane_key(), a->lane_key());  // an obs sink does not keep it out
 
   const double fs = a->config().analog_fs;
   std::vector<std::unique_ptr<sensor::SyntheticSource>> sources;
@@ -368,17 +370,44 @@ TEST(GyroSystem, RunGroupNeedsOneLaneKey) {
   };
   run(group({b.get()}), 3);  // b now sits at another tick phase
   EXPECT_NE(a->lane_key(), b->lane_key());
-  for (auto members : {group({full.get(), full2.get()}), group({a.get(), observed.get()}),
-                       group({a.get(), b.get()}), group({a.get(), a.get()})})
+  for (auto members : {group({full.get(), full2.get()}), group({a.get(), b.get()}),
+                       group({a.get(), a.get()})})
     EXPECT_THROW(run(members, 16), std::invalid_argument);
-  for (GyroSystem* s : {a.get(), full.get(), full2.get(), observed.get()})
+  for (GyroSystem* s : {a.get(), full.get(), full2.get()})
     EXPECT_EQ(s->dsp_samples(), 0) << "a rejected group runs nothing";
 
-  run(group({a.get(), c.get()}), 16);
+  run(group({a.get(), observed.get(), c.get()}), 16);
   run(group({full.get()}), 16);
-  run(group({observed.get()}), 16);
   for (GyroSystem* s : {a.get(), c.get(), full.get(), observed.get()})
     EXPECT_EQ(s->dsp_samples(), 2);
+  // The observed member kept its own run bookkeeping.
+  EXPECT_EQ(o.metrics.snapshot().counter_value("gyro.runs"), 1.0);
+  EXPECT_EQ(o.metrics.snapshot().counter_value("gyro.dsp_samples"), 2.0);
+}
+
+// gyro.dsp_samples is added once per run from the run's DSP-sample delta:
+// it equals the frames run after a normal run, and after a run that threw
+// mid-way it holds the frames run up to the exception, so a crash image
+// captures the same counter.
+TEST(GyroSystem, DspSampleCounterMatchesFramesRunEvenWhenARunThrows) {
+  GyroSystem sys(default_gyro_system(Fidelity::Ideal));
+  obs::Observability o;
+  sys.set_observability(o.sink());
+  safety::FaultCampaign campaign;
+  campaign.add({"explode", safety::FaultLayer::Dsp, 500, -1, false, 0},
+               [] { throw std::runtime_error("campaign action exploded"); });
+  sys.set_fault_campaign(&campaign);
+  sys.power_on(3);
+  const auto counted = [&o] { return o.metrics.snapshot().counter_value("gyro.dsp_samples"); };
+  const auto rate = sensor::Profile::constant(10.0), temp = sensor::Profile::constant(25.0);
+
+  sys.run(rate, temp, 0.001, nullptr);  // 1920 ticks: 240 DSP frames
+  EXPECT_EQ(sys.dsp_samples(), 240);
+  EXPECT_EQ(counted(), 240.0);
+  EXPECT_THROW(sys.run(rate, temp, 0.01, nullptr), std::runtime_error);
+  EXPECT_EQ(sys.dsp_samples(), 500);  // the frame that threw had started
+  EXPECT_EQ(counted(), 500.0);
+  EXPECT_EQ(o.metrics.snapshot().counter_value("gyro.runs"), 1.0);
 }
 
 }  // namespace

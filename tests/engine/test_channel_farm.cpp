@@ -7,7 +7,10 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -346,14 +349,18 @@ TEST(ChannelFarm, RunRejectsOutOfRangeAndRepeatedIndices) {
     EXPECT_THROW(farm.run(out_of_range, count), std::invalid_argument);
     EXPECT_EQ(steps.load(), 0) << "a rejected list must run nothing";
     const std::vector<std::size_t> fine = {1, 0};
+    // advance(which, ticks) shares the checks and wants one count per index.
+    EXPECT_THROW(farm.advance(repeated, std::vector<long>{8, 8, 8}), std::invalid_argument);
+    EXPECT_THROW(farm.advance(fine, std::vector<long>{8}), std::invalid_argument);
+    EXPECT_EQ(farm.channel(0).ticks_advanced() + farm.channel(1).ticks_advanced(), 0);
     farm.run(fine, count);
     EXPECT_EQ(steps.load(), 2);
   }
 }
 
 // ---- lockstep lanes -----------------------------------------------------------
-// advance() runs observer-free GyroIdeal channels that share base rate,
-// adc_div and tick phase as lockstep groups. Grouping must never move a bit:
+// advance() runs GyroIdeal channels that share base rate, adc_div and tick
+// phase, observed or not, as lockstep groups. Grouping must never move a bit:
 // every channel hashes like a solo ConditioningChannel from the same config.
 
 /// Folds every probe frame into an FNV-1a hash.
@@ -455,6 +462,103 @@ TEST(ChannelFarm, LockstepMatchesSoloOneWorker) { expect_lockstep_matches_solo(1
 
 TEST(ChannelFarm, LockstepMatchesSoloFourWorkers) { expect_lockstep_matches_solo(4); }
 
+/// Everything a channel's obs bundle holds that does not read the host
+/// clock: metric counters, task invocation counts, events and flight
+/// records, each field printed exactly, the value of a `wall_s` key masked.
+std::string obs_fingerprint(const ConditioningChannel& ch) {
+  const obs::Observability& o = *ch.observability();
+  std::ostringstream os;
+  os << std::hexfloat;
+  const auto kv = [&os](const char* key, double v) {
+    if (!key) return;
+    os << ' ' << key << '=';
+    if (std::string_view(key) == "wall_s")
+      os << '*';
+    else
+      os << v;
+  };
+  for (const auto& [name, v] : o.metrics.snapshot().counters)
+    os << "counter " << name << ' ' << v << '\n';
+  for (const auto& t : o.tasks.stats())
+    os << "task " << t.name << ' ' << t.divider << ' ' << t.phase << ' ' << t.invocations << '\n';
+  o.events.for_each([&](const obs::Event& e) {
+    os << "event " << e.t_sim << ' ' << static_cast<int>(e.severity) << ' '
+       << static_cast<int>(e.category) << ' ' << e.name << " '" << e.detail << '\'';
+    for (const auto& p : e.kv) kv(p.key, p.value);
+    os << '\n';
+  });
+  o.recorder.for_each([&](const obs::FlightRecord& r) {
+    os << "record " << r.t_sim << ' ' << static_cast<int>(r.kind) << ' '
+       << static_cast<int>(r.severity) << ' ' << static_cast<int>(r.category) << ' ' << r.tick
+       << ' ' << r.name << " '" << r.detail << "' " << r.a << ' ' << r.b;
+    kv(r.k0, r.v0);
+    kv(r.k1, r.v1);
+    os << '\n';
+  });
+  return os.str();
+}
+
+// Observed GyroIdeal channels with flight recorders group like bare ones,
+// and each member keeps a solo run's bookkeeping in its own bundle: outputs,
+// counters, task counts, events and flight records all match a solo twin's,
+// for a member that throws too (it counts the DSP samples it ran).
+void expect_observed_lockstep_matches_solo(unsigned workers) {
+  std::vector<ChannelConfig> specs;
+  for (int i = 0; i < 5; ++i) {
+    ChannelConfig c = channel(ChannelKind::GyroIdeal, -45.0 + 20.0 * i, 60.0 - 15.0 * i);
+    c.with_flight_recorder = true;
+    specs.push_back(c);
+  }
+  specs[2].with_flight_recorder = false;
+  specs[2].with_obs = true;
+  ChannelConfig thrower = throwing_config(/*inject_at=*/700);
+  thrower.with_flight_recorder = true;
+  specs.push_back(thrower);
+  const std::size_t kThrower = specs.size() - 1;
+
+  FarmConfig fc;
+  fc.root_seed = 77;
+  fc.threads = workers;
+  ChannelFarm farm(specs, fc);
+  std::vector<std::unique_ptr<ConditioningChannel>> solo;
+  for (std::size_t i = 0; i < farm.size(); ++i)
+    solo.push_back(std::make_unique<ConditioningChannel>(farm.channel(i).config()));
+  bool solo_threw = false;
+  for (const long ticks : {3001L, 1L, 4093L, 960L}) {
+    farm.advance(static_cast<double>(ticks) / farm.channel(0).base_rate_hz());
+    for (std::size_t i = 0; i < solo.size(); ++i) {
+      if (i == kThrower && solo_threw) continue;  // failed: the farm skips it too
+      try {
+        solo[i]->advance(ticks);
+      } catch (const std::runtime_error&) {
+        ASSERT_EQ(i, kThrower);
+        solo_threw = true;
+      }
+    }
+  }
+  ASSERT_TRUE(solo_threw);
+  for (std::size_t i = 0; i < farm.size(); ++i) {
+    EXPECT_EQ(i == kThrower, farm.channel_failed(i)) << farm.channel_error(i);
+    EXPECT_EQ(farm.channel(i).output_hash(), solo[i]->output_hash()) << "channel " << i;
+    EXPECT_EQ(farm.channel(i).gyro()->dsp_samples(), solo[i]->gyro()->dsp_samples());
+    EXPECT_EQ(obs_fingerprint(farm.channel(i)), obs_fingerprint(*solo[i])) << "channel " << i;
+  }
+  const std::string fp = obs_fingerprint(farm.channel(0));
+  for (const char* part : {"counter gyro.runs", "task dsp_frame", "run_end", "record "})
+    EXPECT_NE(fp.find(part), std::string::npos) << part;
+  const obs::MetricsSnapshot m = farm.channel(kThrower).observability()->metrics.snapshot();
+  EXPECT_EQ(m.counter_value("gyro.dsp_samples"),
+            static_cast<double>(farm.channel(kThrower).gyro()->dsp_samples()));
+}
+
+TEST(ChannelFarm, ObservedLockstepMatchesSoloOneWorker) {
+  expect_observed_lockstep_matches_solo(1);
+}
+
+TEST(ChannelFarm, ObservedLockstepMatchesSoloFourWorkers) {
+  expect_observed_lockstep_matches_solo(4);
+}
+
 /// Logs which channel each stimulus frame came from, into a log it shares
 /// with the other channels' loggers (one worker: no concurrent writers).
 class StimulusOrder final : public sensor::Probe {
@@ -468,11 +572,11 @@ class StimulusOrder final : public sensor::Probe {
   int id_;
 };
 
-TEST(ChannelFarm, ObserverFreeIdealChannelsAdvanceInLockstep) {
-  // One worker, so the frame order shows the grouping: the three
-  // observer-free GyroIdeal channels interleave tick by tick; the observed
-  // one, the baseline and the GyroFull channel each run their whole advance
-  // alone.
+TEST(ChannelFarm, IdealChannelsAdvanceInLockstep) {
+  // One worker, so the frame order shows the grouping: the four GyroIdeal
+  // channels, observed (3) and with a flight recorder (2) or not, interleave
+  // tick by tick; the baseline and the GyroFull channel each run their whole
+  // advance alone.
   std::vector<int> log;
   std::vector<std::unique_ptr<StimulusOrder>> probes;
   std::vector<ChannelConfig> specs;
@@ -483,6 +587,7 @@ TEST(ChannelFarm, ObserverFreeIdealChannelsAdvanceInLockstep) {
              : id == 5 ? ChannelKind::GyroFull
                        : ChannelKind::GyroIdeal;
     c.with_obs = id == 3;
+    c.with_flight_recorder = id == 2;
     c.probe = probes.back().get();
     specs.push_back(c);
   }
@@ -492,9 +597,43 @@ TEST(ChannelFarm, ObserverFreeIdealChannelsAdvanceInLockstep) {
 
   ASSERT_EQ(log.size(), static_cast<std::size_t>(6 * kTicks));
   for (long t = 0; t < kTicks; ++t)
-    for (int id = 0; id < 3; ++id) ASSERT_EQ(log[static_cast<std::size_t>(3 * t + id)], id);
-  for (int id = 3; id < 6; ++id)
+    for (int id = 0; id < 4; ++id) ASSERT_EQ(log[static_cast<std::size_t>(4 * t + id)], id);
+  for (int id = 4; id < 6; ++id)
     for (long t = 0; t < kTicks; ++t) ASSERT_EQ(log[static_cast<std::size_t>(id * kTicks + t)], id);
+}
+
+/// Records ChannelFarm::busy_width of its channel while the channel runs.
+class WidthProbe final : public sensor::Probe {
+ public:
+  WidthProbe(const ChannelFarm* const* farm, std::size_t i) : farm_(farm), i_(i) {}
+  bool wants(sensor::ProbePoint p) const override { return p == sensor::ProbePoint::Stimulus; }
+  void on_frame(const sensor::ProbeFrame&) override { seen = (*farm_)->busy_width(i_); }
+  std::size_t seen = 0;
+
+ private:
+  const ChannelFarm* const* farm_;
+  std::size_t i_;
+};
+
+// A lane group's step is that many channels' work, and busy_width() says so
+// while it runs, so a watchdog can scale its per-channel deadline; a lone
+// channel, and any run() step, reads 1.
+TEST(ChannelFarm, BusyWidthIsTheLaneGroupSize) {
+  const ChannelFarm* farm_ptr = nullptr;
+  std::vector<std::unique_ptr<WidthProbe>> probes;
+  std::vector<ChannelConfig> specs;
+  for (std::size_t i = 0; i < 4; ++i) {
+    probes.push_back(std::make_unique<WidthProbe>(&farm_ptr, i));
+    ChannelConfig c = channel(i < 3 ? ChannelKind::GyroIdeal : ChannelKind::Adxrs300, 10.0, 25.0);
+    c.probe = probes.back().get();
+    specs.push_back(c);
+  }
+  ChannelFarm farm(specs, FarmConfig{});
+  farm_ptr = &farm;
+  farm.advance(16.0 / farm.channel(0).base_rate_hz());
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(probes[i]->seen, i < 3 ? 3u : 1u) << i;
+  const std::vector<std::size_t> all = {0, 1, 2, 3};
+  farm.run(all, [&](std::size_t i, ConditioningChannel&) { EXPECT_EQ(farm.busy_width(i), 1u); });
 }
 
 /// Throws from the post-MEMS tap on one tick: between a group's analog

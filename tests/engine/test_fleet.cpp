@@ -6,6 +6,7 @@
 // with the same output_hash() as a clean twin that never saw chaos.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -332,6 +333,91 @@ TEST(Fleet, CatchUpNonStdExceptionIsContained) {
   EXPECT_EQ(fleet.last_error(1), "unknown exception");
   EXPECT_EQ(fleet.health(1), ChannelHealth::Running);
   EXPECT_EQ(fleet.ticks_done(1), fleet.ticks_run());
+}
+
+/// Logs (channel, tick) of every Stimulus frame into one shared log: with
+/// one worker, the order shows which channels advanced as one group.
+class TickOrder final : public sensor::Probe {
+ public:
+  TickOrder(std::vector<std::pair<int, long>>* log, int id) : log_(log), id_(id) {}
+  bool wants(sensor::ProbePoint p) const override { return p == sensor::ProbePoint::Stimulus; }
+  void on_frame(const sensor::ProbeFrame& f) override { log_->emplace_back(id_, f.tick); }
+
+ private:
+  std::vector<std::pair<int, long>>* log_;
+  int id_;
+};
+
+// A production-shaped fleet: eight GyroIdeal channels, a GyroFull and a
+// baseline, all with flight recorders and checkpoints, and a crash hook on
+// one GyroIdeal channel. The GyroIdeal channels advance as one lockstep
+// group; the crashed one is restored from its checkpoint, catches up alone
+// (its tick count differs) and then rejoins the group. Every channel streams
+// like a solo twin, with one worker and with four.
+TEST(Fleet, IdealChannelsAdvanceInLanesThroughACrash) {
+  constexpr std::size_t kIdeal = 8, kCrasher = 3;
+  constexpr long kFleetTicks = 16, kPerTick = 960;  // 0.5 ms at 1.92 MHz
+  std::vector<std::pair<int, long>> log;
+  std::vector<std::unique_ptr<TickOrder>> probes;
+  const auto run = [&](unsigned threads) {
+    std::vector<FleetChannelSpec> specs;
+    for (std::size_t i = 0; i < kIdeal + 2; ++i) {
+      ChannelConfig c = spec_config(i < kIdeal    ? ChannelKind::GyroIdeal
+                                    : i == kIdeal ? ChannelKind::GyroFull
+                                                  : ChannelKind::Adxrs300);
+      c.rate_dps = -60.0 + 15.0 * static_cast<double>(i);
+      if (threads == 1) {
+        probes.push_back(std::make_unique<TickOrder>(&log, static_cast<int>(i)));
+        c.probe = probes.back().get();
+      }
+      specs.push_back({c, 0, nullptr});
+    }
+    // Crashes before its live tick 10; the last checkpoint is tick 8.
+    specs[kCrasher].before_advance = [](long tick) {
+      if (tick == 9) throw std::runtime_error("injected crash");
+    };
+    FleetConfig fc = base_cfg();
+    fc.threads = threads;
+    fc.tick_seconds = static_cast<double>(kPerTick) / 1.92e6;
+    fc.checkpoint_interval = 4;
+    fc.flight_recorders = true;
+    auto fleet = std::make_unique<FleetSupervisor>(std::move(specs), fc);
+    fleet->run_ticks(kFleetTicks);
+    return fleet;
+  };
+  const auto one = run(1);
+  const auto four = run(4);
+
+  for (std::size_t i = 0; i < one->size(); ++i) {
+    EXPECT_EQ(one->restarts(i), i == kCrasher ? 1 : 0) << i;
+    EXPECT_EQ(one->ticks_done(i), kFleetTicks) << i;
+    ChannelConfig c = one->channel(i).config();
+    c.probe = nullptr;
+    ConditioningChannel twin(c);
+    twin.advance(std::llround(static_cast<double>(kFleetTicks) * static_cast<double>(kPerTick) /
+                              1.92e6 * twin.base_rate_hz()));
+    EXPECT_EQ(one->channel(i).output_hash(), twin.output_hash()) << "channel " << i;
+    EXPECT_EQ(four->channel(i).output_hash(), twin.output_hash()) << "channel " << i;
+    EXPECT_EQ(four->restarts(i), one->restarts(i)) << i;
+  }
+
+  const auto at = [&](int id, long tick) {
+    const auto it = std::find(log.rbegin(), log.rend(), std::make_pair(id, tick));
+    EXPECT_NE(it, log.rend()) << id << " @ " << tick;
+    return static_cast<std::size_t>(log.rend() - it) - 1;  // the last such frame
+  };
+  const int crasher = static_cast<int>(kCrasher);
+  // Grouped from the start: the members interleave tick by tick.
+  EXPECT_EQ(log[at(crasher, 0) + 1], std::make_pair(crasher + 1, 0L));
+  // The catch-up from the tick-8 checkpoint to tick 12 runs alone.
+  const std::size_t from = at(crasher, 8 * kPerTick);
+  for (long k = 0; k < 4 * kPerTick; ++k)
+    ASSERT_EQ(log[from + static_cast<std::size_t>(k)], std::make_pair(crasher, 8 * kPerTick + k));
+  // Then it rejoins the group.
+  const std::size_t back = at(crasher, 12 * kPerTick);
+  EXPECT_GT(back, from);
+  EXPECT_EQ(log[back - 1], std::make_pair(crasher - 1, 12 * kPerTick));
+  EXPECT_EQ(log[back + 1], std::make_pair(crasher + 1, 12 * kPerTick));
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -227,6 +229,49 @@ TEST(Scheduler, ProfilerDetachStopsRecording) {
   sched.run_ticks(10);
   ASSERT_EQ(prof.task_count(), 1u);
   EXPECT_EQ(prof.stats()[0].invocations, 10u);  // only the attached window
+}
+
+TEST(Scheduler, SharedProfilersCountEveryFiringAndSplitTheWall) {
+  // Three systems share the tasks: two profiled, one (null) not. Each
+  // profiler counts every firing; each entry is booked a third of a timed
+  // firing's wall. One profiler leaves from inside a firing and keeps only
+  // the firings completed before it.
+  Scheduler sched(1000.0);
+  obs::TaskProfiler a, b;
+  a.set_sample_stride(1);
+  b.set_sample_stride(1);
+  long fired = 0;
+  std::vector<obs::TaskProfiler*> attached = {&a, nullptr, &b};
+  sched.every(1, [&] {
+    if (++fired == 31) sched.set_profilers(std::span<obs::TaskProfiler* const>(attached.data(), 2));
+  }, "t");
+  sched.set_profilers(attached);
+  sched.run_ticks(50);
+  EXPECT_EQ(a.stats()[0].invocations, 50u);
+  EXPECT_EQ(a.timed_invocations(0), 50u);
+  EXPECT_EQ(b.stats()[0].invocations, 30u);
+  EXPECT_EQ(b.timed_invocations(0), 30u);
+  ASSERT_EQ(b.slices().size(), 30u);
+  // Before b left, a and b were booked equal shares of the same firings.
+  for (std::size_t k = 0; k < 30; ++k)
+    EXPECT_EQ(a.slices()[k].wall_seconds, b.slices()[k].wall_seconds) << k;
+}
+
+TEST(Scheduler, UntimedFiringsAreCountedWhenTheRunReturns) {
+  // A large stride leaves most firings untimed: they are booked in bulk, and
+  // must all be there when run_ticks returns, even by an exception.
+  Scheduler sched(1.92e6);
+  obs::TaskProfiler prof;
+  long fired = 0;
+  sched.every(1, [&] {
+    if (++fired == 1500) throw std::runtime_error("task failed");
+  }, "t");
+  sched.set_profiler(&prof);
+  sched.run_ticks(1000);
+  EXPECT_EQ(prof.stats()[0].invocations, 1000u);
+  EXPECT_LE(prof.timed_invocations(0), 2u);
+  EXPECT_THROW(sched.run_ticks(1000), std::runtime_error);
+  EXPECT_EQ(prof.stats()[0].invocations, 1499u) << "the firing that threw is not counted";
 }
 
 }  // namespace
