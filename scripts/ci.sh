@@ -1,16 +1,21 @@
 #!/usr/bin/env bash
 # ci.sh — the single CI entry point.
 #
-# With no argument, runs the full pipeline: builds every preset, runs the
-# tier-1 test suite on the default and ubsan builds (the ubsan build also
-# halts on a float-to-integer cast of NaN or ±Inf), the perf ledger's
-# selftest and smoke run (every workload's seed-2026 output hash must match
-# its pin), the static verification driver (platform_lint) over the shipped
-# platform plus both negative fixtures, and finishes with every named stage
-# below except coverage and ledger. clang-tidy (the lint preset) runs only
-# when the tool is installed, so the script works in minimal containers too.
+# With no argument, runs the full pipeline: builds every preset (werror is
+# the warnings stage below), runs the tier-1 test suite on the default and
+# ubsan builds (the ubsan build also halts on a float-to-integer cast of NaN
+# or ±Inf), the perf ledger's selftest and smoke run (every workload's
+# seed-2026 output hash must match its pin), the static verification driver
+# (platform_lint) over the shipped platform plus both negative fixtures, and
+# finishes with every other named stage below except coverage and ledger.
+# clang-tidy (the lint preset) runs only when the tool is installed, so the
+# script works in minimal containers too.
 #
 # Individual stages can be run by name:
+#   ci.sh warnings     — every target built in build-werror (the werror
+#                        preset: -DCMAKE_CXX_FLAGS=-Werror over the default
+#                        -Wall -Wextra), so a new warning fails the pipeline
+#                        instead of scrolling past in the log
 #   ci.sh coverage     — ASCP_COVERAGE build, tier-1 + fuzz smoke, then the
 #                        aggregated line-coverage summary (coverage_report.py)
 #   ci.sh fuzz-smoke   — deterministic conformance smoke: 200 randomized
@@ -33,10 +38,13 @@
 #                        MEMS coefficient caches are invisible (a component
 #                        stepped straight matches a twin reloaded from its
 #                        state before every step, bit for bit), the SAR
-#                        converter's NaN-input test and the MEMS lane tests
+#                        converter's NaN-input test, its INL table pinned
+#                        whichever call draws it first, the MEMS lane tests
 #                        (every lane count bit-identical to one ring at a
-#                        time), all but the checkpoint tests with UBSan
-#                        halting on error
+#                        time) and the footprint binary (INL tables and the
+#                        8051 PC histogram allocated at first use; an unused
+#                        profiler's empty histogram read as all zeros), all
+#                        but the checkpoint tests with UBSan halting on error
 #   ci.sh wcet         — static timing proof: the MCS-51 opcode table must
 #                        agree with the ISS for all 256 opcodes (decoded
 #                        length, flow and targets, write flags, machine
@@ -109,18 +117,24 @@ stage_chaos_smoke() {
   ./build-tsan/tests/test_engine --gtest_filter='Fleet.*:ChannelFarm.*:Blackbox.*'
   ./build-tsan/bench/fleet_chaos --smoke --seed 2026
   build_preset asan --target test_engine --target test_checkpoint --target test_afe \
-    --target test_sensor
+    --target test_sensor --target test_footprint
   echo "== observed lane groups and fleet lanes through a crash under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_engine \
     --gtest_filter='ChannelFarm.ObservedLockstep*:ChannelFarm.IdealChannelsAdvanceInLockstep:Fleet.IdealChannelsAdvanceInLanes*'
   echo "== checkpoint round-trip replay, layout pins, forged lengths, counts and SAR phase under ASAN =="
   ./build-asan/tests/test_checkpoint \
     --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*:FrameLayout.*:FrameForgedLength.*:FrameForgedCount.*:FrameForgedPhase.*'
-  echo "== coefficient caches invisible to a cold twin, a NaN at the SAR converter, MEMS lanes bit-identical, under ASAN =="
+  echo "== coefficient caches invisible to a cold twin, a NaN at the SAR converter, its INL pin, MEMS lanes bit-identical, under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_afe \
-    --gtest_filter='DacCache.*:NoiseCache.*:SarAdc.NanInputReadsBottomCodeAndIsCounted'
+    --gtest_filter='DacCache.*:NoiseCache.*:SarAdc.NanInputReadsBottomCodeAndIsCounted:SarAdc.InlTableIsTheSameWhicheverCallDrawsIt'
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_sensor \
     --gtest_filter='GyroMemsCache.*:GyroMemsLanes.*'
+  echo "== footprint: first-use INL tables and PC histogram, empty-histogram reads, under ASAN =="
+  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_footprint
+}
+
+stage_warnings() {
+  build_preset werror
 }
 
 stage_wcet() {
@@ -271,6 +285,7 @@ stage_coverage() {
 }
 
 case "$stage" in
+  warnings)    stage_warnings;    echo "CI STAGE warnings PASSED";    exit 0 ;;
   fuzz-smoke)  stage_fuzz_smoke;  echo "CI STAGE fuzz-smoke PASSED";  exit 0 ;;
   fuzz-corpus) stage_fuzz_corpus; echo "CI STAGE fuzz-corpus PASSED"; exit 0 ;;
   chaos-smoke) stage_chaos_smoke; echo "CI STAGE chaos-smoke PASSED"; exit 0 ;;
@@ -280,10 +295,11 @@ case "$stage" in
   coverage)    stage_coverage;    echo "CI STAGE coverage PASSED";    exit 0 ;;
   ledger)      stage_ledger;      echo "CI STAGE ledger PASSED";      exit 0 ;;
   all) ;;
-  *) echo "usage: ci.sh [coverage|fuzz-smoke|fuzz-corpus|chaos-smoke|wcet|replay|blackbox|ledger]" >&2; exit 2 ;;
+  *) echo "usage: ci.sh [warnings|coverage|fuzz-smoke|fuzz-corpus|chaos-smoke|wcet|replay|blackbox|ledger]" >&2; exit 2 ;;
 esac
 
 build_preset default
+stage_warnings
 build_preset ubsan
 build_preset asan
 

@@ -20,8 +20,18 @@ SarAdc::SarAdc(const AdcConfig& cfg, ascp::Rng rng)
   offset_ = cfg_.offset_volts + rng.gaussian(0.25 * lsb_);
   gain_ = (1.0 + cfg_.gain_error) * (1.0 + rng.gaussian(1e-4));
 
+  inl_rng_ = rng;
+}
+
+const std::vector<double>& SarAdc::inl() const {
+  if (inl_.empty()) [[unlikely]] draw_inl();
+  return inl_;
+}
+
+void SarAdc::draw_inl() const {
   // INL: smooth bowing (2nd/3rd order) plus integrated per-code DNL noise —
   // the signature of a binary-weighted SAR capacitor array.
+  ascp::Rng rng = inl_rng_;
   const std::size_t ncodes = static_cast<std::size_t>(code_max_ - code_min_ + 1);
   inl_.resize(ncodes);
   const double bow2 = rng.uniform(-1.0, 1.0) * cfg_.inl_lsb;
@@ -58,9 +68,10 @@ std::int32_t SarAdc::convert(double vin, double temp_c) {
     ++nonfinite_inputs_;
     return code_min_;
   }
+  const std::vector<double>& inl = this->inl();
   const double idx = std::clamp(code_f - static_cast<double>(code_min_), 0.0,
-                                static_cast<double>(inl_.size() - 1));
-  code_f += inl_[static_cast<std::size_t>(idx)];
+                                static_cast<double>(inl.size() - 1));
+  code_f += inl[static_cast<std::size_t>(idx)];
 
   const double rounded = std::nearbyint(code_f);
   return static_cast<std::int32_t>(
@@ -73,8 +84,9 @@ double SarAdc::convert_volts(double vin, double temp_c) {
 
 double SarAdc::inl_at(std::int32_t code) const {
   const std::int64_t idx = static_cast<std::int64_t>(code) - code_min_;
-  if (idx < 0 || idx >= static_cast<std::int64_t>(inl_.size())) return 0.0;
-  return inl_[static_cast<std::size_t>(idx)];
+  const std::vector<double>& inl = this->inl();
+  if (idx < 0 || idx >= static_cast<std::int64_t>(inl.size())) return 0.0;
+  return inl[static_cast<std::size_t>(idx)];
 }
 
 }  // namespace ascp::afe

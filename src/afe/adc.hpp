@@ -31,7 +31,11 @@ struct AdcConfig {
 
 /// Behavioral SAR ADC. Each instance draws its own static nonlinearity from
 /// the RNG, modelling die-to-die mismatch; conversions are deterministic
-/// given the seed.
+/// given the seed. Offset and gain are drawn at construction; the per-code
+/// INL table (2^bits doubles, 128 KiB at 14 bits) is drawn the first time a
+/// conversion or inl_at() reads it, from the stream the constructor left
+/// after those two draws: the same values whenever it is drawn, and a
+/// converter that never converts (an Ideal-fidelity system's) never holds it.
 class SarAdc {
  public:
   SarAdc(const AdcConfig& cfg, ascp::Rng rng);
@@ -49,7 +53,8 @@ class SarAdc {
   const AdcConfig& config() const { return cfg_; }
 
   /// Static transfer-curve deviation at a given code [LSB] (INL read-back,
-  /// used by the self-test bench).
+  /// used by the self-test bench). Draws the INL table if no conversion has,
+  /// so, like convert(), it must not race another call on this converter.
   double inl_at(std::int32_t code) const;
 
   /// Conversions whose input was NaN; each returned the bottom code.
@@ -71,8 +76,8 @@ class SarAdc {
   }
 
   void serialize_state(StateArchive& ar) {
-    // Mismatch draws (offset_, gain_, inl_) reproduce from the same seed at
-    // construction; only the noise stream and fault latches evolve.
+    // Mismatch draws (offset_, gain_, inl_) reproduce from the same seed
+    // (inl_ at its first use); only the noise stream and fault latches evolve.
     noise_.serialize_state(ar);
     ar.value(stuck_);
     ar.value(stuck_code_);
@@ -80,12 +85,17 @@ class SarAdc {
   }
 
  private:
+  /// The INL table, drawn from inl_rng_ on the first call.
+  const std::vector<double>& inl() const;
+  void draw_inl() const;
+
   AdcConfig cfg_;
   double lsb_;
   std::int32_t code_min_, code_max_;
   double offset_;  ///< drawn offset including mismatch
   double gain_;    ///< drawn gain including mismatch
-  std::vector<double> inl_;  ///< per-code INL [LSB]
+  ascp::Rng inl_rng_;  ///< mismatch stream after the offset and gain draws
+  mutable std::vector<double> inl_;  ///< per-code INL [LSB]; empty until drawn
   std::uint64_t nonfinite_inputs_ = 0;
   NoiseSource noise_;
   bool stuck_ = false;

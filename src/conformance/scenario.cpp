@@ -314,6 +314,13 @@ Scenario from_text(std::string_view text) {
         std::size_t count = 0;
         need(count);
         if (count > (1u << 24)) parse_fail(lineno, "trace sample count implausible");
+        // Each sample needs a separator and a digit: a count the rest of the
+        // line cannot hold fails before it sizes the sample vector.
+        const std::streamoff pos = ls.tellg();
+        const std::size_t left = pos < 0 ? 0 : line.size() - static_cast<std::size_t>(pos);
+        if (count > left / 2)
+          parse_fail(lineno, "trace sample count " + std::to_string(count) + " exceeds the " +
+                                 std::to_string(left) + " characters left on the line");
         g.samples.resize(count);
         for (auto& v : g.samples) need(v);
       }

@@ -109,7 +109,7 @@ Scenario shrink_scenario(Scenario failing, const StillFails& still_fails, int ma
       const double level = g.kind == SegKind::Trace
                                ? (g.samples.empty() ? 0.0 : g.samples.front())
                                : (g.b != 0.0 ? g.b : g.a);
-      g = Segment{SegKind::Constant, g.duration, level, 0.0, 0.0, 0.0};
+      g = Segment{SegKind::Constant, g.duration, level, 0.0, 0.0, 0.0, {}};
       if (try_edit(std::move(c))) progress = true;
     }
     // Halve the duration toward the detection-window floor.

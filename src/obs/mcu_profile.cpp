@@ -6,13 +6,14 @@ namespace ascp::obs {
 
 namespace {
 constexpr std::uint8_t kOpReti = 0x32;
+constexpr std::size_t kCodeSpace = 65536;
 }
 
-McuProfiler::McuProfiler()
-    : pc_hist_(65536, 0), op_count_(256, 0), op_cycles_(256, 0) {}
+McuProfiler::McuProfiler() : op_count_(256, 0), op_cycles_(256, 0) {}
 
 void McuProfiler::record_exec(std::uint16_t pc, std::uint8_t opcode, int cycles,
                               std::uint64_t total_cycles) {
+  if (pc_hist_.empty()) [[unlikely]] pc_hist_.assign(kCodeSpace, 0);
   ++pc_hist_[pc];
   ++op_count_[opcode];
   op_cycles_[opcode] += static_cast<std::uint64_t>(cycles);

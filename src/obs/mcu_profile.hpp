@@ -8,6 +8,11 @@
 // Attached to mcu::Core8051 via set_profiler(); the core reports each retired
 // instruction and each interrupt dispatch. The profiler never feeds anything
 // back into the core, so attaching it cannot change firmware behaviour.
+//
+// The PC histogram (65536 counters, 512 KiB) is allocated on the first
+// record_exec(): a profiler whose core never retires an instruction (an
+// observed channel without firmware) holds none, and every reader treats the
+// empty histogram as all zeros.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +45,9 @@ class McuProfiler {
   /// Hottest program-counter values, descending by execution count (ties
   /// broken by ascending PC for determinism).
   std::vector<PcCount> top_pcs(std::size_t n) const;
-  std::uint64_t pc_count(std::uint16_t pc) const { return pc_hist_[pc]; }
+  std::uint64_t pc_count(std::uint16_t pc) const {
+    return pc_hist_.empty() ? 0 : pc_hist_[pc];
+  }
 
   struct OpcodeCount {
     std::uint8_t opcode = 0;
@@ -67,7 +74,7 @@ class McuProfiler {
   void reset();
 
  private:
-  std::vector<std::uint64_t> pc_hist_;  ///< 65536 entries
+  std::vector<std::uint64_t> pc_hist_;  ///< 65536 entries from the first record_exec
   std::vector<std::uint64_t> op_count_;  ///< 256 entries
   std::vector<std::uint64_t> op_cycles_;  ///< 256 entries
   std::uint64_t instructions_ = 0;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "afe/adc.hpp"
+#include "common/fnv1a.hpp"
 #include "common/math.hpp"
 #include "common/spectrum.hpp"
 
@@ -156,6 +157,46 @@ TEST(SarAdc, SeedsGiveDifferentMismatch) {
   for (std::int32_t c = -2000; c < 2000 && !differ; c += 64)
     differ = std::abs(a.inl_at(c) - b.inl_at(c)) > 1e-6;
   EXPECT_TRUE(differ);
+}
+
+// FNV-1a of inl_at() over every code of the converter.
+std::uint64_t inl_hash(const SarAdc& adc) {
+  std::uint64_t h = kFnv1aBasis;
+  const std::int32_t half = std::int32_t{1} << (adc.bits() - 1);
+  for (std::int32_t c = -half; c < half; ++c) {
+    const double v = adc.inl_at(c);
+    h = fnv1a_doubles(h, &v, 1);
+  }
+  return h;
+}
+
+// FNV-1a of 4096 output codes over a full-scale ramp.
+std::uint64_t ramp_hash(SarAdc& adc) {
+  std::uint64_t h = kFnv1aBasis;
+  const double vref = adc.config().vref;
+  for (int i = 0; i < 4096; ++i) {
+    const std::int32_t code = adc.convert(-vref + 2.0 * vref * i / 4096.0);
+    std::uint8_t le[4];
+    for (int b = 0; b < 4; ++b) le[b] = static_cast<std::uint8_t>(code >> (8 * b));
+    h = fnv1a_bytes(h, le, sizeof le);
+  }
+  return h;
+}
+
+TEST(SarAdc, InlTableIsTheSameWhicheverCallDrawsIt) {
+  // The INL table is drawn at its first use from the stream the constructor
+  // kept, so its values and their order do not depend on which call draws
+  // it: both pins hold when the table is read back first and when a
+  // conversion draws it.
+  constexpr std::uint64_t kInlPin = 11223415905784893790ull;
+  constexpr std::uint64_t kRampPin = 15283444182154491313ull;
+  AdcConfig cfg;
+  cfg.bits = 14;
+  SarAdc read_first(cfg, ascp::Rng(29)), convert_first(cfg, ascp::Rng(29));
+  EXPECT_EQ(inl_hash(read_first), kInlPin);
+  EXPECT_EQ(ramp_hash(read_first), kRampPin);
+  EXPECT_EQ(ramp_hash(convert_first), kRampPin);
+  EXPECT_EQ(inl_hash(convert_first), kInlPin);
 }
 
 // Resolution sweep: programmability knob of the platform (paper §3,

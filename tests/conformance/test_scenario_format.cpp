@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "conformance/generator.hpp"
 #include "conformance/scenario.hpp"
@@ -39,8 +40,9 @@ TEST(ScenarioFormat, RoundTripPreservesFloatBitPatterns) {
   s.quad_scale = 1.0 / 3.0;
   s.drift_scale = 2.0 / 7.0;
   s.output_bw_hz = 33.333333333333336;
-  s.rate.push_back({SegKind::Chirp, 0.3, 0.1234567890123456789, -1e-17, 1.5, 29.999999999999996});
-  s.temp.push_back({SegKind::Ramp, 0.3, -39.99999999999999, 85.0, 0.0, 0.0});
+  s.rate.push_back(
+      {SegKind::Chirp, 0.3, 0.1234567890123456789, -1e-17, 1.5, 29.999999999999996, {}});
+  s.temp.push_back({SegKind::Ramp, 0.3, -39.99999999999999, 85.0, 0.0, 0.0, {}});
   s.bursts.push_back({0.012345678901234567, 0.01, 99.99999999999999, 1234.5678901234567});
   s.faults.push_back({FaultKind::QuadratureStep, 160001, 12345, 3.0000000000000004e6});
   s.regs.push_back({true, core::reg::kAfePgaPrimary, 0x28});
@@ -123,6 +125,21 @@ TEST(ScenarioFormat, TraceSegmentTruncatedSampleListRejected) {
   EXPECT_THROW(from_text(text), std::runtime_error);
 }
 
+TEST(ScenarioFormat, TraceSampleCountBoundedByTheLine) {
+  // A one-line record naming 2^24 samples must fail on its count before the
+  // parser sizes a 128 MiB sample vector: each sample takes at least two of
+  // the characters left on the line.
+  const std::string text = "ascp-scenario v1\nrate trace 0.01 0 0 0 0 16777216 1 2 3\nend\n";
+  try {
+    from_text(text);
+    FAIL() << "a trace count the line cannot hold parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("trace sample count 16777216 exceeds the 6 characters"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScenarioFormat, MalformedInputThrowsWithDiagnostics) {
   EXPECT_THROW(from_text("this is not a scenario"), std::runtime_error);
   EXPECT_THROW(from_text("class no_such_class\n"), std::runtime_error);
@@ -189,8 +206,9 @@ TEST(ScenarioGenerator, DrawsStayInsideTheLegalOperatingSpace) {
       ASSERT_GE(f.inject_at, static_cast<long>(cfg.min_inject_s * kDspFs) - 1)
           << "seed " << seed << " " << fault_kind_name(f.kind);
       ASSERT_LT(static_cast<double>(f.inject_at) / kDspFs, s.duration_s) << "seed " << seed;
-      if (fault_requires_full(f.kind))
+      if (fault_requires_full(f.kind)) {
         ASSERT_TRUE(s.full_fidelity) << "seed " << seed << " " << fault_kind_name(f.kind);
+      }
     }
     for (const auto& w : s.regs) {
       auto& rf = w.afe ? g.afe_regs() : g.regs();
@@ -213,11 +231,11 @@ TEST(ScenarioShrink, MinimizesToTheFailureRelevantCore) {
   s.quad_scale = 1.4;
   s.drift_scale = 0.6;
   s.datapath_bits = 20;
-  s.rate = {{SegKind::Sine, 0.4, 50.0, 5.0, 7.0, 0.0},
-            {SegKind::Chirp, 0.4, 30.0, 0.0, 2.0, 20.0},
-            {SegKind::Constant, 0.4, 10.0, 0.0, 0.0, 0.0}};
-  s.temp = {{SegKind::Constant, 0.6, 40.0, 0.0, 0.0, 0.0},
-            {SegKind::Ramp, 0.6, 40.0, 60.0, 0.0, 0.0}};
+  s.rate = {{SegKind::Sine, 0.4, 50.0, 5.0, 7.0, 0.0, {}},
+            {SegKind::Chirp, 0.4, 30.0, 0.0, 2.0, 20.0, {}},
+            {SegKind::Constant, 0.4, 10.0, 0.0, 0.0, 0.0, {}}};
+  s.temp = {{SegKind::Constant, 0.6, 40.0, 0.0, 0.0, 0.0, {}},
+            {SegKind::Ramp, 0.6, 40.0, 60.0, 0.0, 0.0, {}}};
   s.bursts = {{0.1, 0.01, 40.0, 300.0}, {0.3, 0.02, 60.0, 0.0}, {0.5, 0.01, 20.0, 800.0}};
   s.regs = {{false, core::reg::kSenseGain, 100}, {true, core::reg::kAfePgaPrimary, 30}};
   s.faults = {{FaultKind::ReferenceDrift, 168000, -1, -0.5},

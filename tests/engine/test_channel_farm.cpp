@@ -27,6 +27,15 @@ namespace {
 
 using state_twin::state_of;
 
+/// A constant-stimulus channel of `kind` with the default seed.
+ChannelConfig spec(ChannelKind kind, double rate_dps, double temp_c) {
+  ChannelConfig c;
+  c.kind = kind;
+  c.rate_dps = rate_dps;
+  c.temp_c = temp_c;
+  return c;
+}
+
 // A mixed fleet: platform customizations at both fidelities (one with the
 // safety supervisor + fault campaign active) and both analog baselines.
 std::vector<ChannelConfig> mixed_fleet() {
@@ -45,8 +54,8 @@ std::vector<ChannelConfig> mixed_fleet() {
     c.temp_c = 25.0 + 20.0 * i;
     specs.push_back(c);
   }
-  specs.push_back({ChannelKind::Adxrs300, 1, 50.0, 35.0});
-  specs.push_back({ChannelKind::Gyrostar, 1, 40.0, 25.0});
+  specs.push_back(spec(ChannelKind::Adxrs300, 50.0, 35.0));
+  specs.push_back(spec(ChannelKind::Gyrostar, 40.0, 25.0));
   return specs;
 }
 
@@ -94,8 +103,8 @@ TEST(ChannelFarm, OutputBitIdenticalAcrossThreadCounts) {
 TEST(ChannelFarm, ChannelsProduceAtTheirOwnDecimatedRates) {
   FarmConfig fc;
   fc.threads = 0;  // hardware concurrency
-  std::vector<ChannelConfig> specs = {{ChannelKind::GyroIdeal, 1, 30.0, 25.0},
-                                      {ChannelKind::Adxrs300, 1, 30.0, 25.0}};
+  std::vector<ChannelConfig> specs = {spec(ChannelKind::GyroIdeal, 30.0, 25.0),
+                                      spec(ChannelKind::Adxrs300, 30.0, 25.0)};
   ChannelFarm farm(specs, fc);
   farm.advance(0.05);
   // Both decimate to 1.875 kHz from a 1.92 MHz base: ~93 samples in 50 ms.
@@ -111,7 +120,7 @@ TEST(ChannelFarm, AdvanceAccumulatesLikeOneLongRun) {
   // One 40 ms advance vs four 10 ms advances — constant stimulus profiles
   // make the two bit-identical only if per-channel decimation phase persists
   // across advance() boundaries.
-  std::vector<ChannelConfig> specs = {{ChannelKind::Adxrs300, 1, 25.0, 30.0}};
+  std::vector<ChannelConfig> specs = {spec(ChannelKind::Adxrs300, 25.0, 30.0)};
   FarmConfig fc;
   fc.root_seed = 5;
   ChannelFarm one(specs, fc);
@@ -142,9 +151,9 @@ ChannelConfig throwing_config(long inject_at) {
 TEST(ChannelFarm, ThrowingChannelIsContainedSiblingsBitIdentical) {
   // Middle channel throws mid-advance on a worker thread; the exception must
   // not unwind the pool, wedge the barrier, or perturb the siblings' streams.
-  std::vector<ChannelConfig> specs = {{ChannelKind::GyroIdeal, 1, 20.0, 25.0},
+  std::vector<ChannelConfig> specs = {spec(ChannelKind::GyroIdeal, 20.0, 25.0),
                                       throwing_config(/*inject_at=*/100),
-                                      {ChannelKind::Adxrs300, 1, 40.0, 30.0}};
+                                      spec(ChannelKind::Adxrs300, 40.0, 30.0)};
   FarmConfig fc;
   fc.root_seed = 21;
   fc.threads = 3;
@@ -168,7 +177,7 @@ TEST(ChannelFarm, ThrowingChannelIsContainedSiblingsBitIdentical) {
 
 TEST(ChannelFarm, FailedChannelIsSkippedByLaterAdvances) {
   std::vector<ChannelConfig> specs = {throwing_config(/*inject_at=*/50),
-                                      {ChannelKind::GyroIdeal, 1, 25.0, 25.0}};
+                                      spec(ChannelKind::GyroIdeal, 25.0, 25.0)};
   FarmConfig fc;
   fc.root_seed = 3;
   fc.threads = 2;

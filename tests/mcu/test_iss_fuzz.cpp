@@ -35,8 +35,10 @@ bool parity_of(std::uint8_t v) {
 /// never tramples SP, PSW or the register banks by accident.
 std::string random_insn(Rng& rng) {
   auto scratch = [&] { return hex8(static_cast<std::uint8_t>(0x30 + rng.next_u64() % 0x30)); };
-  auto imm = [&] { return "#" + hex8(static_cast<std::uint8_t>(rng.next_u64() & 0xFF)); };
-  auto rn = [&] { return "R" + std::to_string(rng.next_u64() % 8); };
+  auto imm = [&] {
+    return std::string("#").append(hex8(static_cast<std::uint8_t>(rng.next_u64() & 0xFF)));
+  };
+  auto rn = [&] { return std::string("R").append(std::to_string(rng.next_u64() % 8)); };
   const char* alu[] = {"ADD", "ADDC", "SUBB", "ORL", "ANL", "XRL"};
   switch (rng.next_u64() % 14) {
     case 0: return std::string(alu[rng.next_u64() % 6]) + " A, " + imm();

@@ -203,7 +203,7 @@ TEST(Metrics, ResetValuesKeepsNamesAndIds) {
 TEST(Metrics, ThrowsPastFixedCapacity) {
   MetricRegistry reg;
   for (std::size_t i = 0; i < MetricRegistry::kMaxGauges; ++i)
-    reg.gauge("g" + std::to_string(i));
+    reg.gauge(std::string("g").append(std::to_string(i)));
   EXPECT_THROW(reg.gauge("one-too-many"), std::length_error);
   // Existing names still intern fine at capacity.
   EXPECT_NO_THROW(reg.gauge("g0"));

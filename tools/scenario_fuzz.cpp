@@ -211,8 +211,8 @@ int gen_corpus(const std::string& dir) {
     // (~0.21 s cold) after the 0.55 s injection point before the relock
     // oracle can see a settled lock.
     s.duration_s = k == FaultKind::FirmwareHang ? 1.2 : 0.85;
-    s.rate.push_back({SegKind::Constant, s.duration_s, 30.0, 0, 0, 0});
-    s.temp.push_back({SegKind::Constant, s.duration_s, 25.0, 0, 0, 0});
+    s.rate.push_back({SegKind::Constant, s.duration_s, 30.0, 0, 0, 0, {}});
+    s.temp.push_back({SegKind::Constant, s.duration_s, 25.0, 0, 0, 0, {}});
     s.faults.push_back({k, 132000, -1, 0.0});
     emit(fault_kind_name(k), s);
   }
@@ -221,8 +221,8 @@ int gen_corpus(const std::string& dir) {
     s.seed = seed++;
     s.cls = ScenarioClass::DiffIdeal;
     s.duration_s = 0.15;
-    s.rate.push_back({SegKind::Sine, s.duration_s, 80.0, 10.0, 5.0, 0});
-    s.temp.push_back({SegKind::Ramp, s.duration_s, 20.0, 60.0, 0, 0});
+    s.rate.push_back({SegKind::Sine, s.duration_s, 80.0, 10.0, 5.0, 0, {}});
+    s.temp.push_back({SegKind::Ramp, s.duration_s, 20.0, 60.0, 0, 0, {}});
     emit("diff_ideal_sine", s);
   }
   {
@@ -231,7 +231,7 @@ int gen_corpus(const std::string& dir) {
     s.cls = ScenarioClass::Iss;
     s.full_fidelity = false;
     s.duration_s = 0.15;
-    s.rate.push_back({SegKind::Constant, s.duration_s, 45.0, 0, 0, 0});
+    s.rate.push_back({SegKind::Constant, s.duration_s, 45.0, 0, 0, 0, {}});
     emit("iss_monitor", s);
   }
   {
@@ -239,7 +239,7 @@ int gen_corpus(const std::string& dir) {
     s.seed = seed++;
     s.cls = ScenarioClass::Invariant;
     s.duration_s = 0.12;
-    s.rate.push_back({SegKind::Chirp, s.duration_s, 60.0, 0.0, 2.0, 25.0});
+    s.rate.push_back({SegKind::Chirp, s.duration_s, 60.0, 0.0, 2.0, 25.0, {}});
     s.bursts.push_back({0.04, 0.02, 90.0, 400.0});  // vibration burst
     s.bursts.push_back({0.08, 0.01, 80.0, 0.0});    // half-sine shock
     emit("vibration_shock", s);
@@ -250,7 +250,7 @@ int gen_corpus(const std::string& dir) {
     s.cls = ScenarioClass::Invariant;
     s.open_loop = true;
     s.duration_s = 0.12;
-    s.rate.push_back({SegKind::Sine, s.duration_s, 50.0, 0.0, 15.0, 0});
+    s.rate.push_back({SegKind::Sine, s.duration_s, 50.0, 0.0, 15.0, 0, {}});
     emit("open_loop_batched", s);
   }
   {
@@ -260,7 +260,7 @@ int gen_corpus(const std::string& dir) {
     s.datapath_bits = 18;
     s.output_bw_hz = 25.0;
     s.duration_s = 0.12;
-    s.rate.push_back({SegKind::Ramp, s.duration_s, -120.0, 120.0, 0, 0});
+    s.rate.push_back({SegKind::Ramp, s.duration_s, -120.0, 120.0, 0, 0, {}});
     s.regs.push_back({false, 17, 96});  // sense PGA gain 6.0 via register
     emit("wordlength_regs", s);
   }
@@ -272,14 +272,14 @@ int gen_corpus(const std::string& dir) {
     s.seed = seed++;
     s.cls = ScenarioClass::Invariant;
     s.duration_s = 0.12;
-    Segment tr{SegKind::Trace, s.duration_s, 0, 0, 800.0, 0};
+    Segment tr{SegKind::Trace, s.duration_s, 0, 0, 800.0, 0, {}};
     double v = -40.0;
     for (int i = 0; i < 96; ++i) {
       v += (i % 7 < 4) ? 3.5 : -4.25;  // deterministic jagged walk
       tr.samples.push_back(v);
     }
     s.rate.push_back(tr);
-    s.temp.push_back({SegKind::Ramp, s.duration_s, 15.0, 55.0, 0, 0});
+    s.temp.push_back({SegKind::Ramp, s.duration_s, 15.0, 55.0, 0, 0, {}});
     emit("trace_segment_replay", s);
   }
   {
@@ -289,11 +289,11 @@ int gen_corpus(const std::string& dir) {
     s.seed = seed++;
     s.cls = ScenarioClass::DiffIdeal;
     s.duration_s = 0.15;
-    Segment tr{SegKind::Trace, s.duration_s, 0, 0, 400.0, 0};
+    Segment tr{SegKind::Trace, s.duration_s, 0, 0, 400.0, 0, {}};
     for (int i = 0; i < 60; ++i)
       tr.samples.push_back(70.0 * std::sin(0.35 * i) * std::exp(-0.02 * i));
     s.rate.push_back(tr);
-    s.temp.push_back({SegKind::Constant, s.duration_s, 25.0, 0, 0, 0});
+    s.temp.push_back({SegKind::Constant, s.duration_s, 25.0, 0, 0, 0, {}});
     emit("trace_diff_ideal", s);
   }
   std::printf("gen-corpus: wrote %d scenarios to %s\n", written, dir.c_str());
