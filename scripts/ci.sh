@@ -33,18 +33,24 @@
 #                        plus, under ASAN, the observed-group and fleet-lane
 #                        tests, a checkpoint round-trip replay, the
 #                        framed-container byte-layout pins, the
-#                        forged-length, forged-count and forged-SAR-phase
-#                        rejection tests, the tests that the DAC, noise and
+#                        forged-length, forged-count (8051 memory sizes
+#                        among them), forged-SAR-phase and forged
+#                        SRAM-trace-register rejection tests, the 8051
+#                        memories' byte identity (an untouched memory saves
+#                        what one written with its fill does, and a
+#                        checkpoint round-trips byte for byte with and
+#                        without firmware), the tests that the DAC, noise and
 #                        MEMS coefficient caches are invisible (a component
 #                        stepped straight matches a twin reloaded from its
 #                        state before every step, bit for bit), the SAR
 #                        converter's NaN-input test, its INL table pinned
 #                        whichever call draws it first, the MEMS lane tests
 #                        (every lane count bit-identical to one ring at a
-#                        time) and the footprint binary (INL tables and the
-#                        8051 PC histogram allocated at first use; an unused
-#                        profiler's empty histogram read as all zeros), all
-#                        but the checkpoint tests with UBSan halting on error
+#                        time) and the footprint binary (INL tables, the
+#                        8051 PC histogram and the 8051 memories allocated
+#                        at first use; an unused profiler's empty histogram
+#                        read as all zeros), all but the checkpoint replay
+#                        and layout tests with UBSan halting on error
 #   ci.sh wcet         — static timing proof: the MCS-51 opcode table must
 #                        agree with the ISS for all 256 opcodes (decoded
 #                        length, flow and targets, write flags, machine
@@ -117,19 +123,24 @@ stage_chaos_smoke() {
   ./build-tsan/tests/test_engine --gtest_filter='Fleet.*:ChannelFarm.*:Blackbox.*'
   ./build-tsan/bench/fleet_chaos --smoke --seed 2026
   build_preset asan --target test_engine --target test_checkpoint --target test_afe \
-    --target test_sensor --target test_footprint
+    --target test_sensor --target test_footprint --target test_mcu
   echo "== observed lane groups and fleet lanes through a crash under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_engine \
     --gtest_filter='ChannelFarm.ObservedLockstep*:ChannelFarm.IdealChannelsAdvanceInLockstep:Fleet.IdealChannelsAdvanceInLanes*'
-  echo "== checkpoint round-trip replay, layout pins, forged lengths, counts and SAR phase under ASAN =="
+  echo "== checkpoint round-trip replay and layout pins under ASAN =="
   ./build-asan/tests/test_checkpoint \
-    --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*:FrameLayout.*:FrameForgedLength.*:FrameForgedCount.*:FrameForgedPhase.*'
+    --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*:FrameLayout.*'
+  echo "== forged lengths, counts, 8051 memory sizes, SAR phase and SRAM-trace registers under ASAN =="
+  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_checkpoint \
+    --gtest_filter='FrameForgedLength.*:FrameForgedCount.*:FrameForgedPhase.*:FrameForgedState.*'
+  echo "== 8051 memories: untouched and fill-written save the same bytes, checkpoint round trip, under ASAN =="
+  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_mcu --gtest_filter='FillMemory.*'
   echo "== coefficient caches invisible to a cold twin, a NaN at the SAR converter, its INL pin, MEMS lanes bit-identical, under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_afe \
     --gtest_filter='DacCache.*:NoiseCache.*:SarAdc.NanInputReadsBottomCodeAndIsCounted:SarAdc.InlTableIsTheSameWhicheverCallDrawsIt'
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_sensor \
     --gtest_filter='GyroMemsCache.*:GyroMemsLanes.*'
-  echo "== footprint: first-use INL tables and PC histogram, empty-histogram reads, under ASAN =="
+  echo "== footprint: first-use INL tables, PC histogram and 8051 memories, empty-histogram reads, under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_footprint
 }
 

@@ -35,7 +35,7 @@ void BridgedBus::map_program_ram(std::uint16_t base, std::uint32_t size, Core805
   }
   prog_base_ = base;
   prog_size_ = size;
-  prog_ram_.assign(size, 0);
+  prog_ram_ = FillMemory<std::uint8_t>(size, 0);
   prog_core_ = core;
 }
 
@@ -59,11 +59,11 @@ std::uint8_t BridgedBus::read(std::uint16_t addr) {
 
 void BridgedBus::write(std::uint16_t addr, std::uint8_t value) {
   if (addr < ram_.size()) {
-    ram_[addr] = value;
+    ram_.set(addr, value);
     return;
   }
   if (prog_size_ && addr >= prog_base_ && addr < prog_base_ + prog_size_) {
-    prog_ram_[addr - prog_base_] = value;
+    prog_ram_.set(addr - prog_base_, value);
     if (prog_core_) prog_core_->poke_code(addr, value);  // identity mapping
     return;
   }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "mcu/core8051.hpp"
+#include "mcu/fill_memory.hpp"
 
 namespace ascp::mcu {
 
@@ -66,10 +67,10 @@ class BridgedBus : public XdataBus {
   std::uint32_t program_size() const { return prog_size_; }
 
   void serialize_state(StateArchive& ar) {
-    ar.value(ram_);
+    ram_.serialize_counted(ar, "XDATA RAM");
     ar.value(latched_low_);
     ar.value(read_latch_high_);
-    ar.value(prog_ram_);
+    prog_ram_.serialize_counted(ar, "program RAM");
   }
 
  private:
@@ -82,7 +83,7 @@ class BridgedBus : public XdataBus {
 
   const Window* find(std::uint16_t addr) const;
 
-  std::vector<std::uint8_t> ram_;
+  FillMemory<std::uint8_t> ram_;
   std::vector<Window> windows_;
   std::uint8_t latched_low_ = 0;      // bridge write latch
   std::uint8_t read_latch_high_ = 0;  // bridge read latch (word coherence)
@@ -90,7 +91,7 @@ class BridgedBus : public XdataBus {
   // Program-RAM window.
   std::uint16_t prog_base_ = 0;
   std::uint32_t prog_size_ = 0;
-  std::vector<std::uint8_t> prog_ram_;
+  FillMemory<std::uint8_t> prog_ram_;  ///< prog_size_ bytes, zeros until written
   Core8051* prog_core_ = nullptr;
 };
 

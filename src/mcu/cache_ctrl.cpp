@@ -1,7 +1,7 @@
 #include "mcu/cache_ctrl.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cstring>
 
 namespace ascp::mcu {
 
@@ -42,8 +42,8 @@ std::uint8_t* CacheController::lookup(std::uint32_t addr) {
     last_missed_ = true;
     ++misses_;
     // Fill over the 2-wire link (write-through cache: no dirty write-back).
-    std::memcpy(line, &external_[static_cast<std::size_t>(line_addr) * cfg_.line_bytes],
-                static_cast<std::size_t>(cfg_.line_bytes));
+    const std::size_t from = static_cast<std::size_t>(line_addr) * cfg_.line_bytes;
+    for (int i = 0; i < cfg_.line_bytes; ++i) line[i] = external_[from + i];
     tags_[index] = tag;
   }
   return &line[addr % cfg_.line_bytes];
@@ -72,7 +72,7 @@ void CacheController::write(std::uint8_t addr, std::uint8_t value) {
     case 3: {
       const std::uint32_t a = address();
       *lookup(a) = value;
-      external_[a] = value;  // write-through over the 2-wire link
+      external_.set(a, value);  // write-through over the 2-wire link
       post_increment();
       break;
     }
@@ -86,7 +86,7 @@ void CacheController::write(std::uint8_t addr, std::uint8_t value) {
 
 void CacheController::load(std::uint32_t addr, const std::vector<std::uint8_t>& data) {
   for (std::size_t i = 0; i < data.size(); ++i)
-    external_[(addr + i) % external_.size()] = data[i];
+    external_.set((addr + i) % external_.size(), data[i]);
   // Backing store changed behind the cache: invalidate.
   std::fill(tags_.begin(), tags_.end(), -1);
 }

@@ -16,9 +16,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "mcu/core8051.hpp"
+#include "mcu/fill_memory.hpp"
 
 namespace ascp::mcu {
 
@@ -53,8 +55,12 @@ class CacheController : public SfrDevice {
   const CacheConfig& config() const { return cfg_; }
 
   void serialize_state(StateArchive& ar) {
-    ar.value(external_);
+    external_.serialize_counted(ar, "cache external RAM");
     ar.value(data_);
+    const std::size_t line_store = static_cast<std::size_t>(cfg_.lines) * cfg_.line_bytes;
+    if (data_.size() != line_store)
+      throw StateError("checkpoint cache line store size " + std::to_string(data_.size()) +
+                       " differs from the configured " + std::to_string(line_store));
     for (auto& t : tags_) ar.value(t);
     ar.value(bank_);
     ar.value(ahi_);
@@ -73,7 +79,7 @@ class CacheController : public SfrDevice {
   std::uint8_t* lookup(std::uint32_t addr);  ///< cached byte (fills on miss)
 
   CacheConfig cfg_;
-  std::vector<std::uint8_t> external_;
+  FillMemory<std::uint8_t> external_;  ///< erased (0xFF) until written
   std::vector<std::uint8_t> data_;   ///< lines × line_bytes
   std::vector<std::int64_t> tags_;   ///< -1 = invalid
   std::uint8_t bank_ = 0, ahi_ = 0, alo_ = 0;

@@ -37,7 +37,7 @@ void Core8051::reset() {
 
 void Core8051::load_program(const std::vector<std::uint8_t>& image, std::uint16_t base) {
   for (std::size_t i = 0; i < image.size() && base + i < code_.size(); ++i)
-    code_[base + i] = image[i];
+    code_.set(base + i, image[i]);
 }
 
 std::uint8_t Core8051::reg_addr(int n) const {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/state_archive.hpp"
+#include "mcu/fill_memory.hpp"
 
 namespace ascp::obs {
 class McuProfiler;
@@ -79,7 +80,7 @@ class Core8051 {
   std::uint8_t code_byte(std::uint16_t addr) const { return code_[addr]; }
   /// Writable code view — used by the program-RAM download path (the paper's
   /// "big RAM used as Program Storage" prototype configuration).
-  void poke_code(std::uint16_t addr, std::uint8_t value) { code_[addr] = value; }
+  void poke_code(std::uint16_t addr, std::uint8_t value) { code_.set(addr, value); }
 
   // ---- execution -------------------------------------------------------
   /// Execute one instruction; returns machine cycles consumed (≥1).
@@ -147,7 +148,7 @@ class Core8051 {
   /// Architectural state for checkpoint/restore. Attached buses, devices and
   /// hooks are wiring, not state — the restorer re-attaches them.
   void serialize_state(StateArchive& ar) {
-    ar.bytes(code_.data(), code_.size());
+    code_.serialize(ar);
     ar.bytes(iram_.data(), iram_.size());
     ar.bytes(sfrs_.data(), sfrs_.size());
     ar.value(pc_);
@@ -172,8 +173,8 @@ class Core8051 {
   }
 
  private:
-  // Memory spaces.
-  std::array<std::uint8_t, 65536> code_{};
+  // Memory spaces. Code reads as zeros (NOP) until firmware is written.
+  FillMemory<std::uint8_t> code_{65536, 0};
   std::array<std::uint8_t, 256> iram_{};
   std::array<std::uint8_t, 128> sfrs_{};  // 0x80..0xFF backing store
 

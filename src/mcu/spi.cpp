@@ -75,7 +75,7 @@ std::uint8_t SpiEeprom::transfer(std::uint8_t mosi) {
     }
     case State::Write:
       if (write_enabled_) {
-        mem_[addr_ % mem_.size()] = mosi;
+        mem_.set(addr_ % mem_.size(), mosi);
         addr_ = static_cast<std::uint16_t>(addr_ + 1);
       }
       return 0xFF;
@@ -84,7 +84,7 @@ std::uint8_t SpiEeprom::transfer(std::uint8_t mosi) {
 }
 
 void SpiEeprom::program(std::uint16_t addr, const std::vector<std::uint8_t>& data) {
-  for (std::size_t i = 0; i < data.size(); ++i) mem_[(addr + i) % mem_.size()] = data[i];
+  for (std::size_t i = 0; i < data.size(); ++i) mem_.set((addr + i) % mem_.size(), data[i]);
 }
 
 }  // namespace ascp::mcu

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "mcu/bus.hpp"
+#include "mcu/fill_memory.hpp"
 
 namespace ascp::mcu {
 
@@ -59,15 +60,16 @@ class SpiEeprom : public SpiSlave {
 
   /// Host-side (factory programming) access.
   void program(std::uint16_t addr, const std::vector<std::uint8_t>& data);
-  std::uint8_t peek(std::uint16_t addr) const { return mem_.at(addr % mem_.size()); }
+  std::uint8_t peek(std::uint16_t addr) const { return mem_[addr % mem_.size()]; }
   /// Fault injection: flip bits of one cell (retention/read corruption).
   void corrupt(std::uint16_t addr, std::uint8_t xor_mask) {
-    mem_.at(addr % mem_.size()) ^= xor_mask;
+    const std::size_t a = addr % mem_.size();
+    mem_.set(a, static_cast<std::uint8_t>(mem_[a] ^ xor_mask));
   }
   std::size_t size() const { return mem_.size(); }
 
   void serialize_state(StateArchive& ar) {
-    ar.value(mem_);
+    mem_.serialize_counted(ar, "EEPROM");
     ar.enum_value(state_);
     ar.value(command_);
     ar.value(addr_);
@@ -77,7 +79,7 @@ class SpiEeprom : public SpiSlave {
  private:
   enum class State { Idle, Addr1, Addr2, Read, Write };
 
-  std::vector<std::uint8_t> mem_;
+  FillMemory<std::uint8_t> mem_;  ///< erased (0xFF) until written
   State state_ = State::Idle;
   std::uint8_t command_ = 0;
   std::uint16_t addr_ = 0;

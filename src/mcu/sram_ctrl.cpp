@@ -2,8 +2,6 @@
 
 namespace ascp::mcu {
 
-SramController::SramController() : mem_(kSamples, 0) {}
-
 std::uint16_t SramController::read_reg(std::uint16_t reg) {
   switch (reg) {
     case 1: return node_;
@@ -43,13 +41,15 @@ bool SramController::push(std::uint16_t node, std::uint16_t sample) {
     armed_ = false;  // capture complete
     return false;
   }
-  mem_[count_++] = sample;
+  mem_.set(count_++, sample);
   if (count_ >= kSamples) armed_ = false;
   return true;
 }
 
 std::vector<std::uint16_t> SramController::snapshot() const {
-  return std::vector<std::uint16_t>(mem_.begin(), mem_.begin() + count_);
+  std::vector<std::uint16_t> out(count_);
+  for (std::uint32_t i = 0; i < count_; ++i) out[i] = mem_[i];
+  return out;
 }
 
 }  // namespace ascp::mcu

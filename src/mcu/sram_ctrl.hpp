@@ -21,14 +21,13 @@
 #include <vector>
 
 #include "mcu/bus.hpp"
+#include "mcu/fill_memory.hpp"
 
 namespace ascp::mcu {
 
 class SramController : public BridgeDevice {
  public:
   static constexpr std::size_t kSamples = 32768;  // 512 Kbit of 16-bit words
-
-  SramController();
 
   std::uint16_t read_reg(std::uint16_t reg) override;
   void write_reg(std::uint16_t reg, std::uint16_t value) override;
@@ -47,17 +46,21 @@ class SramController : public BridgeDevice {
   std::vector<std::uint16_t> snapshot() const;
 
   void serialize_state(StateArchive& ar) {
-    ar.values(mem_.data(), mem_.size());
+    mem_.serialize(ar);
     ar.value(count_);
     ar.value(rdptr_);
     ar.value(node_);
     ar.value(decim_);
     ar.value(decim_phase_);
     ar.value(armed_);
+    // write_reg never stores these; push() divides by DECIM, and snapshot()
+    // and DATA reads index the buffer by COUNT and RDPTR.
+    if (!ar.saving() && (decim_ == 0 || count_ > kSamples || rdptr_ >= kSamples))
+      throw StateError("checkpoint SRAM trace state out of range");
   }
 
  private:
-  std::vector<std::uint16_t> mem_;
+  FillMemory<std::uint16_t> mem_{kSamples, 0};
   std::uint32_t count_ = 0;
   std::uint32_t rdptr_ = 0;
   std::uint16_t node_ = 0;

@@ -2,9 +2,11 @@
 // (StateError) and inspect must report a bad CRC, instead of forming
 // header + length past 2^64 and reading beyond the buffer. Forged element
 // counts inside CRC-valid payloads must fail with the count error before
-// they size an allocation, and a forged SAR phase with the phase error
-// before it can overflow or desynchronize the DSP frame. ci.sh chaos-smoke
-// runs these under ASAN.
+// they size an allocation, a forged 8051 memory size with an error naming
+// the memory before an access indexes past it or divides by it, and a
+// forged SAR phase or SRAM-trace register with its range error before it
+// can overflow, divide by zero or desynchronize the DSP frame. ci.sh
+// chaos-smoke runs these under ASAN.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "core/gyro_system.hpp"
+#include "mcu/sram_ctrl.hpp"
 #include "platform/engine/blackbox.hpp"
 #include "platform/engine/conditioning_channel.hpp"
 #include "safety/supervisor.hpp"
@@ -218,6 +221,112 @@ TEST(FrameForgedPhase, GyroFullSarPhase) {
   ConditioningChannel target(cfg);
   target.restore(clean);
   EXPECT_EQ(target.ticks_advanced(), 20003);
+}
+
+/// A GyroIdeal channel's checkpoint and the image offsets of the 8051-side
+/// fields the tests below forge. The McuSubsystem state closes the GSYS
+/// section but for the analog-die registers, and GSYS closes the image, so
+/// the fields are found from the end by the sizes of the states around them.
+struct McuImage {
+  ChannelConfig cfg;
+  std::vector<std::uint8_t> image;
+  std::size_t xdata_count, prog_count, eeprom_count, sram, external_count, lines_count;
+};
+
+McuImage mcu_image() {
+  using state_twin::state_of;
+  McuImage m;
+  m.cfg.kind = ChannelKind::GyroIdeal;
+  m.cfg.seed = 11;
+  ConditioningChannel ch(m.cfg);
+  ch.advance(20000);
+  m.image = ch.snapshot();
+  platform::McuSubsystem& p = ch.gyro()->platform();
+  StateArchive afe = StateArchive::saver();
+  ch.gyro()->afe_regs().serialize_values(afe);
+  std::size_t at = m.image.size() - afe.take().size() - state_of(p).size();
+  at += state_of(p.cpu()).size();
+  m.xdata_count = at;
+  m.prog_count = at + 8 + p.bus().ram_size() + 2;  // after the RAM and both bridge latches
+  at += state_of(p.bus()).size() + state_of(p.host()).size() + 1;  // + SPI presence
+  m.eeprom_count = at + state_of(*p.spi()).size();
+  at = m.eeprom_count + state_of(*p.eeprom()).size() + 1 + state_of(*p.timer()).size() + 1 +
+       state_of(*p.watchdog()).size() + 1;
+  m.sram = at;
+  m.external_count = at + state_of(*p.sram_trace()).size() + 1;
+  m.lines_count = m.external_count + 8 + p.cache()->config().external_bytes;
+  return m;
+}
+
+std::uint64_t get_le(const std::vector<std::uint8_t>& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = width; i-- > 0;) v = v << 8 | bytes[at + i];
+  return v;
+}
+
+// Each count-prefixed 8051 memory forged to hold no bytes, and the cache's
+// line store likewise: every access indexes (or, for the external RAM and
+// the EEPROM, wraps addresses by) the configured size, so a restore refuses
+// any other count.
+TEST(FrameForgedCount, McuMemorySizes) {
+  const McuImage m = mcu_image();
+  const struct {
+    std::size_t at;
+    std::uint64_t size;
+    const char* error;
+  } cases[] = {
+      {m.xdata_count, 4096, "checkpoint XDATA RAM size 0 differs from the configured 4096"},
+      {m.prog_count, 0x7F00, "checkpoint program RAM size 0 differs from the configured 32512"},
+      {m.eeprom_count, 8192, "checkpoint EEPROM size 0 differs from the configured 8192"},
+      {m.external_count, 128 * 1024,
+       "checkpoint cache external RAM size 0 differs from the configured 131072"},
+      {m.lines_count, 16 * 16,
+       "checkpoint cache line store size 0 differs from the configured 256"},
+  };
+  for (const auto& c : cases) {
+    ASSERT_EQ(get_le(m.image, c.at, 8), c.size) << c.error;
+    auto image = m.image;
+    set_le(image, c.at, 0, 8);
+    refresh_crc(image, kCheckpointFrame);
+    ConditioningChannel target(m.cfg);
+    EXPECT_EQ(error_of([&] { target.restore(image); }), c.error);
+  }
+  ConditioningChannel target(m.cfg);
+  target.restore(m.image);
+  EXPECT_EQ(target.ticks_advanced(), 20000);
+}
+
+// The SRAM trace's DECIM forged to 0 with the capture armed (the next
+// decimated output would divide by zero in push()), COUNT past the buffer
+// (snapshot() would read beyond it) and RDPTR at its end: no legitimate
+// image holds these, because write_reg maps DECIM 0 to 1 and wraps RDPTR.
+TEST(FrameForgedState, SramTraceRegisters) {
+  const McuImage m = mcu_image();
+  constexpr std::size_t kMem = mcu::SramController::kSamples * 2;
+  const std::size_t count = m.sram + kMem, rdptr = count + 4, decim = count + 10,
+                    armed = count + 16;
+  ASSERT_EQ(get_le(m.image, decim, 2), 1u);
+  ASSERT_EQ(get_le(m.image, armed, 1), 0u);
+
+  struct Field {
+    std::size_t at;
+    int width;
+    std::uint64_t value;
+  };
+  const auto restore_forged = [&](std::vector<Field> fields) {
+    auto image = m.image;
+    for (const Field& f : fields) set_le(image, f.at, f.value, f.width);
+    refresh_crc(image, kCheckpointFrame);
+    ConditioningChannel target(m.cfg);
+    return error_of([&] { target.restore(image); });
+  };
+  constexpr std::uint64_t kSamples = mcu::SramController::kSamples;
+  const std::string bad = "checkpoint SRAM trace state out of range";
+  EXPECT_EQ(restore_forged({{decim, 2, 0}, {armed, 1, 1}}), bad);
+  EXPECT_EQ(restore_forged({{count, 4, kSamples + 1}}), bad);
+  EXPECT_EQ(restore_forged({{rdptr, 4, kSamples}}), bad);
+  // A full buffer read from its last sample is legitimate.
+  EXPECT_EQ(restore_forged({{count, 4, kSamples}, {rdptr, 4, kSamples - 1}}), "decoded");
 }
 
 }  // namespace

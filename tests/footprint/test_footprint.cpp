@@ -16,6 +16,7 @@
 #include <new>
 #include <vector>
 
+#include "common/state_archive.hpp"
 #include "obs/observability.hpp"
 #include "platform/engine/conditioning_channel.hpp"
 #include "platform/platform.hpp"
@@ -102,6 +103,113 @@ TEST(Footprint, PcHistogramAllocatedAtTheFirstInstruction) {
   obs.mcu.reset();
   EXPECT_EQ(obs.mcu.pc_count(0), 0u);
   EXPECT_TRUE(obs.mcu.top_pcs(10).empty());
+}
+
+/// Bytes of the six 8051-side memories a McuSubsystem holds once each has
+/// been written: code, XDATA RAM, program RAM, the SRAM trace, the cache's
+/// external RAM and the boot EEPROM.
+struct McuMemoryBytes {
+  std::size_t code, xdata, prog, sram, external, eeprom;
+  std::size_t total() const { return code + xdata + prog + sram + external + eeprom; }
+};
+
+McuMemoryBytes mcu_memory_bytes(platform::McuSubsystem& mcu) {
+  return {65536,
+          mcu.bus().ram_size(),
+          mcu.bus().program_size(),
+          mcu::SramController::kSamples * sizeof(std::uint16_t),
+          mcu.cache()->config().external_bytes,
+          mcu.eeprom()->size()};
+}
+
+TEST(Footprint, IdealChannelHoldsNoMcuMemories) {
+  // A channel without firmware never writes its 8051 memories, so over its
+  // whole life it holds less heap than they would take.
+  platform::McuSubsystem mcu;
+  const std::size_t memories = mcu_memory_bytes(mcu).total();
+  const std::size_t ideal = channel_peak_bytes(engine::ChannelKind::GyroIdeal);
+  EXPECT_LT(ideal, memories) << "Ideal " << ideal << " B, 8051 memories " << memories << " B";
+}
+
+TEST(Footprint, McuMemoriesAllocatedAtTheFirstWrite) {
+  platform::McuSubsystem mcu;
+  const McuMemoryBytes bytes = mcu_memory_bytes(mcu);
+  const platform::BridgeMap& map = mcu.config().map;
+  const std::uint8_t cdata = static_cast<std::uint8_t>(mcu.cache()->config().sfr_base + 3);
+  mcu::SramController& sram = *mcu.sram_trace();
+  mcu::SpiEeprom& eeprom = *mcu.eeprom();
+
+  // Untouched memories read as their fill values, and neither reading them
+  // nor saving the subsystem allocates anything but the archive's bytes.
+  const std::size_t base = g_live;
+  EXPECT_EQ(mcu.cpu().code_byte(0x1234), 0x00);
+  EXPECT_EQ(mcu.bus().read(0x0010), 0x00);
+  EXPECT_EQ(mcu.bus().read(static_cast<std::uint16_t>(map.prog_ram + 5)), 0x00);
+  EXPECT_EQ(sram.read_reg(5), 0u);
+  EXPECT_EQ(mcu.cpu().read_sfr(cdata), 0xFF);  // a miss fills a line from the external RAM
+  EXPECT_EQ(eeprom.peek(0x0100), 0xFF);
+  eeprom.select(true);
+  for (std::uint8_t b : {0x03, 0x01, 0x00}) eeprom.transfer(b);  // READ from 0x0100
+  EXPECT_EQ(eeprom.transfer(0), 0xFF);
+  eeprom.select(false);
+  EXPECT_EQ(g_live, base);
+  StateArchive out = StateArchive::saver();
+  mcu.serialize_state(out);
+  const std::vector<std::uint8_t> untouched = out.take();
+  EXPECT_EQ(g_live, base + untouched.capacity());
+
+  // Each first write allocates its own memory and nothing else.
+  std::size_t live = g_live;
+  const auto growth = [&live] {
+    const std::size_t grew = g_live - live;
+    live = g_live;
+    return grew;
+  };
+  // MOV DPTR,#prog_ram; MOV A,#5Ah; MOVX @DPTR,A; SJMP $
+  mcu.load_firmware({0x90, static_cast<std::uint8_t>(map.prog_ram >> 8),
+                     static_cast<std::uint8_t>(map.prog_ram & 0xFF), 0x74, 0x5A, 0xF0, 0x80,
+                     0xFE});
+  EXPECT_EQ(growth(), bytes.code) << "load_firmware";
+  for (int i = 0; i < 3; ++i) mcu.cpu().step();
+  EXPECT_EQ(growth(), bytes.prog) << "MOVX into program RAM";
+  EXPECT_EQ(mcu.cpu().code_byte(map.prog_ram), 0x5A) << "program RAM mirrors into code";
+  mcu.bus().write(0x0010, 0x5A);
+  EXPECT_EQ(growth(), bytes.xdata) << "host write into XDATA RAM";
+  sram.push(0, 1);        // not armed
+  sram.write_reg(0, 3);   // reset + arm, NODE 0
+  sram.push(1, 1);        // another node
+  EXPECT_EQ(growth(), 0u) << "pushes that store nothing";
+  EXPECT_TRUE(sram.push(0, 0x1234));
+  EXPECT_EQ(growth(), bytes.sram) << "armed push";
+  mcu.cpu().write_sfr(cdata, 0x42);
+  EXPECT_EQ(growth(), bytes.external) << "CDATA write";
+  eeprom.program(0x0100, {0x42});
+  EXPECT_EQ(growth(), bytes.eeprom) << "EEPROM program()";
+  EXPECT_EQ(g_live, base + untouched.capacity() + bytes.total());
+
+  // A program-RAM write on a fresh subsystem allocates code too.
+  {
+    platform::McuSubsystem fresh;
+    live = g_live;
+    fresh.bus().write(map.prog_ram, 0x5A);
+    EXPECT_EQ(growth(), bytes.prog + bytes.code) << "program RAM write mirrored into code";
+  }
+
+  // Restoring an image whose memories all hold their fill leaves them
+  // untouched: a fresh subsystem allocates nothing, and a written one
+  // releases what its writes allocated.
+  {
+    platform::McuSubsystem fresh;
+    const std::size_t built = g_live;
+    StateArchive in = StateArchive::loader(untouched);
+    fresh.serialize_state(in);
+    EXPECT_EQ(g_live, built) << "restore into a fresh subsystem";
+  }
+  StateArchive in = StateArchive::loader(untouched);
+  mcu.serialize_state(in);
+  EXPECT_EQ(g_live, base + untouched.capacity()) << "restore into a written subsystem";
+  EXPECT_EQ(mcu.cpu().code_byte(0), 0x00);
+  EXPECT_EQ(eeprom.peek(0x0100), 0xFF);
 }
 
 }  // namespace
