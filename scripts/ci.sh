@@ -33,13 +33,20 @@
 #                        plus, under ASAN, the observed-group and fleet-lane
 #                        tests, a checkpoint round-trip replay, the
 #                        framed-container byte-layout pins, the
-#                        forged-length, forged-count (8051 memory sizes
-#                        among them), forged-SAR-phase and forged
-#                        SRAM-trace-register rejection tests, the 8051
-#                        memories' byte identity (an untouched memory saves
-#                        what one written with its fill does, and a
-#                        checkpoint round-trips byte for byte with and
-#                        without firmware), the tests that the DAC, noise and
+#                        forged-length (8051 memory saved lengths past
+#                        their size and past the payload among them),
+#                        forged-count (8051 memory sizes among them),
+#                        forged-SAR-phase, forged SRAM-trace-register and
+#                        forged-version rejection tests, a restore over
+#                        longer firmware leaving fill behind, the 8051
+#                        memories' saved-length rule (each saves a u64
+#                        length, one past its last non-fill value, and
+#                        that many values, so an untouched memory and one
+#                        written with its fill save the same bytes, a
+#                        channel without firmware saves at most 8 KiB,
+#                        firmware adds its code length, and a checkpoint
+#                        round-trips byte for byte with and without
+#                        firmware), the tests that the DAC, noise and
 #                        MEMS coefficient caches are invisible (a component
 #                        stepped straight matches a twin reloaded from its
 #                        state before every step, bit for bit), the SAR
@@ -130,11 +137,11 @@ stage_chaos_smoke() {
   echo "== checkpoint round-trip replay and layout pins under ASAN =="
   ./build-asan/tests/test_checkpoint \
     --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*:FrameLayout.*'
-  echo "== forged lengths, counts, 8051 memory sizes, SAR phase and SRAM-trace registers under ASAN =="
+  echo "== forged lengths, counts, 8051 memory sizes and saved lengths, SAR phase, SRAM-trace registers, versions, restore over longer firmware under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_checkpoint \
-    --gtest_filter='FrameForgedLength.*:FrameForgedCount.*:FrameForgedPhase.*:FrameForgedState.*'
-  echo "== 8051 memories: untouched and fill-written save the same bytes, checkpoint round trip, under ASAN =="
-  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_mcu --gtest_filter='FillMemory.*'
+    --gtest_filter='FrameForgedLength.*:FrameForgedCount.*:FrameForgedPhase.*:FrameForgedState.*:FrameForgedVersion.*:CheckpointRestore.*'
+  echo "== 8051 memories: saved lengths, image sizes, checkpoint round trips, under ASAN =="
+  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_mcu --gtest_filter='FillMemory.*:CheckpointSize.*'
   echo "== coefficient caches invisible to a cold twin, a NaN at the SAR converter, its INL pin, MEMS lanes bit-identical, under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_afe \
     --gtest_filter='DacCache.*:NoiseCache.*:SarAdc.NanInputReadsBottomCodeAndIsCounted:SarAdc.InlTableIsTheSameWhicheverCallDrawsIt'

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -100,43 +99,6 @@ class StateArchive {
       }
       pos_ += n * sizeof(T);
     }
-  }
-
-  /// Save: `n` copies of `v`, the bytes values() writes for them. A memory
-  /// that holds no storage until its first write saves through this.
-  template <typename T>
-  void repeat(T v, std::size_t n) {
-    std::uint8_t one[sizeof(T)];
-    store_le(std::bit_cast<Bits<T>>(v), one);
-    const std::size_t at = out_.size();
-    // A value whose bytes are all equal (every fill in use) is one memset.
-    out_.resize(at + n * sizeof(T), one[0]);
-    if (std::memcmp(one, one + 1, sizeof(T) - 1) != 0) {
-      std::uint8_t* dst = out_.data() + at;
-      for (std::size_t i = 0; i < n; ++i) std::memcpy(dst + i * sizeof(T), one, sizeof(T));
-    }
-    pos_ += n * sizeof(T);
-    size_ = out_.size();
-  }
-
-  /// Load: when the next `n` values all equal `v`, consume them and return
-  /// true; otherwise consume nothing and return false (values() then reads
-  /// them, and reports a truncation where it would have).
-  template <typename T>
-  bool skip_repeat(T v, std::size_t n) {
-    if (n == 0) return true;
-    if (n > remaining() / sizeof(T)) return false;
-    std::uint8_t one[sizeof(T)];
-    store_le(std::bit_cast<Bits<T>>(v), one);
-    // Every value equals the first when the run equals itself shifted by
-    // one value: one overlapping memcmp instead of n compares.
-    const std::uint8_t* run = in_ + pos_;
-    const std::size_t len = n * sizeof(T);
-    if (std::memcmp(run, one, sizeof(T)) != 0 ||
-        std::memcmp(run, run + sizeof(T), len - sizeof(T)) != 0)
-      return false;
-    pos_ += len;
-    return true;
   }
 
   // --- containers -------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "conformance/legal_envelope.hpp"
 #include "core/gyro_system.hpp"
 
 namespace ascp::conformance {
@@ -177,7 +178,8 @@ Scenario generate_scenario(std::uint64_t seed, const GeneratorConfig& cfg) {
   s.quad_scale = rmisc.uniform(0.5, 1.5);
   s.drift_scale = rmisc.uniform(0.5, 1.5);
   // Programmable output bandwidth (Table 1: 25..75 Hz).
-  s.output_bw_hz = rmisc.uniform() < 0.4 ? rmisc.uniform(25.0, 75.0) : 75.0;
+  s.output_bw_hz =
+      rmisc.uniform() < 0.4 ? rmisc.uniform(kOutputBwHz.lo, kOutputBwHz.hi) : kOutputBwHz.hi;
 
   switch (s.cls) {
     case ScenarioClass::Invariant:
@@ -185,6 +187,7 @@ Scenario generate_scenario(std::uint64_t seed, const GeneratorConfig& cfg) {
       s.duration_s = rdur.uniform(0.05, 0.18);
       s.open_loop = rdur.uniform() < 0.3;
       // Wordlength-ablation corner: a finite RTL datapath now and then.
+      static_assert(kDatapathBits.contains(16) && kDatapathBits.contains(24));
       if (rmisc.uniform() < 0.1) s.datapath_bits = 16 + static_cast<int>(rmisc.next_u64() % 9);
       break;
     case ScenarioClass::DiffIdeal:

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "conformance/legal_envelope.hpp"
 #include "safety/dtc.hpp"
 
 namespace ascp::conformance {
@@ -84,6 +85,12 @@ std::string fmt_double(double v) {
 
 [[noreturn]] void parse_fail(int line, const std::string& what) {
   throw std::runtime_error("scenario parse error at line " + std::to_string(line) + ": " + what);
+}
+
+void check_range(int line, const FieldRange& r, double v) {
+  if (!r.contains(v))
+    parse_fail(line, std::string(r.field) + " " + fmt_double(v) + " outside the legal range [" +
+                         fmt_double(r.lo) + ", " + fmt_double(r.hi) + "]");
 }
 
 }  // namespace
@@ -292,14 +299,17 @@ Scenario from_text(std::string_view text) {
       s.full_fidelity = v == "full";
     } else if (key == "duration") {
       need(s.duration_s);
+      check_range(lineno, kDurationS, s.duration_s);
     } else if (key == "quad_scale") {
       need(s.quad_scale);
     } else if (key == "drift_scale") {
       need(s.drift_scale);
     } else if (key == "output_bw") {
       need(s.output_bw_hz);
+      check_range(lineno, kOutputBwHz, s.output_bw_hz);
     } else if (key == "datapath_bits") {
       need(s.datapath_bits);
+      if (s.datapath_bits != 0) check_range(lineno, kDatapathBits, s.datapath_bits);
     } else if (key == "open_loop") {
       int v = 0;
       need(v);

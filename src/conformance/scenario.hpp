@@ -138,7 +138,8 @@ bool parse_fault_kind(std::string_view text, FaultKind& out);
 /// reproduces s exactly, including float bit patterns).
 std::string to_text(const Scenario& s);
 /// Parse a `.scenario` text. Throws std::runtime_error with a line-numbered
-/// message on malformed input.
+/// message on malformed input, and on a header value outside its legal
+/// range (legal_envelope.hpp).
 Scenario from_text(std::string_view text);
 
 /// File helpers; save returns false on I/O failure, load throws on parse or

@@ -148,7 +148,7 @@ class Core8051 {
   /// Architectural state for checkpoint/restore. Attached buses, devices and
   /// hooks are wiring, not state — the restorer re-attaches them.
   void serialize_state(StateArchive& ar) {
-    code_.serialize(ar);
+    code_.serialize(ar, "code");
     ar.bytes(iram_.data(), iram_.size());
     ar.bytes(sfrs_.data(), sfrs_.size());
     ar.value(pc_);

@@ -9,10 +9,12 @@
 // its fill value (what it holds at power-on) until the first write, which
 // allocates size() copies of the fill and stores into them.
 //
-// Saved bytes do not depend on whether the storage exists: an untouched
-// memory saves size() copies of its fill, and a restore whose values all
-// equal the fill leaves the memory untouched (releasing storage it held),
-// so a restored channel is as small as a new one.
+// A memory saves its state, not its fill: a u64 saved length, one past the
+// last value that differs from the fill, then that many values. The length
+// is computed from the values, not from whether storage exists, so an
+// untouched memory and one written with its own fill both save a length of
+// 0. A restore of length 0 leaves the memory untouched (releasing storage
+// it held), so a restored channel is as small as a new one.
 #pragma once
 
 #include <cstdint>
@@ -44,19 +46,27 @@ class FillMemory {
     data_[i] = v;
   }
 
-  /// size() values, the bytes StateArchive::values() writes for them.
-  void serialize(StateArchive& ar) {
-    if (ar.saving() && data_.empty()) {
-      ar.repeat(fill_, size_);
-    } else if (!ar.saving() && ar.skip_repeat(fill_, size_)) {
-      data_ = std::vector<T>();  // releases the storage (`= {}` would keep it)
-    } else {
-      data_.resize(size_);
-      if constexpr (std::is_same_v<T, std::uint8_t>)
-        ar.bytes(data_.data(), size_);  // one bulk copy
+  /// The saved length, then that many values. A load refuses a length
+  /// above size() with an error naming the memory `what`; a length of 0
+  /// releases the storage, and any other allocates the memory, reads that
+  /// many values and leaves every later address at the fill.
+  void serialize(StateArchive& ar, const char* what) {
+    std::uint64_t n = ar.saving() ? saved_length() : 0;
+    ar.value(n);
+    if (!ar.saving()) {
+      if (n > size_)
+        throw StateError(std::string("checkpoint ") + what + " saved length " + std::to_string(n) +
+                         " exceeds the configured " + std::to_string(size_));
+      if (n == 0)
+        data_ = std::vector<T>();  // releases the storage (`= {}` would keep it)
       else
-        ar.values(data_.data(), size_);
+        data_.assign(size_, fill_);
     }
+    if (n == 0) return;
+    if constexpr (std::is_same_v<T, std::uint8_t>)
+      ar.bytes(data_.data(), n);  // one bulk copy
+    else
+      ar.values(data_.data(), n);
   }
 
   /// serialize() behind the u64 count StateArchive::value(std::vector&)
@@ -68,10 +78,17 @@ class FillMemory {
     if (n != size_)
       throw StateError(std::string("checkpoint ") + what + " size " + std::to_string(n) +
                        " differs from the configured " + std::to_string(size_));
-    serialize(ar);
+    serialize(ar, what);
   }
 
  private:
+  /// One past the last value that differs from the fill; 0 when none does.
+  std::size_t saved_length() const {
+    std::size_t n = data_.size();
+    while (n > 0 && data_[n - 1] == fill_) --n;
+    return n;
+  }
+
   std::size_t size_ = 0;
   T fill_{};
   std::vector<T> data_;  ///< empty until the first write

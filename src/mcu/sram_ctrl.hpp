@@ -46,7 +46,7 @@ class SramController : public BridgeDevice {
   std::vector<std::uint16_t> snapshot() const;
 
   void serialize_state(StateArchive& ar) {
-    mem_.serialize(ar);
+    mem_.serialize(ar, "SRAM trace");
     ar.value(count_);
     ar.value(rdptr_);
     ar.value(node_);

@@ -56,7 +56,9 @@ enum class ChannelKind {
 ///   v1  original layout
 ///   v2  CHAN section gains the stimulus-source summary (kind u32 + cursor
 ///       i64 at payload offsets 20/24) and the embedded source state
-inline constexpr frame::Format kCheckpointFrame{"ASCPCKPT", 2, "checkpoint", 4, 1};
+///   v3  each 8051 memory saves a u64 saved length (one past its last
+///       non-fill value) and only that many values, not its whole size
+inline constexpr frame::Format kCheckpointFrame{"ASCPCKPT", 3, "checkpoint", 4, 1};
 
 /// What advance() does with freshly produced output samples once the
 /// channel's result queue holds `queue_capacity` entries the consumer has

@@ -1,6 +1,8 @@
 // Conformance-layer unit tests: `.scenario` serialization exactness, the
-// generator's legality contract against the platform's declared register
-// fields, and the shrinker's minimization guarantees.
+// legal envelope of the header fields (the generator draws inside it and the
+// parser refuses values outside it), the generator's legality contract
+// against the platform's declared register fields, and the shrinker's
+// minimization guarantees.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -8,6 +10,7 @@
 #include <string>
 
 #include "conformance/generator.hpp"
+#include "conformance/legal_envelope.hpp"
 #include "conformance/scenario.hpp"
 #include "conformance/shrink.hpp"
 #include "core/gyro_system.hpp"
@@ -152,6 +155,61 @@ TEST(ScenarioFormat, MalformedInputThrowsWithDiagnostics) {
   EXPECT_NO_THROW(from_text(to_text(s) + "trailing garbage after end\n"));
 }
 
+// A header value outside its legal range fails with that field's one error;
+// each bound itself parses. The values the parser used to accept ran
+// "ok": `duration -1` with no samples, `output_bw -5`, `datapath_bits 200`.
+TEST(ScenarioFormat, HeaderValuesOutsideTheLegalEnvelopeAreRefused) {
+  const std::string text = to_text(generate_scenario(3));
+  const auto with_line = [&](const std::string& key, const std::string& value) {
+    const std::size_t at = text.find("\n" + key + " ") + 1;
+    const std::size_t end = text.find('\n', at);
+    return text.substr(0, at) + key + " " + value + text.substr(end);
+  };
+  const auto error_of = [](const std::string& t) -> std::string {
+    try {
+      from_text(t);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "parsed";
+  };
+  const std::string duration = "outside the legal range [0.00053333333333333336, 10]";
+  const struct {
+    const char* key;
+    const char* value;
+    std::string error;
+  } refused[] = {
+      {"duration", "-1", "scenario parse error at line 5: duration -1 " + duration},
+      {"duration", "0", "scenario parse error at line 5: duration 0 " + duration},
+      {"duration", "0.0005",  // printed to round-trip precision
+       "scenario parse error at line 5: duration 0.00050000000000000001 " + duration},
+      {"duration", "10.5", "scenario parse error at line 5: duration 10.5 " + duration},
+      {"output_bw", "-5",
+       "scenario parse error at line 8: output_bw -5 outside the legal range [25, 75]"},
+      {"output_bw", "75.5",
+       "scenario parse error at line 8: output_bw 75.5 outside the legal range [25, 75]"},
+      {"datapath_bits", "200",
+       "scenario parse error at line 9: datapath_bits 200 outside the legal range [2, 59]"},
+      {"datapath_bits", "1",
+       "scenario parse error at line 9: datapath_bits 1 outside the legal range [2, 59]"},
+      {"datapath_bits", "-16",
+       "scenario parse error at line 9: datapath_bits -16 outside the legal range [2, 59]"},
+  };
+  for (const auto& r : refused)
+    EXPECT_EQ(error_of(with_line(r.key, r.value)), r.error) << r.key << " " << r.value;
+
+  const struct {
+    const char* key;
+    const char* value;
+  } accepted[] = {
+      {"duration", "0.00053333333333333336"}, {"duration", "10"}, {"output_bw", "25"},
+      {"output_bw", "75"}, {"datapath_bits", "0"}, {"datapath_bits", "2"},
+      {"datapath_bits", "59"},
+  };
+  for (const auto& a : accepted)
+    EXPECT_EQ(error_of(with_line(a.key, a.value)), "parsed") << a.key << " " << a.value;
+}
+
 TEST(ScenarioGenerator, SameSeedYieldsByteIdenticalScenarios) {
   for (std::uint64_t seed : {1ull, 2026ull, 0x123456789ull}) {
     EXPECT_EQ(to_text(generate_scenario(seed)), to_text(generate_scenario(seed)))
@@ -176,13 +234,13 @@ TEST(ScenarioGenerator, DrawsStayInsideTheLegalOperatingSpace) {
 
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     const Scenario s = generate_scenario(seed, cfg);
-    ASSERT_GT(s.duration_s, 0.0) << "seed " << seed;
+    ASSERT_TRUE(kDurationS.contains(s.duration_s)) << "seed " << seed;
     ASSERT_GE(s.quad_scale, 0.5);
     ASSERT_LE(s.quad_scale, 1.5);
     ASSERT_GE(s.drift_scale, 0.5);
     ASSERT_LE(s.drift_scale, 1.5);
-    ASSERT_GE(s.output_bw_hz, 25.0);
-    ASSERT_LE(s.output_bw_hz, 75.0);
+    ASSERT_TRUE(kOutputBwHz.contains(s.output_bw_hz)) << "seed " << seed;
+    ASSERT_TRUE(s.datapath_bits == 0 || kDatapathBits.contains(s.datapath_bits)) << "seed " << seed;
 
     for (const auto& seg : s.rate) {
       ASSERT_LE(std::abs(seg.a), cfg.max_base_dps) << "seed " << seed;

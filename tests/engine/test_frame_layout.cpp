@@ -79,21 +79,21 @@ BlackboxImage fixed_blackbox() {
 TEST(FrameLayout, CheckpointAdxrs300HeaderAndImage) {
   const auto image = checkpoint_image(ChannelKind::Adxrs300);
   const std::vector<std::uint8_t> header = {
-      0x41, 0x53, 0x43, 0x50, 0x43, 0x4B, 0x50, 0x54, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00,
+      0x41, 0x53, 0x43, 0x50, 0x43, 0x4B, 0x50, 0x54, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00,
       0x00, 0x00, 0x57, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x47, 0xA2, 0x6A, 0x6B};
   EXPECT_EQ(head(image, 28), header);
   EXPECT_EQ(image.size(), 627u);
-  EXPECT_EQ(fnv1a(image), 0xA22ECC4D43586333ull);
+  EXPECT_EQ(fnv1a(image), 0x256E372D70C62938ull);
 }
 
 TEST(FrameLayout, CheckpointGyroFullHeaderAndImage) {
   const auto image = checkpoint_image(ChannelKind::GyroFull);
   const std::vector<std::uint8_t> header = {
-      0x41, 0x53, 0x43, 0x50, 0x43, 0x4B, 0x50, 0x54, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0xFE, 0xBE, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x38, 0xB3, 0xCE, 0xF7};
+      0x41, 0x53, 0x43, 0x50, 0x43, 0x4B, 0x50, 0x54, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x2E, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x67, 0xB0, 0xBA, 0xCD};
   EXPECT_EQ(head(image, 28), header);
-  EXPECT_EQ(image.size(), 311066u);
-  EXPECT_EQ(fnv1a(image), 0xF2821D4859F0EA2Eull);
+  EXPECT_EQ(image.size(), 4170u);
+  EXPECT_EQ(fnv1a(image), 0x7AFABB4CEC8F3D72ull);
 }
 
 TEST(FrameLayout, StraceHeaderAndImage) {
