@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ci.sh — the single CI entry point.
 #
-# With no argument, runs the full pipeline: builds every preset (werror is
+# With no argument, runs the full pipeline: checks that every src/ header
+# has a user (the headers stage below), builds every preset (werror is
 # the warnings stage below), runs the tier-1 test suite on the default and
 # ubsan builds (the ubsan build also halts on a float-to-integer cast of NaN
 # or ±Inf), the perf ledger's selftest and smoke run (every workload's
@@ -15,7 +16,12 @@
 #   ci.sh warnings     — every target built in build-werror (the werror
 #                        preset: -DCMAKE_CXX_FLAGS=-Werror over the default
 #                        -Wall -Wextra), so a new warning fails the pipeline
-#                        instead of scrolling past in the log
+#                        instead of scrolling past in the log; configured
+#                        with CMAKE_DISABLE_FIND_PACKAGE_benchmark, so no
+#                        target may come to need Google Benchmark again
+#   ci.sh headers      — every src/ header is included by some file other
+#                        than its own .cpp (no build); a header nothing
+#                        includes is code nothing runs
 #   ci.sh coverage     — ASCP_COVERAGE build, tier-1 + fuzz smoke, then the
 #                        aggregated line-coverage summary (coverage_report.py)
 #   ci.sh fuzz-smoke   — deterministic conformance smoke: 200 randomized
@@ -56,8 +62,10 @@
 #                        time) and the footprint binary (INL tables, the
 #                        8051 PC histogram and the 8051 memories allocated
 #                        at first use; an unused profiler's empty histogram
-#                        read as all zeros), all but the checkpoint replay
-#                        and layout tests with UBSan halting on error
+#                        read as all zeros; the obs record path allocating
+#                        nothing once its rings have wrapped), all but the
+#                        checkpoint replay and layout tests with UBSan
+#                        halting on error
 #   ci.sh wcet         — static timing proof: the MCS-51 opcode table must
 #                        agree with the ISS for all 256 opcodes (decoded
 #                        length, flow and targets, write flags, machine
@@ -147,12 +155,29 @@ stage_chaos_smoke() {
     --gtest_filter='DacCache.*:NoiseCache.*:SarAdc.NanInputReadsBottomCodeAndIsCounted:SarAdc.InlTableIsTheSameWhicheverCallDrawsIt'
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_sensor \
     --gtest_filter='GyroMemsCache.*:GyroMemsLanes.*'
-  echo "== footprint: first-use INL tables, PC histogram and 8051 memories, empty-histogram reads, under ASAN =="
+  echo "== footprint: first-use INL tables, PC histogram and 8051 memories, empty-histogram reads, allocation-free obs record path, under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_footprint
 }
 
 stage_warnings() {
-  build_preset werror
+  echo "== configure + build: werror, with Google Benchmark hidden from find_package =="
+  cmake --preset werror -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=TRUE >/dev/null
+  cmake --build --preset werror -j "$jobs"
+}
+
+stage_headers() {
+  echo "== every src/ header is included by a file other than its own .cpp =="
+  local hdr users orphans=0
+  while IFS= read -r hdr; do
+    users=$(grep -rlF --include='*.cpp' --include='*.hpp' "#include \"${hdr#src/}\"" \
+      src tools examples bench tests || true)
+    users=$(printf '%s\n' "$users" | grep -vxF -e "${hdr%.hpp}.cpp" -e '' || true)
+    if [[ -z "$users" ]]; then
+      echo "ERROR: $hdr is included by no file but its own .cpp" >&2
+      orphans=1
+    fi
+  done < <(find src -name '*.hpp' | sort)
+  (( orphans == 0 ))
 }
 
 stage_wcet() {
@@ -304,6 +329,7 @@ stage_coverage() {
 
 case "$stage" in
   warnings)    stage_warnings;    echo "CI STAGE warnings PASSED";    exit 0 ;;
+  headers)     stage_headers;     echo "CI STAGE headers PASSED";     exit 0 ;;
   fuzz-smoke)  stage_fuzz_smoke;  echo "CI STAGE fuzz-smoke PASSED";  exit 0 ;;
   fuzz-corpus) stage_fuzz_corpus; echo "CI STAGE fuzz-corpus PASSED"; exit 0 ;;
   chaos-smoke) stage_chaos_smoke; echo "CI STAGE chaos-smoke PASSED"; exit 0 ;;
@@ -313,9 +339,10 @@ case "$stage" in
   coverage)    stage_coverage;    echo "CI STAGE coverage PASSED";    exit 0 ;;
   ledger)      stage_ledger;      echo "CI STAGE ledger PASSED";      exit 0 ;;
   all) ;;
-  *) echo "usage: ci.sh [warnings|coverage|fuzz-smoke|fuzz-corpus|chaos-smoke|wcet|replay|blackbox|ledger]" >&2; exit 2 ;;
+  *) echo "usage: ci.sh [warnings|headers|coverage|fuzz-smoke|fuzz-corpus|chaos-smoke|wcet|replay|blackbox|ledger]" >&2; exit 2 ;;
 esac
 
+stage_headers
 build_preset default
 stage_warnings
 build_preset ubsan
@@ -354,9 +381,6 @@ echo "== observability: platform_top smoke =="
 
 echo "== observability: platform_top fleet health table =="
 ./build/tools/platform_top --fleet --smoke
-
-echo "== observability: record-path cost + zero-allocation proof =="
-./build/bench/perf_obs --smoke --json /tmp/ci_perf_obs.json
 
 echo "== perf ledger: selftest + smoke (seed-2026 output hashes must match their pins) =="
 bash bench/ledger/run.sh selftest

@@ -2,28 +2,6 @@
 
 namespace ascp::afe {
 
-VoltageReference::VoltageReference(double nominal_volts, double tempco_ppm, double curvature_ppm,
-                                   ascp::Rng rng)
-    : nominal_(nominal_volts),
-      tempco_(tempco_ppm * 1e-6),
-      curvature_(curvature_ppm * 1e-6),
-      trim_error_(rng.gaussian(100e-6)),  // ±100 ppm 1σ trim accuracy
-      noise_(rng.fork(11), nominal_volts * 2e-6, 16) {}
-
-double VoltageReference::value(double temp_c) {
-  const double dt = temp_c - 25.0;
-  const double rel = 1.0 + tempco_ * dt + curvature_ * dt * dt / 100.0 + trim_error_;
-  return nominal_ * rel + noise_.next();
-}
-
-Oscillator::Oscillator(double nominal_hz, double tempco_ppm, double jitter_ppm, ascp::Rng rng)
-    : nominal_(nominal_hz), tempco_(tempco_ppm * 1e-6), jitter_(jitter_ppm * 1e-6), rng_(rng) {}
-
-double Oscillator::frequency(double temp_c) {
-  const double dt = temp_c - 25.0;
-  return nominal_ * (1.0 + tempco_ * dt + rng_.gaussian(jitter_));
-}
-
 TempSensor::TempSensor(double gain_error_pct, double offset_c, ascp::Rng rng)
     : gain_(1.0 + rng.gaussian(gain_error_pct / 100.0)), offset_(rng.gaussian(offset_c)), rng_(rng) {}
 

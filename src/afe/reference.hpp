@@ -1,58 +1,17 @@
-// reference.hpp — voltage reference and system oscillator models.
+// reference.hpp — the on-chip temperature sensor.
 //
-// Paper §4.2: the AFE "provides stable power supply and clock to the digital
-// section". Reference drift directly becomes null/sensitivity drift of the
-// whole chain, and clock drift detunes every digital frequency — both are
-// first-order contributors to the over-temperature rows of Table 1, so they
-// are modelled explicitly.
+// The sense chain's last stage (paper §4.1: "temperature/offset
+// compensation") corrects drift from a measured die temperature. The sensor
+// that measures it has its own gain and offset error, so the compensation
+// block sees a slightly wrong temperature — a real effect the paper's
+// calibration had to absorb.
 #pragma once
 
 #include "common/rng.hpp"
 
 namespace ascp::afe {
 
-/// Bandgap-style voltage reference: nominal value, curvature-type tempco,
-/// and low-frequency noise.
-class VoltageReference {
- public:
-  /// `tempco_ppm` linear drift [ppm/°C], `curvature_ppm` quadratic bowing
-  /// over the automotive range.
-  VoltageReference(double nominal_volts, double tempco_ppm, double curvature_ppm, ascp::Rng rng);
-
-  /// Value at ambient temp_c (deterministic part + slow noise sample).
-  double value(double temp_c);
-
-  double nominal() const { return nominal_; }
-
- private:
-  double nominal_;
-  double tempco_;
-  double curvature_;
-  double trim_error_;  ///< one-time trim inaccuracy draw
-  ascp::FlickerNoise noise_;
-};
-
-/// System oscillator: nominal frequency with tempco and period jitter.
-class Oscillator {
- public:
-  Oscillator(double nominal_hz, double tempco_ppm, double jitter_ppm, ascp::Rng rng);
-
-  /// Effective frequency at temp_c including one jitter draw.
-  double frequency(double temp_c);
-
-  double nominal() const { return nominal_; }
-
- private:
-  double nominal_;
-  double tempco_;
-  double jitter_;
-  ascp::Rng rng_;
-};
-
-/// On-chip temperature sensor: proportional-to-absolute-temperature output
-/// with gain/offset error — the input of the compensation block, which
-/// therefore sees a slightly wrong temperature (a real effect the paper's
-/// calibration had to absorb).
+/// Proportional-to-absolute-temperature sensor with gain/offset error.
 class TempSensor {
  public:
   TempSensor(double gain_error_pct, double offset_c, ascp::Rng rng);

@@ -11,12 +11,6 @@ double sinc(double x) {
   return std::sin(px) / px;
 }
 
-double polyval(std::span<const double> coeffs, double x) {
-  double acc = 0.0;
-  for (std::size_t i = coeffs.size(); i-- > 0;) acc = acc * x + coeffs[i];
-  return acc;
-}
-
 std::vector<double> hann_window(std::size_t n) {
   std::vector<double> w(n, 1.0);
   if (n < 2) return w;
@@ -30,41 +24,6 @@ std::vector<double> hamming_window(std::size_t n) {
   if (n < 2) return w;
   for (std::size_t i = 0; i < n; ++i)
     w[i] = 0.54 - 0.46 * std::cos(kTwoPi * static_cast<double>(i) / static_cast<double>(n - 1));
-  return w;
-}
-
-std::vector<double> blackman_window(std::size_t n) {
-  std::vector<double> w(n, 1.0);
-  if (n < 2) return w;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = kTwoPi * static_cast<double>(i) / static_cast<double>(n - 1);
-    w[i] = 0.42 - 0.5 * std::cos(t) + 0.08 * std::cos(2.0 * t);
-  }
-  return w;
-}
-
-double bessel_i0(double x) {
-  // Power series sum_k ((x/2)^k / k!)^2; converges quickly for |x| < ~20.
-  const double half = x / 2.0;
-  double term = 1.0;
-  double sum = 1.0;
-  for (int k = 1; k < 64; ++k) {
-    term *= (half / k) * (half / k);
-    sum += term;
-    if (term < 1e-18 * sum) break;
-  }
-  return sum;
-}
-
-std::vector<double> kaiser_window(std::size_t n, double beta) {
-  std::vector<double> w(n, 1.0);
-  if (n < 2) return w;
-  const double denom = bessel_i0(beta);
-  const double half = static_cast<double>(n - 1) / 2.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = (static_cast<double>(i) - half) / half;
-    w[i] = bessel_i0(beta * std::sqrt(std::max(0.0, 1.0 - r * r))) / denom;
-  }
   return w;
 }
 
@@ -121,16 +80,6 @@ double wrap_phase(double phi) {
   // fmod lands exactly on 0 for odd multiples of pi: map -pi to +pi so the
   // documented range (-pi, pi] holds.
   return r <= -kPi ? kPi : r;
-}
-
-double interp1(std::span<const double> x, std::span<const double> y, double xq) {
-  assert(x.size() == y.size() && !x.empty());
-  if (xq <= x.front()) return y.front();
-  if (xq >= x.back()) return y.back();
-  const auto it = std::upper_bound(x.begin(), x.end(), xq);
-  const std::size_t i = static_cast<std::size_t>(it - x.begin());
-  const double t = (xq - x[i - 1]) / (x[i] - x[i - 1]);
-  return y[i - 1] + t * (y[i] - y[i - 1]);
 }
 
 }  // namespace ascp

@@ -1,6 +1,6 @@
 // math.hpp — small numeric helpers shared by the DSP designers and the
-// metrology code: window functions, polynomial evaluation, dB conversions,
-// and least-squares line fitting (used for sensitivity/nonlinearity metrics).
+// metrology code: window functions, dB conversions, and least-squares line
+// fitting (used for sensitivity/nonlinearity metrics).
 #pragma once
 
 #include <cmath>
@@ -20,23 +20,11 @@ inline double from_db20(double db) { return std::pow(10.0, db / 20.0); }
 /// sinc(x) = sin(pi x)/(pi x), the ideal-lowpass impulse response kernel.
 double sinc(double x);
 
-/// Horner evaluation of c[0] + c[1] x + c[2] x^2 + ...
-double polyval(std::span<const double> coeffs, double x);
-
 /// Hann window of length n (periodic=false gives the symmetric analysis window).
 std::vector<double> hann_window(std::size_t n);
 
 /// Hamming window of length n.
 std::vector<double> hamming_window(std::size_t n);
-
-/// Blackman window of length n.
-std::vector<double> blackman_window(std::size_t n);
-
-/// Kaiser window with shape parameter beta.
-std::vector<double> kaiser_window(std::size_t n, double beta);
-
-/// Modified Bessel function of the first kind, order zero (series expansion).
-double bessel_i0(double x);
 
 /// Result of an ordinary least-squares straight-line fit y = slope*x + offset.
 struct LineFit {
@@ -62,9 +50,5 @@ double rms(std::span<const double> v);
 
 /// Wrap an angle into (-pi, pi].
 double wrap_phase(double phi);
-
-/// Linear interpolation on a tabulated monotone-x curve; clamps outside the
-/// table. Used for temperature-dependence lookup tables.
-double interp1(std::span<const double> x, std::span<const double> y, double xq);
 
 }  // namespace ascp

@@ -175,6 +175,8 @@ Scenario generate_scenario(std::uint64_t seed, const GeneratorConfig& cfg) {
     s.cls = ScenarioClass::Iss;
 
   // MEMS corner draw — tolerance-band quadrature and drift.
+  static_assert(kQuadScale.contains(0.5) && kQuadScale.contains(1.5) &&
+                kDriftScale.contains(0.5) && kDriftScale.contains(1.5));
   s.quad_scale = rmisc.uniform(0.5, 1.5);
   s.drift_scale = rmisc.uniform(0.5, 1.5);
   // Programmable output bandwidth (Table 1: 25..75 Hz).

@@ -23,6 +23,20 @@ struct FieldRange {
 /// holds about 300 MB (the generator's longest scenario is 1.3 s).
 inline constexpr FieldRange kDurationS{"duration", 128.0 / 240e3, 10.0};
 
+/// Multiplier of the MEMS quadrature stiffness (nominal 6e4 1/s², about
+/// 50 °/s equivalent); 0 is a die without quadrature. With both MEMS scales
+/// at either end of their ranges, 40 generated scenarios (seed 2026) pass
+/// the oracle. From about 3 the full chain's output at large rates leaves
+/// the ideal model's tolerance, and 1e300 drives the MEMS state to NaN.
+inline constexpr FieldRange kQuadScale{"quad_scale", 0.0, 2.0};
+
+/// Multiplier of the MEMS temperature coefficients (f0, Q, drive force,
+/// pickoff and quadrature); 0 is a die that does not drift, and a negative
+/// value reverses the physics. At 2 the supervisor no longer latches a
+/// quadrature step at 85 °C (at 1.75 it still does), so 1.5 keeps the
+/// fault checks valid over the whole temperature range.
+inline constexpr FieldRange kDriftScale{"drift_scale", 0.0, 1.5};
+
 /// Output −3 dB bandwidth in Hz: the sense chain's programmable range
 /// (paper Table 1, 25..75 Hz).
 inline constexpr FieldRange kOutputBwHz{"output_bw", 25.0, 75.0};

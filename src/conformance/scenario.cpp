@@ -302,8 +302,10 @@ Scenario from_text(std::string_view text) {
       check_range(lineno, kDurationS, s.duration_s);
     } else if (key == "quad_scale") {
       need(s.quad_scale);
+      check_range(lineno, kQuadScale, s.quad_scale);
     } else if (key == "drift_scale") {
       need(s.drift_scale);
+      check_range(lineno, kDriftScale, s.drift_scale);
     } else if (key == "output_bw") {
       need(s.output_bw_hz);
       check_range(lineno, kOutputBwHz, s.output_bw_hz);

@@ -8,46 +8,14 @@
 
 namespace ascp::dsp {
 
-namespace {
-struct RbjIntermediates {
-  double w0, cw, sw, alpha;
-};
-
-RbjIntermediates rbj(double fc, double q, double fs) {
-  assert(fc > 0.0 && fc < fs / 2.0 && q > 0.0);
-  RbjIntermediates r{};
-  r.w0 = kTwoPi * fc / fs;
-  r.cw = std::cos(r.w0);
-  r.sw = std::sin(r.w0);
-  r.alpha = r.sw / (2.0 * q);
-  return r;
-}
-
-BiquadCoeffs normalize(double b0, double b1, double b2, double a0, double a1, double a2) {
-  return BiquadCoeffs{b0 / a0, b1 / a0, b2 / a0, a1 / a0, a2 / a0};
-}
-}  // namespace
-
 BiquadCoeffs design_biquad_lowpass(double fc, double q, double fs) {
-  const auto r = rbj(fc, q, fs);
-  return normalize((1 - r.cw) / 2, 1 - r.cw, (1 - r.cw) / 2, 1 + r.alpha, -2 * r.cw, 1 - r.alpha);
-}
-
-BiquadCoeffs design_biquad_highpass(double fc, double q, double fs) {
-  const auto r = rbj(fc, q, fs);
-  return normalize((1 + r.cw) / 2, -(1 + r.cw), (1 + r.cw) / 2, 1 + r.alpha, -2 * r.cw,
-                   1 - r.alpha);
-}
-
-BiquadCoeffs design_biquad_bandpass(double fc, double q, double fs) {
-  const auto r = rbj(fc, q, fs);
-  // Constant 0 dB peak gain variant.
-  return normalize(r.alpha, 0.0, -r.alpha, 1 + r.alpha, -2 * r.cw, 1 - r.alpha);
-}
-
-BiquadCoeffs design_biquad_notch(double fc, double q, double fs) {
-  const auto r = rbj(fc, q, fs);
-  return normalize(1.0, -2 * r.cw, 1.0, 1 + r.alpha, -2 * r.cw, 1 - r.alpha);
+  assert(fc > 0.0 && fc < fs / 2.0 && q > 0.0);
+  const double w0 = kTwoPi * fc / fs;
+  const double cw = std::cos(w0);
+  const double alpha = std::sin(w0) / (2.0 * q);
+  const double a0 = 1 + alpha;
+  return BiquadCoeffs{(1 - cw) / 2 / a0, (1 - cw) / a0, (1 - cw) / 2 / a0, -2 * cw / a0,
+                      (1 - alpha) / a0};
 }
 
 BiquadCascade::BiquadCascade(std::vector<BiquadCoeffs> sections) {

@@ -1,8 +1,8 @@
-// biquad.hpp — IIR biquad section and cascade (RBJ cookbook designs).
+// biquad.hpp — IIR biquad section and cascade (RBJ cookbook low-pass).
 //
-// IIR sections implement the chain's narrow low-pass and notch functions far
-// cheaper than equivalent FIRs — the hardwired "IIR filter" IP of the paper's
-// DSP portfolio. Direct form II transposed is used for its better numerical
+// IIR sections implement the chain's narrow low-pass functions far cheaper
+// than equivalent FIRs — the hardwired "IIR filter" IP of the paper's DSP
+// portfolio. Direct form II transposed is used for its better numerical
 // behaviour at high Q.
 #pragma once
 
@@ -21,11 +21,8 @@ struct BiquadCoeffs {
   double a1 = 0.0, a2 = 0.0;
 };
 
-/// RBJ cookbook designs (fc and fs in Hz).
+/// RBJ cookbook low-pass design (fc and fs in Hz).
 BiquadCoeffs design_biquad_lowpass(double fc, double q, double fs);
-BiquadCoeffs design_biquad_highpass(double fc, double q, double fs);
-BiquadCoeffs design_biquad_bandpass(double fc, double q, double fs);
-BiquadCoeffs design_biquad_notch(double fc, double q, double fs);
 
 /// Single second-order section, direct form II transposed.
 class Biquad {

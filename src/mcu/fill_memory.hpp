@@ -83,8 +83,17 @@ class FillMemory {
 
  private:
   /// One past the last value that differs from the fill; 0 when none does.
+  /// Skips whole fill-valued blocks from the end (an OR of each block's
+  /// differences, which the compiler vectorizes), then finishes inside the
+  /// last block one value at a time.
   std::size_t saved_length() const {
+    constexpr std::size_t kBlock = 64 / sizeof(T);
     std::size_t n = data_.size();
+    for (; n >= kBlock; n -= kBlock) {
+      T diff = 0;
+      for (std::size_t i = n - kBlock; i < n; ++i) diff |= static_cast<T>(data_[i] ^ fill_);
+      if (diff != 0) break;
+    }
     while (n > 0 && data_[n - 1] == fill_) --n;
     return n;
   }

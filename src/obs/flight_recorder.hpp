@@ -8,7 +8,7 @@
 // deltas, and decimated probe-tap samples — cheap enough to leave armed on
 // every channel of a fleet, like an automotive EDR.
 //
-// Record-path contract, proven by bench/perf_obs: zero allocations. The ring
+// Record-path contract, proven by tests/footprint: zero allocations. The ring
 // is pre-reserved at construction; names and details are copied into fixed
 // in-record buffers (truncating, never pointing), so a record can outlive
 // every object that produced it — which is exactly what a .blackbox dump

@@ -9,46 +9,6 @@
 namespace ascp::afe {
 namespace {
 
-TEST(VoltageReference, NominalAt25C) {
-  VoltageReference ref(2.5, 0.0, 0.0, ascp::Rng(1));
-  std::vector<double> v(1000);
-  for (auto& x : v) x = ref.value(25.0);
-  EXPECT_NEAR(ascp::mean(v), 2.5, 2.5 * 500e-6);  // within trim accuracy
-}
-
-TEST(VoltageReference, LinearTempcoApplies) {
-  VoltageReference ref(2.5, 40.0, 0.0, ascp::Rng(2));  // 40 ppm/°C
-  const double at25 = ref.value(25.0);
-  const double at125 = ref.value(125.0);
-  EXPECT_NEAR((at125 - at25) / at25, 40e-6 * 100.0, 5e-5);
-}
-
-TEST(VoltageReference, CurvatureBendsTheCurve) {
-  VoltageReference ref(2.5, 0.0, 100.0, ascp::Rng(3));
-  const double mid = ref.value(25.0);
-  const double cold = ref.value(-40.0);
-  const double hot = ref.value(85.0);
-  // Quadratic term: both extremes deviate in the same direction.
-  EXPECT_GT((cold - mid) * (hot - mid), 0.0);
-}
-
-TEST(Oscillator, NominalFrequency) {
-  Oscillator osc(20e6, 0.0, 0.0, ascp::Rng(1));
-  EXPECT_NEAR(osc.frequency(25.0), 20e6, 1.0);
-}
-
-TEST(Oscillator, TempcoShiftsFrequency) {
-  Oscillator osc(20e6, -30.0, 0.0, ascp::Rng(1));
-  EXPECT_NEAR(osc.frequency(125.0), 20e6 * (1.0 - 30e-6 * 100.0), 10.0);
-}
-
-TEST(Oscillator, JitterSpreadsSamples) {
-  Oscillator osc(20e6, 0.0, 50.0, ascp::Rng(5));
-  std::vector<double> f(10000);
-  for (auto& x : f) x = osc.frequency(25.0);
-  EXPECT_NEAR(ascp::stddev(f) / 20e6, 50e-6, 10e-6);
-}
-
 TEST(TempSensor, TracksTrueTemperature) {
   TempSensor ts(0.0, 0.0, ascp::Rng(1));
   std::vector<double> err(1000);

@@ -17,17 +17,6 @@ TEST(Math, SincAtIntegersIsZero) {
   }
 }
 
-TEST(Math, PolyvalHorner) {
-  const std::vector<double> c{1.0, 2.0, 3.0};  // 1 + 2x + 3x²
-  EXPECT_DOUBLE_EQ(polyval(c, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(polyval(c, 1.0), 6.0);
-  EXPECT_DOUBLE_EQ(polyval(c, -2.0), 9.0);
-}
-
-TEST(Math, PolyvalEmptyIsZero) {
-  EXPECT_DOUBLE_EQ(polyval(std::vector<double>{}, 3.0), 0.0);
-}
-
 TEST(Math, HannWindowEndpointsAndPeak) {
   const auto w = hann_window(65);
   EXPECT_NEAR(w.front(), 0.0, 1e-12);
@@ -42,17 +31,10 @@ TEST(Math, HammingWindowEndpoints) {
 }
 
 TEST(Math, WindowsAreSymmetric) {
-  for (const auto& w : {hann_window(31), hamming_window(31), blackman_window(31),
-                        kaiser_window(31, 8.0)}) {
+  for (const auto& w : {hann_window(31), hamming_window(31)}) {
     for (std::size_t i = 0; i < w.size() / 2; ++i)
       EXPECT_NEAR(w[i], w[w.size() - 1 - i], 1e-12) << i;
   }
-}
-
-TEST(Math, BesselI0KnownValues) {
-  EXPECT_NEAR(bessel_i0(0.0), 1.0, 1e-12);
-  EXPECT_NEAR(bessel_i0(1.0), 1.2660658777520084, 1e-9);
-  EXPECT_NEAR(bessel_i0(5.0), 27.239871823604442, 1e-6);
 }
 
 TEST(Math, FitLineRecoversExactLine) {
@@ -99,15 +81,6 @@ TEST(Math, WrapPhaseIntoRange) {
     EXPECT_LE(w, kPi + 1e-12);
     EXPECT_NEAR(std::sin(w), std::sin(p), 1e-9);
   }
-}
-
-TEST(Math, Interp1InterpolatesAndClamps) {
-  const std::vector<double> x{0.0, 1.0, 2.0};
-  const std::vector<double> y{0.0, 10.0, 40.0};
-  EXPECT_DOUBLE_EQ(interp1(x, y, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(interp1(x, y, 1.5), 25.0);
-  EXPECT_DOUBLE_EQ(interp1(x, y, -1.0), 0.0);   // clamp low
-  EXPECT_DOUBLE_EQ(interp1(x, y, 9.0), 40.0);   // clamp high
 }
 
 TEST(Math, DbConversions) {

@@ -210,6 +210,35 @@ TEST(ScenarioFormat, HeaderValuesOutsideTheLegalEnvelopeAreRefused) {
     EXPECT_EQ(error_of(with_line(a.key, a.value)), "parsed") << a.key << " " << a.value;
 }
 
+// The MEMS scales have an envelope too. `quad_scale 1e300` used to parse and
+// drive the MEMS model to NaN, so the oracle blamed the platform, and a
+// negative `drift_scale` reversed the temperature physics.
+TEST(ScenarioFormat, MemsScalesOutsideTheLegalEnvelopeAreRefused) {
+  const auto error_of = [](double quad, double drift) -> std::string {
+    Scenario s = generate_scenario(3);
+    s.quad_scale = quad;
+    s.drift_scale = drift;
+    try {
+      from_text(to_text(s));
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "parsed";
+  };
+  EXPECT_EQ(error_of(1e300, 1.0),
+            "scenario parse error at line 6: quad_scale 1.0000000000000001e+300 outside the "
+            "legal range [0, 2]");
+  EXPECT_EQ(error_of(-0.5, 1.0),
+            "scenario parse error at line 6: quad_scale -0.5 outside the legal range [0, 2]");
+  EXPECT_EQ(error_of(1.0, -1.0),
+            "scenario parse error at line 7: drift_scale -1 outside the legal range [0, 1.5]");
+  EXPECT_EQ(error_of(1.0, 2.0),
+            "scenario parse error at line 7: drift_scale 2 outside the legal range [0, 1.5]");
+  for (double quad : {kQuadScale.lo, kQuadScale.hi})
+    for (double drift : {kDriftScale.lo, kDriftScale.hi})
+      EXPECT_EQ(error_of(quad, drift), "parsed") << quad << " " << drift;
+}
+
 TEST(ScenarioGenerator, SameSeedYieldsByteIdenticalScenarios) {
   for (std::uint64_t seed : {1ull, 2026ull, 0x123456789ull}) {
     EXPECT_EQ(to_text(generate_scenario(seed)), to_text(generate_scenario(seed)))

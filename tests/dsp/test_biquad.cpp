@@ -19,26 +19,6 @@ TEST(BiquadDesign, LowpassMinus3DbAtCutoffButterworthQ) {
   EXPECT_NEAR(biquad_magnitude(c, 100.0, 1000.0), from_db20(-3.0), 0.01);
 }
 
-TEST(BiquadDesign, HighpassRejectsDc) {
-  const auto c = design_biquad_highpass(100.0, 0.707, 1000.0);
-  EXPECT_NEAR(biquad_magnitude(c, 0.0, 1000.0), 0.0, 1e-9);
-  EXPECT_NEAR(biquad_magnitude(c, 450.0, 1000.0), 1.0, 0.05);
-}
-
-TEST(BiquadDesign, BandpassPeakAtCentre) {
-  const auto c = design_biquad_bandpass(150.0, 5.0, 1000.0);
-  EXPECT_NEAR(biquad_magnitude(c, 150.0, 1000.0), 1.0, 0.01);
-  EXPECT_LT(biquad_magnitude(c, 50.0, 1000.0), 0.2);
-  EXPECT_LT(biquad_magnitude(c, 350.0, 1000.0), 0.35);
-}
-
-TEST(BiquadDesign, NotchNullsCentrePassesElsewhere) {
-  const auto c = design_biquad_notch(60.0, 10.0, 1000.0);
-  EXPECT_LT(biquad_magnitude(c, 60.0, 1000.0), 1e-6);
-  EXPECT_NEAR(biquad_magnitude(c, 5.0, 1000.0), 1.0, 0.02);
-  EXPECT_NEAR(biquad_magnitude(c, 300.0, 1000.0), 1.0, 0.02);
-}
-
 TEST(Biquad, TimeDomainMatchesMagnitudeResponse) {
   // Drive with a sine, compare steady-state amplitude against the analytic
   // magnitude — ties the sample-domain implementation to the z-transform.
@@ -121,26 +101,24 @@ TEST(Butterworth, RolloffSteepensWithOrder) {
   EXPECT_LT(gains[1], gains[0] / 50.0);  // 6th order ≫ steeper than 2nd
 }
 
-// Grid sweep: every cookbook design's measured magnitude matches the
-// analytic response at probe frequencies across (fc, q).
+// Grid sweep: the cookbook low-pass's measured magnitude matches the
+// analytic response at a probe frequency across (fc, q).
 class BiquadDesignGrid : public ::testing::TestWithParam<std::tuple<double, double>> {};
 
 TEST_P(BiquadDesignGrid, TimeDomainMatchesAnalyticResponse) {
   const auto [fc, q] = GetParam();
   const double fs = 48000.0;
-  for (const auto& c : {design_biquad_lowpass(fc, q, fs), design_biquad_highpass(fc, q, fs),
-                        design_biquad_bandpass(fc, q, fs), design_biquad_notch(fc, q, fs)}) {
-    Biquad bq(c);
-    const double f_probe = fc * 1.7;
-    double peak = 0.0;
-    const int n = 60000;
-    for (int i = 0; i < n; ++i) {
-      const double y = bq.process(std::sin(kTwoPi * f_probe * i / fs));
-      if (i > n * 3 / 4) peak = std::max(peak, std::abs(y));
-    }
-    EXPECT_NEAR(peak, biquad_magnitude(c, f_probe, fs), 0.03 + 0.03 * peak)
-        << "fc=" << fc << " q=" << q;
+  const auto c = design_biquad_lowpass(fc, q, fs);
+  Biquad bq(c);
+  const double f_probe = fc * 1.7;
+  double peak = 0.0;
+  const int n = 60000;
+  for (int i = 0; i < n; ++i) {
+    const double y = bq.process(std::sin(kTwoPi * f_probe * i / fs));
+    if (i > n * 3 / 4) peak = std::max(peak, std::abs(y));
   }
+  EXPECT_NEAR(peak, biquad_magnitude(c, f_probe, fs), 0.03 + 0.03 * peak)
+      << "fc=" << fc << " q=" << q;
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, BiquadDesignGrid,

@@ -1,7 +1,7 @@
 // Footprint tests: what a channel and its observers allocate, and when.
 //
 // This binary replaces the global operator new/delete with a counting pair
-// that tracks live and peak heap bytes, in the style of bench/perf_obs.cpp.
+// that tracks live and peak heap bytes and the number of allocations.
 // No other test shares the binary, so the counting perturbs nothing else,
 // and the tests run single-threaded. Every check compares two measurements
 // taken in one process, so it holds whatever the toolchain's own
@@ -26,14 +26,16 @@
 // delete (sized or not) can subtract what its new added.
 namespace {
 constexpr std::size_t kHeader = alignof(std::max_align_t);
-std::size_t g_live = 0;  ///< heap bytes currently allocated through new
-std::size_t g_peak = 0;  ///< high-water mark of g_live since a test last set it
+std::size_t g_live = 0;     ///< heap bytes currently allocated through new
+std::size_t g_peak = 0;     ///< high-water mark of g_live since a test last set it
+std::uint64_t g_allocs = 0; ///< calls to operator new since the process started
 }  // namespace
 
 void* operator new(std::size_t n) {
   auto* base = static_cast<unsigned char*>(std::malloc(n + kHeader));
   if (!base) throw std::bad_alloc();
   std::memcpy(base, &n, sizeof n);
+  ++g_allocs;
   g_live += n;
   g_peak = std::max(g_peak, g_live);
   return base + kHeader;
@@ -210,6 +212,54 @@ TEST(Footprint, McuMemoriesAllocatedAtTheFirstWrite) {
   EXPECT_EQ(g_live, base + untouched.capacity()) << "restore into a written subsystem";
   EXPECT_EQ(mcu.cpu().code_byte(0), 0x00);
   EXPECT_EQ(eeprom.peek(0x0100), 0xFF);
+}
+
+// The obs record path is cheap enough to leave armed on every channel: once
+// its rings have wrapped, recording into them allocates nothing.
+TEST(Footprint, ObsRecordPathAllocatesNothingOnceWrapped) {
+  obs::FlightRecorder fr(2048);
+  obs::EventLog log(1024);
+  log.set_flight_recorder(&fr);
+  obs::SpanLog spans(1024);
+  for (int i = 0; i < 4096; ++i) {  // wrap every ring
+    fr.record_metric(0.0, "warm", 1.0);
+    log.emit(0.0, obs::EventSeverity::Debug, obs::EventCategory::Engine, "warm");
+    spans.complete("warm", obs::SpanCategory::Channel, 0.0, 0.0);
+  }
+  const std::uint64_t wrapped = fr.total();
+  const auto allocations = [](auto&& record) {
+    const std::uint64_t before = g_allocs;
+    for (std::int64_t i = 0; i < 10000; ++i) record(static_cast<double>(i), i);
+    return g_allocs - before;
+  };
+  EXPECT_EQ(allocations([&](double t, std::int64_t) {
+              fr.record_event(t, 1, 8, "tick_failed", "stall detected", "channel", 3.0,
+                              "elapsed_ms", 12.5);
+            }),
+            0u)
+      << "FlightRecorder::record_event";
+  EXPECT_EQ(allocations([&](double t, std::int64_t) {
+              fr.record_metric(t, "channel.outputs", 64.0);
+            }),
+            0u)
+      << "FlightRecorder::record_metric";
+  EXPECT_EQ(allocations([&](double t, std::int64_t tick) {
+              fr.record_probe(t, 4, tick, 0.25, -0.25);
+            }),
+            0u)
+      << "FlightRecorder::record_probe";
+  EXPECT_EQ(allocations([&](double t, std::int64_t) {
+              log.emit(t, obs::EventSeverity::Info, obs::EventCategory::Engine, "restart", {},
+                       {{"channel", 1.0}, {"backoff_ticks", 2.0}});
+            }),
+            0u)
+      << "EventLog::emit teeing into the recorder";
+  EXPECT_EQ(allocations([&](double t, std::int64_t) {
+              spans.end(spans.begin("channel.advance", obs::SpanCategory::Channel, t), t + 1.0);
+            }),
+            0u)
+      << "SpanLog::begin + end";
+  EXPECT_EQ(fr.total() - wrapped, 4 * 10000u) << "each record and teed event was recorded";
 }
 
 }  // namespace

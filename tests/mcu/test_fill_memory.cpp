@@ -85,6 +85,37 @@ TEST(FillMemory, UntouchedSavesAsWrittenWithItsFill) {
   check_memory<std::uint8_t>(8192, 0xFF);       // boot EEPROM
 }
 
+/// One value differing from the fill in its lowest or its highest bit, at
+/// each of the first and last 17 addresses: the memory saves exactly up to
+/// it, and restores it. The saved length skips whole fill-valued blocks from
+/// the end and finishes inside the last one, so these addresses sit at both
+/// ends of a block, inside one and, for a size below a block, in none.
+template <typename T>
+void check_saved_length_at_the_edges(std::size_t size, T fill) {
+  const T high = static_cast<T>(T{1} << (8 * sizeof(T) - 1));
+  for (std::size_t k = 0; k < 17; ++k) {
+    for (std::size_t at : {k, size - 1 - k}) {
+      for (T bit : {T{1}, high}) {
+        FillMemory<T> src(size, fill), dst(size, fill);
+        src.set(at, static_cast<T>(fill ^ bit));
+        const auto bytes = saved(src);
+        EXPECT_EQ(bytes.size(), 8 + (at + 1) * sizeof(T)) << "size " << size << " at " << at;
+        load(dst, bytes);
+        EXPECT_EQ(dst[at], static_cast<T>(fill ^ bit)) << "size " << size << " at " << at;
+      }
+    }
+  }
+}
+
+TEST(FillMemory, SavedLengthEndsAtTheLastNonFillValue) {
+  check_saved_length_at_the_edges<std::uint8_t>(65536, 0x00);    // code
+  check_saved_length_at_the_edges<std::uint8_t>(1000, 0xFF);     // not a whole number of blocks
+  check_saved_length_at_the_edges<std::uint8_t>(20, 0xFF);       // less than one block
+  check_saved_length_at_the_edges<std::uint16_t>(32768, 0x0000); // SRAM trace
+  check_saved_length_at_the_edges<std::uint16_t>(999, 0xFFFF);
+  check_saved_length_at_the_edges<std::uint16_t>(20, 0x5A5A);
+}
+
 TEST(FillMemory, CountedFormRefusesAnotherSize) {
   FillMemory<std::uint8_t> m(16, 0xFF);
   StateArchive out = StateArchive::saver();

@@ -13,9 +13,7 @@
 //   platform_top --faults        attach the standard fault campaign
 //   platform_top --trace FILE    write a Chrome trace_event JSON (Perfetto)
 //   platform_top --json FILE     write the full JSON snapshot
-//                                (BENCH_platform_top.json by default;
-//                                BENCH_observability.json belongs to
-//                                bench/perf_obs)
+//                                (BENCH_platform_top.json by default)
 //   platform_top --fleet         supervised-fleet mode: run a small mixed
 //                                fleet with flight recorders + causal spans
 //                                armed and print a per-channel health table
