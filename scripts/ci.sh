@@ -5,7 +5,8 @@
 # has a user (the headers stage below), builds every preset (werror is
 # the warnings stage below), runs the tier-1 test suite on the default and
 # ubsan builds (the ubsan build also halts on a float-to-integer cast of NaN
-# or ±Inf), the perf ledger's selftest and smoke run (every workload's
+# or ±Inf), the observability smoke (platform_top's JSON snapshot and
+# Chrome trace), the perf ledger's selftest and smoke run (every workload's
 # seed-2026 output hash must match its pin), the static verification driver
 # (platform_lint) over the shipped platform plus both negative fixtures, and
 # finishes with every other named stage below except coverage and ledger.
@@ -63,9 +64,11 @@
 #                        8051 PC histogram and the 8051 memories allocated
 #                        at first use; an unused profiler's empty histogram
 #                        read as all zeros; the obs record path allocating
-#                        nothing once its rings have wrapped), all but the
-#                        checkpoint replay and layout tests with UBSan
-#                        halting on error
+#                        nothing once its rings have wrapped) and the
+#                        span and Chrome-trace export tests (the export
+#                        looks each timed task firing's track up by its
+#                        span's name), all but the checkpoint replay and
+#                        layout tests with UBSan halting on error
 #   ci.sh wcet         — static timing proof: the MCS-51 opcode table must
 #                        agree with the ISS for all 256 opcodes (decoded
 #                        length, flow and targets, write flags, machine
@@ -138,7 +141,7 @@ stage_chaos_smoke() {
   ./build-tsan/tests/test_engine --gtest_filter='Fleet.*:ChannelFarm.*:Blackbox.*'
   ./build-tsan/bench/fleet_chaos --smoke --seed 2026
   build_preset asan --target test_engine --target test_checkpoint --target test_afe \
-    --target test_sensor --target test_footprint --target test_mcu
+    --target test_sensor --target test_footprint --target test_mcu --target test_obs
   echo "== observed lane groups and fleet lanes through a crash under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_engine \
     --gtest_filter='ChannelFarm.ObservedLockstep*:ChannelFarm.IdealChannelsAdvanceInLockstep:Fleet.IdealChannelsAdvanceInLanes*'
@@ -157,6 +160,8 @@ stage_chaos_smoke() {
     --gtest_filter='GyroMemsCache.*:GyroMemsLanes.*'
   echo "== footprint: first-use INL tables, PC histogram and 8051 memories, empty-histogram reads, allocation-free obs record path, under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_footprint
+  echo "== spans and Chrome-trace export (task tracks drawn from the span ring), under ASAN =="
+  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_obs --gtest_filter='Export.*:Spans.*'
 }
 
 stage_warnings() {
@@ -376,8 +381,8 @@ echo "== observability: unit tests =="
 echo "== observability: golden bit-identity (obs on vs off) =="
 ./build/tests/test_obs --gtest_filter='ObsBitIdentity.*'
 
-echo "== observability: platform_top smoke =="
-./build/tools/platform_top --smoke --json /tmp/ci_obs_snapshot.json
+echo "== observability: platform_top smoke (JSON snapshot and Chrome trace) =="
+./build/tools/platform_top --smoke --json /tmp/ci_obs_snapshot.json --trace /tmp/ci_obs_trace.json
 
 echo "== observability: platform_top fleet health table =="
 ./build/tools/platform_top --fleet --smoke

@@ -32,9 +32,10 @@ inline constexpr FieldRange kQuadScale{"quad_scale", 0.0, 2.0};
 
 /// Multiplier of the MEMS temperature coefficients (f0, Q, drive force,
 /// pickoff and quadrature); 0 is a die that does not drift, and a negative
-/// value reverses the physics. At 2 the supervisor no longer latches a
-/// quadrature step at 85 °C (at 1.75 it still does), so 1.5 keeps the
-/// fault checks valid over the whole temperature range.
+/// value reverses the physics. The limit is the AGC's reach on a hot die: at
+/// 85 °C and 2 kDtcAgcRail latches before any injection, at 3 the loop never
+/// settles and the supervisor never arms (1.75 passes, as do −40 °C and
+/// 60 °C at 2 and 3), so 1.5 keeps every die within reach over temperature.
 inline constexpr FieldRange kDriftScale{"drift_scale", 0.0, 1.5};
 
 /// Output −3 dB bandwidth in Hz: the sense chain's programmable range

@@ -181,8 +181,8 @@ void GyroSystem::set_observability(const obs::ObsSink& sink) {
     if (probe_) obs_.events->declare_emitter(obs::EventCategory::Probe, "GyroSystem");
     if (obs_.spans) obs_.events->declare_emitter(obs::EventCategory::Trace, "GyroSystem");
   }
-  // Sampled scheduler-task invocations double as Scheduler-category spans,
-  // parented to the enclosing gyro.run span.
+  // Each timed scheduler-task firing is recorded once, as a Scheduler-category
+  // span parented to the enclosing gyro.run span.
   if (obs_.tasks) obs_.tasks->set_span_log(obs_.spans);
   if (obs_.metrics) {
     obs_m_outputs_ = obs_.metrics->counter("gyro.output_samples");
@@ -690,7 +690,7 @@ void GyroSystem::begin_run(RunBooks& b, double seconds) {
   b.dsp_samples = dsp_samples_;
   // Scheduler instances are per-run; the profiler accumulates across them.
   // The tick origin maps this run's local ticks onto the channel's global
-  // tick axis so exported slice timestamps stay monotonic.
+  // tick axis so the timed firings' span timestamps stay monotonic.
   if (obs_.tasks) obs_.tasks->set_tick_origin(base_ticks_);
   const double dsp_fs = cfg_.analog_fs / cfg_.adc_div;
   if (obs_.events)

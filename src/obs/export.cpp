@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ascp::obs {
@@ -27,6 +28,24 @@ void appendf(std::string& out, const char* fmt, ...) {
   std::vsnprintf(buf, sizeof(buf), fmt, ap);
   va_end(ap);
   out += buf;
+}
+
+/// The trace/span/parent id args every drawn span carries, so the causal
+/// chain can be rebuilt even after Perfetto re-sorts the slices.
+std::string span_ids(const Span& s) {
+  return "\"trace_id\":\"" + std::to_string(s.trace_id) + "\",\"span_id\":\"" +
+         std::to_string(s.span_id) + "\",\"parent_id\":\"" + std::to_string(s.parent_id) +
+         "\"";
+}
+
+/// The task a Scheduler span named after it (as truncated; the first if two
+/// share a name) is a timed firing of; task_count() for any other span.
+std::size_t task_of(const TaskProfiler& tasks, const Span& s) {
+  if (s.category == SpanCategory::Scheduler)
+    for (std::size_t id = 0; id < tasks.task_count(); ++id)
+      if (std::string_view(tasks.stats()[id].name).substr(0, sizeof s.name - 1) == s.name)
+        return id;
+  return tasks.task_count();
 }
 
 }  // namespace
@@ -117,9 +136,6 @@ std::string text_report(const MetricsSnapshot& metrics, const EventLog* events,
     }
     appendf(out, "  sim=%.6gs wall=%.6gs sim/wall=%.3f\n", tasks->sim_seconds(),
             tasks->wall_seconds(), tasks->sim_per_wall());
-    if (tasks->slices_dropped())
-      appendf(out, "  trace slices dropped: %llu\n",
-              static_cast<unsigned long long>(tasks->slices_dropped()));
   }
 
   if (spans && spans->total()) {
@@ -295,9 +311,7 @@ std::string json_snapshot(const MetricsSnapshot& metrics, const EventLog* events
 std::string span_trace_event(const Span& s, int tid_base) {
   const double ts = s.t_begin * 1e6;
   const double dur = std::max(0.0, (s.t_end - s.t_begin) * 1e6);
-  std::string args = "\"trace_id\":\"" + std::to_string(s.trace_id) + "\"";
-  args += ",\"span_id\":\"" + std::to_string(s.span_id) + "\"";
-  args += ",\"parent_id\":\"" + std::to_string(s.parent_id) + "\"";
+  std::string args = span_ids(s);
   if (s.wall_us > 0.0) args += ",\"wall_us\":" + num(s.wall_us);
   if (s.k0) args += ",\"" + json_escape(s.k0) + "\":" + num(s.v0);
   if (s.k1) args += ",\"" + json_escape(s.k1) + "\":" + num(s.v1);
@@ -342,21 +356,6 @@ std::string chrome_trace_json(const TaskProfiler& tasks, const EventLog* events,
     }
   }
 
-  // Task invocations as duration slices. ts is the invocation's sim time; the
-  // drawn duration is a fixed fraction of the task period so consecutive
-  // slices on one track never overlap — the measured wall cost is in args.
-  for (const auto& s : tasks.slices()) {
-    const auto& t = tasks.stats()[static_cast<std::size_t>(s.task_id)];
-    const double ts = static_cast<double>(s.tick) * tick_us;
-    const double dur = 0.8 * static_cast<double>(t.divider) * tick_us;
-    std::string j = "{\"ph\":\"X\",\"name\":\"" + json_escape(t.name) +
-                    "\",\"cat\":\"task\",\"pid\":1,\"tid\":" +
-                    std::to_string(s.task_id + 1) + ",\"ts\":" + num(ts) +
-                    ",\"dur\":" + num(dur) +
-                    ",\"args\":{\"wall_us\":" + num(s.wall_seconds * 1e6) + "}}";
-    entries.push_back({ts, 1, std::move(j)});
-  }
-
   // Structured events as instants on the shared "events" track.
   if (events) {
     events->for_each([&](const Event& e) {
@@ -373,12 +372,24 @@ std::string chrome_trace_json(const TaskProfiler& tasks, const EventLog* events,
     });
   }
 
-  // Causal spans as duration slices, one track per span category. The
-  // trace/span/parent id triple rides in args so the causal chain can be
-  // reconstructed even after Perfetto re-sorts the slices.
+  // Causal spans as duration slices, one track per span category, except a
+  // timed task firing: it goes on its task's track, drawn over a fixed
+  // fraction of the task period so consecutive slices never overlap.
   if (spans) {
     spans->for_each([&](const Span& s) {
-      entries.push_back({s.t_begin * 1e6, 1, span_trace_event(s)});
+      const double ts = s.t_begin * 1e6;
+      const std::size_t id = task_of(tasks, s);
+      if (id == tasks.task_count()) {
+        entries.push_back({ts, 1, span_trace_event(s)});
+        return;
+      }
+      const auto& t = tasks.stats()[id];
+      const double dur = 0.8 * static_cast<double>(t.divider) * tick_us;
+      entries.push_back({ts, 1,
+                         "{\"ph\":\"X\",\"name\":\"" + json_escape(t.name) +
+                             "\",\"cat\":\"task\",\"pid\":1,\"tid\":" + std::to_string(id + 1) +
+                             ",\"ts\":" + num(ts) + ",\"dur\":" + num(dur) + ",\"args\":{" +
+                             span_ids(s) + ",\"wall_us\":" + num(s.wall_us) + "}}"});
     });
   }
 

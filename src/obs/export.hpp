@@ -5,10 +5,10 @@
 //   json_snapshot     — machine-readable snapshot (bench BENCH_*.json embeds)
 //   chrome_trace_json — Chrome trace_event array; load in Perfetto or
 //                       chrome://tracing. Timestamps are *simulation* time in
-//                       microseconds: scheduler task invocations become "X"
-//                       duration slices (one track per task; the slice length
-//                       is drawn from sim time, the measured wall cost rides
-//                       in args), structured events become "i" instants.
+//                       microseconds: spans become "X" duration slices, the
+//                       timed task firings among them on one track per task
+//                       (length drawn from sim time, wall cost in args),
+//                       structured events become "i" instants.
 //
 // All emitters are pure functions of already-collected state; exporting
 // never mutates the profilers.
@@ -39,7 +39,8 @@ std::string json_snapshot(const MetricsSnapshot& metrics, const EventLog* events
 /// timestamp (sim µs). Loadable by Perfetto / chrome://tracing. Spans
 /// become "X" slices (one track per span category) carrying their
 /// trace/span/parent ids in args — the causal chain of a fleet incident
-/// reads straight off the trace.
+/// reads straight off the trace. A Scheduler span named after one of
+/// `tasks`' tasks is a timed firing: it is drawn on that task's track only.
 std::string chrome_trace_json(const TaskProfiler& tasks, const EventLog* events = nullptr,
                               const SpanLog* spans = nullptr);
 

@@ -4,9 +4,6 @@
 
 namespace ascp::obs {
 
-TaskProfiler::TaskProfiler(std::size_t slice_capacity)
-    : slice_capacity_(slice_capacity) {}
-
 int TaskProfiler::register_task(std::string_view name, long divider, long phase) {
   std::string label(name);
   if (label.empty())
@@ -30,11 +27,6 @@ void TaskProfiler::record(int id, long tick, double wall_seconds, double weight)
   ++t.invocations;
   ++timed_[static_cast<std::size_t>(id)];
   t.wall_seconds += wall_seconds * weight;
-  if (slices_.size() < slice_capacity_) {
-    slices_.push_back({id, tick_origin_ + tick, wall_seconds});
-  } else {
-    ++slices_dropped_;
-  }
   if (span_log_) {
     const double t0 = base_rate_hz_ > 0.0
                           ? static_cast<double>(tick_origin_ + tick) / base_rate_hz_
@@ -55,8 +47,6 @@ void TaskProfiler::reset() {
     t.wall_seconds = 0.0;
   }
   for (auto& n : timed_) n = 0;
-  slices_.clear();
-  slices_dropped_ = 0;
   tick_origin_ = 0;
   sim_seconds_ = 0.0;
   wall_seconds_ = 0.0;

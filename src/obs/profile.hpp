@@ -1,16 +1,16 @@
 // profile.hpp — scheduler task profiler.
 //
 // Answers "where did the simulation time go": per-task invocation counts and
-// accumulated wall time inside platform::Scheduler, plus a bounded ring of
-// per-invocation slices (task, base tick, wall cost) for the Chrome-trace
-// exporter, and the run-level sim-time/wall-time ratio.
+// accumulated wall time inside platform::Scheduler, and the run-level
+// sim-time/wall-time ratio. A timed firing's one record is a Scheduler span
+// in the attached SpanLog; the Chrome-trace exporter draws task tracks there.
 //
 // The profiler outlives individual Scheduler instances on purpose:
 // GyroSystem builds a fresh Scheduler per run() call, so tasks are
 // re-registered each run and deduplicated here by (name, divider, phase) —
 // statistics accumulate across runs. set_tick_origin() maps each run's
-// local tick 0 onto the channel's global tick axis so exported slice
-// timestamps stay monotonic across runs.
+// local tick 0 onto the channel's global tick axis so span timestamps stay
+// monotonic across runs.
 //
 // Invocation counts are exact but arrive in bulk: the scheduler counts its
 // untimed firings itself and adds them here (count()) at the task's next
@@ -31,8 +31,6 @@ class SpanLog;
 
 class TaskProfiler {
  public:
-  explicit TaskProfiler(std::size_t slice_capacity = 16384);
-
   /// Get-or-create the id for a task. Unnamed tasks profile under a
   /// synthesized "task@divider+phase" label.
   int register_task(std::string_view name, long divider, long phase);
@@ -61,11 +59,11 @@ class TaskProfiler {
   /// Target per-task clock-sample rate [Hz] for auto stride.
   static constexpr double kAutoSampleHz = 2000.0;
 
-  /// Also record every *timed* invocation as a completed Scheduler-category
-  /// span in `log` (parented to whatever span is open — gyro.run /
-  /// channel.advance — so task work hangs off the advance that caused it).
-  /// Bounded by the same sampling stride that bounds clock reads. Null
-  /// detaches.
+  /// Record every *timed* invocation as a completed Scheduler-category span
+  /// named after its task in `log` (parented to whatever span is open —
+  /// gyro.run / channel.advance — so task work hangs off the advance that
+  /// caused it). Bounded by the same sampling stride that bounds clock
+  /// reads. Null detaches.
   void set_span_log(SpanLog* log) { span_log_ = log; }
 
   /// One *timed* task invocation at scheduler-local `tick`, costing
@@ -98,15 +96,6 @@ class TaskProfiler {
   std::size_t task_count() const { return tasks_.size(); }
   const std::string& task_name(int id) const { return tasks_[static_cast<std::size_t>(id)].name; }
 
-  /// Per-invocation slice on the global tick axis (for trace export).
-  struct Slice {
-    int task_id = 0;
-    long tick = 0;  ///< global tick (origin + scheduler-local tick)
-    double wall_seconds = 0.0;
-  };
-  const std::vector<Slice>& slices() const { return slices_; }
-  std::uint64_t slices_dropped() const { return slices_dropped_; }
-
   double sim_seconds() const { return sim_seconds_; }
   double wall_seconds() const { return wall_seconds_; }
   /// Simulated seconds per host second across all recorded runs (0 when no
@@ -122,9 +111,6 @@ class TaskProfiler {
   std::vector<std::uint64_t> timed_;
   SpanLog* span_log_ = nullptr;
   long sample_stride_ = 0;
-  std::vector<Slice> slices_;
-  std::size_t slice_capacity_;
-  std::uint64_t slices_dropped_ = 0;
   double base_rate_hz_ = 0.0;
   long tick_origin_ = 0;
   double sim_seconds_ = 0.0;

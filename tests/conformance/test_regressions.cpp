@@ -4,6 +4,7 @@
 // supervisor-arming corner that set the fault generator's injection floor.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -107,6 +108,8 @@ TEST(ConformanceRegressions, SampledProfilerCoversEveryAdcPhase) {
   constexpr long kTicks = 61440;  // 64 windows of 960
   for (const long run_ticks : {kTicks, 96L}) {
     obs::TaskProfiler prof;
+    obs::SpanLog spans;
+    prof.set_span_log(&spans);
     for (long origin = 0; origin < kTicks; origin += run_ticks) {
       platform::Scheduler sched(1.92e6);
       sched.every(1, [] {}, "analog");
@@ -117,7 +120,9 @@ TEST(ConformanceRegressions, SampledProfilerCoversEveryAdcPhase) {
     EXPECT_EQ(prof.stats()[0].invocations, static_cast<std::uint64_t>(kTicks));
     EXPECT_EQ(prof.timed_invocations(0), 64u) << "runs of " << run_ticks;
     std::set<long> phases;
-    for (const auto& slice : prof.slices()) phases.insert(slice.tick % 8);
+    spans.for_each([&](const obs::Span& s) {
+      phases.insert(std::llround(s.t_begin * prof.base_rate()) % 8);
+    });
     EXPECT_EQ(phases.size(), 8u) << "runs of " << run_ticks;
   }
 }

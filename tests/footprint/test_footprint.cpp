@@ -221,6 +221,10 @@ TEST(Footprint, ObsRecordPathAllocatesNothingOnceWrapped) {
   obs::EventLog log(1024);
   log.set_flight_recorder(&fr);
   obs::SpanLog spans(1024);
+  obs::TaskProfiler tasks;
+  tasks.set_base_rate(1000.0);
+  tasks.set_span_log(&spans);
+  const int task = tasks.register_task("analog", 1, 0);
   for (int i = 0; i < 4096; ++i) {  // wrap every ring
     fr.record_metric(0.0, "warm", 1.0);
     log.emit(0.0, obs::EventSeverity::Debug, obs::EventCategory::Engine, "warm");
@@ -259,6 +263,14 @@ TEST(Footprint, ObsRecordPathAllocatesNothingOnceWrapped) {
             }),
             0u)
       << "SpanLog::begin + end";
+  const std::uint64_t firings = spans.count(obs::SpanCategory::Scheduler);
+  EXPECT_EQ(allocations([&](double, std::int64_t tick) {
+              tasks.record(task, static_cast<long>(tick), 1e-7);
+            }),
+            0u)
+      << "TaskProfiler::record into the span log";
+  EXPECT_EQ(spans.count(obs::SpanCategory::Scheduler) - firings, 10000u)
+      << "each timed firing committed its one span";
   EXPECT_EQ(fr.total() - wrapped, 4 * 10000u) << "each record and teed event was recorded";
 }
 

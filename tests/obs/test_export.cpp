@@ -4,12 +4,16 @@
 // phases) — the same properties Perfetto's loader enforces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/export.hpp"
+#include "platform/engine/conditioning_channel.hpp"
 
 namespace ascp::obs {
 namespace {
@@ -61,6 +65,7 @@ std::vector<double> timestamps(const std::string& js) {
 struct Fixture {
   MetricRegistry metrics;
   EventLog events;
+  SpanLog spans;
   TaskProfiler tasks;
   McuProfiler mcu;
 
@@ -76,6 +81,7 @@ struct Fixture {
     events.emit(0.05, EventSeverity::Error, EventCategory::Dtc, "dtc_latch", "DTC_PLL_UNLOCK");
 
     tasks.set_base_rate(1000.0);
+    tasks.set_span_log(&spans);
     const int a = tasks.register_task("afe", 1, 0);
     const int b = tasks.register_task("dsp", 8, 7);
     for (long t = 0; t < 64; ++t) {
@@ -145,7 +151,7 @@ TEST(Export, JsonEscapeHandlesSpecials) {
 
 TEST(Export, ChromeTraceTimestampsMonotonic) {
   Fixture fx;
-  const auto js = chrome_trace_json(fx.tasks, &fx.events);
+  const auto js = chrome_trace_json(fx.tasks, &fx.events, &fx.spans);
   expect_balanced_json(js);
   EXPECT_NE(js.find("\"displayTimeUnit\""), std::string::npos);
   EXPECT_NE(js.find("\"traceEvents\""), std::string::npos);
@@ -157,6 +163,72 @@ TEST(Export, ChromeTraceTimestampsMonotonic) {
   ASSERT_GT(ts.size(), 4u);
   for (std::size_t i = 1; i < ts.size(); ++i)
     ASSERT_GE(ts[i], ts[i - 1]) << "trace event " << i << " goes backwards";
+}
+
+/// One drawn slice of a Chrome trace: its track (tid) and its span id.
+using Drawn = std::pair<long, std::uint64_t>;
+
+/// The "X" slices of category `cat` (each trace event is one line).
+std::vector<Drawn> drawn(const std::string& js, const std::string& cat) {
+  std::vector<Drawn> out;
+  std::size_t begin = 0;
+  while (begin < js.size()) {
+    std::size_t end = js.find('\n', begin);
+    if (end == std::string::npos) end = js.size();
+    const std::string line = js.substr(begin, end - begin);
+    begin = end + 1;
+    if (line.find("\"ph\":\"X\"") == std::string::npos ||
+        line.find("\"cat\":\"" + cat + "\"") == std::string::npos)
+      continue;
+    const std::size_t tid = line.find("\"tid\":");
+    const std::size_t id = line.find("\"span_id\":\"");
+    EXPECT_NE(tid, std::string::npos) << line;
+    EXPECT_NE(id, std::string::npos) << line;
+    if (tid == std::string::npos || id == std::string::npos) continue;
+    out.push_back({std::atol(line.c_str() + tid + 6),
+                   std::strtoull(line.c_str() + id + 11, nullptr, 10)});
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Export, ObservedChannelTraceDrawsEachTimedFiringOnce) {
+  engine::ChannelConfig cfg;
+  cfg.kind = engine::ChannelKind::GyroIdeal;
+  cfg.with_obs = true;
+  engine::ConditioningChannel ch(cfg);
+  const long chunk = std::lround(0.05 * ch.base_rate_hz());
+  for (int i = 0; i < 12; ++i) ch.advance(chunk);  // 0.6 s: the span ring wraps
+  const Observability& o = *ch.observability();
+  ASSERT_GT(o.spans.dropped(), 0u);
+  ASSERT_EQ(o.tasks.task_count(), 2u);
+
+  // What the ring holds: timed firings (Scheduler spans named after a task)
+  // and the rest of the Scheduler track (the gyro.run spans).
+  std::vector<Drawn> firings, others;
+  o.spans.for_each([&](const Span& s) {
+    if (s.category != SpanCategory::Scheduler) return;
+    for (std::size_t id = 0; id < o.tasks.task_count(); ++id)
+      if (o.tasks.task_name(static_cast<int>(id)) == s.name) {
+        firings.push_back({static_cast<long>(id) + 1, s.span_id});
+        return;
+      }
+    EXPECT_STREQ(s.name, "gyro.run");
+    others.push_back({201, s.span_id});
+  });
+  std::sort(firings.begin(), firings.end());
+  std::sort(others.begin(), others.end());
+  ASSERT_FALSE(firings.empty());
+  ASSERT_FALSE(others.empty());
+  for (const long tid : {1L, 2L})
+    EXPECT_TRUE(std::any_of(firings.begin(), firings.end(),
+                            [&](const Drawn& d) { return d.first == tid; }))
+        << "no firing of task " << tid - 1;
+
+  const std::string js = chrome_trace_json(o.tasks, &o.events, &o.spans);
+  expect_balanced_json(js);
+  EXPECT_EQ(drawn(js, "task"), firings);
+  EXPECT_EQ(drawn(js, "span:scheduler"), others) << "a timed firing drawn twice";
 }
 
 TEST(Export, ChromeTraceOfEmptyProfilerIsValid) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "obs/profile.hpp"
+#include "obs/span.hpp"
 #include "platform/scheduler.hpp"
 
 namespace ascp::platform {
@@ -131,6 +132,8 @@ TEST(Scheduler, ProfilerCountsInvocationsPerTask) {
   long fast = 0, slow = 0;
   sched.every(1, [&] { ++fast; }, "fast");
   obs::TaskProfiler prof;
+  obs::SpanLog spans;
+  prof.set_span_log(&spans);
   sched.set_profiler(&prof);  // attach after one registration…
   sched.every(8, 7, [&] { ++slow; }, "slow");  // …and register one while attached
   EXPECT_DOUBLE_EQ(prof.base_rate(), 1000.0);
@@ -148,9 +151,9 @@ TEST(Scheduler, ProfilerCountsInvocationsPerTask) {
   EXPECT_EQ(stats[1].divider, 8);
   EXPECT_EQ(stats[1].phase, 7);
   EXPECT_GE(stats[0].wall_seconds, 0.0);
-  // One slice per invocation, on the scheduler's tick axis.
-  EXPECT_EQ(prof.slices().size(), 72u);
-  EXPECT_EQ(prof.slices_dropped(), 0u);
+  // One span per invocation: at 1 kHz the auto stride times every firing.
+  EXPECT_EQ(spans.count(obs::SpanCategory::Scheduler), 72u);
+  EXPECT_EQ(spans.dropped(), 0u);
 }
 
 TEST(Scheduler, ProfilerDoesNotChangeFiringPattern) {
@@ -238,6 +241,9 @@ TEST(Scheduler, SharedProfilersCountEveryFiringAndSplitTheWall) {
   // the firings completed before it.
   Scheduler sched(1000.0);
   obs::TaskProfiler a, b;
+  obs::SpanLog a_spans, b_spans;
+  a.set_span_log(&a_spans);
+  b.set_span_log(&b_spans);
   a.set_sample_stride(1);
   b.set_sample_stride(1);
   long fired = 0;
@@ -251,10 +257,16 @@ TEST(Scheduler, SharedProfilersCountEveryFiringAndSplitTheWall) {
   EXPECT_EQ(a.timed_invocations(0), 50u);
   EXPECT_EQ(b.stats()[0].invocations, 30u);
   EXPECT_EQ(b.timed_invocations(0), 30u);
-  ASSERT_EQ(b.slices().size(), 30u);
+  const auto walls = [](const obs::SpanLog& log) {
+    std::vector<double> w;
+    log.for_each([&](const obs::Span& s) { w.push_back(s.wall_us); });
+    return w;
+  };
+  const auto a_walls = walls(a_spans);
+  const auto b_walls = walls(b_spans);
+  ASSERT_EQ(b_walls.size(), 30u);
   // Before b left, a and b were booked equal shares of the same firings.
-  for (std::size_t k = 0; k < 30; ++k)
-    EXPECT_EQ(a.slices()[k].wall_seconds, b.slices()[k].wall_seconds) << k;
+  for (std::size_t k = 0; k < 30; ++k) EXPECT_EQ(a_walls[k], b_walls[k]) << k;
 }
 
 TEST(Scheduler, UntimedFiringsAreCountedWhenTheRunReturns) {

@@ -11,7 +11,8 @@
 //   platform_top --seconds S     simulate S seconds
 //   platform_top --smoke         short run (CI): 0.25 s, all outputs checked
 //   platform_top --faults        attach the standard fault campaign
-//   platform_top --trace FILE    write a Chrome trace_event JSON (Perfetto)
+//   platform_top --trace FILE    write a Chrome trace_event JSON (Perfetto):
+//                                task tracks, causal spans, event instants
 //   platform_top --json FILE     write the full JSON snapshot
 //                                (BENCH_platform_top.json by default)
 //   platform_top --fleet         supervised-fleet mode: run a small mixed
@@ -233,7 +234,7 @@ int main(int argc, char** argv) {
     }
   }
   if (trace_path) {
-    const std::string tr = obs::chrome_trace_json(obs.tasks, &obs.events);
+    const std::string tr = obs::chrome_trace_json(obs.tasks, &obs.events, &obs.spans);
     if (write_file(trace_path, tr)) {
       std::printf("platform_top: wrote %s (%zu bytes, load in Perfetto)\n", trace_path,
                   tr.size());
