@@ -1,5 +1,6 @@
 #include "core/baselines.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -116,93 +117,123 @@ void AnalogGyroBaseline::build(std::uint64_t seed) {
   v_per_m_ = cfg_.sense_gain_v_per_m / cfg_.mems.cap_per_meter;  // V per farad
   drive_v_ = 0.0;
 
-  // Multi-rate pipeline on a fresh scheduler (a new die powers on with its
-  // decimators at phase zero). The conditioning fires on the last analog
-  // step of each loop_div cycle; the DAQ samples the analog output on the
-  // last conditioning sample of each out_div cycle.
+  // A new die powers on with its decimators at phase zero. The conditioning
+  // fires on the last analog step of each loop_div cycle; the DAQ samples the
+  // analog output on the last conditioning sample of each out_div cycle.
   const int out_div = static_cast<int>(loop_fs / cfg_.output_rate_hz + 0.5);
-  const long out_period = static_cast<long>(cfg_.loop_div) * out_div;
-  sched_ = std::make_unique<platform::Scheduler>(cfg_.analog_fs);
-
-  sched_->every(
-      1,
-      [this] {
-        // ticks() here is the global index of the current tick; the active
-        // source maps it to its own time base (SyntheticSource applies the
-        // run-origin offset for local-time runs, bit-identical to the
-        // historical (ticks − run_origin)·dt arithmetic).
-        const sensor::StimulusSample smp = run_src_->sample(sched_->ticks());
-        tick_temp_ = smp.temp_c;
-
-        sensor::GyroInputs in;
-        in.v_drive = drive_v_;
-        in.rate_dps = smp.rate_dps;
-        in.temp_c = tick_temp_;
-        pick_ = mems_->step(in);
-        if (probe_) {
-          using sensor::ProbePoint;
-          if (probe_stim_)
-            probe_->on_frame({ProbePoint::Stimulus, sched_->ticks(), smp.rate_dps, smp.temp_c});
-          if (probe_mems_)
-            probe_->on_frame(
-                {ProbePoint::PostMems, sched_->ticks(), pick_.dc_primary, pick_.dc_sense});
-        }
-      },
-      "analog");
-
-  sched_->every(
-      cfg_.loop_div, cfg_.loop_div - 1,
-      [this] {
-        // ---- analog conditioning at the loop rate ----
-        const double vp = v_per_m_ * pick_.dc_primary;
-        const double vs = v_per_m_ * pick_.dc_sense;
-        drive_v_ = drive_->step(vp);
-        const auto bb = demod_->step(vs, drive_->carrier_i(), drive_->carrier_q());
-
-        // Fixed analog demodulation phase, built at φH + trim error, drifting
-        // with temperature; residual misalignment leaks quadrature into rate.
-        const double phi =
-            demod_angle_ + phase_err_ + cfg_.demod_phase_tempco * (tick_temp_ - 25.0);
-        const double rate_demod = bb.q * std::sin(phi) - bb.i * std::cos(phi);
-
-        const double dtc = tick_temp_ - 25.0;
-        const double gain = scale_v_per_demod_ * trim_gain_ * (1.0 + cfg_.sens_tempco * dtc);
-        double v = gain * rate_demod + noise_rng_.gaussian(noise_sigma_);
-
-        // Output RC filter.
-        lpf_state_[0] += lpf_alpha_ * (v - lpf_state_[0]);
-        v = lpf_state_[0];
-        if (cfg_.output_lpf_poles >= 2) {
-          lpf_state_[1] += lpf_alpha_ * (v - lpf_state_[1]);
-          v = lpf_state_[1];
-        }
-      },
-      "conditioning");
-
-  sched_->every(
-      out_period, out_period - 1,
-      [this] {
-        if (!run_out_ && !(probe_ && probe_out_)) return;
-        const double v = cfg_.output_lpf_poles >= 2 ? lpf_state_[1] : lpf_state_[0];
-        const double null =
-            cfg_.null_v + null_draw_ + cfg_.null_tempco_v * (tick_temp_ - 25.0);
-        if (run_out_) run_out_->push_back(null + v);
-        if (probe_ && probe_out_)
-          probe_->on_frame(
-              {sensor::ProbePoint::DecimatedOutput, sched_->ticks(), null + v, tick_temp_});
-      },
-      "daq_output");
+  out_period_ = static_cast<long>(cfg_.loop_div) * out_div;
+  ticks_ = 0;
 }
 
-void AnalogGyroBaseline::power_on(std::uint64_t seed) {
-  build(seed);
-  // build() replaced the scheduler; re-attach the profiler to the new one.
-  if (obs_.tasks) sched_->set_profiler(obs_.tasks);
+void AnalogGyroBaseline::analog() {
+  // ticks_ is the global index of this tick until it ends; the active source
+  // maps it to its own time base (SyntheticSource applies the run-origin
+  // offset for local-time runs, bit-identical to the historical
+  // (ticks − run_origin)·dt arithmetic).
+  const sensor::StimulusSample smp = run_src_->sample(ticks_);
+  tick_temp_ = smp.temp_c;
+
+  sensor::GyroInputs in;
+  in.v_drive = drive_v_;
+  in.rate_dps = smp.rate_dps;
+  in.temp_c = tick_temp_;
+  pick_ = mems_->step(in);
+  if (probe_) {
+    using sensor::ProbePoint;
+    if (probe_stim_) probe_->on_frame({ProbePoint::Stimulus, ticks_, smp.rate_dps, smp.temp_c});
+    if (probe_mems_)
+      probe_->on_frame({ProbePoint::PostMems, ticks_, pick_.dc_primary, pick_.dc_sense});
+  }
+  ++ticks_;
 }
+
+void AnalogGyroBaseline::conditioning() {
+  // ---- analog conditioning at the loop rate ----
+  const double vp = v_per_m_ * pick_.dc_primary;
+  const double vs = v_per_m_ * pick_.dc_sense;
+  drive_v_ = drive_->step(vp);
+  const auto bb = demod_->step(vs, drive_->carrier_i(), drive_->carrier_q());
+
+  // Fixed analog demodulation phase, built at φH + trim error, drifting
+  // with temperature; residual misalignment leaks quadrature into rate.
+  const double phi = demod_angle_ + phase_err_ + cfg_.demod_phase_tempco * (tick_temp_ - 25.0);
+  const double rate_demod = bb.q * std::sin(phi) - bb.i * std::cos(phi);
+
+  const double dtc = tick_temp_ - 25.0;
+  const double gain = scale_v_per_demod_ * trim_gain_ * (1.0 + cfg_.sens_tempco * dtc);
+  double v = gain * rate_demod + noise_rng_.gaussian(noise_sigma_);
+
+  // Output RC filter.
+  lpf_state_[0] += lpf_alpha_ * (v - lpf_state_[0]);
+  v = lpf_state_[0];
+  if (cfg_.output_lpf_poles >= 2) {
+    lpf_state_[1] += lpf_alpha_ * (v - lpf_state_[1]);
+    v = lpf_state_[1];
+  }
+}
+
+void AnalogGyroBaseline::daq_output() {
+  if (!run_out_ && !(probe_ && probe_out_)) return;
+  const double v = cfg_.output_lpf_poles >= 2 ? lpf_state_[1] : lpf_state_[0];
+  const double null = cfg_.null_v + null_draw_ + cfg_.null_tempco_v * (tick_temp_ - 25.0);
+  if (run_out_) run_out_->push_back(null + v);
+  if (probe_ && probe_out_)
+    probe_->on_frame({sensor::ProbePoint::DecimatedOutput, ticks_ - 1, null + v, tick_temp_});
+}
+
+void AnalogGyroBaseline::run_frame(long n, bool ends) {
+  // Within a tick: analog, then conditioning, then the DAQ.
+  for (long i = 0; i < n; ++i) analog();
+  if (!ends) return;
+  conditioning();
+  if (ticks_ % out_period_ == 0) daq_output();
+}
+
+[[gnu::noinline]] void AnalogGyroBaseline::run_timed(long n, bool ends) {
+  using clock = std::chrono::steady_clock;
+  const long first = ticks_;
+  const auto t0 = clock::now();
+  for (long i = 0; i < n; ++i) analog();
+  const auto t1 = clock::now();
+  const bool daq = ends && ticks_ % out_period_ == 0;
+  auto t2 = t1, t3 = t1;
+  if (ends) {
+    conditioning();
+    t2 = clock::now();
+  }
+  if (daq) {
+    daq_output();
+    t3 = clock::now();
+  }
+  const auto secs = [](clock::duration d) { return std::chrono::duration<double>(d).count(); };
+  obs_.tasks->record(obs_tasks_[0], first, n, secs(t1 - t0));
+  if (ends) obs_.tasks->record(obs_tasks_[1], ticks_ - 1, 1, secs(t2 - t1));
+  if (daq) obs_.tasks->record(obs_tasks_[2], ticks_ - 1, 1, secs(t3 - t2));
+}
+
+void AnalogGyroBaseline::count_tasks(long tick0) {
+  if (!obs_.tasks) return;
+  // Each task fires on the ticks ≡ divider − 1 among [tick0, ticks_), the
+  // ticks whose analog step completed (a probe that throws from daq_output
+  // leaves that firing counted).
+  const long div = cfg_.loop_div;
+  obs_.tasks->count(obs_tasks_[0], static_cast<std::uint64_t>(ticks_ - tick0));
+  obs_.tasks->count(obs_tasks_[1], static_cast<std::uint64_t>(ticks_ / div - tick0 / div));
+  obs_.tasks->count(obs_tasks_[2],
+                    static_cast<std::uint64_t>(ticks_ / out_period_ - tick0 / out_period_));
+}
+
+void AnalogGyroBaseline::power_on(std::uint64_t seed) { build(seed); }
 
 void AnalogGyroBaseline::set_observability(const obs::ObsSink& sink) {
   obs_ = sink;
-  sched_->set_profiler(obs_.tasks);
+  if (!obs_.tasks) return;
+  const long div = cfg_.loop_div;
+  obs_tasks_ = {obs_.tasks->register_task("analog", 1, 0),
+                obs_.tasks->register_task("conditioning", div, div - 1),
+                obs_.tasks->register_task("daq_output", out_period_, out_period_ - 1)};
+  obs_.tasks->set_base_rate(cfg_.analog_fs);
+  obs_.tasks->set_span_log(obs_.spans);
 }
 
 void AnalogGyroBaseline::serialize_state(StateArchive& ar) {
@@ -210,9 +241,9 @@ void AnalogGyroBaseline::serialize_state(StateArchive& ar) {
   mems_->serialize_state(ar);
   drive_->serialize_state(ar);
   demod_->serialize_state(ar);
-  std::int64_t ticks = sched_->ticks();
+  std::int64_t ticks = ticks_;
   ar.value(ticks);
-  if (!ar.saving()) sched_->set_ticks(static_cast<long>(ticks));
+  if (!ar.saving()) ticks_ = static_cast<long>(ticks);
   ar.value(tick_temp_);
   ar.value(pick_.dc_primary);
   ar.value(pick_.dc_sense);
@@ -230,18 +261,36 @@ void AnalogGyroBaseline::run(const sensor::Profile& rate, const sensor::Profile&
   // tick axis; the origin makes the wrapper bit-identical to the historical
   // (ticks − run_origin)·dt evaluation.
   sensor::SyntheticSource src(rate, temp, cfg_.analog_fs,
-                              cfg_.stimulus_global_time ? 0 : sched_->ticks());
+                              cfg_.stimulus_global_time ? 0 : ticks_);
   run(src, seconds, out);
 }
 
 void AnalogGyroBaseline::run(sensor::StimulusSource& src, double seconds,
                              std::vector<double>* out) {
-  // The scheduler — and with it the conditioning and DAQ decimation phase —
-  // persists across calls like the hardware would.
+  // The tick counter — and with it the conditioning and DAQ decimation
+  // phase — persists across calls like the hardware would. One frame per
+  // pass: the analog ticks up to the end of a loop_div cycle, then the tasks
+  // that fire on its last tick; a run may begin or end mid-cycle.
   run_src_ = &src;
   run_out_ = out;
+  const long tick0 = ticks_;
+  const long div = cfg_.loop_div;
   const auto wall0 = std::chrono::steady_clock::now();
-  sched_->run_seconds(seconds);
+  try {
+    for (long left = static_cast<long>(seconds * cfg_.analog_fs + 0.5); left > 0;) {
+      const long to_end = div - ticks_ % div;
+      const long n = std::min(left, to_end);
+      if (obs_.tasks && ticks_ / div % obs::TaskProfiler::kTimedFrameStride == 0)
+        run_timed(n, n == to_end);
+      else
+        run_frame(n, n == to_end);
+      left -= n;
+    }
+  } catch (...) {
+    count_tasks(tick0);
+    throw;
+  }
+  count_tasks(tick0);
   if (obs_.tasks)
     obs_.tasks->record_run(
         seconds, std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count());

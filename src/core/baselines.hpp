@@ -17,6 +17,7 @@
 // the bandwidth is whatever the RC made it.
 #pragma once
 
+#include <array>
 #include <memory>
 
 #include "common/state_archive.hpp"
@@ -24,7 +25,6 @@
 #include "core/rate_sensor.hpp"
 #include "dsp/modem.hpp"
 #include "obs/observability.hpp"
-#include "platform/scheduler.hpp"
 #include "sensor/gyro_mems.hpp"
 
 namespace ascp::core {
@@ -83,18 +83,31 @@ class AnalogGyroBaseline : public RateSensor {
   /// platform's: bit-identical attached or detached. Survives power_on.
   void set_probe(sensor::Probe* probe);
 
-  /// Attach an observability sink (profiler-only: an analog baseline has no
-  /// PLL registers or DTCs to report, but its multi-rate kernel profiles the
-  /// same way the platform's does). Survives power_on.
+  /// Attach an observability sink (profiler and spans only: an analog
+  /// baseline has no PLL registers or DTCs to report, but its frame loop
+  /// profiles the same way the platform's does). Survives power_on.
   void set_observability(const obs::ObsSink& sink);
 
   /// Checkpoint path: dynamic state only — trim/phase draws reproduce from
-  /// the power-on seed, and the persistent scheduler's tick counter travels
-  /// so decimation phase resumes exactly.
+  /// the power-on seed, and the tick counter travels so decimation phase
+  /// resumes exactly.
   void serialize_state(StateArchive& ar);
 
  private:
   void build(std::uint64_t seed);
+  /// The three tasks of the frame loop: analog() runs tick ticks_ and
+  /// advances the counter; the other two run on the tick it just ended.
+  void analog();
+  void conditioning();
+  void daq_output();
+  /// `n` analog ticks; then, when the last was a loop_div cycle's last
+  /// (`ends`), the conditioning and, on an output period's last, the DAQ.
+  void run_frame(long n, bool ends);
+  /// run_frame, reading the clock at each task boundary and recording each
+  /// task that fired in the profiler.
+  void run_timed(long n, bool ends);
+  /// Books the firings completed since tick `tick0` into the profiler.
+  void count_tasks(long tick0);
 
   obs::ObsSink obs_{};
 
@@ -103,21 +116,23 @@ class AnalogGyroBaseline : public RateSensor {
   std::unique_ptr<DriveLoop> drive_;
   std::unique_ptr<dsp::IqDemodulator> demod_;
 
-  // Multi-rate kernel: the analog tick, the conditioning rate (analog_fs /
+  // Frame loop: the analog tick, the conditioning rate (analog_fs /
   // loop_div, phase-aligned with the conditioning electronics settling on
-  // the last analog step of each cycle) and the DAQ output decimation are
-  // scheduler tasks registered at build(). The scheduler persists across
-  // run() calls, so decimation phase carries over exactly as the analog
-  // hardware's would.
-  std::unique_ptr<platform::Scheduler> sched_;
+  // the last analog step of each cycle) and the DAQ output decimation (one
+  // sample per out_period_ ticks, on the last conditioning sample). Each
+  // fires on the global tick, which persists across run() calls, so
+  // decimation phase carries over exactly as the analog hardware's would.
+  long ticks_ = 0;       ///< global index of the next analog tick
+  long out_period_ = 1;  ///< analog ticks per DAQ output sample
   sensor::StimulusSource* run_src_ = nullptr;
   std::vector<double>* run_out_ = nullptr;
+  std::array<int, 3> obs_tasks_{};  ///< analog, conditioning, daq_output ids in obs_.tasks
 
-  // Probe taps are inline guards (the scheduler persists across attach).
+  // Probe taps are inline guards.
   sensor::Probe* probe_ = nullptr;
   bool probe_stim_ = false, probe_mems_ = false, probe_out_ = false;
 
-  // Per-tick state flowing between scheduler tasks.
+  // Per-tick state flowing between the tasks.
   double tick_temp_ = 25.0;
   sensor::GyroOutputs pick_{};
 

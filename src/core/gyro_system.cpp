@@ -1,5 +1,6 @@
 #include "core/gyro_system.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -181,9 +182,16 @@ void GyroSystem::set_observability(const obs::ObsSink& sink) {
     if (probe_) obs_.events->declare_emitter(obs::EventCategory::Probe, "GyroSystem");
     if (obs_.spans) obs_.events->declare_emitter(obs::EventCategory::Trace, "GyroSystem");
   }
-  // Each timed scheduler-task firing is recorded once, as a Scheduler-category
-  // span parented to the enclosing gyro.run span.
-  if (obs_.tasks) obs_.tasks->set_span_log(obs_.spans);
+  // The profiler's tasks are the static schedule's, in its order. Each timed
+  // task is recorded once, as a Scheduler-category span parented to the
+  // enclosing gyro.run span.
+  if (obs_.tasks) {
+    const std::vector<TaskInfo> tasks = schedule_tasks();
+    obs_t_analog_ = obs_.tasks->register_task(tasks[0].name, tasks[0].divider, tasks[0].phase);
+    obs_t_frame_ = obs_.tasks->register_task(tasks[1].name, tasks[1].divider, tasks[1].phase);
+    obs_.tasks->set_base_rate(cfg_.analog_fs);
+    obs_.tasks->set_span_log(obs_.spans);
+  }
   if (obs_.metrics) {
     obs_m_outputs_ = obs_.metrics->counter("gyro.output_samples");
     obs_m_dsp_ = obs_.metrics->counter("gyro.dsp_samples");
@@ -283,14 +291,9 @@ GyroSystem::Group::Group(std::span<GroupMember> members) {
     rings[size] = m.sys->mems_.get();
     m.sys->begin_lane(lane);
     tick_taps |= lane.w_stim || lane.w_mems || lane.w_afe;
+    profiled |= m.sys->obs_.tasks != nullptr;
     ++size;
   }
-}
-
-void GyroSystem::Group::attach_profilers() {
-  std::array<obs::TaskProfiler*, kMax> tasks{};
-  for (std::size_t k = 0; k < size; ++k) tasks[k] = lanes[k].member->sys->obs_.tasks;
-  sched->set_profilers({tasks.data(), size});
 }
 
 template <typename Fn>
@@ -314,7 +317,10 @@ void GyroSystem::Group::each(Fn&& fn) {
   // Keep the survivors in member order, their ring and tick data with them.
   std::size_t kept = 0;
   for (std::size_t k = 0; k < size; ++k) {
-    if (lanes[k].member->error) continue;
+    if (lanes[k].member->error) {
+      lanes[k].member->sys->count_tasks(lanes[k], in_frame);
+      continue;
+    }
     lanes[kept] = lanes[k];
     rings[kept] = rings[k];
     in[kept] = in[k];
@@ -322,10 +328,10 @@ void GyroSystem::Group::each(Fn&& fn) {
     ++kept;
   }
   size = kept;
-  attach_profilers();
 }
 
 void GyroSystem::begin_lane(Lane& m) {
+  m.tick0 = base_ticks_;
   m.dt = 1.0 / cfg_.analog_fs;
   m.cpu_cycles_per_slow = cfg_.with_mcu ? platform_.cycles_per_sample(output_rate_hz()) : 0;
   // Probe taps are resolved once per run, so a detached probe (or one that
@@ -344,7 +350,7 @@ void GyroSystem::analog_inputs(Group& g, std::size_t k) {
   // base_ticks_ increments at the end of the analog tick (analog_afe), so
   // here it equals the global index of the current tick — the axis every
   // source samples on (SyntheticSource applies its own origin for
-  // local-time runs, reproducing the historical sched.ticks()·dt arithmetic).
+  // local-time runs, reproducing the historical tick·dt arithmetic).
   m.tick = base_ticks_;
   const sensor::StimulusSample smp = m.member->src->sample(base_ticks_);
   // The two stimulus fields are stored on either side of the branch: stored
@@ -492,42 +498,60 @@ void GyroSystem::dsp_frame(Group& g, std::size_t k) {
   }
 }
 
-void GyroSystem::schedule_pipeline(platform::Scheduler& sched, Group& g) {
-  g.sched = &sched;
+void GyroSystem::run_analog(Group& g, long n) {
   // ---- analog tick (1.92 MHz): environment, DACs, MEMS, charge amps, AFE.
   // Every member's inputs are staged, then one lane call steps all rings; a
   // lone ring takes step(), the one-lane instance, without the dispatch.
   // The per-tick probe taps follow, read-only, when a member's probe wants
-  // one (the post-ADC and output taps ride in the DSP frame below).
-  sched.every(
-      1,
-      [&g] {
-        g.each([&g](GyroSystem& s, std::size_t k) { s.analog_inputs(g, k); });
-        if (g.size == 1)
-          g.pick[0] = g.rings[0]->step(g.in[0]);
-        else if (g.size > 1)
-          sensor::GyroMems::step_lanes({g.rings.data(), g.size}, {g.in.data(), g.size},
-                                       {g.pick.data(), g.size});
-        g.each([&g](GyroSystem& s, std::size_t k) { s.analog_afe(g, k); });
-        if (g.tick_taps) tap_tick(g);
-      },
-      "analog");
+  // one (the post-ADC and output taps ride in the DSP frame).
+  for (long i = 0; i < n; ++i) {
+    g.each([&g](GyroSystem& s, std::size_t k) { s.analog_inputs(g, k); });
+    if (g.size == 1)
+      g.pick[0] = g.rings[0]->step(g.in[0]);
+    else if (g.size > 1)
+      sensor::GyroMems::step_lanes({g.rings.data(), g.size}, {g.in.data(), g.size},
+                                   {g.pick.data(), g.size});
+    g.each([&g](GyroSystem& s, std::size_t k) { s.analog_afe(g, k); });
+    if (g.tick_taps) tap_tick(g);
+  }
+}
 
+void GyroSystem::run_dsp(Group& g) {
   // ---- DSP frame (240 kHz): every DSP-rate stage, once per conversion ----
-  // The phase keeps the *global* conversion cadence (g % adc_div ==
-  // adc_div-1, a SAR finishing its conversion cycle on the adc_div-th
-  // clock) even when one timeline is split across several run() calls
-  // (checkpoint resume): base_ticks_ here is this run's tick origin, and
-  // every member shares its phase (lane_key). From a cold start the
-  // expression reduces to adc_div-1. Full fidelity's SAR converters count
-  // the same cadence in their own phase counters, which restore checks
-  // against base_ticks_.
-  const GyroSystem& lead = *g.lanes[0].member->sys;
-  const long div = lead.cfg_.adc_div;
-  sched.every(
-      div, (div - 1 - lead.base_ticks_ % div + div) % div,
-      [&g] { g.each([&g](GyroSystem& s, std::size_t k) { s.dsp_frame(g, k); }); },
-      "dsp_frame");
+  g.in_frame = true;
+  g.each([&g](GyroSystem& s, std::size_t k) { s.dsp_frame(g, k); });
+  g.in_frame = false;
+}
+
+[[gnu::noinline]] void GyroSystem::run_timed(Group& g, long n, bool dsp) {
+  using clock = std::chrono::steady_clock;
+  const auto t0 = clock::now();
+  run_analog(g, n);
+  const auto t1 = clock::now();
+  if (dsp) run_dsp(g);
+  const auto t2 = dsp ? clock::now() : t1;
+  if (g.size == 0) return;
+  // Each running member is booked an equal share of the frame.
+  const double share = 1.0 / static_cast<double>(g.size);
+  const double analog = std::chrono::duration<double>(t1 - t0).count() * share;
+  const double frame = std::chrono::duration<double>(t2 - t1).count() * share;
+  for (std::size_t k = 0; k < g.size; ++k) {
+    const Lane& m = g.lanes[k];
+    obs::TaskProfiler* tasks = m.member->sys->obs_.tasks;
+    if (!tasks) continue;
+    tasks->record(m.member->sys->obs_t_analog_, m.tick + 1 - n, n, analog);
+    if (dsp) tasks->record(m.member->sys->obs_t_frame_, m.tick, 1, frame);
+  }
+}
+
+void GyroSystem::count_tasks(const Lane& m, bool in_frame) {
+  if (!obs_.tasks) return;
+  const bool threw = m.member->error != nullptr;
+  const long end = threw ? m.tick : base_ticks_;
+  // The conversions among ticks [tick0, end): ticks ≡ adc_div − 1.
+  const long div = cfg_.adc_div;
+  obs_.tasks->count(obs_t_analog_, static_cast<std::uint64_t>(end - m.tick0 + (threw && in_frame)));
+  obs_.tasks->count(obs_t_frame_, static_cast<std::uint64_t>(end / div - m.tick0 / div));
 }
 
 [[gnu::noinline]] void GyroSystem::tap_tick(Group& g) {
@@ -611,15 +635,9 @@ void GyroSystem::serialize_state(StateArchive& ar) {
   ar.end_section();
 }
 
-std::vector<platform::Scheduler::TaskInfo> GyroSystem::schedule_tasks() {
-  // Register the real pipeline on a throwaway scheduler and enumerate it.
-  // Nothing ticks, so the captured references to these locals never dangle.
-  platform::Scheduler sched(cfg_.analog_fs);
-  sensor::SyntheticSource src({}, {}, cfg_.analog_fs);
-  GroupMember self{this, &src, nullptr, {}};
-  Group g({&self, 1});
-  schedule_pipeline(sched, g);
-  return sched.tasks();
+std::vector<TaskInfo> GyroSystem::schedule_tasks() const {
+  const long div = cfg_.adc_div;
+  return {{"analog", 1, 0}, {"dsp_frame", div, div - 1}};
 }
 
 void GyroSystem::run(const sensor::Profile& rate, const sensor::Profile& temp, double seconds,
@@ -656,29 +674,42 @@ void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
     }
   }
 
-  // One pipeline instance per call; the scheduler's tick origin is this
-  // call's first tick. All multi-rate structure lives in the Scheduler and in
-  // the hardware models' own decimators — there is no divider arithmetic
-  // here.
-  platform::Scheduler sched(lead.cfg_.analog_fs);
   Group g(members);
-  schedule_pipeline(sched, g);
-
   // Every member keeps a solo run's bookkeeping in its own obs bundle.
   std::array<RunBooks, Group::kMax> books;
   for (std::size_t k = 0; k < members.size(); ++k) members[k].sys->begin_run(books[k], seconds);
-  g.attach_profilers();
   const auto wall0 = std::chrono::steady_clock::now();
   try {
-    // Tick while any member runs: once the last one has thrown, nothing is
-    // left to advance.
-    for (long n = sched.ticks_in(seconds); n > 0 && g.size > 0; --n) sched.tick();
+    // One frame per pass: the analog ticks up to and including the next
+    // conversion's last clock (a SAR finishing its cycle on the adc_div-th
+    // clock, global tick ≡ adc_div − 1), then the DSP frame. A run may begin
+    // or end mid-frame; every member shares the lead's phase (lane_key).
+    // Frames run while any member runs: once the last one has thrown,
+    // nothing is left to advance. Full fidelity's SAR converters count the
+    // same cadence in their own phase counters, which restore checks
+    // against base_ticks_.
+    const long div = lead.cfg_.adc_div;
+    long tick = lead.base_ticks_;
+    for (long left = static_cast<long>(seconds * lead.cfg_.analog_fs + 0.5);
+         left > 0 && g.size > 0;) {
+      const long to_dsp = div - tick % div;
+      const long n = std::min(left, to_dsp);
+      if (g.profiled && tick / div % obs::TaskProfiler::kTimedFrameStride == 0) {
+        run_timed(g, n, n == to_dsp);
+      } else {
+        run_analog(g, n);
+        if (n == to_dsp) run_dsp(g);
+      }
+      tick += n;
+      left -= n;
+    }
   } catch (...) {
     // Only a lone member's exception gets here (Group::each).
     g.lanes[0].member->error = std::current_exception();
+    g.lanes[0].member->sys->count_tasks(g.lanes[0], g.in_frame);
     g.size = 0;
   }
-  sched.sync_profilers();
+  for (std::size_t k = 0; k < g.size; ++k) g.lanes[k].member->sys->count_tasks(g.lanes[k], false);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count() /
       static_cast<double>(members.size());
@@ -688,10 +719,6 @@ void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
 
 void GyroSystem::begin_run(RunBooks& b, double seconds) {
   b.dsp_samples = dsp_samples_;
-  // Scheduler instances are per-run; the profiler accumulates across them.
-  // The tick origin maps this run's local ticks onto the channel's global
-  // tick axis so the timed firings' span timestamps stay monotonic.
-  if (obs_.tasks) obs_.tasks->set_tick_origin(base_ticks_);
   const double dsp_fs = cfg_.analog_fs / cfg_.adc_div;
   if (obs_.events)
     obs_.events->emit(static_cast<double>(dsp_samples_) / dsp_fs, obs::EventSeverity::Debug,

@@ -17,13 +17,18 @@
 // sample (readable over JTAG and by the 8051 through the bridge), and an
 // optional MCU monitor slice runs the paper's control/monitoring firmware.
 //
+// The chain runs at fixed ratios, so a run is one static frame loop: adc_div
+// analog ticks (1.92 MHz), then one DSP frame (240 kHz) on the SAR
+// conversion's last clock, which carries the 1.875 kHz output and the 8051
+// slice. Every firing decision reads the global tick, so a restored or split
+// run keeps its cadence.
+//
 // Ideal-fidelity systems that share base rate, adc_div and tick phase can run
-// as one lockstep group (run_group): one Scheduler, one GyroMems::step_lanes
+// as one lockstep group (run_group): one frame loop, one GyroMems::step_lanes
 // call per tick for all their rings, and every member's output bit for bit
 // what its own run() gives. run() is the group of one. Observed systems
 // group too: each member keeps a solo run's bookkeeping in its own obs
-// bundle (events, gyro.run span, counters, task profiler), and the group's
-// Scheduler counts every task firing for each member's profiler.
+// bundle (events, gyro.run span, counters, task profiler).
 #pragma once
 
 #include <array>
@@ -31,6 +36,8 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "afe/charge_amp.hpp"
 #include "afe/dac.hpp"
@@ -43,7 +50,6 @@
 #include "core/rate_sensor.hpp"
 #include "core/sense_chain.hpp"
 #include "platform/platform.hpp"
-#include "platform/scheduler.hpp"
 #include "safety/fault_injection.hpp"
 #include "safety/supervisor.hpp"
 #include "sensor/gyro_mems.hpp"
@@ -101,6 +107,14 @@ struct GyroSystemConfig {
 /// Factory defaults tuned to the paper's operating point (see DESIGN.md).
 GyroSystemConfig default_gyro_system(Fidelity fidelity = Fidelity::Full);
 
+/// One task of a pipeline's static schedule: it fires on the global ticks
+/// where tick % divider == phase.
+struct TaskInfo {
+  std::string name;
+  long divider = 1;
+  long phase = 0;
+};
+
 class GyroSystem : public RateSensor {
  public:
   explicit GyroSystem(const GyroSystemConfig& cfg = default_gyro_system());
@@ -139,18 +153,18 @@ class GyroSystem : public RateSensor {
   };
 
   /// Run 1 to GyroMems::kLanes distinct systems for `seconds` in lockstep,
-  /// on one Scheduler with run()'s task graph: `analog` stages every
-  /// member's inputs, makes one step_lanes call per tick and ends with the
-  /// members' per-tick probe taps; `dsp_frame` loops over the members. Each
-  /// member ends bit for bit where its own run() would, with its own run
-  /// bookkeeping: run_begin/run_end/trace_begin events, gyro.run span,
-  /// gyro.runs and gyro.dsp_samples counts, exact task counts, and an equal
-  /// share of the group's timed task walls and run wall. A member that
-  /// throws keeps the exception in `error`, is left as a throwing run()
-  /// leaves it (its DSP samples so far counted), and drops out while the
-  /// others finish. The members of a group of more than one must have equal
-  /// lane_key()s, none of them empty. Throws std::invalid_argument when
-  /// these preconditions fail.
+  /// in run()'s frame loop: each analog tick stages every member's inputs,
+  /// makes one step_lanes call and ends with the members' per-tick probe
+  /// taps; each DSP frame loops over the members. Each member ends bit for
+  /// bit where its own run() would, with its own run bookkeeping:
+  /// run_begin/run_end/trace_begin events, gyro.run span, gyro.runs and
+  /// gyro.dsp_samples counts, exact task counts, and an equal share of the
+  /// group's timed frames and run wall. A member that throws keeps the
+  /// exception in `error`, is left as a throwing run() leaves it (its DSP
+  /// samples so far counted), and drops out while the others finish. The
+  /// members of a group of more than one must have equal lane_key()s, none
+  /// of them empty. Throws std::invalid_argument when these preconditions
+  /// fail.
   static void run_group(std::span<GroupMember> members, double seconds);
 
   double nominal_sensitivity() const override { return 5e-3; }  // 5 mV/°/s, Table 1
@@ -207,11 +221,11 @@ class GyroSystem : public RateSensor {
   void set_compensation(const dsp::CompensationCoeffs& c);
   const GyroSystemConfig& config() const { return cfg_; }
 
-  /// Enumerate the scheduler task graph run() would register (names, rate
-  /// dividers, phases) without advancing a single tick — the input the
-  /// static schedulability analysis (analysis/timing_lint) checks against
-  /// the per-sample CPU budget.
-  std::vector<platform::Scheduler::TaskInfo> schedule_tasks();
+  /// The static schedule run()'s frame loop fires: `analog` every tick and
+  /// `dsp_frame` on each conversion's last clock — the input the static
+  /// schedulability analysis (analysis/timing_lint) checks against the
+  /// per-sample CPU budget, and the task list of the profiler.
+  std::vector<TaskInfo> schedule_tasks() const;
 
   /// Checkpoint path: runtime-mutable config knobs, both register files and
   /// every stateful component. Wiring (obs sink, trace, campaign pointer,
@@ -220,11 +234,12 @@ class GyroSystem : public RateSensor {
   void serialize_state(StateArchive& ar);
 
  private:
-  /// One member's state between the scheduler tasks of a run besides its
-  /// lane-call arrays: the current tick, what the Full AFE hands the DSP
-  /// frame, and the member's task flags.
+  /// One member's state between the stages of a run besides its lane-call
+  /// arrays: the current tick, what the Full AFE hands the DSP frame, and
+  /// the member's task flags.
   struct Lane {
     GroupMember* member = nullptr;
+    long tick0 = 0;        ///< global index of the run's first analog tick
     long tick = 0;         ///< global index of the current analog tick
     double dt = 0.0;       ///< analog tick period [s]
     double vp = 0.0, vs = 0.0;  ///< charge-amp outputs (Full fidelity)
@@ -244,23 +259,21 @@ class GyroSystem : public RateSensor {
     std::array<sensor::GyroOutputs, kMax> pick;
     std::size_t size = 0;
     bool tick_taps = false;  ///< a member's probe wants a per-tick tap
-    platform::Scheduler* sched = nullptr;  ///< the run's, once scheduled
+    bool profiled = false;   ///< a member has a task profiler
+    bool in_frame = false;   ///< the DSP frame is running
 
     /// Every member running, its error cleared and its lane set up for a
     /// run (begin_lane). At most kMax members.
     explicit Group(std::span<GroupMember> members);
 
     /// fn(system, k) for every running member k. A member whose fn throws
-    /// keeps the exception and leaves the group once the loop is done, its
-    /// task profiler with it; a lone member's exception propagates, for
-    /// run_group to catch.
+    /// keeps the exception and leaves the group once the loop is done; a
+    /// lone member's exception propagates, for run_group to catch.
     template <typename Fn>
     void each(Fn&& fn);
-    /// Removes the members that threw, their profilers with them; out of
-    /// line, so the tasks that call each() stay small.
+    /// Books the task counts of the members that threw and removes them;
+    /// out of line, so the stages that call each() stay small.
     void drop_failed();
-    /// Attaches the running members' task profilers to sched.
-    void attach_profilers();
   };
   /// One member's run bookkeeping between begin_run and end_run.
   struct RunBooks {
@@ -272,17 +285,24 @@ class GyroSystem : public RateSensor {
   void build(std::uint64_t seed);
   void define_registers();
   void post_status(double measured_temp);
-  /// Registers the multi-rate conditioning pipeline for `g` on `sched`: the
-  /// analog task every tick, ending with the per-tick probe taps when a
-  /// member's probe wants them, and one DSP frame per SAR conversion
-  /// (divider adc_div, on the converter's last clock). Each task loops over
-  /// the members.
-  static void schedule_pipeline(platform::Scheduler& sched, Group& g);
+  /// `n` analog ticks of every member of `g`, each ending with the per-tick
+  /// probe taps when a member's probe wants them.
+  static void run_analog(Group& g, long n);
+  /// One DSP frame of every member of `g`.
+  static void run_dsp(Group& g);
+  /// run_analog, then run_dsp when `dsp`, reading the clock at each task
+  /// boundary and recording both tasks' shares in each member's profiler.
+  static void run_timed(Group& g, long n, bool dsp);
   /// The Stimulus, PostMems and PostAfe probe frames of this tick for every
-  /// member that wants them; out of line, so the analog task stays small.
+  /// member that wants them; out of line, so the analog stage stays small.
   static void tap_tick(Group& g);
-  /// A run's obs bookkeeping before its first tick: tick origin, run_begin
-  /// and trace_begin events, the gyro.run span.
+  /// Books the task firings lane `m` completed this run into the profiler:
+  /// the analog ticks since m.tick0 and the DSP frames among them. A member
+  /// that threw stopped in tick m.tick, whose analog step completed only if
+  /// the DSP frame threw (`in_frame`); that frame did not.
+  void count_tasks(const Lane& m, bool in_frame);
+  /// A run's obs bookkeeping before its first tick: run_begin and
+  /// trace_begin events, the gyro.run span.
   void begin_run(RunBooks& b, double seconds);
   /// ... and after its last: the DSP samples it ran, and unless it threw,
   /// the span, run wall (`wall`, this system's share), gyro.runs, run_end.
@@ -337,6 +357,7 @@ class GyroSystem : public RateSensor {
   // registry's name table).
   obs::MetricRegistry::Id obs_m_outputs_ = 0, obs_m_dsp_ = 0, obs_m_runs_ = 0;
   obs::MetricRegistry::Id obs_h_output_v_ = 0;
+  int obs_t_analog_ = 0, obs_t_frame_ = 0;  ///< task ids in obs_.tasks
 
   TraceRecorder* trace_ = nullptr;
   std::size_t trace_decimate_ = 16;

@@ -40,7 +40,7 @@ class Timer16 : public BridgeDevice {
     }
   }
 
-  /// Advance by `cycles` machine cycles (call from the platform scheduler).
+  /// Advance by `cycles` machine cycles (call as the MCU slice runs).
   void tick(long cycles) {
     if (!running_) return;
     while (cycles-- > 0) {

@@ -34,7 +34,7 @@ enum class EventCategory : std::uint8_t {
   Dtc = 3,         ///< trouble-code latch / clear
   Watchdog = 4,    ///< watchdog bite
   Fault = 5,       ///< campaign inject / remove
-  Scheduler = 6,   ///< run boundaries of the multi-rate kernel
+  Scheduler = 6,   ///< run boundaries of a pipeline's frame loop
   Mcu = 7,         ///< firmware-level events (recovery path, ISR anomalies)
   Engine = 8,      ///< fleet runtime: stall/crash detection, restart, quarantine
   Probe = 9,       ///< stimulus/probe seam: probe attach, ingestion underrun

@@ -373,8 +373,10 @@ std::string chrome_trace_json(const TaskProfiler& tasks, const EventLog* events,
   }
 
   // Causal spans as duration slices, one track per span category, except a
-  // timed task firing: it goes on its task's track, drawn over a fixed
-  // fraction of the task period so consecutive slices never overlap.
+  // timed task: it goes on its task's track, drawn over a fixed fraction of
+  // the task period, or of the ticks the record covers when more (an analog
+  // record covers a timed frame's ticks), so consecutive slices never
+  // overlap.
   if (spans) {
     spans->for_each([&](const Span& s) {
       const double ts = s.t_begin * 1e6;
@@ -384,7 +386,8 @@ std::string chrome_trace_json(const TaskProfiler& tasks, const EventLog* events,
         return;
       }
       const auto& t = tasks.stats()[id];
-      const double dur = 0.8 * static_cast<double>(t.divider) * tick_us;
+      const double dur =
+          0.8 * std::max(static_cast<double>(t.divider) * tick_us, (s.t_end - s.t_begin) * 1e6);
       entries.push_back({ts, 1,
                          "{\"ph\":\"X\",\"name\":\"" + json_escape(t.name) +
                              "\",\"cat\":\"task\",\"pid\":1,\"tid\":" + std::to_string(id + 1) +

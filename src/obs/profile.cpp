@@ -18,27 +18,29 @@ int TaskProfiler::register_task(std::string_view name, long divider, long phase)
   t.divider = divider;
   t.phase = phase;
   tasks_.push_back(std::move(t));
-  timed_.push_back(0);
+  timed_wall_.push_back(0.0);
   return static_cast<int>(tasks_.size() - 1);
 }
 
-void TaskProfiler::record(int id, long tick, double wall_seconds, double weight) {
-  TaskStats& t = tasks_[static_cast<std::size_t>(id)];
-  ++t.invocations;
-  ++timed_[static_cast<std::size_t>(id)];
-  t.wall_seconds += wall_seconds * weight;
+void TaskProfiler::record(int id, long tick, long ticks, double wall_seconds) {
+  timed_wall_[static_cast<std::size_t>(id)] += wall_seconds;
   if (span_log_) {
-    const double t0 = base_rate_hz_ > 0.0
-                          ? static_cast<double>(tick_origin_ + tick) / base_rate_hz_
-                          : 0.0;
-    span_log_->complete(t.name.c_str(), SpanCategory::Scheduler, t0, t0,
-                        wall_seconds * 1e6);
+    const auto t = [this](long k) {
+      return base_rate_hz_ > 0.0 ? static_cast<double>(k) / base_rate_hz_ : 0.0;
+    };
+    span_log_->complete(task_name(id).c_str(), SpanCategory::Scheduler, t(tick),
+                        t(tick + ticks), wall_seconds * 1e6);
   }
 }
 
 void TaskProfiler::record_run(double sim_seconds, double wall_seconds) {
   sim_seconds_ += sim_seconds;
   wall_seconds_ += wall_seconds;
+  double timed = 0.0;
+  for (const double w : timed_wall_) timed += w;
+  if (timed <= 0.0) return;
+  for (std::size_t i = 0; i < tasks_.size(); ++i)
+    tasks_[i].wall_seconds = wall_seconds_ * (timed_wall_[i] / timed);
 }
 
 void TaskProfiler::reset() {
@@ -46,8 +48,7 @@ void TaskProfiler::reset() {
     t.invocations = 0;
     t.wall_seconds = 0.0;
   }
-  for (auto& n : timed_) n = 0;
-  tick_origin_ = 0;
+  for (auto& w : timed_wall_) w = 0.0;
   sim_seconds_ = 0.0;
   wall_seconds_ = 0.0;
 }

@@ -29,7 +29,7 @@ namespace ascp::obs {
 
 enum class SpanCategory : std::uint8_t {
   Channel = 0,    ///< channel.advance, gyro.run
-  Scheduler = 1,  ///< sampled scheduler-task invocations
+  Scheduler = 1,  ///< timed frame-loop tasks, and gyro.run
   Fleet = 2,      ///< fleet tick + supervisor lifecycle edges
 };
 

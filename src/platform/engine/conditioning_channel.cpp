@@ -92,7 +92,7 @@ ConditioningChannel::ConditioningChannel(const ChannelConfig& cfg) : cfg_(cfg) {
   if (cfg_.with_obs) {
     obs_ = std::make_unique<obs::Observability>();
     // One causal trace per channel, keyed by its seed: every span emitted
-    // into this bundle (advance wrappers, sampled scheduler tasks) shares it.
+    // into this bundle (advance wrappers, timed frame-loop tasks) shares it.
     obs_->spans.set_trace_id(cfg_.seed);
     if (cfg_.with_flight_recorder)
       obs_->events.set_flight_recorder(&obs_->recorder);
@@ -208,7 +208,7 @@ void ConditioningChannel::advance_group(std::span<ConditioningChannel* const> gr
 void ConditioningChannel::begin_advance(Pending& p) {
   p.outputs_before = out_.size();
   p.dropped_before = dropped_outputs_;
-  // Causal wrapper around the whole advance: scheduler-task spans sampled
+  // Causal wrapper around the whole advance: the task spans of frames timed
   // inside the sensor run parent under it.
   p.span.emplace(obs_ ? &obs_->spans : nullptr, "channel.advance", obs::SpanCategory::Channel,
                  static_cast<double>(ticks_) / base_rate_hz_);

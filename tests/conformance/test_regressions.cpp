@@ -4,17 +4,21 @@
 // supervisor-arming corner that set the fault generator's injection floor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "common/trace.hpp"
 #include "core/gyro_system.hpp"
 #include "obs/observability.hpp"
-#include "platform/scheduler.hpp"
+#include "safety/fault_injection.hpp"
 #include "safety/supervisor.hpp"
 #include "sensor/environment.hpp"
+#include "sensor/stimulus_source.hpp"
 
 namespace ascp {
 namespace {
@@ -51,79 +55,126 @@ TEST(ConformanceRegressions, BatchedSensePathMatchesSerialWhenRunEndsMidBlock) {
   ASSERT_EQ(batched.last_output(), serial.last_output());
 }
 
+/// A constant 20 °/s at 25 °C on the global tick axis, except that it
+/// throws when asked for tick `at`.
+class ThrowingSource final : public sensor::StimulusSource {
+ public:
+  explicit ThrowingSource(long at) : at_(at) {}
+  sensor::StimulusKind kind() const override { return sensor::StimulusKind::Synthetic; }
+  sensor::StimulusSample sample(long tick) override {
+    if (tick == at_) throw std::runtime_error("stimulus failed");
+    return {20.0, 25.0};
+  }
+  void serialize_state(StateArchive&) override {}
+
+ private:
+  long at_;
+};
+
+/// An observed GyroIdeal system, powered on.
+struct Observed {
+  core::GyroSystem sys{core::default_gyro_system(core::Fidelity::Ideal)};
+  obs::Observability o;
+  Observed() {
+    sys.power_on(5);
+    sys.set_observability(o.sink());
+  }
+  std::uint64_t count(std::size_t task) const { return o.tasks.stats()[task].invocations; }
+  void run_ticks(long n) {
+    sys.run(sensor::Profile::constant(20.0), sensor::Profile::constant(25.0),
+            static_cast<double>(n) / sys.config().analog_fs, nullptr);
+  }
+};
+
 // The profiler fix that the fuzzer's smoke budget forced: wall-timing is
-// sampled (one firing per window of N per task), but invocation counts stay
-// exact and the sampled costs are scaled by the stride so accumulated wall
-// estimates stay unbiased.
+// sampled (one frame in kTimedFrameStride), but invocation counts stay
+// exact. `analog` counts every tick run and `dsp_frame` every conversion
+// (ticks ≡ 7 mod 8), across runs that begin and end mid-frame; a firing
+// that threw is not counted.
 TEST(ConformanceRegressions, SampledProfilerKeepsExactInvocationCounts) {
-  platform::Scheduler sched(240e3);
-  long fired = 0;
-  sched.every(1, [&] { ++fired; }, "dsp");
-  sched.every(128, [&] {}, "decim");
+  Observed a;
+  long ticks = 0;
+  for (const long n : {3001L, 1L, 4093L, 960L}) {
+    a.run_ticks(n);
+    ticks += n;
+  }
+  ASSERT_EQ(a.o.tasks.task_count(), 2u);
+  EXPECT_EQ(a.count(0), static_cast<std::uint64_t>(ticks));
+  EXPECT_EQ(a.count(1), static_cast<std::uint64_t>(ticks / 8));
+  EXPECT_EQ(a.count(1), static_cast<std::uint64_t>(a.sys.dsp_samples()));
+  // ...while only the timed frames (0, 127, ..., 889) were clocked.
+  EXPECT_EQ(a.o.spans.count(obs::SpanCategory::Scheduler), 8u * 2u + 4u) << "and 4 gyro.run";
+  EXPECT_GT(a.o.tasks.stats()[0].wall_seconds, 0.0);
+  EXPECT_GT(a.o.tasks.stats()[1].wall_seconds, 0.0);
 
-  obs::TaskProfiler prof;  // default stride 0 = auto
-  sched.set_profiler(&prof);
-  sched.run_ticks(24000);
+  // A lone observed run whose stimulus throws mid-frame, in a timed frame
+  // (tick 9146 lies in frame 1143 = 9 × 127): the analog firing that threw
+  // and the frame it was in are not counted.
+  ThrowingSource src(9146);
+  EXPECT_THROW(a.sys.run(src, 0.01, nullptr), std::runtime_error);
+  EXPECT_EQ(a.count(0), 9146u);
+  EXPECT_EQ(a.count(1), 9146u / 8u);
+  EXPECT_EQ(a.count(1), static_cast<std::uint64_t>(a.sys.dsp_samples()));
 
-  ASSERT_EQ(fired, 24000);  // profiling never changes the firing pattern
-  ASSERT_EQ(prof.task_count(), 2u);
-  // Invocation counts are exact (divider-128 task fires at tick 0, so 188
-  // firings in 24000 ticks)...
-  EXPECT_EQ(prof.stats()[0].invocations, 24000u);
-  EXPECT_EQ(prof.stats()[1].invocations, 188u);
-  // ...while only a sampled subset was clocked. Auto stride for a 240 kHz
-  // task targets kAutoSampleHz: 240000 / 2000 = 120 → 24000/120 timed.
-  EXPECT_EQ(prof.timed_invocations(0), 24000u / 120u);
-  // The 1.875 kHz decimator fires below the sample target → stride 1 (exact).
-  EXPECT_EQ(prof.timed_invocations(1), 188u);
-  EXPECT_GT(prof.stats()[0].wall_seconds, 0.0);
+  // A DSP frame that throws (a fault action at DSP sample 300, on tick
+  // 2399): its analog ticks count, the frame does not.
+  Observed b;
+  safety::FaultCampaign campaign;
+  campaign.add({"explode", safety::FaultLayer::Dsp, 300, -1, false, 0},
+               [] { throw std::runtime_error("campaign action exploded"); });
+  b.sys.set_fault_campaign(&campaign);
+  EXPECT_THROW(b.run_ticks(4000), std::runtime_error);
+  EXPECT_EQ(b.count(0), 2400u);
+  EXPECT_EQ(b.count(1), 299u);
 }
 
-TEST(ConformanceRegressions, ProfilerWallEstimateScalesSampledCostByStride) {
+TEST(ConformanceRegressions, ProfilerSharesTheRunWallByTimedWall) {
+  // A task's wall is the run wall times its share of the timed frames'
+  // wall, accumulated across runs: the task walls sum to the run wall, and
+  // no timed frame is scaled by the stride that picked it.
   obs::TaskProfiler prof;
-  const int id = prof.register_task("t", 1, 0);
-  prof.record(id, 0, 1e-3, 16.0);  // one timed firing standing in for 16
-  EXPECT_EQ(prof.stats()[static_cast<std::size_t>(id)].invocations, 1u);
-  EXPECT_EQ(prof.timed_invocations(id), 1u);
-  EXPECT_DOUBLE_EQ(prof.stats()[static_cast<std::size_t>(id)].wall_seconds, 1.6e-2);
+  const int a = prof.register_task("a", 1, 0);
+  const int b = prof.register_task("b", 8, 7);
+  const auto wall = [&](int id) { return prof.stats()[static_cast<std::size_t>(id)].wall_seconds; };
+  prof.record(a, 0, 8, 3e-3);
+  prof.record(b, 7, 1, 1e-3);
+  prof.record_run(0.5, 2.0);
+  EXPECT_DOUBLE_EQ(wall(a), 1.5);
+  EXPECT_DOUBLE_EQ(wall(b), 0.5);
+  prof.record(b, 1023, 1, 4e-3);
+  prof.record_run(0.5, 2.0);
+  EXPECT_DOUBLE_EQ(wall(a), 1.5);
+  EXPECT_DOUBLE_EQ(wall(b), 2.5);
+  EXPECT_EQ(prof.stats()[0].invocations, 0u) << "a timed record books no count";
 }
 
-TEST(ConformanceRegressions, ExactStrideTimesEveryInvocation) {
-  platform::Scheduler sched(240e3);
-  sched.every(1, [] {}, "dsp");
-  obs::TaskProfiler prof;
-  prof.set_sample_stride(1);
-  sched.set_profiler(&prof);
-  sched.run_ticks(5000);
-  EXPECT_EQ(prof.stats()[0].invocations, 5000u);
-  EXPECT_EQ(prof.timed_invocations(0), 5000u);
-}
-
-// At 1.92 MHz the auto stride is 960, a multiple of the ADC divider 8, so a
-// timed firing at a fixed place in each window would land every sample of a
-// divider-1 task on one ADC phase. The timed place moves from window to
-// window and carries on across the fresh Scheduler each GyroSystem run
-// builds, even when runs are shorter than a window.
+// A timed frame lies at a fixed place in each window of kTimedFrameStride
+// frames, and the stride is co-prime with the CIC's 128-frame output
+// cadence: over 127 × 128 frames the timed frames take each of the 128 ADC
+// phases of an output period once, in one run or across many runs that
+// split frames.
 TEST(ConformanceRegressions, SampledProfilerCoversEveryAdcPhase) {
-  constexpr long kTicks = 61440;  // 64 windows of 960
-  for (const long run_ticks : {kTicks, 96L}) {
-    obs::TaskProfiler prof;
-    obs::SpanLog spans;
-    prof.set_span_log(&spans);
-    for (long origin = 0; origin < kTicks; origin += run_ticks) {
-      platform::Scheduler sched(1.92e6);
-      sched.every(1, [] {}, "analog");
-      prof.set_tick_origin(origin);
-      sched.set_profiler(&prof);
-      sched.run_ticks(run_ticks);
-    }
-    EXPECT_EQ(prof.stats()[0].invocations, static_cast<std::uint64_t>(kTicks));
-    EXPECT_EQ(prof.timed_invocations(0), 64u) << "runs of " << run_ticks;
-    std::set<long> phases;
-    spans.for_each([&](const obs::Span& s) {
-      phases.insert(std::llround(s.t_begin * prof.base_rate()) % 8);
+  constexpr long kStride = obs::TaskProfiler::kTimedFrameStride;
+  constexpr long kTicks = kStride * 128 * 8;
+  for (const long run_ticks : {kTicks, 1001L}) {
+    Observed a;
+    for (long done = 0; done < kTicks; done += run_ticks)
+      a.run_ticks(std::min(run_ticks, kTicks - done));
+    EXPECT_EQ(a.count(0), static_cast<std::uint64_t>(kTicks));
+    EXPECT_EQ(a.o.spans.dropped(), 0u);
+    std::set<long> analog, dsp;
+    std::size_t dsp_spans = 0;
+    a.o.spans.for_each([&](const obs::Span& s) {
+      const long frame = std::llround(s.t_begin * a.o.tasks.base_rate()) / 8;
+      if (std::string_view(s.name) == "analog") analog.insert(frame % 128);
+      if (std::string_view(s.name) != "dsp_frame") return;
+      ++dsp_spans;
+      EXPECT_EQ(frame % kStride, 0) << "frame " << frame;
+      dsp.insert(frame % 128);
     });
-    EXPECT_EQ(phases.size(), 8u) << "runs of " << run_ticks;
+    EXPECT_EQ(dsp_spans, 128u) << "runs of " << run_ticks;
+    EXPECT_EQ(dsp.size(), 128u) << "runs of " << run_ticks;
+    EXPECT_EQ(analog.size(), 128u) << "runs of " << run_ticks;
   }
 }
 

@@ -1,12 +1,12 @@
 // test_golden_traces.cpp — bit-exact regression net over the conditioning
 // pipeline.
 //
-// The multi-rate loop was rebuilt from a hand-rolled divider loop onto the
-// platform Scheduler. These goldens were captured from the pre-refactor
-// monolithic loops and pin the refactor to the bit: every scenario below
-// must produce the exact same doubles, sample for sample, forever. If an
-// intentional numerical change is ever made, re-capture with
-// tools/golden_capture.
+// The multi-rate loop was rebuilt from a hand-rolled divider loop onto a
+// generic task scheduler, and later onto one static frame loop per pipeline.
+// These goldens were captured from the original monolithic loops and pin
+// each rebuild to the bit: every scenario below must produce the exact same
+// doubles, sample for sample, forever. If an intentional numerical change is
+// ever made, re-capture with tools/golden_capture.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 // are kept short.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -566,6 +567,45 @@ TEST(ChannelFarm, ObservedLockstepMatchesSoloOneWorker) {
 
 TEST(ChannelFarm, ObservedLockstepMatchesSoloFourWorkers) {
   expect_observed_lockstep_matches_solo(4);
+}
+
+// The profiler shares the measured run wall out to the tasks by their share
+// of the timed frames' wall, so the task walls sum to the run wall: on an
+// observed channel of each kind and on each member of an observed lockstep
+// group, each run long enough to time frames (frame 0 is one).
+TEST(ChannelFarm, ObservedTaskWallsSumToTheRunWall) {
+  const auto expect_sum = [](const obs::TaskProfiler& t, const std::string& who) {
+    double sum = 0.0;
+    for (const auto& s : t.stats()) sum += s.wall_seconds;
+    EXPECT_GT(t.wall_seconds(), 0.0) << who;
+    EXPECT_NEAR(sum, t.wall_seconds(), 1e-9 * t.wall_seconds()) << who;
+  };
+  for (const ChannelKind kind : {ChannelKind::GyroIdeal, ChannelKind::GyroFull,
+                                 ChannelKind::Adxrs300, ChannelKind::Gyrostar}) {
+    ChannelConfig c;
+    c.kind = kind;
+    c.with_obs = true;
+    ConditioningChannel ch(c);
+    for (int i = 0; i < 3; ++i) ch.advance(4001);
+    expect_sum(ch.observability()->tasks, "kind " + std::to_string(static_cast<int>(kind)));
+  }
+
+  const core::GyroSystemConfig ideal = core::default_gyro_system(core::Fidelity::Ideal);
+  core::GyroSystem a(ideal), b(ideal);
+  a.power_on(1);
+  b.power_on(2);
+  obs::Observability oa, ob;
+  a.set_observability(oa.sink());
+  b.set_observability(ob.sink());
+  sensor::SyntheticSource sa(sensor::Profile::constant(20.0), sensor::Profile::constant(25.0),
+                             ideal.analog_fs);
+  sensor::SyntheticSource sb(sensor::Profile::constant(-30.0), sensor::Profile::constant(40.0),
+                             ideal.analog_fs);
+  std::array<core::GyroSystem::GroupMember, 2> group{
+      {{&a, &sa, nullptr, {}}, {&b, &sb, nullptr, {}}}};
+  for (int i = 0; i < 3; ++i) core::GyroSystem::run_group(group, 4001 / ideal.analog_fs);
+  expect_sum(oa.tasks, "group member 0");
+  expect_sum(ob.tasks, "group member 1");
 }
 
 /// Logs which channel each stimulus frame came from, into a log it shares

@@ -130,6 +130,39 @@ TEST(FarmCheckpoint, WholeCorpusFarmResumeBitExact) {
   }
 }
 
+// An analog baseline fires each task on its own global tick counter:
+// conditioning on ticks ≡ 7 (mod 8), the DAQ on ticks ≡ 1023 (mod 1024).
+// Restored at a tick that is a multiple of neither, it must resume both
+// cadences mid-period and finish bit-identical to a straight run.
+TEST(BaselineCheckpoint, RestoreMidPeriodResumesTheCadence) {
+  constexpr long kSplit = 5 * 1024 + 3;
+  constexpr long kTotal = 40000;
+  static_assert(kSplit % 8 != 0 && kSplit % 1024 != 0);
+  for (const ChannelKind kind : {ChannelKind::Adxrs300, ChannelKind::Gyrostar}) {
+    SCOPED_TRACE(kind == ChannelKind::Adxrs300 ? "Adxrs300" : "Gyrostar");
+    ChannelConfig cfg;
+    cfg.kind = kind;
+    cfg.rate_dps = 40.0;
+    cfg.seed = 5;
+
+    ConditioningChannel straight(cfg);
+    straight.advance(kTotal);
+
+    ConditioningChannel first(cfg);
+    first.advance(kSplit);
+    const std::vector<std::uint8_t> image = first.snapshot();
+
+    ConditioningChannel resumed(cfg);
+    resumed.restore(image);
+    ASSERT_EQ(resumed.ticks_advanced(), kSplit);
+    resumed.advance(kTotal - kSplit);
+
+    EXPECT_EQ(straight.total_outputs(), static_cast<std::uint64_t>(kTotal / 1024));
+    EXPECT_EQ(resumed.total_outputs(), straight.total_outputs());
+    EXPECT_EQ(resumed.output_hash(), straight.output_hash());
+  }
+}
+
 // ---- corruption taxonomy ---------------------------------------------------
 
 ChannelConfig cheap_config() {

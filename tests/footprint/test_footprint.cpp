@@ -265,7 +265,7 @@ TEST(Footprint, ObsRecordPathAllocatesNothingOnceWrapped) {
       << "SpanLog::begin + end";
   const std::uint64_t firings = spans.count(obs::SpanCategory::Scheduler);
   EXPECT_EQ(allocations([&](double, std::int64_t tick) {
-              tasks.record(task, static_cast<long>(tick), 1e-7);
+              tasks.record(task, static_cast<long>(tick), 1, 1e-7);
             }),
             0u)
       << "TaskProfiler::record into the span log";

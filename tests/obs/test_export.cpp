@@ -85,8 +85,8 @@ struct Fixture {
     const int a = tasks.register_task("afe", 1, 0);
     const int b = tasks.register_task("dsp", 8, 7);
     for (long t = 0; t < 64; ++t) {
-      tasks.record(a, t, 1e-7);
-      if (t % 8 == 7) tasks.record(b, t, 3e-7);
+      tasks.record(a, t, 1, 1e-7);
+      if (t % 8 == 7) tasks.record(b, t, 1, 3e-7);
     }
     tasks.record_run(0.064, 0.001);
 
@@ -193,42 +193,51 @@ std::vector<Drawn> drawn(const std::string& js, const std::string& cat) {
 }
 
 TEST(Export, ObservedChannelTraceDrawsEachTimedFiringOnce) {
-  engine::ChannelConfig cfg;
-  cfg.kind = engine::ChannelKind::GyroIdeal;
-  cfg.with_obs = true;
-  engine::ConditioningChannel ch(cfg);
-  const long chunk = std::lround(0.05 * ch.base_rate_hz());
-  for (int i = 0; i < 12; ++i) ch.advance(chunk);  // 0.6 s: the span ring wraps
-  const Observability& o = *ch.observability();
-  ASSERT_GT(o.spans.dropped(), 0u);
-  ASSERT_EQ(o.tasks.task_count(), 2u);
+  // A GyroSystem channel (tasks analog, dsp_frame) and an analog baseline
+  // (analog, conditioning, daq_output), each observed long enough that the
+  // span ring wraps.
+  for (const engine::ChannelKind kind :
+       {engine::ChannelKind::GyroIdeal, engine::ChannelKind::Adxrs300}) {
+    const bool gyro = kind == engine::ChannelKind::GyroIdeal;
+    SCOPED_TRACE(gyro ? "GyroIdeal" : "Adxrs300");
+    engine::ChannelConfig cfg;
+    cfg.kind = kind;
+    cfg.with_obs = true;
+    engine::ConditioningChannel ch(cfg);
+    const long chunk = std::lround(0.05 * ch.base_rate_hz());
+    for (int i = 0; i < 12; ++i) ch.advance(chunk);  // 0.6 s: the span ring wraps
+    const Observability& o = *ch.observability();
+    ASSERT_GT(o.spans.dropped(), 0u);
+    ASSERT_EQ(o.tasks.task_count(), gyro ? 2u : 3u);
 
-  // What the ring holds: timed firings (Scheduler spans named after a task)
-  // and the rest of the Scheduler track (the gyro.run spans).
-  std::vector<Drawn> firings, others;
-  o.spans.for_each([&](const Span& s) {
-    if (s.category != SpanCategory::Scheduler) return;
-    for (std::size_t id = 0; id < o.tasks.task_count(); ++id)
-      if (o.tasks.task_name(static_cast<int>(id)) == s.name) {
-        firings.push_back({static_cast<long>(id) + 1, s.span_id});
-        return;
-      }
-    EXPECT_STREQ(s.name, "gyro.run");
-    others.push_back({201, s.span_id});
-  });
-  std::sort(firings.begin(), firings.end());
-  std::sort(others.begin(), others.end());
-  ASSERT_FALSE(firings.empty());
-  ASSERT_FALSE(others.empty());
-  for (const long tid : {1L, 2L})
-    EXPECT_TRUE(std::any_of(firings.begin(), firings.end(),
-                            [&](const Drawn& d) { return d.first == tid; }))
-        << "no firing of task " << tid - 1;
+    // What the ring holds: timed firings (Scheduler spans named after a
+    // task) and the rest of the Scheduler track (a GyroSystem's gyro.run
+    // spans).
+    std::vector<Drawn> firings, others;
+    o.spans.for_each([&](const Span& s) {
+      if (s.category != SpanCategory::Scheduler) return;
+      for (std::size_t id = 0; id < o.tasks.task_count(); ++id)
+        if (o.tasks.task_name(static_cast<int>(id)) == s.name) {
+          firings.push_back({static_cast<long>(id) + 1, s.span_id});
+          return;
+        }
+      EXPECT_STREQ(s.name, "gyro.run");
+      others.push_back({201, s.span_id});
+    });
+    std::sort(firings.begin(), firings.end());
+    std::sort(others.begin(), others.end());
+    ASSERT_FALSE(firings.empty());
+    EXPECT_EQ(others.empty(), !gyro);
+    for (const long tid : {1L, 2L})  // analog, and dsp_frame or conditioning
+      EXPECT_TRUE(std::any_of(firings.begin(), firings.end(),
+                              [&](const Drawn& d) { return d.first == tid; }))
+          << "no firing of task " << tid - 1;
 
-  const std::string js = chrome_trace_json(o.tasks, &o.events, &o.spans);
-  expect_balanced_json(js);
-  EXPECT_EQ(drawn(js, "task"), firings);
-  EXPECT_EQ(drawn(js, "span:scheduler"), others) << "a timed firing drawn twice";
+    const std::string js = chrome_trace_json(o.tasks, &o.events, &o.spans);
+    expect_balanced_json(js);
+    EXPECT_EQ(drawn(js, "task"), firings);
+    EXPECT_EQ(drawn(js, "span:scheduler"), others) << "a timed firing drawn twice";
+  }
 }
 
 TEST(Export, ChromeTraceOfEmptyProfilerIsValid) {

@@ -3,7 +3,7 @@
 // Runs the standard gyro scenario (Full fidelity, safety supervisor, 8051
 // monitor running the watchdog-kicker firmware) with the full observability
 // stack attached, printing a one-line digest per simulated chunk and a final
-// report: per-task scheduler timings, the MCU PC-histogram top-10 (with
+// report: per-task counts and walls, the MCU PC-histogram top-10 (with
 // disassembly), ISR costs and the structured-event digest. The "top(1) for
 // the simulated chip".
 //
@@ -19,8 +19,10 @@
 //                                fleet with flight recorders + causal spans
 //                                armed and print a per-channel health table
 //
-// Exit status: 0 on success, 1 when the run produced no output samples or an
-// export failed, 2 on usage errors.
+// Exit status: 0 on success, 1 when the run produced no output samples, its
+// task walls do not sum to its run wall (1e-9 relative), or an export
+// failed, 2 on usage errors.
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -222,8 +224,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(p.count));
   }
 
-  // ---- exports -------------------------------------------------------------
+  // The task walls share out the run wall, so they must add up to it.
   int rc = 0;
+  double task_wall = 0.0;
+  for (const auto& t : obs.tasks.stats()) task_wall += t.wall_seconds;
+  if (!(std::abs(task_wall - obs.tasks.wall_seconds()) <= 1e-9 * obs.tasks.wall_seconds())) {
+    std::fprintf(stderr, "platform_top: task walls sum to %.9g s, the run wall is %.9g s\n",
+                 task_wall, obs.tasks.wall_seconds());
+    rc = 1;
+  }
+
+  // ---- exports -------------------------------------------------------------
   if (json_path) {
     const std::string js = obs::json_snapshot(snap, &obs.events, &obs.tasks, &obs.mcu);
     if (write_file(json_path, js)) {
