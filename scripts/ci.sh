@@ -64,11 +64,15 @@
 #                        8051 PC histogram and the 8051 memories allocated
 #                        at first use; an unused profiler's empty histogram
 #                        read as all zeros; the obs record path allocating
-#                        nothing once its rings have wrapped) and the
-#                        span and Chrome-trace export tests (the export
-#                        looks each timed task firing's track up by its
-#                        span's name), all but the checkpoint replay and
-#                        layout tests with UBSan halting on error
+#                        nothing once its rings have wrapped), the event
+#                        log tests (ring wrap, the category values that
+#                        flight records store), the test that a run adds
+#                        no event to a settled channel's ring or flight
+#                        recorder, and the span and Chrome-trace export
+#                        tests (the export looks each timed task firing's
+#                        track up by its span's name), all but the
+#                        checkpoint replay and layout tests with UBSan
+#                        halting on error
 #   ci.sh wcet         — static timing proof: the MCS-51 opcode table must
 #                        agree with the ISS for all 256 opcodes (decoded
 #                        length, flow and targets, write flags, machine
@@ -160,8 +164,9 @@ stage_chaos_smoke() {
     --gtest_filter='GyroMemsCache.*:GyroMemsLanes.*'
   echo "== footprint: first-use INL tables, PC histogram and 8051 memories, empty-histogram reads, allocation-free obs record path, under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_footprint
-  echo "== spans and Chrome-trace export (task tracks drawn from the span ring), under ASAN =="
-  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_obs --gtest_filter='Export.*:Spans.*'
+  echo "== events, runs that add no event, spans and Chrome-trace export (task tracks drawn from the span ring), under ASAN =="
+  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_obs \
+    --gtest_filter='Events.*:ObsEventPipeline.RunBookkeepingLeavesNoEvent:Export.*:Spans.*'
 }
 
 stage_warnings() {

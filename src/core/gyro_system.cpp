@@ -175,7 +175,6 @@ void GyroSystem::set_observability(const obs::ObsSink& sink) {
   if (obs_.events) {
     obs_.events->declare_emitter(obs::EventCategory::Pll, "GyroSystem");
     obs_.events->declare_emitter(obs::EventCategory::Agc, "GyroSystem");
-    obs_.events->declare_emitter(obs::EventCategory::Scheduler, "GyroSystem");
     obs_.events->declare_emitter(obs::EventCategory::Mcu, "GyroSystem");
     // The Probe category is claimed by whoever attaches a probe; when one is
     // already attached the declaration lands here too.
@@ -196,6 +195,7 @@ void GyroSystem::set_observability(const obs::ObsSink& sink) {
     obs_m_outputs_ = obs_.metrics->counter("gyro.output_samples");
     obs_m_dsp_ = obs_.metrics->counter("gyro.dsp_samples");
     obs_m_runs_ = obs_.metrics->counter("gyro.runs");
+    obs_m_nonfinite_ = obs_.metrics->counter("afe.nonfinite_inputs");
     obs_h_output_v_ = obs_.metrics->histogram("gyro.output_v");
   }
   if (supervisor_) supervisor_->set_obs(obs_);
@@ -677,7 +677,7 @@ void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
   Group g(members);
   // Every member keeps a solo run's bookkeeping in its own obs bundle.
   std::array<RunBooks, Group::kMax> books;
-  for (std::size_t k = 0; k < members.size(); ++k) members[k].sys->begin_run(books[k], seconds);
+  for (std::size_t k = 0; k < members.size(); ++k) members[k].sys->begin_run(books[k]);
   const auto wall0 = std::chrono::steady_clock::now();
   try {
     // One frame per pass: the analog ticks up to and including the next
@@ -717,12 +717,13 @@ void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
     members[k].sys->end_run(books[k], seconds, wall, members[k].error != nullptr);
 }
 
-void GyroSystem::begin_run(RunBooks& b, double seconds) {
+std::uint64_t GyroSystem::nonfinite_conversions() const {
+  return acq_primary_->adc().nonfinite_inputs() + acq_sense_->adc().nonfinite_inputs();
+}
+
+void GyroSystem::begin_run(RunBooks& b) {
   b.dsp_samples = dsp_samples_;
-  const double dsp_fs = cfg_.analog_fs / cfg_.adc_div;
-  if (obs_.events)
-    obs_.events->emit(static_cast<double>(dsp_samples_) / dsp_fs, obs::EventSeverity::Debug,
-                      obs::EventCategory::Scheduler, "run_begin", {}, {{"seconds", seconds}});
+  b.nonfinite = nonfinite_conversions();
   b.t_sim0 = static_cast<double>(base_ticks_) / cfg_.analog_fs;
   if (obs_.spans && obs_.events && !obs_trace_announced_) {
     obs_trace_announced_ = true;
@@ -734,19 +735,18 @@ void GyroSystem::begin_run(RunBooks& b, double seconds) {
 }
 
 void GyroSystem::end_run(RunBooks& b, double seconds, double wall, bool threw) {
-  // One add per run, not one per DSP frame; a run that threw counts the
-  // frames it ran, so a crash image holds the same counters.
+  // One add per run, not one per DSP frame or conversion; a run that threw
+  // counts the frames and NaN conversions it ran, so a crash image holds the
+  // same counters.
   if (obs_.metrics && dsp_samples_ != b.dsp_samples)
     obs_.metrics->add(obs_m_dsp_, static_cast<double>(dsp_samples_ - b.dsp_samples));
+  if (const std::uint64_t nan = nonfinite_conversions() - b.nonfinite; obs_.metrics && nan)
+    obs_.metrics->add(obs_m_nonfinite_, static_cast<double>(nan));
   // A run that threw leaves its span to close as an unwound one.
   if (threw) return;
   b.span->close(b.t_sim0 + seconds, wall * 1e6);
   if (obs_.tasks) obs_.tasks->record_run(seconds, wall);
   if (obs_.metrics) obs_.metrics->add(obs_m_runs_);
-  if (obs_.events)
-    obs_.events->emit(static_cast<double>(dsp_samples_) / (cfg_.analog_fs / cfg_.adc_div),
-                      obs::EventSeverity::Debug, obs::EventCategory::Scheduler, "run_end", {},
-                      {{"seconds", seconds}, {"wall_s", wall}});
 }
 
 }  // namespace ascp::core

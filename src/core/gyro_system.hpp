@@ -156,10 +156,10 @@ class GyroSystem : public RateSensor {
   /// in run()'s frame loop: each analog tick stages every member's inputs,
   /// makes one step_lanes call and ends with the members' per-tick probe
   /// taps; each DSP frame loops over the members. Each member ends bit for
-  /// bit where its own run() would, with its own run bookkeeping:
-  /// run_begin/run_end/trace_begin events, gyro.run span, gyro.runs and
-  /// gyro.dsp_samples counts, exact task counts, and an equal share of the
-  /// group's timed frames and run wall. A member that throws keeps the
+  /// bit where its own run() would, with its own run bookkeeping: the
+  /// trace_begin event, gyro.run span, gyro.runs, gyro.dsp_samples and
+  /// afe.nonfinite_inputs counts, exact task counts, and an equal share of
+  /// the group's timed frames and run wall. A member that throws keeps the
   /// exception in `error`, is left as a throwing run() leaves it (its DSP
   /// samples so far counted), and drops out while the others finish. The
   /// members of a group of more than one must have equal lane_key()s, none
@@ -279,6 +279,7 @@ class GyroSystem : public RateSensor {
   struct RunBooks {
     double t_sim0 = 0.0;  ///< the run's first tick [s]
     long dsp_samples = 0;
+    std::uint64_t nonfinite = 0;  ///< nonfinite_conversions() at the start
     std::optional<obs::SpanScope> span;
   };
 
@@ -301,12 +302,15 @@ class GyroSystem : public RateSensor {
   /// that threw stopped in tick m.tick, whose analog step completed only if
   /// the DSP frame threw (`in_frame`); that frame did not.
   void count_tasks(const Lane& m, bool in_frame);
-  /// A run's obs bookkeeping before its first tick: run_begin and
-  /// trace_begin events, the gyro.run span.
-  void begin_run(RunBooks& b, double seconds);
-  /// ... and after its last: the DSP samples it ran, and unless it threw,
-  /// the span, run wall (`wall`, this system's share), gyro.runs, run_end.
+  /// A run's obs bookkeeping before its first tick: the trace_begin event
+  /// (once), the gyro.run span.
+  void begin_run(RunBooks& b);
+  /// ... and after its last: the DSP samples and NaN conversions it ran, and
+  /// unless it threw, the span, run wall (`wall`, this system's share) and
+  /// gyro.runs. The span is the run's one record: no event repeats it.
   void end_run(RunBooks& b, double seconds, double wall, bool threw);
+  /// Conversions of NaN by the two SAR converters since power-on.
+  std::uint64_t nonfinite_conversions() const;
   /// Sets up lane `m` for a run: flags and the MCU slice.
   void begin_lane(Lane& m);
   // The member stages of this system, member k of `g`:
@@ -356,6 +360,7 @@ class GyroSystem : public RateSensor {
   // Metric ids interned once at attach time (recording must not hit the
   // registry's name table).
   obs::MetricRegistry::Id obs_m_outputs_ = 0, obs_m_dsp_ = 0, obs_m_runs_ = 0;
+  obs::MetricRegistry::Id obs_m_nonfinite_ = 0;
   obs::MetricRegistry::Id obs_h_output_v_ = 0;
   int obs_t_analog_ = 0, obs_t_frame_ = 0;  ///< task ids in obs_.tasks
 

@@ -24,7 +24,6 @@ const char* category_name(EventCategory c) {
     case EventCategory::Dtc: return "dtc";
     case EventCategory::Watchdog: return "watchdog";
     case EventCategory::Fault: return "fault";
-    case EventCategory::Scheduler: return "scheduler";
     case EventCategory::Mcu: return "mcu";
     case EventCategory::Engine: return "engine";
     case EventCategory::Probe: return "probe";

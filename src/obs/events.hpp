@@ -27,6 +27,10 @@ class FlightRecorder;
 
 enum class EventSeverity : std::uint8_t { Debug = 0, Info = 1, Warn = 2, Error = 3 };
 
+// The values are the category bytes of `.blackbox` flight records: none is
+// renumbered or reused. 6 is retired (it named a pipeline run's begin/end
+// events, which repeated the run's gyro.run span), so an old record with
+// that byte decodes with category "?".
 enum class EventCategory : std::uint8_t {
   Pll = 0,         ///< lock / lock-loss / relock
   Agc = 1,         ///< amplitude-loop settling
@@ -34,7 +38,6 @@ enum class EventCategory : std::uint8_t {
   Dtc = 3,         ///< trouble-code latch / clear
   Watchdog = 4,    ///< watchdog bite
   Fault = 5,       ///< campaign inject / remove
-  Scheduler = 6,   ///< run boundaries of a pipeline's frame loop
   Mcu = 7,         ///< firmware-level events (recovery path, ISR anomalies)
   Engine = 8,      ///< fleet runtime: stall/crash detection, restart, quarantine
   Probe = 9,       ///< stimulus/probe seam: probe attach, ingestion underrun
@@ -42,13 +45,14 @@ enum class EventCategory : std::uint8_t {
   Recorder = 11,   ///< flight recorder: attach, blackbox dump
 };
 
-inline constexpr std::size_t kEventCategoryCount = 12;
+/// One past the largest category value: the size of a per-category table.
+inline constexpr std::size_t kEventCategorySlots = 12;
 
-inline constexpr std::array<EventCategory, kEventCategoryCount> kAllEventCategories = {
-    EventCategory::Pll,      EventCategory::Agc,      EventCategory::Supervisor,
-    EventCategory::Dtc,      EventCategory::Watchdog, EventCategory::Fault,
-    EventCategory::Scheduler, EventCategory::Mcu,     EventCategory::Engine,
-    EventCategory::Probe,    EventCategory::Trace,    EventCategory::Recorder};
+inline constexpr std::array kAllEventCategories = {
+    EventCategory::Pll,   EventCategory::Agc,      EventCategory::Supervisor,
+    EventCategory::Dtc,   EventCategory::Watchdog, EventCategory::Fault,
+    EventCategory::Mcu,   EventCategory::Engine,   EventCategory::Probe,
+    EventCategory::Trace, EventCategory::Recorder};
 
 const char* severity_name(EventSeverity s);
 const char* category_name(EventCategory c);
@@ -121,9 +125,9 @@ class EventLog {
   std::size_t head_ = 0;     ///< index of the oldest event once wrapped
   std::uint64_t total_ = 0;
   FlightRecorder* recorder_ = nullptr;
-  std::array<std::uint64_t, kEventCategoryCount> by_category_{};
+  std::array<std::uint64_t, kEventCategorySlots> by_category_{};
   std::array<std::uint64_t, 4> by_severity_{};
-  std::array<std::vector<std::string>, kEventCategoryCount> emitters_{};
+  std::array<std::vector<std::string>, kEventCategorySlots> emitters_{};
 };
 
 }  // namespace ascp::obs

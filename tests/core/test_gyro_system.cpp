@@ -410,5 +410,42 @@ TEST(GyroSystem, DspSampleCounterMatchesFramesRunEvenWhenARunThrows) {
   EXPECT_EQ(o.metrics.snapshot().counter_value("gyro.runs"), 1.0);
 }
 
+// A NaN at the SAR converters reads their bottom code and is counted: each
+// run books both converters' increase into afe.nonfinite_inputs, a run that
+// throws too. A finite run books nothing.
+TEST(GyroSystem, NonfiniteConversionsAreCountedPerRun) {
+  for (const bool nan : {false, true}) {
+    SCOPED_TRACE(nan ? "NaN rate" : "finite rate");
+    GyroSystem sys(default_gyro_system(Fidelity::Full));
+    obs::Observability o;
+    sys.set_observability(o.sink());
+    safety::FaultCampaign campaign;
+    campaign.add({"explode", safety::FaultLayer::Dsp, 3000, -1, false, 0},
+                 [] { throw std::runtime_error("campaign action exploded"); });
+    sys.set_fault_campaign(&campaign);
+    sys.power_on(5);
+    const auto rate = sensor::Profile::constant(nan ? std::nan("") : 10.0);
+    const auto temp = sensor::Profile::constant(25.0);
+    const auto converters = [&sys] {
+      return static_cast<double>(sys.acq_primary()->adc().nonfinite_inputs() +
+                                 sys.acq_sense()->adc().nonfinite_inputs());
+    };
+    const auto counted = [&o] {
+      return o.metrics.snapshot().counter_value("afe.nonfinite_inputs");
+    };
+
+    std::vector<double> out;
+    sys.run(rate, temp, 0.005, &out);  // 1200 DSP frames, one conversion each per converter
+    sys.run(rate, temp, 0.005, &out);
+    EXPECT_EQ(counted(), converters());
+    EXPECT_EQ(counted(), nan ? 4800.0 : 0.0);
+    EXPECT_FALSE(out.empty());
+    EXPECT_THROW(sys.run(rate, temp, 0.01, &out), std::runtime_error);
+    EXPECT_EQ(sys.dsp_samples(), 3000);
+    EXPECT_EQ(counted(), converters());
+    EXPECT_EQ(counted(), nan ? 6000.0 : 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace ascp::core

@@ -11,7 +11,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -473,19 +472,14 @@ TEST(ChannelFarm, LockstepMatchesSoloOneWorker) { expect_lockstep_matches_solo(1
 TEST(ChannelFarm, LockstepMatchesSoloFourWorkers) { expect_lockstep_matches_solo(4); }
 
 /// Everything a channel's obs bundle holds that does not read the host
-/// clock: metric counters, task invocation counts, events and flight
-/// records, each field printed exactly, the value of a `wall_s` key masked.
+/// clock: metric counters, task invocation counts, events, flight records and
+/// spans, each field printed exactly but a span's wall.
 std::string obs_fingerprint(const ConditioningChannel& ch) {
   const obs::Observability& o = *ch.observability();
   std::ostringstream os;
   os << std::hexfloat;
   const auto kv = [&os](const char* key, double v) {
-    if (!key) return;
-    os << ' ' << key << '=';
-    if (std::string_view(key) == "wall_s")
-      os << '*';
-    else
-      os << v;
+    if (key) os << ' ' << key << '=' << v;
   };
   for (const auto& [name, v] : o.metrics.snapshot().counters)
     os << "counter " << name << ' ' << v << '\n';
@@ -505,13 +499,21 @@ std::string obs_fingerprint(const ConditioningChannel& ch) {
     kv(r.k1, r.v1);
     os << '\n';
   });
+  o.spans.for_each([&](const obs::Span& s) {
+    os << "span " << s.name << ' ' << static_cast<int>(s.category) << ' ' << s.trace_id << ' '
+       << s.span_id << ' ' << s.parent_id << ' ' << s.t_begin << ' ' << s.t_end;
+    kv(s.k0, s.v0);
+    kv(s.k1, s.v1);
+    os << '\n';
+  });
   return os.str();
 }
 
 // Observed GyroIdeal channels with flight recorders group like bare ones,
 // and each member keeps a solo run's bookkeeping in its own bundle: outputs,
-// counters, task counts, events and flight records all match a solo twin's,
-// for a member that throws too (it counts the DSP samples it ran).
+// counters, task counts, events, flight records and spans (each run's
+// gyro.run among them) all match a solo twin's, for a member that throws too
+// (it counts the DSP samples it ran).
 void expect_observed_lockstep_matches_solo(unsigned workers) {
   std::vector<ChannelConfig> specs;
   for (int i = 0; i < 5; ++i) {
@@ -551,11 +553,12 @@ void expect_observed_lockstep_matches_solo(unsigned workers) {
     EXPECT_EQ(i == kThrower, farm.channel_failed(i)) << farm.channel_error(i);
     EXPECT_EQ(farm.channel(i).output_hash(), solo[i]->output_hash()) << "channel " << i;
     EXPECT_EQ(farm.channel(i).gyro()->dsp_samples(), solo[i]->gyro()->dsp_samples());
-    EXPECT_EQ(obs_fingerprint(farm.channel(i)), obs_fingerprint(*solo[i])) << "channel " << i;
+    const std::string fp = obs_fingerprint(farm.channel(i));
+    EXPECT_EQ(fp, obs_fingerprint(*solo[i])) << "channel " << i;
+    for (const char* part : {"counter gyro.runs", "task dsp_frame", "span gyro.run "})
+      EXPECT_NE(fp.find(part), std::string::npos) << "channel " << i << ": " << part;
+    EXPECT_EQ(fp.find("record ") != std::string::npos, i != 2) << "channel " << i;
   }
-  const std::string fp = obs_fingerprint(farm.channel(0));
-  for (const char* part : {"counter gyro.runs", "task dsp_frame", "run_end", "record "})
-    EXPECT_NE(fp.find(part), std::string::npos) << part;
   const obs::MetricsSnapshot m = farm.channel(kThrower).observability()->metrics.snapshot();
   EXPECT_EQ(m.counter_value("gyro.dsp_samples"),
             static_cast<double>(farm.channel(kThrower).gyro()->dsp_samples()));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/events.hpp"
@@ -43,7 +44,7 @@ TEST(Events, CountsByCategoryAndSeverity) {
 TEST(Events, RingWrapsAtCapacityKeepingNewest) {
   EventLog log(4);
   for (int i = 0; i < 6; ++i)
-    log.emit(static_cast<double>(i), EventSeverity::Debug, EventCategory::Scheduler, "tick");
+    log.emit(static_cast<double>(i), EventSeverity::Debug, EventCategory::Probe, "tick");
   EXPECT_EQ(log.capacity(), 4u);
   EXPECT_EQ(log.size(), 4u);
   EXPECT_EQ(log.total(), 6u);
@@ -56,7 +57,7 @@ TEST(Events, RingWrapsAtCapacityKeepingNewest) {
   EXPECT_DOUBLE_EQ(ts.back(), 5.0);
   for (std::size_t i = 1; i < ts.size(); ++i) EXPECT_LT(ts[i - 1], ts[i]);
   // Tallies count *emitted* events, not just retained ones.
-  EXPECT_EQ(log.count(EventCategory::Scheduler), 6u);
+  EXPECT_EQ(log.count(EventCategory::Probe), 6u);
 }
 
 TEST(Events, CapacityOneRingAlwaysHoldsTheNewest) {
@@ -78,7 +79,7 @@ TEST(Events, DoubleWrapStaysOrderedOldestToNewest) {
   // strictly-increasing window ending at the newest emission.
   EventLog log(3);
   for (int i = 0; i < 11; ++i)
-    log.emit(static_cast<double>(i), EventSeverity::Debug, EventCategory::Scheduler, "t");
+    log.emit(static_cast<double>(i), EventSeverity::Debug, EventCategory::Trace, "t");
   std::vector<double> ts;
   log.for_each([&](const Event& e) { ts.push_back(e.t_sim); });
   ASSERT_EQ(ts.size(), 3u);
@@ -106,6 +107,24 @@ TEST(Events, EmitterRegistryTracksClaimants) {
   ASSERT_EQ(log.emitters(EventCategory::Supervisor).size(), 2u);
   EXPECT_EQ(log.emitters(EventCategory::Supervisor)[0], "SafetySupervisor");
   EXPECT_FALSE(log.emitter_declared(EventCategory::Mcu));
+}
+
+// The category values are the category bytes of `.blackbox` flight records,
+// so a retired value (6) stays unused and every other one keeps its byte: an
+// image written before a category was retired still names its categories.
+TEST(Events, CategoryValuesAreTheFlightRecordBytes) {
+  const std::vector<std::pair<EventCategory, int>> bytes = {
+      {EventCategory::Pll, 0},   {EventCategory::Agc, 1},       {EventCategory::Supervisor, 2},
+      {EventCategory::Dtc, 3},   {EventCategory::Watchdog, 4},  {EventCategory::Fault, 5},
+      {EventCategory::Mcu, 7},   {EventCategory::Engine, 8},    {EventCategory::Probe, 9},
+      {EventCategory::Trace, 10}, {EventCategory::Recorder, 11}};
+  ASSERT_EQ(bytes.size(), kAllEventCategories.size());
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    EXPECT_EQ(kAllEventCategories[i], bytes[i].first);
+    EXPECT_EQ(static_cast<int>(bytes[i].first), bytes[i].second) << category_name(bytes[i].first);
+    EXPECT_LT(static_cast<std::size_t>(bytes[i].second), kEventCategorySlots);
+  }
+  EXPECT_STREQ(category_name(static_cast<EventCategory>(6)), "?");
 }
 
 TEST(Events, NamesForSeveritiesAndCategories) {

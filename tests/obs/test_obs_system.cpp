@@ -11,6 +11,7 @@
 //      totals consistent with the executed firmware.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -20,6 +21,7 @@
 #include "core/baselines.hpp"
 #include "core/gyro_system.hpp"
 #include "obs/observability.hpp"
+#include "platform/engine/conditioning_channel.hpp"
 #include "safety/standard_faults.hpp"
 
 namespace {
@@ -240,6 +242,35 @@ TEST(ObsEventPipeline, PllLockLossAndRelockEvents) {
   EXPECT_LT(t_loss - t_inject, 5000.0 / fs_dsp);  // unlock bound from Pll.LockLossAndRelock
   EXPECT_LT(t_relock - t_loss, 1.0) << "reacquisition slower than the PR-1 bound";
   EXPECT_TRUE(gyro.locked());
+}
+
+// A run's one record is its gyro.run span and the gyro.runs count: once its
+// PLL and AGC have settled (the AGC settles and unsettles a few times in the
+// first half second), an observed channel with its flight recorder armed adds
+// no event, to its ring or to the recorder, however many runs it goes on to
+// make.
+TEST(ObsEventPipeline, RunBookkeepingLeavesNoEvent) {
+  engine::ChannelConfig cfg;
+  cfg.kind = engine::ChannelKind::GyroIdeal;
+  cfg.with_flight_recorder = true;
+  engine::ConditioningChannel ch(cfg);
+  const obs::Observability& o = *ch.observability();
+  const long chunk = std::lround(0.005 * ch.base_rate_hz());
+  for (int i = 0; i < 200; ++i) ch.advance(chunk);  // 1 s
+  ASSERT_TRUE(ch.gyro()->locked());
+  ASSERT_GT(o.events.count(obs::EventCategory::Pll), 0u);
+  ASSERT_GT(o.events.count(obs::EventCategory::Agc), 0u);
+
+  const std::uint64_t events = o.events.total();
+  const std::uint64_t recorded = o.recorder.count(obs::FlightKind::Event);
+  const double runs = o.metrics.snapshot().counter_value("gyro.runs");
+  const std::uint64_t spans = o.spans.total();
+  ASSERT_GT(recorded, 0u) << "the recorder tee is not armed";
+  for (int i = 0; i < 300; ++i) ch.advance(chunk);
+  EXPECT_EQ(o.events.total(), events);
+  EXPECT_EQ(o.recorder.count(obs::FlightKind::Event), recorded);
+  EXPECT_EQ(o.metrics.snapshot().counter_value("gyro.runs"), runs + 300.0);
+  EXPECT_GT(o.spans.total(), spans + 300u);
 }
 
 TEST(ObsEventPipeline, McuProfileConsistentWithExecutedFirmware) {
