@@ -3,7 +3,8 @@
 #
 # With no argument, runs the full pipeline: checks that every src/ header
 # has a user (the headers stage below), builds every preset (werror is
-# the warnings stage below), runs the tier-1 test suite on the default and
+# the warnings stage below), runs the channel-farm tests and the noise-crew
+# and GyroSystem tests under TSan, runs the tier-1 test suite on the default and
 # ubsan builds (the ubsan build also halts on a float-to-integer cast of NaN
 # or ±Inf), the observability smoke (platform_top's JSON snapshot and
 # Chrome trace), the perf ledger's selftest and smoke run (every workload's
@@ -364,12 +365,14 @@ else
   echo "== lint preset skipped: clang-tidy not installed =="
 fi
 
-echo "== configure + build: tsan (channel-farm engine) =="
+echo "== configure + build: tsan (channel-farm engine, noise crew) =="
 cmake --preset tsan >/dev/null
-cmake --build --preset tsan -j "$jobs" --target test_engine
+cmake --build --preset tsan -j "$jobs" --target test_engine --target test_core
 
 echo "== tsan: channel-farm tests =="
 ./build-tsan/tests/test_engine
+echo "== tsan: noise crew (helper-drawn runs, rewinds of runs that throw, nested runs) and GyroSystem tests =="
+./build-tsan/tests/test_core --gtest_filter='NoiseCrew.*:GyroSystem.*'
 
 echo "== tier-1 tests (default) =="
 ctest --preset default

@@ -14,6 +14,7 @@ SarAdc::SarAdc(const AdcConfig& cfg, ascp::Rng rng)
   const std::int64_t half = std::int64_t{1} << (cfg_.bits - 1);
   code_min_ = static_cast<std::int32_t>(-half);
   code_max_ = static_cast<std::int32_t>(half - 1);
+  ncodes_ = static_cast<std::size_t>(2 * half);
   lsb_ = cfg_.vref / static_cast<double>(half);
 
   // Die-specific static errors: offset and gain mismatch draws.
@@ -23,31 +24,41 @@ SarAdc::SarAdc(const AdcConfig& cfg, ascp::Rng rng)
   inl_rng_ = rng;
 }
 
-const std::vector<double>& SarAdc::inl() const {
-  if (inl_.empty()) [[unlikely]] draw_inl();
-  return inl_;
+// INL: smooth bowing (2nd/3rd order) plus integrated per-code DNL noise —
+// the signature of a binary-weighted SAR capacitor array — with the endpoint
+// line removed so INL is endpoint-referenced.
+double SarAdc::inl_raw(std::size_t i, double walk) const {
+  // x in −1..1 over the codes.
+  const double x = 2.0 * static_cast<double>(i) / static_cast<double>(ncodes_ - 1) - 1.0;
+  return bow2_ * (1.0 - x * x) + bow3_ * x * (1.0 - x * x) + walk;
 }
 
-void SarAdc::draw_inl() const {
-  // INL: smooth bowing (2nd/3rd order) plus integrated per-code DNL noise —
-  // the signature of a binary-weighted SAR capacitor array.
+void SarAdc::survey_inl() const {
   ascp::Rng rng = inl_rng_;
-  const std::size_t ncodes = static_cast<std::size_t>(code_max_ - code_min_ + 1);
-  inl_.resize(ncodes);
-  const double bow2 = rng.uniform(-1.0, 1.0) * cfg_.inl_lsb;
-  const double bow3 = rng.uniform(-1.0, 1.0) * cfg_.inl_lsb * 0.5;
+  bow2_ = rng.uniform(-1.0, 1.0) * cfg_.inl_lsb;
+  bow3_ = rng.uniform(-1.0, 1.0) * cfg_.inl_lsb * 0.5;
+  dnl_step_ = cfg_.dnl_sigma_lsb / std::sqrt(static_cast<double>(ncodes_));
+  std::vector<InlPage> pages((ncodes_ + kInlPage - 1) / kInlPage);
   double walk = 0.0;
-  const double dnl_step = cfg_.dnl_sigma_lsb / std::sqrt(static_cast<double>(ncodes));
-  for (std::size_t i = 0; i < ncodes; ++i) {
-    const double x = 2.0 * static_cast<double>(i) / static_cast<double>(ncodes - 1) - 1.0;  // −1..1
-    walk += rng.gaussian(dnl_step);
-    inl_[i] = bow2 * (1.0 - x * x) + bow3 * x * (1.0 - x * x) + walk;
+  for (std::size_t i = 0; i < ncodes_; ++i) {
+    if (i % kInlPage == 0) pages[i / kInlPage] = {rng, walk, {}};
+    walk += rng.gaussian(dnl_step_);
+    if (i == 0) inl_first_ = inl_raw(0, walk);
   }
-  // Remove endpoint line so INL is endpoint-referenced.
-  const double i0 = inl_.front(), i1 = inl_.back();
-  for (std::size_t i = 0; i < ncodes; ++i) {
-    const double t = static_cast<double>(i) / static_cast<double>(ncodes - 1);
-    inl_[i] -= i0 + t * (i1 - i0);
+  inl_last_ = inl_raw(ncodes_ - 1, walk);
+  inl_pages_ = std::move(pages);
+}
+
+void SarAdc::fill_inl_page(std::size_t p) const {
+  InlPage& page = inl_pages_[p];
+  ascp::Rng rng = page.rng;
+  double walk = page.walk;
+  const std::size_t first = p * kInlPage, end = std::min(ncodes_, first + kInlPage);
+  page.values.resize(end - first);
+  for (std::size_t i = first; i < end; ++i) {
+    walk += rng.gaussian(dnl_step_);
+    const double t = static_cast<double>(i) / static_cast<double>(ncodes_ - 1);
+    page.values[i - first] = inl_raw(i, walk) - (inl_first_ + t * (inl_last_ - inl_first_));
   }
 }
 
@@ -68,10 +79,9 @@ std::int32_t SarAdc::convert(double vin, double temp_c) {
     ++nonfinite_inputs_;
     return code_min_;
   }
-  const std::vector<double>& inl = this->inl();
   const double idx = std::clamp(code_f - static_cast<double>(code_min_), 0.0,
-                                static_cast<double>(inl.size() - 1));
-  code_f += inl[static_cast<std::size_t>(idx)];
+                                static_cast<double>(ncodes_ - 1));
+  code_f += inl(static_cast<std::size_t>(idx));
 
   const double rounded = std::nearbyint(code_f);
   return static_cast<std::int32_t>(
@@ -84,9 +94,8 @@ double SarAdc::convert_volts(double vin, double temp_c) {
 
 double SarAdc::inl_at(std::int32_t code) const {
   const std::int64_t idx = static_cast<std::int64_t>(code) - code_min_;
-  const std::vector<double>& inl = this->inl();
-  if (idx < 0 || idx >= static_cast<std::int64_t>(inl.size())) return 0.0;
-  return inl[static_cast<std::size_t>(idx)];
+  if (idx < 0 || idx >= static_cast<std::int64_t>(ncodes_)) return 0.0;
+  return inl(static_cast<std::size_t>(idx));
 }
 
 }  // namespace ascp::afe

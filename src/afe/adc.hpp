@@ -32,10 +32,14 @@ struct AdcConfig {
 /// Behavioral SAR ADC. Each instance draws its own static nonlinearity from
 /// the RNG, modelling die-to-die mismatch; conversions are deterministic
 /// given the seed. Offset and gain are drawn at construction; the per-code
-/// INL table (2^bits doubles, 128 KiB at 14 bits) is drawn the first time a
-/// conversion or inl_at() reads it, from the stream the constructor left
-/// after those two draws: the same values whenever it is drawn, and a
-/// converter that never converts (an Ideal-fidelity system's) never holds it.
+/// INL table (2^bits doubles, 128 KiB at 14 bits) is drawn from the stream
+/// the constructor left after those two draws, one 4 KiB page at a time:
+/// the first conversion or inl_at() makes one pass over all the draws,
+/// keeping the walk's endpoints and each page's starting stream and walk,
+/// and a page is filled by replaying its draws when a read first lands in
+/// it. The values are the same whenever and in whatever order the pages
+/// are drawn; a converter holds only the pages its codes reach, and one
+/// that never converts (an Ideal-fidelity system's) holds none.
 class SarAdc {
  public:
   SarAdc(const AdcConfig& cfg, ascp::Rng rng);
@@ -53,7 +57,7 @@ class SarAdc {
   const AdcConfig& config() const { return cfg_; }
 
   /// Static transfer-curve deviation at a given code [LSB] (INL read-back,
-  /// used by the self-test bench). Draws the INL table if no conversion has,
+  /// used by the self-test bench). Draws the code's INL page if no read has,
   /// so, like convert(), it must not race another call on this converter.
   double inl_at(std::int32_t code) const;
 
@@ -76,8 +80,9 @@ class SarAdc {
   }
 
   void serialize_state(StateArchive& ar) {
-    // Mismatch draws (offset_, gain_, inl_) reproduce from the same seed
-    // (inl_ at its first use); only the noise stream and fault latches evolve.
+    // Mismatch draws (offset_, gain_, the INL pages) reproduce from the same
+    // seed (the pages at their first use); only the noise stream and fault
+    // latches evolve.
     noise_.serialize_state(ar);
     ar.value(stuck_);
     ar.value(stuck_code_);
@@ -85,17 +90,42 @@ class SarAdc {
   }
 
  private:
-  /// The INL table, drawn from inl_rng_ on the first call.
-  const std::vector<double>& inl() const;
-  void draw_inl() const;
+  /// INL entries per 4 KiB page.
+  static constexpr std::size_t kInlPage = 4096 / sizeof(double);
+  /// One page of the INL table: the mismatch stream and the DNL walk before
+  /// its first entry, and its values once a read has filled them.
+  struct InlPage {
+    ascp::Rng rng;
+    double walk = 0.0;
+    std::vector<double> values;  ///< [LSB]; empty until first read
+  };
+
+  /// INL at table index `i` (code − code_min_) [LSB].
+  double inl(std::size_t i) const {
+    if (inl_pages_.empty()) [[unlikely]] survey_inl();
+    const InlPage& page = inl_pages_[i / kInlPage];
+    if (page.values.empty()) [[unlikely]] fill_inl_page(i / kInlPage);
+    return page.values[i % kInlPage];
+  }
+  /// The first read's pass over every draw of inl_rng_: the bow terms, the
+  /// walk's endpoint values and each page's starting stream and walk.
+  void survey_inl() const;
+  /// Replays page `p`'s draws into its values.
+  void fill_inl_page(std::size_t p) const;
+  /// Table entry `i` before the endpoint line is removed.
+  double inl_raw(std::size_t i, double walk) const;
 
   AdcConfig cfg_;
   double lsb_;
   std::int32_t code_min_, code_max_;
+  std::size_t ncodes_;
   double offset_;  ///< drawn offset including mismatch
   double gain_;    ///< drawn gain including mismatch
   ascp::Rng inl_rng_;  ///< mismatch stream after the offset and gain draws
-  mutable std::vector<double> inl_;  ///< per-code INL [LSB]; empty until drawn
+  // The INL table by page; empty until the first read surveys it.
+  mutable std::vector<InlPage> inl_pages_;
+  mutable double bow2_ = 0.0, bow3_ = 0.0, dnl_step_ = 0.0;
+  mutable double inl_first_ = 0.0, inl_last_ = 0.0;  ///< raw endpoint entries
   std::uint64_t nonfinite_inputs_ = 0;
   NoiseSource noise_;
   bool stuck_ = false;

@@ -40,6 +40,9 @@ class ChargeAmp {
 
   void reset();
 
+  /// The output noise source (one sample per step).
+  NoiseSource& noise() { return noise_; }
+
   void serialize_state(StateArchive& ar) {
     ar.value(lp_state_);
     ar.value(hp_state_);

@@ -10,9 +10,8 @@ double thermal_noise_scale(double temp_c) {
   return std::sqrt(t_kelvin / 298.15);
 }
 
-NoiseSource::NoiseSource(const NoiseSpec& spec, double fs, ascp::Rng rng)
-    : spec_(spec),
-      // Sampled white noise of density d [units/√Hz] has per-sample sigma
+NoiseSource::Stream::Stream(const NoiseSpec& spec, double fs, ascp::Rng rng)
+    : // Sampled white noise of density d [units/√Hz] has per-sample sigma
       // d·√(fs/2) (one-sided bandwidth fs/2).
       sigma_white_(spec.white_density * std::sqrt(fs / 2.0)),
       rng_(rng),
@@ -31,18 +30,17 @@ NoiseSource::NoiseSource(const NoiseSpec& spec, double fs, ascp::Rng rng)
             spec.white_density * spec.white_density * corner * std::log(f_hi / f_lo);
         return ascp::FlickerNoise(rng_.fork(1), std::sqrt(power), 20);
       }()),
-      has_flicker_(spec.flicker_corner_hz > 0.0),
+      has_flicker_(spec.flicker_corner_hz > 0.0) {}
+
+NoiseSource::NoiseSource(const NoiseSpec& spec, double fs, ascp::Rng rng)
+    : spec_(spec),
+      stream_(spec, fs, rng),
       temp_key_(std::bit_cast<std::uint64_t>(25.0)),
       thermal_scale_(thermal_noise_scale(25.0)) {}
 
-double NoiseSource::sample(double temp_c) {
-  if (const auto key = std::bit_cast<std::uint64_t>(temp_c); key != temp_key_) {
-    temp_key_ = key;
-    thermal_scale_ = thermal_noise_scale(temp_c);
-  }
-  double n = rng_.gaussian(sigma_white_) * thermal_scale_;
-  if (has_flicker_) n += flicker_.next();
-  return n;
+void NoiseSource::rescale(double temp_c) {
+  temp_key_ = std::bit_cast<std::uint64_t>(temp_c);
+  thermal_scale_ = thermal_noise_scale(temp_c);
 }
 
 }  // namespace ascp::afe

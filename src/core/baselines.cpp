@@ -280,7 +280,7 @@ void AnalogGyroBaseline::run(sensor::StimulusSource& src, double seconds,
     for (long left = static_cast<long>(seconds * cfg_.analog_fs + 0.5); left > 0;) {
       const long to_end = div - ticks_ % div;
       const long n = std::min(left, to_end);
-      if (obs_.tasks && ticks_ / div % obs::TaskProfiler::kTimedFrameStride == 0)
+      if (obs_.tasks && obs::TaskProfiler::timed_frame(ticks_ / div))
         run_timed(n, n == to_end);
       else
         run_frame(n, n == to_end);

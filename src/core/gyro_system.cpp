@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/calibration.hpp"
+#include "core/noise_crew.hpp"
 #include "platform/selftest.hpp"
 #include "safety/cal_store.hpp"
 
@@ -288,6 +289,7 @@ GyroSystem::Group::Group(std::span<GroupMember> members) {
     m.error = nullptr;
     Lane& lane = lanes[size];
     lane.member = &m;
+    lane.index = size;
     rings[size] = m.sys->mems_.get();
     m.sys->begin_lane(lane);
     tick_taps |= lane.w_stim || lane.w_mems || lane.w_afe;
@@ -319,6 +321,7 @@ void GyroSystem::Group::each(Fn&& fn) {
   for (std::size_t k = 0; k < size; ++k) {
     if (lanes[k].member->error) {
       lanes[k].member->sys->count_tasks(lanes[k], in_frame);
+      if (crew) crew->leave(lanes[k].index);
       continue;
     }
     lanes[kept] = lanes[k];
@@ -328,6 +331,11 @@ void GyroSystem::Group::each(Fn&& fn) {
     ++kept;
   }
   size = kept;
+}
+
+[[gnu::noinline]] void GyroSystem::Group::next_block() {
+  crew->next_block();
+  ahead_left = NoiseCrew::kBlock - 1;
 }
 
 void GyroSystem::begin_lane(Lane& m) {
@@ -342,6 +350,14 @@ void GyroSystem::begin_lane(Lane& m) {
   m.w_afe = cfg_.fidelity == Fidelity::Full && probe_->wants(sensor::ProbePoint::PostAfe);
   m.w_adc = probe_->wants(sensor::ProbePoint::PostAdc);
   m.w_out = probe_->wants(sensor::ProbePoint::DecimatedOutput);
+}
+
+NoiseMember GyroSystem::noise_member() {
+  NoiseMember m;
+  m.mems = mems_.get();
+  if (cfg_.fidelity == Fidelity::Full)
+    m.charge_amp = {&champ_primary_->noise(), &champ_sense_->noise()};
+  return m;
 }
 
 void GyroSystem::analog_inputs(Group& g, std::size_t k) {
@@ -505,6 +521,7 @@ void GyroSystem::run_analog(Group& g, long n) {
   // The per-tick probe taps follow, read-only, when a member's probe wants
   // one (the post-ADC and output taps ride in the DSP frame).
   for (long i = 0; i < n; ++i) {
+    if (g.crew && g.ahead_left-- == 0) g.next_block();
     g.each([&g](GyroSystem& s, std::size_t k) { s.analog_inputs(g, k); });
     if (g.size == 1)
       g.pick[0] = g.rings[0]->step(g.in[0]);
@@ -679,6 +696,16 @@ void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
   std::array<RunBooks, Group::kMax> books;
   for (std::size_t k = 0; k < members.size(); ++k) members[k].sys->begin_run(books[k]);
   const auto wall0 = std::chrono::steady_clock::now();
+  const long ticks = static_cast<long>(seconds * lead.cfg_.analog_fs + 0.5);
+  // The noise is drawn ahead on this thread's crew where the run allows.
+  if (NoiseCrew* crew = ticks >= NoiseCrew::kBlock ? NoiseCrew::here() : nullptr) {
+    std::array<NoiseMember, Group::kMax> noise;
+    for (std::size_t k = 0; k < g.size; ++k) noise[k] = members[k].sys->noise_member();
+    if (crew->begin({noise.data(), g.size}, ticks)) {
+      g.crew = crew;
+      g.ahead_left = NoiseCrew::kBlock;
+    }
+  }
   try {
     // One frame per pass: the analog ticks up to and including the next
     // conversion's last clock (a SAR finishing its cycle on the adc_div-th
@@ -690,11 +717,10 @@ void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
     // against base_ticks_.
     const long div = lead.cfg_.adc_div;
     long tick = lead.base_ticks_;
-    for (long left = static_cast<long>(seconds * lead.cfg_.analog_fs + 0.5);
-         left > 0 && g.size > 0;) {
+    for (long left = ticks; left > 0 && g.size > 0;) {
       const long to_dsp = div - tick % div;
       const long n = std::min(left, to_dsp);
-      if (g.profiled && tick / div % obs::TaskProfiler::kTimedFrameStride == 0) {
+      if (g.profiled && obs::TaskProfiler::timed_frame(tick / div)) {
         run_timed(g, n, n == to_dsp);
       } else {
         run_analog(g, n);
@@ -707,7 +733,12 @@ void GyroSystem::run_group(std::span<GroupMember> members, double seconds) {
     // Only a lone member's exception gets here (Group::each).
     g.lanes[0].member->error = std::current_exception();
     g.lanes[0].member->sys->count_tasks(g.lanes[0], g.in_frame);
+    if (g.crew) g.crew->leave(g.lanes[0].index);
     g.size = 0;
+  }
+  if (g.crew) {
+    if (g.size > 0) g.crew->end();
+    else g.crew->abandon();
   }
   for (std::size_t k = 0; k < g.size; ++k) g.lanes[k].member->sys->count_tasks(g.lanes[k], false);
   const double wall =

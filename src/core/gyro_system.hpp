@@ -29,6 +29,11 @@
 // what its own run() gives. run() is the group of one. Observed systems
 // group too: each member keeps a solo run's bookkeeping in its own obs
 // bundle (events, gyro.run span, counters, task profiler).
+//
+// A run draws its MEMS Brownian force and charge-amp noise ahead on the
+// calling thread's NoiseCrew where it can (core/noise_crew.hpp), bit for bit
+// what drawing inline gives; the PGA noise and the SAR and temperature-sensor
+// draws (one per conversion) stay inline.
 #pragma once
 
 #include <array>
@@ -55,6 +60,9 @@
 #include "sensor/gyro_mems.hpp"
 
 namespace ascp::core {
+
+class NoiseCrew;
+struct NoiseMember;
 
 enum class Fidelity { Ideal, Full };
 
@@ -230,7 +238,9 @@ class GyroSystem : public RateSensor {
   /// Checkpoint path: runtime-mutable config knobs, both register files and
   /// every stateful component. Wiring (obs sink, trace, campaign pointer,
   /// register hook closures) stays as constructed — restore into a system
-  /// built from the same config.
+  /// built from the same config. Call it between runs: inside a run's own
+  /// callbacks the noise streams a crew draws ahead still hold the state
+  /// the run began with.
   void serialize_state(StateArchive& ar);
 
  private:
@@ -239,6 +249,7 @@ class GyroSystem : public RateSensor {
   /// the member's task flags.
   struct Lane {
     GroupMember* member = nullptr;
+    std::size_t index = 0; ///< position in the group's member list
     long tick0 = 0;        ///< global index of the run's first analog tick
     long tick = 0;         ///< global index of the current analog tick
     double dt = 0.0;       ///< analog tick period [s]
@@ -261,6 +272,10 @@ class GyroSystem : public RateSensor {
     bool tick_taps = false;  ///< a member's probe wants a per-tick tap
     bool profiled = false;   ///< a member has a task profiler
     bool in_frame = false;   ///< the DSP frame is running
+    /// The crew drawing this run's noise ahead (null: drawn inline), and the
+    /// ticks left in its attached block.
+    NoiseCrew* crew = nullptr;
+    long ahead_left = 0;
 
     /// Every member running, its error cleared and its lane set up for a
     /// run (begin_lane). At most kMax members.
@@ -271,9 +286,12 @@ class GyroSystem : public RateSensor {
     /// lone member's exception propagates, for run_group to catch.
     template <typename Fn>
     void each(Fn&& fn);
-    /// Books the task counts of the members that threw and removes them;
-    /// out of line, so the stages that call each() stay small.
+    /// Books the task counts of the members that threw, rewinds their
+    /// noise streams and removes them; out of line, so the stages that call
+    /// each() stay small.
     void drop_failed();
+    /// Moves the crew's cursors to its next block; out of line.
+    void next_block();
   };
   /// One member's run bookkeeping between begin_run and end_run.
   struct RunBooks {
@@ -313,6 +331,8 @@ class GyroSystem : public RateSensor {
   std::uint64_t nonfinite_conversions() const;
   /// Sets up lane `m` for a run: flags and the MCU slice.
   void begin_lane(Lane& m);
+  /// The noise streams a crew can draw ahead for this system's run.
+  NoiseMember noise_member();
   // The member stages of this system, member k of `g`:
   /// the analog tick up to the MEMS: stimulus and electrode voltages;
   void analog_inputs(Group& g, std::size_t k);

@@ -6,7 +6,8 @@
 // tasks are registered once and deduplicated by (name, divider, phase).
 //
 // The pipelines time whole frames, one in each kTimedFrameStride by global
-// frame index, reading the clock once at each task boundary of a timed frame.
+// frame index (timed_frame), reading the clock once at each task boundary of
+// a timed frame.
 // Each timed task's share of a frame is one record: a Scheduler span in the
 // attached SpanLog (the Chrome-trace exporter draws task tracks there) and
 // wall added to the task's timed total. A task's reported wall is the
@@ -31,6 +32,11 @@ class TaskProfiler {
   /// prime, so co-prime with the 128-frame output cadence (the CIC ratio):
   /// over 128 windows the timed frames take each of its phases once.
   static constexpr long kTimedFrameStride = 127;
+
+  /// Whether the pipelines time global frame `frame`: frame 1 of each
+  /// window, so neither the power-on frame (first conversion) nor frame 127
+  /// (first output and 8051 slice) stands for a whole window.
+  static bool timed_frame(long frame) { return frame % kTimedFrameStride == 1; }
 
   /// Get-or-create the id for a task. Unnamed tasks profile under a
   /// synthesized "task@divider+phase" label.

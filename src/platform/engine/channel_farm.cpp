@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "core/gyro_system.hpp"
+#include "core/noise_crew.hpp"
 
 namespace ascp::engine {
 
@@ -234,6 +235,8 @@ void ChannelFarm::advance(std::span<const std::size_t> which, std::span<const lo
 }
 
 void ChannelFarm::worker_loop() {
+  // The pool already spreads channels over the cores: no noise helpers.
+  core::NoiseCrew::draw_inline_here();
   std::uint64_t seen = 0;
   for (;;) {
     std::size_t units = 0;

@@ -89,7 +89,8 @@ void GyroMems::step_lanes(GyroMems* const* rings, const GyroInputs* in, GyroOutp
     else if (g.drive_fault_ == DriveElectrodeFault::Stuck) v_drive = g.stuck_v_;
     fd[l] = p.fpv * v_drive;
     fc[l] = p.fpv * u.v_control;
-    noise[l] = g.rng_.gaussian(g.noise_sigma_ * g.t_scale_);
+    const double z = g.ahead_ ? *g.ahead_++ : g.rng_.gaussian();
+    noise[l] = (g.noise_sigma_ * g.t_scale_) * z;
     const double kappa_omega = g.cfg_.angular_gain * u.rate_dps * kPi / 180.0;
     coriolis[l] = 2.0 * kappa_omega;
     w0d2[l] = p.w0d2;

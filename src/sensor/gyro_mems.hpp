@@ -19,7 +19,9 @@
 // multiply-add chain of one ring's step overlaps with its neighbours'.
 // Every lane computes exactly its own ring's scalar step (each keeps its
 // temperature-term cache and draws its Brownian deviate from its own Rng),
-// and step() is the one-lane instance.
+// and step() is the one-lane instance. The Brownian deviate is a standard
+// normal the temperature scales, so it can be drawn ahead from a copy of
+// the ring's Rng and read through read_ahead() (core/noise_crew.hpp).
 #pragma once
 
 #include <cstddef>
@@ -130,6 +132,17 @@ class GyroMems {
 
   const GyroMemsConfig& config() const { return cfg_; }
 
+  /// The live Brownian stream: one Rng::gaussian() per step. While a run
+  /// reads ahead it is the stream as the run began; the run writes it back
+  /// at its end.
+  ascp::Rng& brownian() { return rng_; }
+  /// Take the next steps' standard-normal Brownian deviates from `next`
+  /// onward, one per step, instead of drawing them; null draws again. The
+  /// caller keeps `next` valid and writes the stream state they leave back.
+  void read_ahead(const double* next) { ahead_ = next; }
+  /// Where the next step's deviate comes from (null: drawn).
+  const double* ahead() const { return ahead_; }
+
   void reset();
 
   void serialize_state(StateArchive& ar) {
@@ -162,6 +175,7 @@ class GyroMems {
   GyroMemsConfig cfg_;
   State s_;
   ascp::Rng rng_;
+  const double* ahead_ = nullptr;
   double noise_sigma_;
   double dt_;
   DriveElectrodeFault drive_fault_ = DriveElectrodeFault::None;

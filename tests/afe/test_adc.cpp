@@ -197,6 +197,18 @@ TEST(SarAdc, InlTableIsTheSameWhicheverCallDrawsIt) {
   EXPECT_EQ(ramp_hash(read_first), kRampPin);
   EXPECT_EQ(ramp_hash(convert_first), kRampPin);
   EXPECT_EQ(inl_hash(convert_first), kInlPin);
+  // The table is filled a 4 KiB page at a time, at each page's first read:
+  // pages first read from the top code down, or in a scattered order (an odd
+  // stride through all 2^14 codes), hold the same values.
+  SarAdc reverse(cfg, ascp::Rng(29)), scattered(cfg, ascp::Rng(29));
+  constexpr std::int32_t kHalf = 1 << 13;
+  for (std::int32_t c = kHalf - 1; c >= -kHalf; --c) (void)reverse.inl_at(c);
+  for (std::int32_t k = 0; k < 2 * kHalf; ++k)
+    (void)scattered.inl_at((k * 4099) % (2 * kHalf) - kHalf);
+  EXPECT_EQ(inl_hash(reverse), kInlPin);
+  EXPECT_EQ(ramp_hash(reverse), kRampPin);
+  EXPECT_EQ(inl_hash(scattered), kInlPin);
+  EXPECT_EQ(ramp_hash(scattered), kRampPin);
 }
 
 // Resolution sweep: programmability knob of the platform (paper §3,

@@ -102,18 +102,18 @@ TEST(ConformanceRegressions, SampledProfilerKeepsExactInvocationCounts) {
   EXPECT_EQ(a.count(0), static_cast<std::uint64_t>(ticks));
   EXPECT_EQ(a.count(1), static_cast<std::uint64_t>(ticks / 8));
   EXPECT_EQ(a.count(1), static_cast<std::uint64_t>(a.sys.dsp_samples()));
-  // ...while only the timed frames (0, 127, ..., 889) were clocked.
+  // ...while only the timed frames (1, 128, ..., 890) were clocked.
   EXPECT_EQ(a.o.spans.count(obs::SpanCategory::Scheduler), 8u * 2u + 4u) << "and 4 gyro.run";
   EXPECT_GT(a.o.tasks.stats()[0].wall_seconds, 0.0);
   EXPECT_GT(a.o.tasks.stats()[1].wall_seconds, 0.0);
 
   // A lone observed run whose stimulus throws mid-frame, in a timed frame
-  // (tick 9146 lies in frame 1143 = 9 × 127): the analog firing that threw
-  // and the frame it was in are not counted.
-  ThrowingSource src(9146);
+  // (tick 9154 lies in frame 1144 = 9 × 127 + 1): the analog firing that
+  // threw and the frame it was in are not counted.
+  ThrowingSource src(9154);
   EXPECT_THROW(a.sys.run(src, 0.01, nullptr), std::runtime_error);
-  EXPECT_EQ(a.count(0), 9146u);
-  EXPECT_EQ(a.count(1), 9146u / 8u);
+  EXPECT_EQ(a.count(0), 9154u);
+  EXPECT_EQ(a.count(1), 9154u / 8u);
   EXPECT_EQ(a.count(1), static_cast<std::uint64_t>(a.sys.dsp_samples()));
 
   // A DSP frame that throws (a fault action at DSP sample 300, on tick
@@ -169,7 +169,7 @@ TEST(ConformanceRegressions, SampledProfilerCoversEveryAdcPhase) {
       if (std::string_view(s.name) == "analog") analog.insert(frame % 128);
       if (std::string_view(s.name) != "dsp_frame") return;
       ++dsp_spans;
-      EXPECT_EQ(frame % kStride, 0) << "frame " << frame;
+      EXPECT_EQ(frame % kStride, 1) << "frame " << frame;
       dsp.insert(frame % 128);
     });
     EXPECT_EQ(dsp_spans, 128u) << "runs of " << run_ticks;
