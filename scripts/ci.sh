@@ -71,9 +71,13 @@
 #                        no event to a settled channel's ring or flight
 #                        recorder, and the span and Chrome-trace export
 #                        tests (the export looks each timed task firing's
-#                        track up by its span's name), all but the
-#                        checkpoint replay and layout tests with UBSan
-#                        halting on error
+#                        track up by its span's name), and the noise crew
+#                        and GyroSystem tests (every stream's read-ahead
+#                        cursor walking the helpers' rows, the rows'
+#                        prefetch, rewinds of runs that throw at a block's
+#                        edges, a starved run handed back to inline draws),
+#                        all but the checkpoint replay and layout tests
+#                        with UBSan halting on error
 #   ci.sh wcet         — static timing proof: the MCS-51 opcode table must
 #                        agree with the ISS for all 256 opcodes (decoded
 #                        length, flow and targets, write flags, machine
@@ -146,7 +150,8 @@ stage_chaos_smoke() {
   ./build-tsan/tests/test_engine --gtest_filter='Fleet.*:ChannelFarm.*:Blackbox.*'
   ./build-tsan/bench/fleet_chaos --smoke --seed 2026
   build_preset asan --target test_engine --target test_checkpoint --target test_afe \
-    --target test_sensor --target test_footprint --target test_mcu --target test_obs
+    --target test_sensor --target test_footprint --target test_mcu --target test_obs \
+    --target test_core
   echo "== observed lane groups and fleet lanes through a crash under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_engine \
     --gtest_filter='ChannelFarm.ObservedLockstep*:ChannelFarm.IdealChannelsAdvanceInLockstep:Fleet.IdealChannelsAdvanceInLanes*'
@@ -168,6 +173,8 @@ stage_chaos_smoke() {
   echo "== events, runs that add no event, spans and Chrome-trace export (task tracks drawn from the span ring), under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_obs \
     --gtest_filter='Events.*:ObsEventPipeline.RunBookkeepingLeavesNoEvent:Export.*:Spans.*'
+  echo "== noise crew (per-stream cursors over the helpers' rows, rewinds at a block's edges, a starved run's hand-back) and GyroSystem tests under ASAN =="
+  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_core --gtest_filter='NoiseCrew.*:GyroSystem.*'
 }
 
 stage_warnings() {

@@ -38,6 +38,9 @@ class Amplifier {
 
   void reset() { state_ = 0.0; }
 
+  /// The input-referred noise source (one sample per step).
+  NoiseSource& noise() { return noise_; }
+
   void serialize_state(StateArchive& ar) {
     // Gain/bandwidth are register-writable at run time, so they travel with
     // the state even though they look like config.

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/state_archive.hpp"
 
@@ -75,6 +76,27 @@ class FlickerNoise {
   double sum_ = 0.0;
   std::uint64_t counter_ = 0;
   int stages_;
+};
+
+/// A noise generator whose values can be drawn ahead of it
+/// (core/noise_crew.hpp). next() takes the next value from `ahead`, one per
+/// call, while a cursor is attached, and draws it from `gen` otherwise.
+/// draw() is the one draw routine, so a copy of `gen` draws exactly the
+/// values `gen` would. While a cursor is attached, `gen` is still the state
+/// those values began from: whoever attached it writes back the state they
+/// leave.
+template <typename Gen>
+struct ReadAhead {
+  Gen gen;
+  const double* ahead = nullptr;
+
+  double next() { return ahead ? *ahead++ : draw(gen); }
+
+  /// A standard normal from an Rng, the next sample of a FlickerNoise.
+  static double draw(Gen& g) {
+    if constexpr (std::is_same_v<Gen, Rng>) return g.gaussian();
+    else return g.next();
+  }
 };
 
 }  // namespace ascp

@@ -334,8 +334,8 @@ void GyroSystem::Group::each(Fn&& fn) {
 }
 
 [[gnu::noinline]] void GyroSystem::Group::next_block() {
-  crew->next_block();
-  ahead_left = NoiseCrew::kBlock - 1;
+  if (crew->next_block()) ahead_left = NoiseCrew::kBlock - 1;
+  else crew = nullptr;  // handed back: the rest of the run draws inline
 }
 
 void GyroSystem::begin_lane(Lane& m) {
@@ -355,8 +355,10 @@ void GyroSystem::begin_lane(Lane& m) {
 NoiseMember GyroSystem::noise_member() {
   NoiseMember m;
   m.mems = mems_.get();
-  if (cfg_.fidelity == Fidelity::Full)
+  if (cfg_.fidelity == Fidelity::Full) {
     m.charge_amp = {&champ_primary_->noise(), &champ_sense_->noise()};
+    m.pga = {&acq_primary_->amplifier().noise(), &acq_sense_->amplifier().noise()};
+  }
   return m;
 }
 

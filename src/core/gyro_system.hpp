@@ -30,10 +30,11 @@
 // group too: each member keeps a solo run's bookkeeping in its own obs
 // bundle (events, gyro.run span, counters, task profiler).
 //
-// A run draws its MEMS Brownian force and charge-amp noise ahead on the
-// calling thread's NoiseCrew where it can (core/noise_crew.hpp), bit for bit
-// what drawing inline gives; the PGA noise and the SAR and temperature-sensor
-// draws (one per conversion) stay inline.
+// A run draws its MEMS Brownian force, the charge amps' noise and the PGAs'
+// flicker ahead on the calling thread's NoiseCrew where it can
+// (core/noise_crew.hpp), bit for bit what drawing inline gives; the PGAs'
+// white deviates and the SAR and temperature-sensor draws (one per
+// conversion) stay inline.
 #pragma once
 
 #include <array>
@@ -290,7 +291,8 @@ class GyroSystem : public RateSensor {
     /// noise streams and removes them; out of line, so the stages that call
     /// each() stay small.
     void drop_failed();
-    /// Moves the crew's cursors to its next block; out of line.
+    /// Moves the crew's cursors to its next block, or drops the crew when
+    /// the run hands back to inline draws; out of line.
     void next_block();
   };
   /// One member's run bookkeeping between begin_run and end_run.

@@ -13,11 +13,15 @@ namespace ascp::core {
 
 namespace {
 
-/// Noise streams one helper holds: one Full member's charge amp.
-/// Full-fidelity systems always run alone.
-constexpr std::size_t kNoise = 1;
-/// Brownian streams one helper holds: half an Ideal lockstep group's rings.
-constexpr std::size_t kBrownian = sensor::GyroMems::kLanes / 2;
+/// Standard-normal streams one helper holds: half an Ideal lockstep
+/// group's Brownian forces; a Full member puts at most two on a helper (a
+/// charge amp's white stream and the Brownian force).
+constexpr std::size_t kNormal = sensor::GyroMems::kLanes / 2;
+/// Flicker streams one helper holds: a Full member's charge amp and PGA on
+/// one chain. Full-fidelity systems always run alone.
+constexpr std::size_t kFlicker = 2;
+/// Doubles per 64-byte cache line.
+constexpr long kLine = 64 / sizeof(double);
 
 void relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -45,11 +49,16 @@ class Counter {
       v_.notify_one();
   }
 
+  /// The count has reached `target`.
+  bool at(std::uint32_t target) const {
+    return reached(v_.load(std::memory_order_acquire), target);
+  }
+
   /// Returns once the count reaches `target`, spinning for up to kSpinNs;
   /// a waiter that has to sleep sleeps until it reaches `wake` (at least
   /// `target`).
   void await(std::uint32_t target, std::uint32_t wake) {
-    if (reached(v_.load(std::memory_order_acquire), target)) return;
+    if (at(target)) return;
     const auto until =
         std::chrono::steady_clock::now() + std::chrono::nanoseconds(NoiseCrew::kSpinNs);
     // The yield lets a thread the scheduler put on this CPU run: the one
@@ -99,33 +108,43 @@ constexpr std::uint32_t kSpreadBlocks = 64;
 thread_local std::unique_ptr<NoiseCrew> t_crew;
 thread_local bool t_inline = false;
 
+/// One ring block of a stream's values, on cache lines of its own.
+struct alignas(64) Row {
+  double v[NoiseCrew::kBlock];
+};
+
+/// One helper's streams of one kind: the working copies it draws from,
+/// each stream's state at every ring block's start, and the ring.
+template <typename Gen>
+struct Streams {
+  Streams(std::size_t cap, const Gen& g)
+      : cap(cap), gen(cap, g), saved(NoiseCrew::kSlots * cap, g), rows(NoiseCrew::kSlots * cap) {}
+
+  double* row(std::size_t slot, std::size_t s) { return rows[slot * cap + s].v; }
+
+  /// Saves each stream's state in `slot` and draws its next `n` values.
+  void draw(std::size_t slot, long n) {
+    for (std::size_t s = 0; s < count; ++s) {
+      saved[slot * cap + s] = gen[s];
+      double* r = row(slot, s);
+      for (long t = 0; t < n; ++t) r[t] = ascp::ReadAhead<Gen>::draw(gen[s]);
+    }
+  }
+
+  std::size_t cap, count = 0;  ///< streams held, and in the current job
+  std::vector<Gen> gen;
+  std::vector<Gen> saved;  ///< [slot][stream]
+  std::vector<Row> rows;   ///< [slot][stream]
+};
+
 }  // namespace
 
 struct NoiseCrew::Helper {
-  Helper()
-      : noise(kNoise, afe::NoiseSource::Stream({}, 1.0, Rng())),
-        brownian(kBrownian),
-        noise_saved(kSlots * kNoise, noise.front()),
-        brownian_saved(kSlots * kBrownian),
-        noise_rows(kSlots * kNoise * kBlock),
-        brownian_rows(kSlots * kBrownian * kBlock) {}
+  bool active() const { return normal.count + flicker.count > 0; }
 
-  afe::NoiseDraw* noise_row(std::size_t slot, std::size_t s) {
-    return &noise_rows[(slot * kNoise + s) * kBlock];
-  }
-  double* brownian_row(std::size_t slot, std::size_t s) {
-    return &brownian_rows[(slot * kBrownian + s) * kBlock];
-  }
-
-  // The current job's streams: the working copies the helper draws from,
-  // each stream's state at every ring block's start, and the ring.
-  std::size_t n_noise = 0, n_brownian = 0;
-  std::vector<afe::NoiseSource::Stream> noise;
-  std::vector<Rng> brownian;
-  std::vector<afe::NoiseSource::Stream> noise_saved;  ///< [slot][stream]
-  std::vector<Rng> brownian_saved;                    ///< [slot][stream]
-  std::vector<afe::NoiseDraw> noise_rows;             ///< [slot][stream][tick]
-  std::vector<double> brownian_rows;                  ///< [slot][stream][tick]
+  // The current job's streams.
+  Streams<Rng> normal{kNormal, Rng()};
+  Streams<FlickerNoise> flicker{kFlicker, FlickerNoise(Rng(), 0.0)};
 
   std::size_t index = 0;     ///< 0: the primary helper, 1: the sense helper
   std::atomic<int> cpu{-1};  ///< where the helper last checked it ran
@@ -136,6 +155,13 @@ struct NoiseCrew::Helper {
   Counter released;          ///< blocks of the current job read and done with
   std::thread thread;        ///< last: it uses everything above
 };
+
+template <typename Fn>
+void NoiseCrew::visit(const Site& s, Fn&& fn) {
+  Helper& h = *helpers_[s.helper];
+  if (s.normal) fn(*s.normal, h.normal, std::size_t{s.index});
+  else fn(*s.flicker, h.flicker, std::size_t{s.index});
+}
 
 NoiseCrew* NoiseCrew::here() {
   if (t_inline) return nullptr;
@@ -245,18 +271,8 @@ void NoiseCrew::draw_job(Helper& h) {
     if (j % kSpreadBlocks == kSpreadBlocks - 1) spread(h);
     const std::size_t slot = j % kSlots;
     const long n = std::min(kBlock, ticks_ - static_cast<long>(j) * kBlock);
-    for (std::size_t s = 0; s < h.n_noise; ++s) {
-      afe::NoiseSource::Stream& st = h.noise[s];
-      h.noise_saved[slot * kNoise + s] = st;
-      afe::NoiseDraw* row = h.noise_row(slot, s);
-      for (long t = 0; t < n; ++t) row[t] = st.draw();
-    }
-    for (std::size_t s = 0; s < h.n_brownian; ++s) {
-      Rng& rng = h.brownian[s];
-      h.brownian_saved[slot * kBrownian + s] = rng;
-      double* row = h.brownian_row(slot, s);
-      for (long t = 0; t < n; ++t) row[t] = rng.gaussian();
-    }
+    h.normal.draw(slot, n);
+    h.flicker.draw(slot, n);
     h.drawn.raise_to(j + 1);
   }
 }
@@ -265,26 +281,36 @@ bool NoiseCrew::begin(std::span<const NoiseMember> members, long ticks) {
   if (busy_ || ticks < kBlock || members.size() > members_.size()) return false;
   const long blocks = (ticks + kBlock - 1) / kBlock;
   if (blocks > (1L << 30)) return false;
+  if (cool_until_) {
+    if (Clock::now() < *cool_until_) return false;
+    cool_until_.reset();
+  }
   // Lay the streams out over the helpers; a run with more streams than the
   // ring holds draws inline.
-  std::array<std::size_t, 2> noise{}, brownian{};
+  std::array<std::size_t, 2> normal{}, flicker{};
   for (std::size_t k = 0; k < members.size(); ++k) {
     Member& m = members_[k];
     m.n_sites = 0;
     m.left = false;
-    const auto add = [&m](afe::NoiseSource* src, sensor::GyroMems* mems, std::uint8_t helper,
-                          std::size_t& count) {
-      m.sites[m.n_sites++] = {src, mems, helper, static_cast<std::uint8_t>(count++)};
+    const auto add = [&m](Site s, std::size_t& count) {
+      s.index = static_cast<std::uint8_t>(count++);
+      m.sites[m.n_sites++] = s;
     };
-    for (std::uint8_t h = 0; h < 2; ++h)
-      if (afe::NoiseSource* src = members[k].charge_amp[h]) add(src, nullptr, h, noise[h]);
-    // Member 0's ring goes to the sense helper, next to the sense charge amp;
-    // a group's lanes alternate between the helpers.
+    for (std::uint8_t h = 0; h < 2; ++h) {
+      if (afe::NoiseSource* ca = members[k].charge_amp[h]) {
+        add({&ca->white(), nullptr, h}, normal[h]);
+        if (ca->has_flicker()) add({nullptr, &ca->flicker(), h}, flicker[h]);
+      }
+      if (afe::NoiseSource* pga = members[k].pga[h]; pga && pga->has_flicker())
+        add({nullptr, &pga->flicker(), h}, flicker[h]);
+    }
+    // Member 0's Brownian force goes to the sense helper, next to the sense
+    // chain; a group's lanes alternate between the helpers.
     const auto h = static_cast<std::uint8_t>((k + 1) % 2);
-    if (members[k].mems) add(nullptr, members[k].mems, h, brownian[h]);
+    if (members[k].mems) add({&members[k].mems->brownian(), nullptr, h}, normal[h]);
   }
   for (std::size_t h = 0; h < 2; ++h)
-    if (noise[h] > kNoise || brownian[h] > kBrownian) return false;
+    if (normal[h] > kNormal || flicker[h] > kFlicker) return false;
 
   // A cancelled job may still be winding down: wait until both helpers are
   // done with it before reusing their buffers.
@@ -294,19 +320,16 @@ bool NoiseCrew::begin(std::span<const NoiseMember> members, long ticks) {
   cancel_.store(false, std::memory_order_relaxed);
   n_members_ = members.size();
   for (std::size_t h = 0; h < 2; ++h) {
-    helpers_[h]->n_noise = noise[h];
-    helpers_[h]->n_brownian = brownian[h];
+    helpers_[h]->normal.count = normal[h];
+    helpers_[h]->flicker.count = flicker[h];
   }
   for (std::size_t k = 0; k < n_members_; ++k)
-    for (std::size_t i = 0; i < members_[k].n_sites; ++i) {
-      const Site& s = members_[k].sites[i];
-      Helper& h = *helpers_[s.helper];
-      if (s.noise) h.noise[s.index] = s.noise->stream();
-      else h.brownian[s.index] = s.mems->brownian();
-    }
+    for (std::size_t i = 0; i < members_[k].n_sites; ++i)
+      visit(members_[k].sites[i],
+            [](auto& stream, auto& streams, std::size_t s) { streams.gen[s] = stream.gen; });
   caller_cpu_.store(current_cpu(), std::memory_order_relaxed);
   for (auto& h : helpers_) {
-    if (h->n_noise + h->n_brownian == 0) continue;
+    if (!h->active()) continue;
     h->drawn.raise_to(0);
     h->released.raise_to(0);
     h->job.raise_to(++h->posted);  // publishes everything above
@@ -314,56 +337,89 @@ bool NoiseCrew::begin(std::span<const NoiseMember> members, long ticks) {
   busy_ = true;
   ++jobs_;
   block_ = 0;
+  await_block(0);
   attach(0);
   return true;
 }
 
+bool NoiseCrew::await_block(std::uint32_t block) {
+  bool starved = false;
+  for (auto& h : helpers_) {
+    if (!h->active() || h->drawn.at(block + 1)) continue;
+    // The first block's wait includes the helpers' wake-up: not timed.
+    if (block == 0) {
+      h->drawn.await(1, 1);
+      continue;
+    }
+    const Clock::time_point t0 = Clock::now();
+    h->drawn.await(block + 1, block + 1);
+    const Clock::time_point t1 = Clock::now();
+    const auto ns = [](Clock::duration d) {
+      return std::chrono::duration<double, std::nano>(d).count();
+    };
+    other_ns_ += ns(t0 - mark_);
+    waited_ns_ += ns(t1 - t0);
+    mark_ = t1;
+    // Past the window, both shrink together: they weigh its last stretch.
+    if (const double sum = waited_ns_ + other_ns_; sum > kWindowNs) {
+      waited_ns_ *= kWindowNs / sum;
+      other_ns_ *= kWindowNs / sum;
+    }
+    starved |= waited_ns_ > kStarvedNs && waited_ns_ > other_ns_;
+  }
+  return !starved;
+}
+
 void NoiseCrew::attach(std::uint32_t block) {
-  for (auto& h : helpers_)
-    if (h->n_noise + h->n_brownian) h->drawn.await(block + 1, block + 1);
+  // The rows were written on the helpers' cores: fetch every line of them
+  // now, not one miss at a time as the run reads them.
   const std::size_t slot = block % kSlots;
   for (std::size_t k = 0; k < n_members_; ++k) {
     const Member& m = members_[k];
     if (m.left) continue;
-    for (std::size_t i = 0; i < m.n_sites; ++i) {
-      const Site& s = m.sites[i];
-      Helper& h = *helpers_[s.helper];
-      if (s.noise) s.noise->read_ahead(h.noise_row(slot, s.index));
-      else s.mems->read_ahead(h.brownian_row(slot, s.index));
-    }
+    for (std::size_t i = 0; i < m.n_sites; ++i)
+      visit(m.sites[i], [slot](auto& stream, auto& streams, std::size_t s) {
+        const double* row = streams.row(slot, s);
+        for (long t = 0; t < kBlock; t += kLine) __builtin_prefetch(row + t);
+        stream.ahead = row;
+      });
   }
 }
 
-void NoiseCrew::next_block() {
+bool NoiseCrew::next_block() {
+  // Block block_ stays unreleased until the next one is drawn, so a
+  // hand-back can still rewind through it.
+  if (!await_block(block_ + 1)) {
+    for (std::size_t k = 0; k < n_members_; ++k)
+      if (!members_[k].left) leave(k);
+    abandon();
+    ++handbacks_;
+    // The weighing starts afresh once the cool-down ends, so helpers that
+    // are still starved hand back again after kStarvedNs of waits.
+    cool_until_ = mark_ = Clock::now() + std::chrono::nanoseconds(kCoolNs);
+    waited_ns_ = other_ns_ = 0.0;
+    return false;
+  }
   ++block_;
   if (block_ % kSpreadBlocks == 0) caller_cpu_.store(current_cpu(), std::memory_order_relaxed);
   for (auto& h : helpers_)
-    if (h->n_noise + h->n_brownian) h->released.raise_to(block_);
+    if (h->active()) h->released.raise_to(block_);
   attach(block_);
+  return true;
 }
 
 void NoiseCrew::leave(std::size_t k) {
   // The attached block's slot holds each stream's state at the block start
-  // until the block is released: replay the deviates read since.
+  // until the block is released: replay the values read since.
   Member& m = members_[k];
   const std::size_t slot = block_ % kSlots;
-  for (std::size_t i = 0; i < m.n_sites; ++i) {
-    const Site& s = m.sites[i];
-    Helper& h = *helpers_[s.helper];
-    if (s.noise) {
-      afe::NoiseSource::Stream st = h.noise_saved[slot * kNoise + s.index];
-      for (const afe::NoiseDraw* p = h.noise_row(slot, s.index); p != s.noise->ahead(); ++p)
-        st.draw();
-      s.noise->stream() = st;
-      s.noise->read_ahead(nullptr);
-    } else {
-      Rng rng = h.brownian_saved[slot * kBrownian + s.index];
-      for (const double* p = h.brownian_row(slot, s.index); p != s.mems->ahead(); ++p)
-        rng.gaussian();
-      s.mems->brownian() = rng;
-      s.mems->read_ahead(nullptr);
-    }
-  }
+  for (std::size_t i = 0; i < m.n_sites; ++i)
+    visit(m.sites[i], [slot](auto& stream, auto& streams, std::size_t s) {
+      auto gen = streams.saved[slot * streams.cap + s];
+      for (const double* p = streams.row(slot, s); p != stream.ahead; ++p) stream.draw(gen);
+      stream.gen = gen;
+      stream.ahead = nullptr;
+    });
   m.left = true;
 }
 
@@ -372,17 +428,11 @@ void NoiseCrew::end() {
   for (std::size_t k = 0; k < n_members_; ++k) {
     const Member& m = members_[k];
     if (m.left) continue;
-    for (std::size_t i = 0; i < m.n_sites; ++i) {
-      const Site& s = m.sites[i];
-      Helper& h = *helpers_[s.helper];
-      if (s.noise) {
-        s.noise->stream() = h.noise[s.index];
-        s.noise->read_ahead(nullptr);
-      } else {
-        s.mems->brownian() = h.brownian[s.index];
-        s.mems->read_ahead(nullptr);
-      }
-    }
+    for (std::size_t i = 0; i < m.n_sites; ++i)
+      visit(m.sites[i], [](auto& stream, auto& streams, std::size_t s) {
+        stream.gen = streams.gen[s];
+        stream.ahead = nullptr;
+      });
   }
   busy_ = false;
 }

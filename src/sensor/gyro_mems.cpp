@@ -12,7 +12,7 @@
 namespace ascp::sensor {
 
 GyroMems::GyroMems(const GyroMemsConfig& cfg, ascp::Rng rng)
-    : cfg_(cfg), rng_(rng), dt_(1.0 / cfg.sim_fs) {
+    : cfg_(cfg), brownian_{rng}, dt_(1.0 / cfg.sim_fs) {
   // Brownian force noise: density d [(m/s²)/√Hz] sampled at sim_fs has
   // per-step sigma d·√(sim_fs/2).
   noise_sigma_ = cfg_.brownian_accel_density * std::sqrt(cfg_.sim_fs / 2.0);
@@ -89,7 +89,7 @@ void GyroMems::step_lanes(GyroMems* const* rings, const GyroInputs* in, GyroOutp
     else if (g.drive_fault_ == DriveElectrodeFault::Stuck) v_drive = g.stuck_v_;
     fd[l] = p.fpv * v_drive;
     fc[l] = p.fpv * u.v_control;
-    const double z = g.ahead_ ? *g.ahead_++ : g.rng_.gaussian();
+    const double z = g.brownian_.next();
     noise[l] = (g.noise_sigma_ * g.t_scale_) * z;
     const double kappa_omega = g.cfg_.angular_gain * u.rate_dps * kPi / 180.0;
     coriolis[l] = 2.0 * kappa_omega;

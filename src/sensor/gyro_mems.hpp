@@ -21,7 +21,8 @@
 // temperature-term cache and draws its Brownian deviate from its own Rng),
 // and step() is the one-lane instance. The Brownian deviate is a standard
 // normal the temperature scales, so it can be drawn ahead from a copy of
-// the ring's Rng and read through read_ahead() (core/noise_crew.hpp).
+// the ring's Rng and read through the stream's cursor (brownian(),
+// core/noise_crew.hpp), as the charge amps' and PGAs' noise is.
 #pragma once
 
 #include <cstddef>
@@ -132,16 +133,9 @@ class GyroMems {
 
   const GyroMemsConfig& config() const { return cfg_; }
 
-  /// The live Brownian stream: one Rng::gaussian() per step. While a run
-  /// reads ahead it is the stream as the run began; the run writes it back
-  /// at its end.
-  ascp::Rng& brownian() { return rng_; }
-  /// Take the next steps' standard-normal Brownian deviates from `next`
-  /// onward, one per step, instead of drawing them; null draws again. The
-  /// caller keeps `next` valid and writes the stream state they leave back.
-  void read_ahead(const double* next) { ahead_ = next; }
-  /// Where the next step's deviate comes from (null: drawn).
-  const double* ahead() const { return ahead_; }
+  /// The Brownian stream: one standard normal per step, which the
+  /// fluctuation-dissipation scale multiplies.
+  ascp::ReadAhead<ascp::Rng>& brownian() { return brownian_; }
 
   void reset();
 
@@ -150,7 +144,7 @@ class GyroMems {
     ar.value(s_.vx);
     ar.value(s_.y);
     ar.value(s_.vy);
-    rng_.serialize_state(ar);
+    brownian_.gen.serialize_state(ar);
     ar.enum_value(drive_fault_);
     ar.value(stuck_v_);
     ar.value(quad_step_);
@@ -174,8 +168,7 @@ class GyroMems {
 
   GyroMemsConfig cfg_;
   State s_;
-  ascp::Rng rng_;
-  const double* ahead_ = nullptr;
+  ascp::ReadAhead<ascp::Rng> brownian_;
   double noise_sigma_;
   double dt_;
   DriveElectrodeFault drive_fault_ = DriveElectrodeFault::None;

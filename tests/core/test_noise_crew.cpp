@@ -1,18 +1,28 @@
 // NoiseCrew tests: runs whose analog noise the calling thread's two helpers
 // draw ahead end bit for bit where runs that draw inline end — whole runs,
-// lockstep groups, runs that throw mid-block and runs nested in another
-// run's callback — and a thread starts at most two helpers.
+// lockstep groups, runs that throw mid-block or at a block's edge, runs
+// nested in another run's callback and runs that hand back to inline draws
+// because their helpers are starved — a Full run reads every stream but the
+// PGAs' white deviates ahead, and a thread starts at most two helpers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "core/gyro_system.hpp"
 #include "core/noise_crew.hpp"
@@ -37,6 +47,15 @@ void on_inline_thread(Fn&& fn) {
     NoiseCrew::draw_inline_here();
     fn();
   });
+  t.join();
+}
+
+/// Runs `fn` on a thread of its own, with a crew of its own: a run that
+/// handed back to inline draws elsewhere (StarvedRunHandsBackToItsInlineTwin)
+/// leaves no cool-down here, so `fn`'s first run begins on the helpers.
+template <typename Fn>
+void on_crew_thread(Fn&& fn) {
+  std::thread t([&fn] { fn(); });
   t.join();
 }
 
@@ -99,11 +118,12 @@ TEST(NoiseCrew, HelperDrawnRunsMatchInlineRuns) {
     // compares the first; the helpers' farm advances only that one.
     const bool full = specs[0].kind == ChannelKind::GyroFull;
     ChannelFarm ahead(full ? std::vector<ChannelConfig>{specs[0]} : specs, one);
-    const std::uint64_t jobs = crew_jobs();
-    ahead.advance(0.1);
-    if (NoiseCrew::here()) {
-      EXPECT_GT(crew_jobs(), jobs) << "the helpers drew no run";
-    }
+    on_crew_thread([&] {
+      ahead.advance(0.1);
+      if (NoiseCrew::here()) {
+        EXPECT_GT(crew_jobs(), 0u) << "the helpers drew no run";
+      }
+    });
 
     ChannelFarm pool(specs, two);
     pool.advance(0.1);
@@ -130,39 +150,59 @@ class ThrowingProbe final : public sensor::Probe {
 };
 
 TEST(NoiseCrew, ThrowingRunRewindsToItsInlineTwin) {
-  // A lone Full run throws mid-block, once from a fault action in the DSP
-  // frame of sample 1001 (its streams read 8008 ticks, 8 into a block) and
-  // once from a probe mid-frame at tick 4003 (4004 ticks, 36 into a block).
-  // The helper-drawn run must end in the state of a twin drawn inline to the
-  // same throw, and both must then stream alike.
+  // A lone Full run, on a crew of its own, throws: from a fault action in
+  // the DSP frame of sample 1001 (its streams read 8008 ticks, 8 into a
+  // block), from a probe mid-frame at tick 4003 (4004 ticks, 36 into a
+  // block), from the temperature profile at the start of tick 4480, the
+  // first tick of block 70 (every cursor at its row's start), and from a
+  // probe at the end of tick 4543, block 70's last (every cursor one past
+  // its row's end). The helper-drawn run must end in the state of a twin
+  // drawn inline to the same throw, and both must then stream alike.
+  enum class Throw { FaultAction, MidBlock, FirstTickOfBlock, LastTickOfBlock };
   const auto rate = sensor::Profile::sine(60.0, 11.0);
   const auto temp = sensor::Profile([](double t) { return 10.0 + 50.0 * t; });
-  for (const bool from_probe : {false, true}) {
+  for (const Throw how :
+       {Throw::FaultAction, Throw::MidBlock, Throw::FirstTickOfBlock, Throw::LastTickOfBlock}) {
     GyroSystem ahead(default_gyro_system(Fidelity::Full));
     GyroSystem twin(default_gyro_system(Fidelity::Full));
     ahead.power_on(77);
     twin.power_on(77);
-    ThrowingProbe probe_a(4003), probe_b(4003);
+    const long probe_at = how == Throw::MidBlock          ? 4003
+                          : how == Throw::LastTickOfBlock ? 70 * NoiseCrew::kBlock + 63
+                                                          : -1;
+    ThrowingProbe probe_a(probe_at), probe_b(probe_at);
     safety::FaultCampaign campaign_a, campaign_b;
     for (safety::FaultCampaign* c : {&campaign_a, &campaign_b})
       c->add({"explode", safety::FaultLayer::Dsp, 1001, -1, false, 0},
              [] { throw std::runtime_error("campaign action exploded"); });
-    if (from_probe) {
+    if (probe_at >= 0) {
       ahead.set_probe(&probe_a);
       twin.set_probe(&probe_b);
-    } else {
+    } else if (how == Throw::FaultAction) {
       ahead.set_fault_campaign(&campaign_a);
       twin.set_fault_campaign(&campaign_b);
     }
-    const char* what = from_probe ? "probe" : "fault action";
+    // Half a tick before tick 4480, so the tick's own time t = 4480·dt
+    // throws and tick 4479's does not.
+    const double t_throw = (70.0 * NoiseCrew::kBlock - 0.5) / ahead.config().analog_fs;
+    const sensor::Profile throwing_temp([&temp, t_throw](double t) {
+      if (t >= t_throw) throw std::runtime_error("temperature profile exploded");
+      return temp.at(t);
+    });
+    const sensor::Profile& run_temp = how == Throw::FirstTickOfBlock ? throwing_temp : temp;
+    const char* what = std::array<const char*, 4>{"fault action", "probe mid-block",
+                                                  "a block's first tick",
+                                                  "a block's last tick"}[static_cast<int>(how)];
 
-    const std::uint64_t jobs = crew_jobs();
     std::vector<double> out_a, out_b;
-    EXPECT_THROW(ahead.run(rate, temp, 0.01, &out_a), std::runtime_error) << what;
-    if (NoiseCrew::here()) {
-      EXPECT_EQ(crew_jobs(), jobs + 1) << what;
-    }
-    on_inline_thread([&] { EXPECT_THROW(twin.run(rate, temp, 0.01, &out_b), std::runtime_error); });
+    on_crew_thread([&] {
+      EXPECT_THROW(ahead.run(rate, run_temp, 0.01, &out_a), std::runtime_error) << what;
+      if (NoiseCrew::here()) {
+        EXPECT_EQ(crew_jobs(), 1u) << what;
+      }
+    });
+    on_inline_thread(
+        [&] { EXPECT_THROW(twin.run(rate, run_temp, 0.01, &out_b), std::runtime_error); });
     EXPECT_EQ(state_of(ahead), state_of(twin)) << what;
     ASSERT_EQ(out_a, out_b) << what;
 
@@ -178,6 +218,83 @@ TEST(NoiseCrew, ThrowingRunRewindsToItsInlineTwin) {
           << what << ", output " << i;
     EXPECT_EQ(state_of(ahead), state_of(twin)) << what;
   }
+}
+
+/// Records, at the PostAfe tap of tick `at`, which of a Full system's noise
+/// streams read ahead.
+class CursorProbe final : public sensor::Probe {
+ public:
+  CursorProbe(GyroSystem& sys, long at) : sys_(sys), at_(at) {}
+  bool wants(sensor::ProbePoint p) const override { return p == sensor::ProbePoint::PostAfe; }
+  void on_frame(const sensor::ProbeFrame& f) override {
+    if (f.tick == at_) seen = attached(sys_);
+  }
+
+  /// Whether each stream has a cursor attached: both charge amps' white and
+  /// flicker, both PGAs' white and flicker, the Brownian force.
+  struct Attached {
+    std::array<bool, 2> amp_white{}, amp_flicker{}, pga_white{}, pga_flicker{};
+    bool brownian = false;
+    bool any() const {
+      for (std::size_t c = 0; c < 2; ++c)
+        if (amp_white[c] || amp_flicker[c] || pga_white[c] || pga_flicker[c]) return true;
+      return brownian;
+    }
+  };
+  static Attached attached(GyroSystem& sys) {
+    Attached a;
+    const std::array<afe::NoiseSource*, 2> amps{&sys.champ_primary()->noise(),
+                                                &sys.champ_sense()->noise()};
+    const std::array<afe::NoiseSource*, 2> pgas{&sys.acq_primary()->amplifier().noise(),
+                                                &sys.acq_sense()->amplifier().noise()};
+    for (std::size_t c = 0; c < 2; ++c) {
+      a.amp_white[c] = amps[c]->white().ahead != nullptr;
+      a.amp_flicker[c] = amps[c]->flicker().ahead != nullptr;
+      a.pga_white[c] = pgas[c]->white().ahead != nullptr;
+      a.pga_flicker[c] = pgas[c]->flicker().ahead != nullptr;
+    }
+    a.brownian = sys.mems().brownian().ahead != nullptr;
+    return a;
+  }
+
+  std::optional<Attached> seen;
+
+ private:
+  GyroSystem& sys_;
+  long at_;
+};
+
+TEST(NoiseCrew, FullRunReadsEveryFlickerStreamAhead) {
+  // A helper-drawn lone Full run reads both charge amps' white and flicker
+  // streams, both PGAs' flicker streams and the Brownian force from the
+  // ring; the PGAs' white deviates stay on the calling thread. The probe
+  // looks in the middle of the run's first block, the one block a host busy
+  // enough to starve the helpers cannot have handed back yet. After the run
+  // every cursor is detached.
+  on_crew_thread([] {
+    const NoiseCrew* crew = NoiseCrew::here();
+    if (!crew) GTEST_SKIP() << "this thread draws inline";
+    GyroSystem sys(default_gyro_system(Fidelity::Full));
+    sys.power_on(3);
+    ASSERT_TRUE(sys.acq_primary()->amplifier().noise().has_flicker());
+    ASSERT_TRUE(sys.champ_primary()->noise().has_flicker());
+    CursorProbe probe(sys, NoiseCrew::kBlock / 2);
+    sys.set_probe(&probe);
+    std::vector<double> out;
+    sys.run(sensor::Profile::constant(30.0), sensor::Profile::constant(40.0), 0.005, &out);
+    ASSERT_EQ(crew->jobs(), 1u) << "the helpers drew no run";
+    ASSERT_TRUE(probe.seen.has_value());
+    const CursorProbe::Attached& mid = *probe.seen;
+    for (std::size_t c = 0; c < 2; ++c) {
+      const char* chain = c == 0 ? "primary" : "sense";
+      EXPECT_TRUE(mid.amp_white[c]) << chain << " charge amp, white";
+      EXPECT_TRUE(mid.amp_flicker[c]) << chain << " charge amp, flicker";
+      EXPECT_TRUE(mid.pga_flicker[c]) << chain << " PGA, flicker";
+      EXPECT_FALSE(mid.pga_white[c]) << chain << " PGA, white";
+    }
+    EXPECT_TRUE(mid.brownian);
+    EXPECT_FALSE(CursorProbe::attached(sys).any()) << "a cursor outlived its run";
+  });
 }
 
 std::size_t thread_count() {
@@ -228,9 +345,9 @@ class NestingProbe final : public sensor::Probe {
 };
 
 TEST(NoiseCrew, RunInsideAProbeCallbackDrawsInline) {
-  // An Ideal run whose probe runs a Full system mid-run: the outer run has
-  // the crew, so the nested one draws inline, and both match twins drawn
-  // inline on a thread of their own.
+  // An Ideal run, on a crew of its own, whose probe runs a Full system
+  // mid-run: the outer run has the crew, so the nested one draws inline,
+  // and both match twins drawn inline on a thread of their own.
   GyroSystem outer(default_gyro_system(Fidelity::Ideal));
   GyroSystem inner(default_gyro_system(Fidelity::Full));
   outer.power_on(5);
@@ -239,11 +356,12 @@ TEST(NoiseCrew, RunInsideAProbeCallbackDrawsInline) {
   outer.set_probe(&probe);
   const auto rate = sensor::Profile::constant(-20.0), temp = sensor::Profile::constant(30.0);
   std::vector<double> out;
-  const std::uint64_t jobs = crew_jobs();
-  outer.run(rate, temp, 0.01, &out);
-  if (NoiseCrew::here()) {
-    EXPECT_EQ(crew_jobs(), jobs + 1) << "only the outer run used the crew";
-  }
+  on_crew_thread([&] {
+    outer.run(rate, temp, 0.01, &out);
+    if (NoiseCrew::here()) {
+      EXPECT_EQ(crew_jobs(), 1u) << "only the outer run used the crew";
+    }
+  });
   ASSERT_FALSE(probe.out.empty());
 
   GyroSystem outer_twin(default_gyro_system(Fidelity::Ideal)),
@@ -261,6 +379,68 @@ TEST(NoiseCrew, RunInsideAProbeCallbackDrawsInline) {
   EXPECT_EQ(probe.out, inner_out_twin);
   EXPECT_EQ(state_of(inner), state_of(inner_twin));
 }
+
+#ifdef __linux__
+/// Confines the calling thread to `cpus`.
+void confine(std::initializer_list<int> cpus) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (const int c : cpus) CPU_SET(c, &set);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof set, &set), 0);
+}
+
+TEST(NoiseCrew, StarvedRunHandsBackToItsInlineTwin) {
+  // A fresh thread may run on two CPUs, and a busy thread holds the second.
+  // Its crew's helpers start with both CPUs, then the thread confines
+  // itself to the first, so the helpers spread to the busy one and draw
+  // only in its time slices: the run waits longer than it works, hands
+  // back to inline draws mid-run, and must end bit for bit with a twin
+  // drawn inline throughout.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE && cpus.size() < 2; ++c)
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  if (cpus.size() < 2) GTEST_SKIP() << "needs two CPUs";
+
+  std::atomic<bool> stop{false};
+  std::thread busy([&] {
+    confine({cpus[1]});
+    while (!stop.load(std::memory_order_relaxed)) {
+    }
+  });
+  const auto rate = sensor::Profile::sine(90.0, 13.0);
+  const auto temp = sensor::Profile([](double t) { return 20.0 + 30.0 * t; });
+  GyroSystem ahead(default_gyro_system(Fidelity::Full));
+  GyroSystem twin(default_gyro_system(Fidelity::Full));
+  ahead.power_on(29);
+  twin.power_on(29);
+  std::vector<double> out_a, out_b;
+  std::uint64_t jobs = 0, handbacks = 0;
+  std::thread starved([&] {
+    confine({cpus[0], cpus[1]});
+    const NoiseCrew* crew = NoiseCrew::here();
+    confine({cpus[0]});
+    ahead.run(rate, temp, 0.02, &out_a);
+    if (crew) {
+      jobs = crew->jobs();
+      handbacks = crew->handbacks();
+    }
+  });
+  starved.join();
+  stop.store(true);
+  busy.join();
+  on_inline_thread([&] { twin.run(rate, temp, 0.02, &out_b); });
+  EXPECT_EQ(jobs, 1u);
+  EXPECT_EQ(handbacks, 1u) << "the starved run did not hand back";
+  ASSERT_EQ(out_a.size(), out_b.size());
+  for (std::size_t i = 0; i < out_a.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(out_a[i]), std::bit_cast<std::uint64_t>(out_b[i]))
+        << "output " << i;
+  EXPECT_EQ(state_of(ahead), state_of(twin));
+}
+#endif
 
 }  // namespace
 }  // namespace ascp::core
