@@ -59,10 +59,16 @@
 #                        stepped straight matches a twin reloaded from its
 #                        state before every step, bit for bit), the SAR
 #                        converter's NaN-input test, its INL table pinned
-#                        whichever call draws it first, the MEMS lane tests
-#                        (every lane count bit-identical to one ring at a
-#                        time) and the footprint binary (INL tables, the
-#                        8051 PC histogram and the 8051 memories allocated
+#                        whichever call draws it first, the MEMS frame
+#                        kernel tests (every lane count and frame length
+#                        bit-identical to one ring stepped tick by tick,
+#                        faults, restores and the Coriolis key included),
+#                        the lockstep frame-edge tests (groups at adc_div 5,
+#                        8 and 16 advanced from every tick phase, with the
+#                        crew and inline, against solo twins), the analog
+#                        baselines' mid-period restores and the footprint
+#                        binary (INL tables, the 8051 PC histogram and the
+#                        8051 memories allocated
 #                        at first use; an unused profiler's empty histogram
 #                        read as all zeros; the obs record path allocating
 #                        nothing once its rings have wrapped), the event
@@ -152,22 +158,24 @@ stage_chaos_smoke() {
   build_preset asan --target test_engine --target test_checkpoint --target test_afe \
     --target test_sensor --target test_footprint --target test_mcu --target test_obs \
     --target test_core
-  echo "== observed lane groups and fleet lanes through a crash under ASAN =="
+  echo "== observed lane groups, fleet lanes through a crash and lockstep frame edges under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_engine \
-    --gtest_filter='ChannelFarm.ObservedLockstep*:ChannelFarm.IdealChannelsAdvanceInLockstep:Fleet.IdealChannelsAdvanceInLanes*'
+    --gtest_filter='ChannelFarm.ObservedLockstep*:ChannelFarm.IdealChannelsAdvanceInLockstep:ChannelFarm.LockstepFrameEdgesMatchSolo*:Fleet.IdealChannelsAdvanceInLanes*'
   echo "== checkpoint round-trip replay and layout pins under ASAN =="
   ./build-asan/tests/test_checkpoint \
     --gtest_filter='Corpus/CorpusCheckpoint.ResumeAtKBitExactWithStraightRun/*:CheckpointFrame.*:FrameLayout.*'
+  echo "== analog baselines restored mid-period under ASAN =="
+  UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_checkpoint --gtest_filter='BaselineCheckpoint.*'
   echo "== forged lengths, counts, 8051 memory sizes and saved lengths, SAR phase, SRAM-trace registers, versions, restore over longer firmware under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_checkpoint \
     --gtest_filter='FrameForgedLength.*:FrameForgedCount.*:FrameForgedPhase.*:FrameForgedState.*:FrameForgedVersion.*:CheckpointRestore.*'
   echo "== 8051 memories: saved lengths, image sizes, checkpoint round trips, under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_mcu --gtest_filter='FillMemory.*:CheckpointSize.*'
-  echo "== coefficient caches invisible to a cold twin, a NaN at the SAR converter, its INL pin, MEMS lanes bit-identical, under ASAN =="
+  echo "== coefficient caches invisible to a cold twin, a NaN at the SAR converter, its INL pin, MEMS frames bit-identical, under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_afe \
     --gtest_filter='DacCache.*:NoiseCache.*:SarAdc.NanInputReadsBottomCodeAndIsCounted:SarAdc.InlTableIsTheSameWhicheverCallDrawsIt'
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_sensor \
-    --gtest_filter='GyroMemsCache.*:GyroMemsLanes.*'
+    --gtest_filter='GyroMemsCache.*:GyroMemsFrame.*'
   echo "== footprint: first-use INL tables, PC histogram and 8051 memories, empty-histogram reads, allocation-free obs record path, under ASAN =="
   UBSAN_OPTIONS=halt_on_error=1 ./build-asan/tests/test_footprint
   echo "== events, runs that add no event, spans and Chrome-trace export (task tracks drawn from the span ring), under ASAN =="

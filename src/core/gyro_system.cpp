@@ -285,6 +285,7 @@ void GyroSystem::post_status(double measured_temp) {
 }
 
 GyroSystem::Group::Group(std::span<GroupMember> members) {
+  full = members[0].sys->cfg_.fidelity == Fidelity::Full;
   for (GroupMember& m : members) {
     m.error = nullptr;
     Lane& lane = lanes[size];
@@ -293,6 +294,7 @@ GyroSystem::Group::Group(std::span<GroupMember> members) {
     rings[size] = m.sys->mems_.get();
     m.sys->begin_lane(lane);
     tick_taps |= lane.w_stim || lane.w_mems || lane.w_afe;
+    mems_taps |= lane.w_mems;
     profiled |= m.sys->obs_.tasks != nullptr;
     ++size;
   }
@@ -333,8 +335,17 @@ void GyroSystem::Group::each(Fn&& fn) {
   size = kept;
 }
 
+long GyroSystem::Group::ahead(long n) {
+  if (!crew) return n;
+  if (ahead_left == 0) next_block();
+  if (!crew) return n;
+  const long m = std::min(n, ahead_left);
+  ahead_left -= m;
+  return m;
+}
+
 [[gnu::noinline]] void GyroSystem::Group::next_block() {
-  if (crew->next_block()) ahead_left = NoiseCrew::kBlock - 1;
+  if (crew->next_block()) ahead_left = NoiseCrew::kBlock;
   else crew = nullptr;  // handed back: the rest of the run draws inline
 }
 
@@ -362,6 +373,22 @@ NoiseMember GyroSystem::noise_member() {
   return m;
 }
 
+void GyroSystem::cut_frame(Group& g, std::size_t k, long staged, long ran) {
+  Lane& m = g.lanes[k];
+  if (!m.member->error) return;
+  // Left as a tick-by-tick run leaves it: the ring stepped through the ticks
+  // that completed, the counter past them, and the current tick the one
+  // that threw.
+  if (ran > 0) {
+    sensor::GyroOutputs pick;
+    const sensor::GyroFrameLane lane{g.rings[k], g.stim[m.index].data(), drive_v_, ctrl_v_, &pick};
+    sensor::GyroMems::step_frame({&lane, 1}, ran);
+  }
+  m.tick = base_ticks_ + staged;
+  base_ticks_ += ran;
+  std::rethrow_exception(m.member->error);
+}
+
 void GyroSystem::analog_inputs(Group& g, std::size_t k) {
   Lane& m = g.lanes[k];
   sensor::GyroInputs& in = g.in[k];
@@ -371,31 +398,24 @@ void GyroSystem::analog_inputs(Group& g, std::size_t k) {
   // local-time runs, reproducing the historical tick·dt arithmetic).
   m.tick = base_ticks_;
   const sensor::StimulusSample smp = m.member->src->sample(base_ticks_);
-  // The two stimulus fields are stored on either side of the branch: stored
-  // together, they are packed into one vector through the stack, and that
-  // reload stalls on store forwarding every tick.
+  // The two stimulus fields are stored on either side of the DAC reads:
+  // stored together, they are packed into one vector through the stack,
+  // and that reload stalls on store forwarding every tick.
   in.temp_c = smp.temp_c;
-  if (cfg_.fidelity == Fidelity::Full) {
-    in.v_drive = dac_drive_->output(m.dt, in.temp_c);
-    in.v_control = dac_ctrl_->output(m.dt, in.temp_c);
-  } else {
-    in.v_drive = drive_v_;
-    in.v_control = ctrl_v_;
-  }
+  in.v_drive = dac_drive_->output(m.dt, in.temp_c);
+  in.v_control = dac_ctrl_->output(m.dt, in.temp_c);
   in.rate_dps = smp.rate_dps;
 }
 
 void GyroSystem::analog_afe(Group& g, std::size_t k) {
-  if (cfg_.fidelity == Fidelity::Full) {
-    // The SAR converters decimate internally: an ADC code pops out of the
-    // acquisition channel every adc_div analog steps.
-    Lane& m = g.lanes[k];
-    const double temp_c = g.in[k].temp_c;
-    m.vp = champ_primary_->step(g.pick[k].dc_primary, temp_c);
-    m.vs = champ_sense_->step(g.pick[k].dc_sense, temp_c);
-    m.sp = acq_primary_->step(m.vp, temp_c);
-    m.ss = acq_sense_->step(m.vs, temp_c);
-  }
+  // The SAR converters decimate internally: an ADC code pops out of the
+  // acquisition channel every adc_div analog steps.
+  Lane& m = g.lanes[k];
+  const double temp_c = g.in[k].temp_c;
+  m.vp = champ_primary_->step(g.pick[k].dc_primary, temp_c);
+  m.vs = champ_sense_->step(g.pick[k].dc_sense, temp_c);
+  m.sp = acq_primary_->step(m.vp, temp_c);
+  m.ss = acq_sense_->step(m.vs, temp_c);
   ++base_ticks_;
 }
 
@@ -517,22 +537,98 @@ void GyroSystem::dsp_frame(Group& g, std::size_t k) {
 }
 
 void GyroSystem::run_analog(Group& g, long n) {
-  // ---- analog tick (1.92 MHz): environment, DACs, MEMS, charge amps, AFE.
-  // Every member's inputs are staged, then one lane call steps all rings; a
-  // lone ring takes step(), the one-lane instance, without the dispatch.
-  // The per-tick probe taps follow, read-only, when a member's probe wants
-  // one (the post-ADC and output taps ride in the DSP frame).
+  // ---- analog ticks (1.92 MHz): environment, DACs, MEMS, charge amps, AFE.
+  // At Ideal fidelity, in MEMS frames. A kernel call never crosses the
+  // crew's block edge: the Brownian rows end there.
+  if (!g.full) {
+    for (long left = n; left > 0 && g.size > 0;) {
+      const long m = g.ahead(std::min(left, g.mems_taps ? 1L : Group::kRows));
+      analog_frame(g, m);
+      left -= m;
+    }
+    return;
+  }
+  // Full fidelity, a group of one: the charge amps and SAR converters step
+  // every tick, so the ring does too, through step(). The per-tick probe
+  // taps follow, read-only, when the probe wants one (the post-ADC and
+  // output taps ride in the DSP frame).
   for (long i = 0; i < n; ++i) {
-    if (g.crew && g.ahead_left-- == 0) g.next_block();
+    g.ahead(1);
     g.each([&g](GyroSystem& s, std::size_t k) { s.analog_inputs(g, k); });
-    if (g.size == 1)
-      g.pick[0] = g.rings[0]->step(g.in[0]);
-    else if (g.size > 1)
-      sensor::GyroMems::step_lanes({g.rings.data(), g.size}, {g.in.data(), g.size},
-                                   {g.pick.data(), g.size});
+    g.pick[0] = g.rings[0]->step(g.in[0]);
     g.each([&g](GyroSystem& s, std::size_t k) { s.analog_afe(g, k); });
     if (g.tick_taps) tap_tick(g);
   }
+}
+
+void GyroSystem::analog_frame(Group& g, long n) {
+  // Every member's stimulus rows, from one sample_block call each, then
+  // their Stimulus taps tick by tick across the members, as a tick-by-tick
+  // run interleaves them (a one-tick frame for PostMems taps delivers them
+  // after the step instead). A member whose source or tap threw steps
+  // through the ticks it completed and leaves the group.
+  std::array<long, Group::kMax> staged, ran;
+  bool threw = false;
+  for (std::size_t k = 0; k < g.size; ++k) {
+    const Lane& m = g.lanes[k];
+    std::size_t done = 0;
+    try {
+      m.member->src->sample_block(m.member->sys->base_ticks_,
+                                  {g.stim[m.index].data(), static_cast<std::size_t>(n)}, done);
+    } catch (...) {
+      m.member->error = std::current_exception();
+      threw = true;
+    }
+    staged[k] = ran[k] = static_cast<long>(done);
+  }
+  if (g.tick_taps && !g.mems_taps) threw |= tap_stimulus(g, n, staged, ran);
+  if (threw) [[unlikely]]
+    g.each([&](GyroSystem& s, std::size_t k) { s.cut_frame(g, k, staged[k], ran[k]); });
+  if (g.size == 0) return;
+
+  // One kernel call for every ring still running. The DSP frame latched
+  // the electrode voltages; they hold over the frame.
+  std::array<sensor::GyroFrameLane, Group::kMax> lanes;
+  for (std::size_t k = 0; k < g.size; ++k) {
+    const GyroSystem& s = *g.lanes[k].member->sys;
+    lanes[k] = {g.rings[k], g.stim[g.lanes[k].index].data(), s.drive_v_, s.ctrl_v_, &g.pick[k]};
+  }
+  sensor::GyroMems::step_frame({lanes.data(), g.size}, n);
+  for (std::size_t k = 0; k < g.size; ++k) {
+    Lane& m = g.lanes[k];
+    GyroSystem& s = *m.member->sys;
+    const sensor::StimulusSample& last = g.stim[m.index][static_cast<std::size_t>(n - 1)];
+    g.in[k].rate_dps = last.rate_dps;
+    g.in[k].temp_c = last.temp_c;
+    s.base_ticks_ += n;
+    m.tick = s.base_ticks_ - 1;
+  }
+  // A one-tick frame ends as a tick-by-tick run's tick does: every tap
+  // after the step.
+  if (g.mems_taps) tap_tick(g);
+}
+
+[[gnu::noinline]] bool GyroSystem::tap_stimulus(Group& g, long n, std::span<long> staged,
+                                                std::span<long> ran) {
+  bool threw = false;
+  for (long i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < g.size; ++k) {
+      const Lane& m = g.lanes[k];
+      if (!m.w_stim || i >= staged[k]) continue;
+      GyroSystem& s = *m.member->sys;
+      const sensor::StimulusSample& u = g.stim[m.index][static_cast<std::size_t>(i)];
+      try {
+        s.probe_->on_frame({sensor::ProbePoint::Stimulus, s.base_ticks_ + i, u.rate_dps, u.temp_c});
+      } catch (...) {
+        // The first throw in tick order wins: a tick-by-tick run samples no
+        // later tick. That run stepped the ring before the tap.
+        m.member->error = std::current_exception();
+        staged[k] = i;
+        ran[k] = i + 1;
+        threw = true;
+      }
+    }
+  return threw;
 }
 
 void GyroSystem::run_dsp(Group& g) {

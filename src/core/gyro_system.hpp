@@ -23,12 +23,16 @@
 // slice. Every firing decision reads the global tick, so a restored or split
 // run keeps its cadence.
 //
-// Ideal-fidelity systems that share base rate, adc_div and tick phase can run
-// as one lockstep group (run_group): one frame loop, one GyroMems::step_lanes
-// call per tick for all their rings, and every member's output bit for bit
-// what its own run() gives. run() is the group of one. Observed systems
-// group too: each member keeps a solo run's bookkeeping in its own obs
-// bundle (events, gyro.run span, counters, task profiler).
+// At Ideal fidelity the analog ticks run as frames: each member stages its
+// stimulus for the frame with one StimulusSource::sample_block call, and one
+// GyroMems::step_frame call advances the rings through the frame. Full
+// fidelity steps its charge amps and SAR converters every tick, so it runs
+// tick by tick through step(). Ideal systems that share base rate, adc_div
+// and tick phase can run as one lockstep group (run_group): one frame loop,
+// one kernel call per frame for all their rings, and every member's output
+// bit for bit what its own run() gives. run() is the group of one. Observed
+// systems group too: each member keeps a solo run's bookkeeping in its own
+// obs bundle (events, gyro.run span, counters, task profiler).
 //
 // A run draws its MEMS Brownian force, the charge amps' noise and the PGAs'
 // flicker ahead on the calling thread's NoiseCrew where it can
@@ -162,9 +166,10 @@ class GyroSystem : public RateSensor {
   };
 
   /// Run 1 to GyroMems::kLanes distinct systems for `seconds` in lockstep,
-  /// in run()'s frame loop: each analog tick stages every member's inputs,
-  /// makes one step_lanes call and ends with the members' per-tick probe
-  /// taps; each DSP frame loops over the members. Each member ends bit for
+  /// in run()'s frame loop: the analog ticks up to each conversion stage
+  /// every member's stimulus and Stimulus taps, then make one step_frame
+  /// call (one-tick frames while a member's probe wants PostMems taps); each
+  /// DSP frame loops over the members. Each member ends bit for
   /// bit where its own run() would, with its own run bookkeeping: the
   /// trace_begin event, gyro.run span, gyro.runs, gyro.dsp_samples and
   /// afe.nonfinite_inputs counts, exact task counts, and an equal share of
@@ -245,7 +250,7 @@ class GyroSystem : public RateSensor {
   void serialize_state(StateArchive& ar);
 
  private:
-  /// One member's state between the stages of a run besides its lane-call
+  /// One member's state between the stages of a run besides its kernel
   /// arrays: the current tick, what the Full AFE hands the DSP frame, and
   /// the member's task flags.
   struct Lane {
@@ -261,16 +266,23 @@ class GyroSystem : public RateSensor {
     bool w_adc = false, w_out = false;                   ///< DSP-frame probe taps
   };
   /// The members still running, in member order, with their rings and the
-  /// arrays of the one step_lanes call per tick: every member's inputs (this
-  /// tick's stimulus included) and the pickoffs its DSP frame samples.
+  /// arrays of the MEMS calls: every member's inputs (a Full tick's, or an
+  /// Ideal frame's last stimulus row), its stimulus rows for the frame and
+  /// the pickoffs its DSP frame samples.
   struct Group {
     static constexpr std::size_t kMax = sensor::GyroMems::kLanes;
+    /// Most ticks one kernel call advances: a noise-crew block.
+    static constexpr long kRows = 64;
     std::array<Lane, kMax> lanes;
     std::array<sensor::GyroMems*, kMax> rings{};
     std::array<sensor::GyroInputs, kMax> in;
     std::array<sensor::GyroOutputs, kMax> pick;
+    /// Each member's stimulus rows, by its position in the member list.
+    std::array<std::array<sensor::StimulusSample, kRows>, kMax> stim;
     std::size_t size = 0;
+    bool full = false;       ///< Full fidelity: one tick at a time (a group of one)
     bool tick_taps = false;  ///< a member's probe wants a per-tick tap
+    bool mems_taps = false;  ///< ... a PostMems tap: Ideal frames are one tick long
     bool profiled = false;   ///< a member has a task profiler
     bool in_frame = false;   ///< the DSP frame is running
     /// The crew drawing this run's noise ahead (null: drawn inline), and the
@@ -291,6 +303,10 @@ class GyroSystem : public RateSensor {
     /// noise streams and removes them; out of line, so the stages that call
     /// each() stay small.
     void drop_failed();
+    /// How many of the next `n` ticks one kernel call may take: all of
+    /// them, or up to the crew's block edge, moving the crew to its next
+    /// block first when it stands at one.
+    long ahead(long n);
     /// Moves the crew's cursors to its next block, or drops the crew when
     /// the run hands back to inline draws; out of line.
     void next_block();
@@ -306,16 +322,28 @@ class GyroSystem : public RateSensor {
   void build(std::uint64_t seed);
   void define_registers();
   void post_status(double measured_temp);
-  /// `n` analog ticks of every member of `g`, each ending with the per-tick
-  /// probe taps when a member's probe wants them.
+  /// `n` analog ticks of every member of `g`: tick by tick at Full
+  /// fidelity, each tick ending with the per-tick probe taps when a member's
+  /// probe wants them; in frames at Ideal fidelity.
   static void run_analog(Group& g, long n);
+  /// One Ideal frame of `n` ticks, at most kRows and within the crew's
+  /// block: every member's stimulus rows and their Stimulus taps, one
+  /// step_frame call, then a one-tick frame's taps (tap_tick).
+  static void analog_frame(Group& g, long n);
+  /// The Stimulus taps of a frame's staged rows, tick by tick across the
+  /// members. A member whose tap throws keeps the exception and taps no
+  /// later tick; its `staged` rows are then those before the tick that
+  /// threw, and `ran` one more (a tick-by-tick run taps after the step).
+  /// Returns whether a tap threw; out of line.
+  static bool tap_stimulus(Group& g, long n, std::span<long> staged, std::span<long> ran);
   /// One DSP frame of every member of `g`.
   static void run_dsp(Group& g);
   /// run_analog, then run_dsp when `dsp`, reading the clock at each task
   /// boundary and recording both tasks' shares in each member's profiler.
   static void run_timed(Group& g, long n, bool dsp);
-  /// The Stimulus, PostMems and PostAfe probe frames of this tick for every
-  /// member that wants them; out of line, so the analog stage stays small.
+  /// The Stimulus, PostMems and PostAfe probe frames of this tick (a Full
+  /// tick, or an Ideal one-tick frame) for every member that wants them;
+  /// out of line, so the analog stage stays small.
   static void tap_tick(Group& g);
   /// Books the task firings lane `m` completed this run into the profiler:
   /// the analog ticks since m.tick0 and the DSP frames among them. A member
@@ -336,9 +364,14 @@ class GyroSystem : public RateSensor {
   /// The noise streams a crew can draw ahead for this system's run.
   NoiseMember noise_member();
   // The member stages of this system, member k of `g`:
-  /// the analog tick up to the MEMS: stimulus and electrode voltages;
+  /// the end of an Ideal frame for a member whose source or tap threw
+  /// (nothing for the others): its ring steps through the `ran` ticks a
+  /// tick-by-tick run would have completed, its counter past them, and the
+  /// exception is rethrown;
+  void cut_frame(Group& g, std::size_t k, long staged, long ran);
+  /// the Full analog tick up to the MEMS: stimulus and DAC outputs;
   void analog_inputs(Group& g, std::size_t k);
-  /// the analog tick after the MEMS: charge amps and SAR converters;
+  /// the Full analog tick after the MEMS: charge amps and SAR converters;
   void analog_afe(Group& g, std::size_t k);
   /// every DSP-rate stage in order, once per SAR conversion: sampling,
   /// fault campaign, DSP, supervisor, obs events, trace, decimated output +

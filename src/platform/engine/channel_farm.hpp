@@ -19,9 +19,10 @@
 // GyroSystem::lane_key() (base rate, adc_div, tick phase) and a tick count
 // in groups of min(kLanes, ⌈eligible ÷ workers⌉), one
 // ConditioningChannel::advance_group per group, so their MEMS rings step
-// together in GyroMems::step_lanes. Observed channels group like bare ones;
-// each member keeps its own obs bookkeeping. Every other channel advances
-// alone, as the group of one: baselines and Full-fidelity gyro channels,
+// together, one GyroMems::step_frame call per frame. Observed channels
+// group like bare ones; each member keeps its own obs bookkeeping. Every
+// other channel advances alone, as the group of one: baselines and
+// Full-fidelity gyro channels,
 // which have no key. advance(seconds) and the FleetSupervisor's per-channel
 // catch-up targets both go through advance(which, ticks), the one grouping
 // rule. A member that throws fails alone; its group-mates finish. Grouping

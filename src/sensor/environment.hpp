@@ -21,6 +21,12 @@
 
 namespace ascp::sensor {
 
+/// One analog tick's environment: what the MEMS element experiences.
+struct StimulusSample {
+  double rate_dps = 0.0;  ///< angular rate [°/s]
+  double temp_c = 25.0;   ///< ambient temperature [°C]
+};
+
 /// Time-dependent scalar profile (rate in °/s or temperature in °C).
 class Profile {
  public:

@@ -66,39 +66,65 @@ double GyroMems::pickoff_cap(double displacement) const {
   return cap_k_ * displacement / (1.0 - clamped * 0.5);
 }
 
-template <std::size_t L>
-void GyroMems::step_lanes(GyroMems* const* rings, const GyroInputs* in, GyroOutputs* out) {
+template <std::size_t L, bool kEveryTick>
+void GyroMems::frame(const GyroFrameLane* lanes, long n) {
   static_assert(L >= 1 && L <= kLanes);
   // One array per quantity, one element per lane. Every lane runs exactly
-  // the scalar operation sequence, so the lanes only interleave; no result
-  // depends on a neighbour.
+  // the scalar operation sequence, tick after tick, so the lanes only
+  // interleave; no result depends on a neighbour. The rings are read before
+  // the first tick and written after the last: the state, the temperature
+  // terms, the Coriolis term and the step sizes stay here in between.
   struct Lanes {
     double x[L], vx[L], y[L], vy[L];
   };
   Lanes s, k1, k2, k3, k4, q;
-  double dt[L], w0d2[L], w0s2[L], dd[L], ds[L], kq[L], coriolis[L], fd[L], fc[L], noise[L];
-  for (std::size_t l = 0; l < L; ++l) {
-    GyroMems& g = *rings[l];
-    const GyroInputs& u = in[l];
-    if (std::bit_cast<std::uint64_t>(u.temp_c) != g.temp_key_ ||
-        std::bit_cast<std::uint64_t>(g.quad_step_) != g.quad_key_)
-      g.resolve(u.temp_c);
+  GyroMems* ring[L];
+  const StimulusSample* stim[L];
+  const double* ahead[L];  ///< the Brownian stream's cursor, or null (drawn inline)
+  double v_drive[L], v_control[L], dt[L], half_dt[L], sixth_dt[L];
+  double w0d2[L], w0s2[L], dd[L], ds[L], kq[L], fd[L], fc[L], noise_scale[L], coriolis[L];
+  double noise[L];
+  std::uint64_t temp_key[L], rate_key[L];
+
+  // The temperature terms step() reads from the ring's cache.
+  const auto load_terms = [&](std::size_t l) {
+    const GyroMems& g = *ring[l];
     const Params& p = g.terms_;
-    double v_drive = u.v_drive;
-    if (g.drive_fault_ == DriveElectrodeFault::Open) v_drive = 0.0;
-    else if (g.drive_fault_ == DriveElectrodeFault::Stuck) v_drive = g.stuck_v_;
-    fd[l] = p.fpv * v_drive;
-    fc[l] = p.fpv * u.v_control;
-    const double z = g.brownian_.next();
-    noise[l] = (g.noise_sigma_ * g.t_scale_) * z;
-    const double kappa_omega = g.cfg_.angular_gain * u.rate_dps * kPi / 180.0;
-    coriolis[l] = 2.0 * kappa_omega;
     w0d2[l] = p.w0d2;
     w0s2[l] = p.w0s2;
     dd[l] = p.dd;
     ds[l] = p.ds;
     kq[l] = p.kq;
+    fd[l] = p.fpv * v_drive[l];
+    fc[l] = p.fpv * v_control[l];
+    noise_scale[l] = g.noise_sigma_ * g.t_scale_;
+    temp_key[l] = g.temp_key_;
+  };
+  // The Coriolis term, keyed on the rate's bit pattern as the temperature
+  // terms are on the temperature's: a held rate is converted once a frame.
+  const auto load_coriolis = [&](std::size_t l, double rate_dps) {
+    rate_key[l] = std::bit_cast<std::uint64_t>(rate_dps);
+    const double kappa_omega = ring[l]->cfg_.angular_gain * rate_dps * kPi / 180.0;
+    coriolis[l] = 2.0 * kappa_omega;
+  };
+  for (std::size_t l = 0; l < L; ++l) {
+    GyroMems& g = *lanes[l].ring;
+    ring[l] = &g;
+    stim[l] = lanes[l].stim;
+    const double temp_c = stim[l][0].temp_c;
+    if (std::bit_cast<std::uint64_t>(temp_c) != g.temp_key_ ||
+        std::bit_cast<std::uint64_t>(g.quad_step_) != g.quad_key_)
+      g.resolve(temp_c);
+    v_drive[l] = lanes[l].v_drive;
+    if (g.drive_fault_ == DriveElectrodeFault::Open) v_drive[l] = 0.0;
+    else if (g.drive_fault_ == DriveElectrodeFault::Stuck) v_drive[l] = g.stuck_v_;
+    v_control[l] = lanes[l].v_control;
+    load_terms(l);
+    load_coriolis(l, stim[l][0].rate_dps);
     dt[l] = g.dt_;
+    half_dt[l] = 0.5 * g.dt_;
+    sixth_dt[l] = g.dt_ / 6.0;
+    ahead[l] = g.brownian_.ahead;
     s.x[l] = g.s_.x;
     s.vx[l] = g.s_.vx;
     s.y[l] = g.s_.y;
@@ -117,56 +143,76 @@ void GyroMems::step_lanes(GyroMems* const* rings, const GyroInputs* in, GyroOutp
                 kq[l] * r.x[l] + noise[l];
     }
   };
-  // q = s + c·dt·k
-  const auto stage = [&](const Lanes& k, double c) {
+  // q = s + h·k
+  const auto stage = [&](const Lanes& k, const double* h) {
     for (std::size_t l = 0; l < L; ++l) {
-      const double h = c * dt[l];
-      q.x[l] = s.x[l] + h * k.x[l];
-      q.vx[l] = s.vx[l] + h * k.vx[l];
-      q.y[l] = s.y[l] + h * k.y[l];
-      q.vy[l] = s.vy[l] + h * k.vy[l];
+      q.x[l] = s.x[l] + h[l] * k.x[l];
+      q.vx[l] = s.vx[l] + h[l] * k.vx[l];
+      q.y[l] = s.y[l] + h[l] * k.y[l];
+      q.vy[l] = s.vy[l] + h[l] * k.vy[l];
     }
   };
 
-  // Classic RK4.
-  derivative(s, k1);
-  stage(k1, 0.5);
-  derivative(q, k2);
-  stage(k2, 0.5);
-  derivative(q, k3);
-  stage(k3, 1.0);
-  derivative(q, k4);
+  for (long i = 0; i < n; ++i) {
+    for (std::size_t l = 0; l < L; ++l) {
+      // The first tick's terms are loaded above, so step() checks no key.
+      if (i > 0) {
+        const StimulusSample& u = stim[l][i];
+        if (std::bit_cast<std::uint64_t>(u.temp_c) != temp_key[l]) [[unlikely]] {
+          ring[l]->resolve(u.temp_c);
+          load_terms(l);
+        }
+        if (std::bit_cast<std::uint64_t>(u.rate_dps) != rate_key[l]) [[unlikely]]
+          load_coriolis(l, u.rate_dps);
+      }
+      const double z = ahead[l] ? *ahead[l]++ : ring[l]->brownian_.gen.gaussian();
+      noise[l] = noise_scale[l] * z;
+    }
+    // Classic RK4.
+    derivative(s, k1);
+    stage(k1, half_dt);
+    derivative(q, k2);
+    stage(k2, half_dt);
+    derivative(q, k3);
+    stage(k3, dt);
+    derivative(q, k4);
+    for (std::size_t l = 0; l < L; ++l) {
+      const double h = sixth_dt[l];
+      s.x[l] = s.x[l] + h * (k1.x[l] + 2 * k2.x[l] + 2 * k3.x[l] + k4.x[l]);
+      s.vx[l] = s.vx[l] + h * (k1.vx[l] + 2 * k2.vx[l] + 2 * k3.vx[l] + k4.vx[l]);
+      s.y[l] = s.y[l] + h * (k1.y[l] + 2 * k2.y[l] + 2 * k3.y[l] + k4.y[l]);
+      s.vy[l] = s.vy[l] + h * (k1.vy[l] + 2 * k2.vy[l] + 2 * k3.vy[l] + k4.vy[l]);
+    }
+    if (kEveryTick || i == n - 1)
+      for (std::size_t l = 0; l < L; ++l)
+        lanes[l].pick[kEveryTick ? i : 0] =
+            GyroOutputs{ring[l]->pickoff_cap(s.x[l]), ring[l]->pickoff_cap(s.y[l])};
+  }
   for (std::size_t l = 0; l < L; ++l) {
-    GyroMems& g = *rings[l];
-    const double h = dt[l] / 6.0;
-    g.s_.x = s.x[l] + h * (k1.x[l] + 2 * k2.x[l] + 2 * k3.x[l] + k4.x[l]);
-    g.s_.vx = s.vx[l] + h * (k1.vx[l] + 2 * k2.vx[l] + 2 * k3.vx[l] + k4.vx[l]);
-    g.s_.y = s.y[l] + h * (k1.y[l] + 2 * k2.y[l] + 2 * k3.y[l] + k4.y[l]);
-    g.s_.vy = s.vy[l] + h * (k1.vy[l] + 2 * k2.vy[l] + 2 * k3.vy[l] + k4.vy[l]);
-    out[l] = GyroOutputs{g.pickoff_cap(g.s_.x), g.pickoff_cap(g.s_.y)};
+    ring[l]->s_ = State{s.x[l], s.vx[l], s.y[l], s.vy[l]};
+    ring[l]->brownian_.ahead = ahead[l];
   }
 }
 
-// Flattened so a lone ring runs the one-lane kernel inline, at the cost of
-// the scalar step it replaced.
+// Flattened so a lone ring runs the one-lane, one-tick kernel inline, at the
+// cost of the scalar step it replaced.
 [[gnu::flatten]] GyroOutputs GyroMems::step(const GyroInputs& in) {
-  GyroMems* self = this;
+  const StimulusSample stim{in.rate_dps, in.temp_c};
   GyroOutputs out;
-  step_lanes<1>(&self, &in, &out);
+  const GyroFrameLane lane{this, &stim, in.v_drive, in.v_control, &out};
+  frame<1, false>(&lane, 1);
   return out;
 }
 
-void GyroMems::step_lanes(std::span<GyroMems* const> rings, std::span<const GyroInputs> in,
-                          std::span<GyroOutputs> out) {
-  using Kernel = void (*)(GyroMems* const*, const GyroInputs*, GyroOutputs*);
+void GyroMems::step_frame(std::span<const GyroFrameLane> lanes, long n, bool every_tick) {
+  using Kernel = void (*)(const GyroFrameLane*, long);
   static constexpr auto kKernels = []<std::size_t... I>(std::index_sequence<I...>) {
-    return std::array<Kernel, kLanes>{&step_lanes<I + 1>...};
+    return std::array<std::array<Kernel, kLanes>, 2>{
+        {{&frame<I + 1, false>...}, {&frame<I + 1, true>...}}};
   }(std::make_index_sequence<kLanes>{});
-  if (rings.empty() || rings.size() > kLanes || in.size() != rings.size() ||
-      out.size() != rings.size())
-    throw std::invalid_argument("GyroMems::step_lanes: 1 to kLanes rings, one input and output "
-                                "each");
-  kKernels[rings.size() - 1](rings.data(), in.data(), out.data());
+  if (lanes.empty() || lanes.size() > kLanes || n < 1)
+    throw std::invalid_argument("GyroMems::step_frame: 1 to kLanes rings and at least one tick");
+  kKernels[every_tick ? 1 : 0][lanes.size() - 1](lanes.data(), n);
 }
 
 void GyroMems::reset() { s_ = State{}; }

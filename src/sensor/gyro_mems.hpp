@@ -14,15 +14,20 @@
 // and Q drift with temperature — the effects the conditioning chain's PLL
 // and compensation stages exist to fight.
 //
-// The RK4 is written once, over structure-of-arrays lanes: step_lanes
-// advances up to kLanes independent rings in lockstep, so the serial
-// multiply-add chain of one ring's step overlaps with its neighbours'.
-// Every lane computes exactly its own ring's scalar step (each keeps its
-// temperature-term cache and draws its Brownian deviate from its own Rng),
-// and step() is the one-lane instance. The Brownian deviate is a standard
-// normal the temperature scales, so it can be drawn ahead from a copy of
-// the ring's Rng and read through the stream's cursor (brownian(),
-// core/noise_crew.hpp), as the charge amps' and PGAs' noise is.
+// The RK4 is written once, as a frame kernel over structure-of-arrays
+// lanes: step_frame advances up to kLanes independent rings through n ticks
+// in lockstep, so the serial multiply-add chain of one ring's step overlaps
+// with its neighbours'. Each lane's state, temperature terms and step sizes
+// stay in the kernel for the whole frame; the temperature terms are keyed on
+// the temperature's bit pattern and the Coriolis term on the rate's, and the
+// pickoffs, two divisions each, are evaluated on the frame's last tick only
+// unless every tick's are asked for. Every lane computes exactly its own
+// ring's scalar step, tick after tick (each keeps its temperature-term cache
+// and draws its Brownian deviate from its own Rng), and step() is the
+// one-lane, one-tick instance. The Brownian deviate is a standard normal the
+// temperature scales, so it can be drawn ahead from a copy of the ring's Rng
+// and read through the stream's cursor (brownian(), core/noise_crew.hpp), as
+// the charge amps' and PGAs' noise is.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +35,7 @@
 #include <span>
 
 #include "common/rng.hpp"
+#include "sensor/environment.hpp"
 
 namespace ascp::sensor {
 
@@ -83,10 +89,21 @@ enum class DriveElectrodeFault {
   Stuck,  ///< electrode shorted to a DC level: constant force, no AC drive
 };
 
+class GyroMems;
+
+/// One ring's share of a GyroMems::step_frame call over n ticks.
+struct GyroFrameLane {
+  GyroMems* ring = nullptr;
+  const StimulusSample* stim = nullptr;  ///< each tick's rate and temperature: n rows
+  double v_drive = 0.0;                  ///< drive electrode voltage, held over the frame [V]
+  double v_control = 0.0;                ///< control electrode voltage, held over the frame [V]
+  GyroOutputs* pick = nullptr;  ///< the last tick's pickoffs, or n rows of them (every_tick)
+};
+
 /// RK4-integrated two-mode ring model.
 class GyroMems {
  public:
-  /// Most rings one step_lanes call advances.
+  /// Most rings one step_frame call advances.
   static constexpr std::size_t kLanes = 8;
 
   GyroMems(const GyroMemsConfig& cfg, ascp::Rng rng);
@@ -96,12 +113,14 @@ class GyroMems {
   /// changes.
   GyroOutputs step(const GyroInputs& in);
 
-  /// Advance rings[l] one step with in[l], writing out[l], for 1 to kLanes
-  /// distinct rings in lockstep. Each lane is bit-identical to
-  /// rings[l]->step(in[l]). Throws std::invalid_argument on a count outside
-  /// 1…kLanes or spans of unequal length.
-  static void step_lanes(std::span<GyroMems* const> rings, std::span<const GyroInputs> in,
-                         std::span<GyroOutputs> out);
+  /// Advance lanes[l].ring through n ticks, for 1 to kLanes distinct rings
+  /// in lockstep: tick i steps with lanes[l].stim[i] and the lane's two
+  /// electrode voltages. Each lane is bit-identical to n step() calls with
+  /// those inputs: the ring's state, its Brownian stream and pick[0], the
+  /// last call's output; with `every_tick`, pick[i] is call i's. Faults and
+  /// quadrature steps injected between calls act on the next one. Throws
+  /// std::invalid_argument on a lane count outside 1…kLanes or n < 1.
+  static void step_frame(std::span<const GyroFrameLane> lanes, long n, bool every_tick = false);
 
   // ---- fault injection -----------------------------------------------------
   void inject_drive_fault(DriveElectrodeFault fault, double stuck_v = 0.0) {
@@ -158,9 +177,10 @@ class GyroMems {
     double w0d2, w0s2, dd, ds, fpv, kq;
   };
 
-  /// The one RK4, over L lanes: rings[l] steps with in[l] into out[l].
-  template <std::size_t L>
-  static void step_lanes(GyroMems* const* rings, const GyroInputs* in, GyroOutputs* out);
+  /// The one RK4: L lanes through n ticks, writing every tick's pickoffs
+  /// or the last tick's.
+  template <std::size_t L, bool kEveryTick>
+  static void frame(const GyroFrameLane* lanes, long n);
   /// Recompute the temperature terms for `temp_c` and the current
   /// quadrature step, and key them on both bit patterns.
   void resolve(double temp_c);

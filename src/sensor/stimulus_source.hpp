@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,12 +38,6 @@
 #include "sensor/environment.hpp"
 
 namespace ascp::sensor {
-
-/// One analog tick's environment: what the MEMS element experiences.
-struct StimulusSample {
-  double rate_dps = 0.0;  ///< angular rate [°/s]
-  double temp_c = 25.0;   ///< ambient temperature [°C]
-};
 
 enum class StimulusKind : std::uint32_t { Synthetic = 0, Recorded = 1, Queue = 2 };
 
@@ -59,6 +54,15 @@ class StimulusSource {
   /// determinism contract extends to sources). Sequential consumers
   /// (QueueSource) may ignore the tick value.
   virtual StimulusSample sample(long tick) = 0;
+
+  /// Evaluate ticks tick, tick + 1, … into `out`, in order: the samples and
+  /// the source state that out.size() sample() calls give. `done` counts the
+  /// samples written, so a caller learns how far a call that throws got. The
+  /// default calls sample(); a final source runs the same loop over its own
+  /// sample(), inlined.
+  virtual void sample_block(long tick, std::span<StimulusSample> out, std::size_t& done) {
+    for (done = 0; done < out.size(); ++done) out[done] = sample(tick + static_cast<long>(done));
+  }
 
   /// Checkpoint path: rides inside the owning channel's archive so a
   /// mid-replay snapshot resumes at the exact cursor. Stateless sources
@@ -94,6 +98,10 @@ class SyntheticSource final : public StimulusSource {
     // with the origin subtracted in exact integer arithmetic first.
     const double t = static_cast<double>(tick - origin_) * dt_;
     return {rate_.at(t), temp_.at(t)};
+  }
+
+  void sample_block(long tick, std::span<StimulusSample> out, std::size_t& done) override {
+    for (done = 0; done < out.size(); ++done) out[done] = sample(tick + static_cast<long>(done));
   }
 
   void serialize_state(StateArchive& ar) override {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "common/math.hpp"
 #include "core/baselines.hpp"
 #include "core/metrics.hpp"
+#include "sensor/stimulus_source.hpp"
+#include "support/state_twin.hpp"
 
 namespace ascp::core {
 namespace {
@@ -95,6 +99,84 @@ TEST(Baselines, RespondsWithCorrectPolarityConsistency) {
   const double dp = mean(std::span(pos).subspan(pos.size() / 2)) - zero;
   const double dn = mean(std::span(neg).subspan(neg.size() / 2)) - zero;
   EXPECT_LT(dp * dn, 0.0);
+}
+
+// ---- MEMS frames ---------------------------------------------------------------
+// The analog ticks of a conditioning cycle stage their stimulus and its taps
+// ahead of one MEMS frame; a tick-by-tick run stepped the ring before each
+// tick's taps. A baseline whose probe's stimulus tap or whose source throws
+// in the middle of a frame must be left as a twin advanced one tick per call
+// is: the ring stepped through the ticks that completed, the counter at the
+// tick that threw, the same outputs. The twin's probe also wants post-MEMS
+// taps, so its one-tick frames tap after the step, as a tick-by-tick run
+// did, and do not share the frame's throw bookkeeping.
+
+/// Throws from the stimulus tap on one tick (if any); with `mems`, it also
+/// wants the post-MEMS taps, so the frames are one tick long.
+class StimulusBomb final : public sensor::Probe {
+ public:
+  StimulusBomb(long at, bool mems) : at_(at), mems_(mems) {}
+  bool wants(sensor::ProbePoint p) const override {
+    return p == sensor::ProbePoint::Stimulus || (mems_ && p == sensor::ProbePoint::PostMems);
+  }
+  void on_frame(const sensor::ProbeFrame& f) override {
+    if (f.point == sensor::ProbePoint::Stimulus && f.tick == at_)
+      throw std::runtime_error("probe exploded");
+  }
+
+ private:
+  long at_;
+  bool mems_;
+};
+
+/// A constant stimulus whose sample for one tick (if any) throws.
+class BombSource final : public sensor::StimulusSource {
+ public:
+  BombSource(double fs, long at)
+      : inner_(sensor::Profile::constant(40.0), sensor::Profile::constant(30.0), fs), at_(at) {}
+  sensor::StimulusKind kind() const override { return inner_.kind(); }
+  sensor::StimulusSample sample(long tick) override {
+    if (tick == at_) throw std::runtime_error("source exploded");
+    return inner_.sample(tick);
+  }
+  void serialize_state(StateArchive& ar) override { inner_.serialize_state(ar); }
+
+ private:
+  sensor::SyntheticSource inner_;
+  long at_;
+};
+
+TEST(Baselines, ThrowMidFrameLeavesTheTickByTickState) {
+  constexpr long kAt = 2051;  // ≡ 3 (mod loop_div 8), after two DAQ outputs
+  for (const bool tap : {true, false}) {
+    SCOPED_TRACE(tap ? "stimulus tap throws" : "source throws");
+    const BaselineConfig cfg = adxrs300_like();
+    ASSERT_EQ(kAt % cfg.loop_div, 3);
+    const double fs = cfg.analog_fs;
+    AnalogGyroBaseline framed(cfg), stepped(cfg);
+    StimulusBomb probe_a(tap ? kAt : -1, /*mems=*/false);
+    StimulusBomb probe_b(tap ? kAt : -1, /*mems=*/true);
+    framed.set_probe(&probe_a);
+    stepped.set_probe(&probe_b);
+    framed.power_on(7);
+    stepped.power_on(7);
+    const long source_at = tap ? -1 : kAt;
+    BombSource src_a(fs, source_at), src_b(fs, source_at);
+    std::vector<double> out_a, out_b;
+    EXPECT_THROW(framed.run(src_a, 3000.0 / fs, &out_a), std::runtime_error);
+    long calls = 0;
+    for (; calls < 3000; ++calls) {
+      try {
+        stepped.run(src_b, 1.0 / fs, &out_b);
+      } catch (const std::runtime_error&) {
+        break;
+      }
+    }
+    EXPECT_EQ(calls, kAt);
+    EXPECT_FALSE(out_a.empty());
+    EXPECT_EQ(out_a, out_b);
+    EXPECT_EQ(state_twin::state_of(framed), state_twin::state_of(stepped));
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 
 #include "common/fnv1a.hpp"
 #include "core/gyro_system.hpp"
+#include "core/noise_crew.hpp"
 #include "platform/engine/channel_farm.hpp"
 #include "safety/fault_injection.hpp"
 #include "safety/standard_faults.hpp"
@@ -377,6 +379,8 @@ class FrameHash final : public sensor::Probe {
  public:
   std::uint64_t hash = kFnv1aOutputBasis;
   std::uint64_t frames = 0;
+  std::optional<sensor::ProbePoint> only;  ///< the one point wanted (none: every point)
+  bool wants(sensor::ProbePoint p) const override { return !only || p == *only; }
   void on_frame(const sensor::ProbeFrame& f) override {
     const double v[] = {static_cast<double>(f.point), static_cast<double>(f.tick), f.a, f.b};
     hash = fnv1a_doubles(hash, v, 4);
@@ -470,6 +474,84 @@ void expect_lockstep_matches_solo(unsigned workers) {
 TEST(ChannelFarm, LockstepMatchesSoloOneWorker) { expect_lockstep_matches_solo(1); }
 
 TEST(ChannelFarm, LockstepMatchesSoloFourWorkers) { expect_lockstep_matches_solo(4); }
+
+// ---- frame edges --------------------------------------------------------------
+// A group steps its rings in MEMS frames that end at every conversion and at
+// every noise-crew block edge. Groups at adc_div 5, 8 and 16 advance by 1,
+// 7, 63, 64, 65 and 4093 ticks, adc_div rounds over: a round is 4293 ticks,
+// prime to each divider, so every length starts from every tick phase. Every
+// member must match its solo twin after every advance, in output hash and
+// state, with the runs' noise drawn by the calling thread's crew and drawn
+// inline. Nine channels make groups of 8 and 1 on one worker, of 3 on four.
+
+/// Runs `fn` on a thread of its own, with a crew of its own or drawing
+/// every run's noise inline.
+template <typename Fn>
+void on_own_thread(bool inline_draws, Fn&& fn) {
+  std::thread t([&] {
+    if (inline_draws) core::NoiseCrew::draw_inline_here();
+    fn();
+  });
+  t.join();
+}
+
+void expect_frame_edges_match_solo(unsigned workers, bool inline_draws) {
+  constexpr long kLengths[] = {1, 7, 63, 64, 65, 4093};
+  for (const int div : {5, 8, 16}) {
+    SCOPED_TRACE("adc_div " + std::to_string(div) + (inline_draws ? ", inline" : ", crew"));
+    std::vector<ChannelConfig> specs;
+    for (int i = 0; i < 9; ++i) {
+      ChannelConfig c = spec(ChannelKind::GyroIdeal, -70.0 + 17.0 * i, 20.0 + 5.0 * i);
+      // Odd channels warm every tick, so their frames miss the temperature
+      // terms' key on every tick; one channel's flight recorder taps the
+      // stimulus.
+      if (i % 2 == 1) c.temp_profile = sensor::Profile::ramp(-30.0 + 9.0 * i, 70.0, 0.0, 0.2);
+      c.with_flight_recorder = i == 4;
+      c.configure = [div](core::GyroSystemConfig& g) { g.adc_div = div; };
+      specs.push_back(c);
+    }
+    FarmConfig fc;
+    fc.root_seed = 31;
+    fc.threads = workers;
+    ChannelFarm farm(specs, fc);
+    std::vector<std::unique_ptr<ConditioningChannel>> solo;
+    for (std::size_t i = 0; i < farm.size(); ++i)
+      solo.push_back(std::make_unique<ConditioningChannel>(farm.channel(i).config()));
+
+    long ticks = 0;
+    for (int round = 0; round < div; ++round)
+      for (const long n : kLengths) {
+        farm.advance(static_cast<double>(n) / farm.channel(0).base_rate_hz());
+        for (auto& ch : solo) ch->advance(n);
+        ticks += n;
+        for (std::size_t i = 0; i < farm.size(); ++i) {
+          ConditioningChannel& ch = farm.channel(i);
+          ASSERT_FALSE(farm.channel_failed(i)) << farm.channel_error(i);
+          ASSERT_EQ(ch.ticks_advanced(), ticks) << "channel " << i;
+          ASSERT_EQ(ch.output_hash(), solo[i]->output_hash())
+              << "channel " << i << ", " << n << " ticks from tick " << ticks - n;
+          ASSERT_EQ(state_of(*ch.gyro()), state_of(*solo[i]->gyro()))
+              << "channel " << i << ", " << n << " ticks from tick " << ticks - n;
+        }
+      }
+    EXPECT_GT(farm.channel(0).total_outputs(), 0u);
+  }
+  // The runs of 64 ticks and more began on this thread's crew.
+  const core::NoiseCrew* crew = core::NoiseCrew::here();
+  if (!inline_draws && crew) {
+    EXPECT_GT(crew->jobs(), 0u);
+  }
+}
+
+TEST(ChannelFarm, LockstepFrameEdgesMatchSoloOneWorker) {
+  for (const bool inline_draws : {false, true})
+    on_own_thread(inline_draws, [=] { expect_frame_edges_match_solo(1, inline_draws); });
+}
+
+TEST(ChannelFarm, LockstepFrameEdgesMatchSoloFourWorkers) {
+  for (const bool inline_draws : {false, true})
+    on_own_thread(inline_draws, [=] { expect_frame_edges_match_solo(4, inline_draws); });
+}
 
 /// Everything a channel's obs bundle holds that does not read the host
 /// clock: metric counters, task invocation counts, events, flight records and
@@ -688,61 +770,144 @@ TEST(ChannelFarm, BusyWidthIsTheLaneGroupSize) {
   farm.run(all, [&](std::size_t i, ConditioningChannel&) { EXPECT_EQ(farm.busy_width(i), 1u); });
 }
 
-/// Throws from the post-MEMS tap on one tick: between a group's analog
-/// stage and its DSP frame.
+/// Throws from one tap point on one tick. From the post-MEMS tap, that is
+/// between a group's analog stage and its DSP frame; from the stimulus tap,
+/// before the frame's MEMS step, which a tick-by-tick run had taken.
 class ThrowingProbe final : public sensor::Probe {
  public:
-  explicit ThrowingProbe(long at) : at_(at) {}
-  bool wants(sensor::ProbePoint p) const override { return p == sensor::ProbePoint::PostMems; }
+  /// With `mems`, it also wants the post-MEMS taps (and never throws from
+  /// them), so its channel runs one-tick frames that tap after the step.
+  ThrowingProbe(sensor::ProbePoint point, long at, bool mems = false)
+      : point_(point), at_(at), mems_(mems) {}
+  bool wants(sensor::ProbePoint p) const override {
+    return p == point_ || (mems_ && p == sensor::ProbePoint::PostMems);
+  }
   void on_frame(const sensor::ProbeFrame& f) override {
-    if (f.tick == at_) throw std::runtime_error("probe exploded");
+    if (f.point == point_ && f.tick == at_) throw std::runtime_error("probe exploded");
   }
 
  private:
+  sensor::ProbePoint point_;
+  long at_;
+  bool mems_;
+};
+
+/// A constant stimulus whose sample for one tick throws. Not final, so a
+/// frame stages it through the default sample_block loop.
+class ThrowingSource : public sensor::StimulusSource {
+ public:
+  ThrowingSource(double fs, long at)
+      : inner_(sensor::Profile::constant(-20.0), sensor::Profile::constant(35.0), fs), at_(at) {}
+  sensor::StimulusKind kind() const override { return inner_.kind(); }
+  sensor::StimulusSample sample(long tick) override {
+    if (tick == at_) throw std::runtime_error("source exploded");
+    return inner_.sample(tick);
+  }
+  void serialize_state(StateArchive& ar) override { inner_.serialize_state(ar); }
+
+ private:
+  sensor::SyntheticSource inner_;
   long at_;
 };
 
 TEST(ChannelFarm, ThrowingGroupMembersFailAloneGroupMatesFinish) {
-  // One lockstep group on one worker with two members that throw: one from
-  // its fault campaign mid-advance, one from its probe on the first
-  // conversion tick, before that tick's DSP frame. Each is marked failed and
-  // left as a solo throwing advance leaves it; the group-mates stream
-  // exactly like a farm without the bombs.
-  ThrowingProbe bomb(/*at=*/7);
-  ChannelConfig probe_thrower;
-  probe_thrower.kind = ChannelKind::GyroIdeal;
-  probe_thrower.probe = &bomb;
+  // Lockstep groups on one worker with four members that throw: one from
+  // its fault campaign mid-advance, one from its probe's post-MEMS tap on
+  // the first conversion tick, before that tick's DSP frame, and in the
+  // second advance one from its probe's stimulus tap and one from its
+  // source, each in the middle of a frame on a tick that is no conversion.
+  // Each is marked failed and left as a solo throwing advance leaves it; the
+  // group-mates stream exactly like a farm without the bombs. A member of a
+  // group of two at adc_div 4, whose probe wants post-MEMS taps, runs in
+  // one-tick frames and sees one frame a tick, as its solo twin does.
+  constexpr long kFirst = 38400;  // ticks of the first advance, 20 ms
+  static_assert((kFirst + 1003) % 8 == 3 && (kFirst + 2005) % 8 == 5);
+  ThrowingProbe mems_bomb(sensor::ProbePoint::PostMems, /*at=*/7);
+  ThrowingProbe stim_bomb(sensor::ProbePoint::Stimulus, /*at=*/kFirst + 1003);
+  ChannelConfig mems_thrower = channel(ChannelKind::GyroIdeal, 30.0, 25.0);
+  mems_thrower.probe = &mems_bomb;
+  ChannelConfig stim_thrower = channel(ChannelKind::GyroIdeal, -50.0, 40.0);
+  stim_thrower.probe = &stim_bomb;
+  ChannelConfig source_thrower = channel(ChannelKind::GyroIdeal, 0.0, 25.0);
+  source_thrower.stimulus_factory = [](double fs) {
+    return std::make_unique<ThrowingSource>(fs, kFirst + 2005);
+  };
+  FrameHash farm_mems, solo_mems;
+  farm_mems.only = sensor::ProbePoint::PostMems;
+  solo_mems.only = sensor::ProbePoint::PostMems;
+  const auto div4 = [](core::GyroSystemConfig& g) { g.adc_div = 4; };
+  ChannelConfig mems_tapped = channel(ChannelKind::GyroIdeal, 15.0, 10.0);
+  mems_tapped.configure = div4;
+  mems_tapped.probe = &farm_mems;
+  ChannelConfig mems_mate = channel(ChannelKind::GyroIdeal, -15.0, 60.0);
+  mems_mate.configure = div4;
   std::vector<ChannelConfig> specs = {channel(ChannelKind::GyroIdeal, 20.0, 25.0),
                                       throwing_config(/*inject_at=*/100),
                                       channel(ChannelKind::GyroIdeal, -35.0, 50.0),
-                                      probe_thrower,
-                                      channel(ChannelKind::GyroIdeal, 80.0, -10.0)};
+                                      mems_thrower,
+                                      channel(ChannelKind::GyroIdeal, 80.0, -10.0),
+                                      stim_thrower,
+                                      source_thrower,
+                                      mems_tapped,
+                                      mems_mate};
+  const std::vector<std::size_t> throwers = {1, 3, 5, 6};
+  const std::vector<std::size_t> mates = {0, 2, 4, 7, 8};
+  constexpr std::size_t kTapped = 7;
   FarmConfig fc;
   fc.root_seed = 21;
   ChannelFarm farm(specs, fc);
   farm.advance(0.02);
   farm.advance(0.01);
 
-  EXPECT_EQ(farm.failed_channels(), 2u);
+  EXPECT_EQ(farm.failed_channels(), throwers.size());
   EXPECT_EQ(farm.channel_error(1), "campaign action exploded");
   EXPECT_EQ(farm.channel_error(3), "probe exploded");
-  for (const std::size_t i : {1u, 3u}) {
+  EXPECT_EQ(farm.channel_error(5), "probe exploded");
+  EXPECT_EQ(farm.channel_error(6), "source exploded");
+  // The stimulus thrower's twin also taps post-MEMS, so it runs one-tick
+  // frames that tap after the step, as a tick-by-tick run did.
+  ThrowingProbe twin_stim_bomb(sensor::ProbePoint::Stimulus, kFirst + 1003, /*mems=*/true);
+  for (const std::size_t i : throwers) {
     ASSERT_TRUE(farm.channel_failed(i));
-    ConditioningChannel thrower(farm.channel(i).config());
-    EXPECT_THROW(thrower.advance(std::llround(0.02 * thrower.base_rate_hz())),
-                 std::runtime_error);
+    // The solo twin advances as the farm did until it throws.
+    ChannelConfig twin = farm.channel(i).config();
+    if (i == 5) twin.probe = &twin_stim_bomb;
+    ConditioningChannel thrower(twin);
+    bool threw = false;
+    for (const double s : {0.02, 0.01}) {
+      try {
+        thrower.advance(std::llround(s * thrower.base_rate_hz()));
+      } catch (const std::runtime_error&) {
+        threw = true;
+        break;
+      }
+    }
+    EXPECT_TRUE(threw) << "channel " << i;
     EXPECT_EQ(farm.channel(i).ticks_advanced(), thrower.ticks_advanced());
     EXPECT_EQ(farm.channel(i).outputs().size(), thrower.outputs().size());
     EXPECT_EQ(farm.channel(i).gyro()->dsp_samples(), thrower.gyro()->dsp_samples());
     EXPECT_EQ(state_of(*farm.channel(i).gyro()), state_of(*thrower.gyro())) << "channel " << i;
   }
 
+  ChannelConfig tapped_solo = farm.channel(kTapped).config();
+  tapped_solo.probe = &solo_mems;
+  ConditioningChannel tapped(tapped_solo);
+  tapped.advance(kFirst);
+  tapped.advance(kFirst / 2);
+  EXPECT_EQ(farm_mems.frames, static_cast<std::uint64_t>(kFirst + kFirst / 2));
+  EXPECT_EQ(farm_mems.frames, solo_mems.frames);
+  EXPECT_EQ(farm_mems.hash, solo_mems.hash);
+  EXPECT_EQ(farm.channel(kTapped).output_hash(), tapped.output_hash());
+
   specs[1].campaign_factory = nullptr;
   specs[3].probe = nullptr;
+  specs[5].probe = nullptr;
+  specs[6].stimulus_factory = nullptr;
+  specs[kTapped].probe = nullptr;
   ChannelFarm clean(specs, fc);
   clean.advance(0.02);
   clean.advance(0.01);
-  for (const std::size_t i : {0u, 2u, 4u}) {
+  for (const std::size_t i : mates) {
     EXPECT_FALSE(farm.channel_failed(i));
     EXPECT_EQ(farm.channel(i).output_hash(), clean.channel(i).output_hash()) << "channel " << i;
   }

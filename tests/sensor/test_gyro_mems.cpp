@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/math.hpp"
@@ -304,17 +307,25 @@ TEST(GyroMemsCache, InvisibleOverTemperatureAndQuadratureSteps) {
     for (const double temp : kCacheTemps) step_both(k++, temp);
 }
 
-// ---- lockstep lanes ----------------------------------------------------------
-// GyroMems::step_lanes advances up to kLanes rings in one call. Each lane must
-// be its ring's own step(), bit for bit, for every lane count: the lanes
-// interleave arithmetic, never share it.
+// ---- frame kernel -------------------------------------------------------------
+// GyroMems::step_frame advances up to kLanes rings through n ticks in one
+// call. Each lane must be its ring's own step(), tick after tick, bit for
+// bit, for every lane count and frame length: the lanes interleave
+// arithmetic, never share it, and a frame holds nothing a tick-by-tick run
+// would not.
+
+/// The frame lengths every lane count is run with: one tick, a few, a
+/// conversion (adc_div 8), a noise-crew block and one past it.
+constexpr long kFrameLengths[] = {1, 2, 7, 8, 64, 65};
 
 /// L rings with lane-specific configs and seeds, and a twin of each that is
-/// stepped alone.
-struct LaneRig {
+/// stepped tick by tick.
+struct FrameRig {
   std::vector<GyroMems> lanes, solo;
+  long tick = 0;  ///< ticks run so far
+  int frames = 0;
 
-  explicit LaneRig(std::size_t n) {
+  explicit FrameRig(std::size_t n) {
     for (std::size_t l = 0; l < n; ++l) {
       GyroMemsConfig cfg;
       cfg.f0_hz = 15e3 + 37.0 * static_cast<double>(l);
@@ -325,108 +336,154 @@ struct LaneRig {
     }
   }
 
-  /// Lane l's input at step k: drive near resonance, a yaw rate and control
-  /// voltage of its own, and a temperature that changes on every step (so
-  /// every step misses the temperature-term cache).
-  GyroInputs input(std::size_t l, int k) const {
-    const GyroMemsConfig& cfg = solo[l].config();
-    GyroInputs in;
-    in.v_drive = 0.5 * std::sin(kTwoPi * cfg.f0_hz * k / cfg.sim_fs);
-    in.v_control = 0.01 * std::cos(0.003 * k + static_cast<double>(l));
-    in.rate_dps = 40.0 * std::sin(0.01 * k) + 10.0 * static_cast<double>(l);
-    in.temp_c = -40.0 + 0.01 * k + 7.0 * static_cast<double>(l);
-    return in;
+  /// Lane l's stimulus at tick k: a yaw rate that changes every 5 ticks and
+  /// a temperature that changes every 3, so frames both hit and miss the
+  /// Coriolis key and the temperature-term cache.
+  static StimulusSample stimulus(std::size_t l, long k) {
+    return {40.0 * std::sin(0.01 * static_cast<double>(k / 5)) + 10.0 * static_cast<double>(l),
+            -40.0 + 0.03 * static_cast<double>(k / 3) + 7.0 * static_cast<double>(l)};
   }
 
-  /// One step of every ring: the lanes in one call, the twins one by one.
-  void step(int k) {
-    std::vector<GyroMems*> rings;
-    std::vector<GyroInputs> in;
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      rings.push_back(&lanes[l]);
-      in.push_back(input(l, k));
+  /// One frame of n ticks: the lanes in one call, the twins tick by tick
+  /// with the frame's electrode voltages (near-resonant drive, a control
+  /// voltage of each lane's own), every pickoff and state compared.
+  void frame(long n, bool every_tick,
+             const std::function<StimulusSample(std::size_t, long)>& stim = stimulus) {
+    const std::size_t L = lanes.size();
+    std::vector<std::vector<StimulusSample>> rows(L);
+    std::vector<std::vector<GyroOutputs>> pick(L);
+    std::vector<GyroFrameLane> lane(L);
+    for (std::size_t l = 0; l < L; ++l) {
+      for (long i = 0; i < n; ++i) rows[l].push_back(stim(l, tick + i));
+      pick[l].resize(every_tick ? static_cast<std::size_t>(n) : 1);
+      const GyroMemsConfig& cfg = solo[l].config();
+      lane[l] = {&lanes[l], rows[l].data(),
+                 0.5 * std::sin(kTwoPi * cfg.f0_hz * static_cast<double>(tick) / cfg.sim_fs),
+                 0.01 * std::cos(0.003 * frames + static_cast<double>(l)), pick[l].data()};
     }
-    std::vector<GyroOutputs> out(lanes.size());
-    GyroMems::step_lanes(rings, in, out);
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      const GyroOutputs ref = solo[l].step(in[l]);
-      ASSERT_EQ(bits(out[l].dc_primary), bits(ref.dc_primary)) << "lane " << l << " step " << k;
-      ASSERT_EQ(bits(out[l].dc_sense), bits(ref.dc_sense)) << "lane " << l << " step " << k;
+    GyroMems::step_frame(lane, n, every_tick);
+    for (std::size_t l = 0; l < L; ++l) {
+      for (long i = 0; i < n; ++i) {
+        const auto r = static_cast<std::size_t>(i);
+        const GyroOutputs ref = solo[l].step(
+            {lane[l].v_drive, lane[l].v_control, rows[l][r].rate_dps, rows[l][r].temp_c});
+        if (!every_tick && i < n - 1) continue;
+        const GyroOutputs got = pick[l][every_tick ? r : 0];
+        ASSERT_EQ(bits(got.dc_primary), bits(ref.dc_primary))
+            << "lane " << l << " tick " << tick + i << " of a " << n << "-tick frame";
+        ASSERT_EQ(bits(got.dc_sense), bits(ref.dc_sense))
+            << "lane " << l << " tick " << tick + i << " of a " << n << "-tick frame";
+      }
+      ASSERT_EQ(state_of(lanes[l]), state_of(solo[l]))
+          << "lane " << l << " after a " << n << "-tick frame";
     }
+    tick += n;
+    ++frames;
   }
 
-  void expect_same_state() {
-    for (std::size_t l = 0; l < lanes.size(); ++l)
-      EXPECT_EQ(state_of(lanes[l]), state_of(solo[l])) << "lane " << l;
+  /// One frame of each length, the last tick's pickoffs and then every
+  /// tick's.
+  void round() {
+    for (const bool every_tick : {false, true})
+      for (const long n : kFrameLengths) {
+        frame(n, every_tick);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
   }
 };
 
-TEST(GyroMemsLanes, EveryLaneCountMatchesScalarSteps) {
+TEST(GyroMemsFrame, EveryLaneCountMatchesScalarSteps) {
   for (std::size_t n = 1; n <= GyroMems::kLanes; ++n) {
-    LaneRig rig(n);
-    for (int k = 0; k < 3000; ++k) {
-      rig.step(k);
+    FrameRig rig(n);
+    for (int r = 0; r < 5; ++r) {
+      rig.round();
       if (::testing::Test::HasFatalFailure()) return;
     }
-    rig.expect_same_state();
   }
 }
 
-TEST(GyroMemsLanes, FaultsAndQuadratureStepsActOnTheirOwnLane) {
+TEST(GyroMemsFrame, FaultsAndQuadratureStepsActOnTheirOwnLane) {
   for (std::size_t n = 1; n <= GyroMems::kLanes; ++n) {
-    LaneRig rig(n);
+    FrameRig rig(n);
     const auto both = [&](std::size_t l, auto&& act) {
       act(rig.lanes[l]);
       act(rig.solo[l]);
     };
-    int k = 0;
-    for (; k < 400; ++k) rig.step(k);
-    // A quadrature step on lane 0, an open drive electrode on the last lane
-    // and a stuck one on lane 1 (when there is one).
+    rig.round();
+    // Between frames: a quadrature step on lane 0, an open drive electrode
+    // on the last lane and a stuck one on lane 1 (when there is one).
     both(0, [](GyroMems& g) { g.inject_quadrature_step(2e4); });
     both(n - 1, [](GyroMems& g) { g.inject_drive_fault(DriveElectrodeFault::Open); });
     if (n > 2) both(1, [](GyroMems& g) { g.inject_drive_fault(DriveElectrodeFault::Stuck, 0.7); });
-    for (; k < 800; ++k) rig.step(k);
+    rig.round();
     for (std::size_t l = 0; l < n; ++l) both(l, [](GyroMems& g) { g.clear_faults(); });
-    for (; k < 1200; ++k) rig.step(k);
+    rig.round();
     if (::testing::Test::HasFatalFailure()) return;
-    rig.expect_same_state();
   }
 }
 
-TEST(GyroMemsLanes, RestoredRingsContinueInLanes) {
+TEST(GyroMemsFrame, RestoredRingsContinueInFrames) {
   // Every lane serialized mid-run and reloaded into a fresh ring (cold
   // caches, the Brownian stream mid-flight) continues exactly like its
   // twin, which was never interrupted.
   for (std::size_t n = 1; n <= GyroMems::kLanes; ++n) {
-    LaneRig rig(n);
-    int k = 0;
-    for (; k < 777; ++k) rig.step(k);
+    FrameRig rig(n);
+    rig.round();
+    rig.frame(7, false);
     for (std::size_t l = 0; l < n; ++l) {
       const auto image = state_of(rig.lanes[l]);
       rig.lanes[l] = GyroMems(rig.solo[l].config(), ascp::Rng(1));
       load(rig.lanes[l], image);
     }
-    for (; k < 1500; ++k) rig.step(k);
+    rig.round();
     if (::testing::Test::HasFatalFailure()) return;
-    rig.expect_same_state();
   }
 }
 
-TEST(GyroMemsLanes, RejectsLaneCountsOutsideOneToKLanes) {
+// The Coriolis term is keyed on the rate's bit pattern, as the temperature
+// terms are on the temperature's. A rate held over many frames of every
+// length and then stepped, steps within a frame and at a frame's edge, both
+// zeros (held, and alternating tick by tick) and, last, a NaN held and then
+// a finite rate again (a NaN rate poisons the modal state for good) all step
+// like step(), tick by tick.
+TEST(GyroMemsFrame, CoriolisKeyIsInvisible) {
+  const double nan = std::nan("");
+  // Each rate and the tick its hold ends at.
+  const std::vector<std::pair<double, long>> holds = {
+      {25.0, 600},  {-60.0, 640}, {-0.0, 680}, {0.0, 681},  {-0.0, 682}, {0.0, 683},
+      {-0.0, 720},  {0.0, 760},   {300.0, 763}, {0.0, 800}, {nan, 840},  {30.0, 880}};
+  for (std::size_t n = 1; n <= GyroMems::kLanes; ++n) {
+    FrameRig rig(n);
+    // The lanes are staggered by 3 ticks, so their steps fall at different
+    // places in the frames.
+    const auto stim = [&](std::size_t l, long k) {
+      const long at = k + 3 * static_cast<long>(l);
+      std::size_t j = 0;
+      while (j + 1 < holds.size() && at >= holds[j].second) ++j;
+      return StimulusSample{holds[j].first, 25.0};
+    };
+    while (rig.tick < holds.back().second)
+      for (const long len : kFrameLengths) {
+        rig.frame(len, rig.frames % 2 == 1, stim);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+  }
+}
+
+TEST(GyroMemsFrame, RejectsLaneCountsOutsideOneToKLanesAndEmptyFrames) {
   std::vector<GyroMems> rings(GyroMems::kLanes + 1, GyroMems(GyroMemsConfig{}, ascp::Rng(1)));
-  std::vector<GyroMems*> ptrs;
-  for (auto& r : rings) ptrs.push_back(&r);
-  std::vector<GyroInputs> in(ptrs.size());
-  std::vector<GyroOutputs> out(ptrs.size());
-  EXPECT_THROW(GyroMems::step_lanes({}, {}, {}), std::invalid_argument);
-  EXPECT_THROW(GyroMems::step_lanes(ptrs, in, out), std::invalid_argument);
-  EXPECT_THROW(GyroMems::step_lanes(std::span(ptrs).first(2), std::span(in).first(1),
-                                    std::span(out).first(2)),
-               std::invalid_argument);
-  EXPECT_NO_THROW(GyroMems::step_lanes(std::span(ptrs).first(GyroMems::kLanes),
-                                       std::span(in).first(GyroMems::kLanes),
-                                       std::span(out).first(GyroMems::kLanes)));
+  const StimulusSample stim[2] = {};
+  std::vector<GyroOutputs> out(rings.size());
+  std::vector<GyroFrameLane> lanes;
+  for (std::size_t l = 0; l < rings.size(); ++l)
+    lanes.push_back({&rings[l], stim, 0.0, 0.0, &out[l]});
+  const std::span<const GyroFrameLane> all(lanes);
+  EXPECT_THROW(GyroMems::step_frame({}, 1), std::invalid_argument);
+  EXPECT_THROW(GyroMems::step_frame(all, 1), std::invalid_argument);
+  EXPECT_THROW(GyroMems::step_frame(all.first(2), 0), std::invalid_argument);
+  EXPECT_THROW(GyroMems::step_frame(all.first(2), -1, true), std::invalid_argument);
+  EXPECT_NO_THROW(GyroMems::step_frame(all.first(GyroMems::kLanes), 2));
+  EXPECT_NO_THROW(GyroMems::step_frame(all.first(1), 2, true));
 }
 
 }  // namespace
