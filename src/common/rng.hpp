@@ -90,7 +90,12 @@ struct ReadAhead {
   Gen gen;
   const double* ahead = nullptr;
 
-  double next() { return ahead ? *ahead++ : draw(gen); }
+  double next() { return next(ahead); }
+
+  /// next() through a copy of the cursor held by the caller, who writes it
+  /// back to `ahead` when done: a loop over many values keeps it in a
+  /// register.
+  double next(const double*& cursor) { return cursor ? *cursor++ : draw(gen); }
 
   /// A standard normal from an Rng, the next sample of a FlickerNoise.
   static double draw(Gen& g) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <exception>
-#include <span>
 
 #include "common/math.hpp"
 #include "dsp/modem.hpp"
@@ -125,61 +123,28 @@ void AnalogGyroBaseline::build(std::uint64_t seed) {
   const int out_div = static_cast<int>(loop_fs / cfg_.output_rate_hz + 0.5);
   out_period_ = static_cast<long>(cfg_.loop_div) * out_div;
   ticks_ = 0;
-  rows_.resize(static_cast<std::size_t>(cfg_.loop_div));
 }
 
-void AnalogGyroBaseline::analog(long n) {
-  // One MEMS frame, or one-tick frames while the probe wants PostMems taps,
-  // each ending as a tick-by-tick run's tick did: every tap after the step.
-  // ticks_ is the global index of a frame's first tick until the frame
-  // ends; the active source maps it to its own time base (SyntheticSource
-  // applies the run-origin offset for local-time runs, bit-identical to the
-  // historical (ticks − run_origin)·dt arithmetic).
-  using sensor::ProbePoint;
-  for (long left = n; left > 0;) {
-    const long m = probe_mems_ ? 1 : left;
-    const std::span<sensor::StimulusSample> rows{rows_.data(), static_cast<std::size_t>(m)};
-    // The frame's rows, then, in a longer frame, their Stimulus taps.
-    // `staged` counts the rows whose sample and tap returned, `ran` the
-    // ticks a tick-by-tick run would have stepped: it tapped after the
-    // step, so a tap that throws leaves its tick stepped.
-    std::size_t staged = 0;
-    std::exception_ptr error;
-    try {
-      run_src_->sample_block(ticks_, rows, staged);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    std::size_t ran = staged;
-    for (std::size_t i = 0; probe_stim_ && !probe_mems_ && i < staged; ++i) {
-      try {
-        probe_->on_frame({ProbePoint::Stimulus, ticks_ + static_cast<long>(i), rows[i].rate_dps,
-                          rows[i].temp_c});
-      } catch (...) {
-        error = std::current_exception();
-        staged = i;
-        ran = i + 1;
-      }
-    }
-    if (ran > 0) {
-      const sensor::GyroFrameLane lane{mems_.get(), rows.data(), drive_v_, 0.0, &pick_};
-      sensor::GyroMems::step_frame({&lane, 1}, static_cast<long>(ran));
-      tick_temp_ = rows[ran - 1].temp_c;
-    }
-    if (error) [[unlikely]] {
-      // Left as a tick-by-tick run leaves it: the counter at the tick that
-      // threw.
-      ticks_ += static_cast<long>(staged);
-      std::rethrow_exception(error);
-    }
-    if (probe_mems_) {
-      if (probe_stim_)
-        probe_->on_frame({ProbePoint::Stimulus, ticks_, rows[0].rate_dps, rows[0].temp_c});
+void AnalogGyroBaseline::analog() {
+  // ticks_ is the global index of this tick until it ends; the active source
+  // maps it to its own time base (SyntheticSource applies the run-origin
+  // offset for local-time runs, bit-identical to the historical
+  // (ticks − run_origin)·dt arithmetic).
+  const sensor::StimulusSample smp = run_src_->sample(ticks_);
+  tick_temp_ = smp.temp_c;
+
+  sensor::GyroInputs in;
+  in.v_drive = drive_v_;
+  in.rate_dps = smp.rate_dps;
+  in.temp_c = tick_temp_;
+  pick_ = mems_->step(in);
+  if (probe_) {
+    using sensor::ProbePoint;
+    if (probe_stim_) probe_->on_frame({ProbePoint::Stimulus, ticks_, smp.rate_dps, smp.temp_c});
+    if (probe_mems_)
       probe_->on_frame({ProbePoint::PostMems, ticks_, pick_.dc_primary, pick_.dc_sense});
-    }
-    ticks_ += m;
-    left -= m;
   }
+  ++ticks_;
 }
 
 void AnalogGyroBaseline::conditioning() {
@@ -218,7 +183,7 @@ void AnalogGyroBaseline::daq_output() {
 
 void AnalogGyroBaseline::run_frame(long n, bool ends) {
   // Within a tick: analog, then conditioning, then the DAQ.
-  analog(n);
+  for (long i = 0; i < n; ++i) analog();
   if (!ends) return;
   conditioning();
   if (ticks_ % out_period_ == 0) daq_output();
@@ -228,7 +193,7 @@ void AnalogGyroBaseline::run_frame(long n, bool ends) {
   using clock = std::chrono::steady_clock;
   const long first = ticks_;
   const auto t0 = clock::now();
-  analog(n);
+  for (long i = 0; i < n; ++i) analog();
   const auto t1 = clock::now();
   const bool daq = ends && ticks_ % out_period_ == 0;
   auto t2 = t1, t3 = t1;

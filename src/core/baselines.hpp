@@ -19,7 +19,6 @@
 
 #include <array>
 #include <memory>
-#include <vector>
 
 #include "common/state_archive.hpp"
 #include "core/drive_loop.hpp"
@@ -96,12 +95,9 @@ class AnalogGyroBaseline : public RateSensor {
 
  private:
   void build(std::uint64_t seed);
-  /// The three tasks of the frame loop: analog(n) runs the n ticks from
-  /// ticks_ on, in MEMS frames, and advances the counter; the other two run
-  /// on the tick it just ended. A source or tap that throws leaves the ring
-  /// stepped through exactly the ticks a tick-by-tick run would have
-  /// completed.
-  void analog(long n);
+  /// The three tasks of the frame loop: analog() runs tick ticks_ and
+  /// advances the counter; the other two run on the tick it just ended.
+  void analog();
   void conditioning();
   void daq_output();
   /// `n` analog ticks; then, when the last was a loop_div cycle's last
@@ -139,7 +135,6 @@ class AnalogGyroBaseline : public RateSensor {
   // Per-tick state flowing between the tasks.
   double tick_temp_ = 25.0;
   sensor::GyroOutputs pick_{};
-  std::vector<sensor::StimulusSample> rows_;  ///< a frame's stimulus, loop_div rows
 
   // Device draws.
   double trim_gain_ = 1.0;

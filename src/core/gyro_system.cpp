@@ -562,15 +562,18 @@ void GyroSystem::run_analog(Group& g, long n) {
 }
 
 void GyroSystem::analog_frame(Group& g, long n) {
-  // Every member's stimulus rows, from one sample_block call each, then
-  // their Stimulus taps tick by tick across the members, as a tick-by-tick
-  // run interleaves them (a one-tick frame for PostMems taps delivers them
-  // after the step instead). A member whose source or tap threw steps
-  // through the ticks it completed and leaves the group.
-  std::array<long, Group::kMax> staged, ran;
+  // Every member's stimulus rows: one sample_block call each, or, for a
+  // member whose probe wants Stimulus taps, one row and its tap at a time
+  // across the members (stage_tapped), as a tick-by-tick run interleaves
+  // them (a one-tick frame for PostMems taps delivers them after the step
+  // instead). A member whose source or tap threw steps through the ticks it
+  // completed and leaves the group, its source read no further than a
+  // tick-by-tick run reads it.
+  std::array<long, Group::kMax> staged{}, ran{};
   bool threw = false;
   for (std::size_t k = 0; k < g.size; ++k) {
     const Lane& m = g.lanes[k];
+    if (m.w_stim && !g.mems_taps) continue;
     std::size_t done = 0;
     try {
       m.member->src->sample_block(m.member->sys->base_ticks_,
@@ -581,7 +584,7 @@ void GyroSystem::analog_frame(Group& g, long n) {
     }
     staged[k] = ran[k] = static_cast<long>(done);
   }
-  if (g.tick_taps && !g.mems_taps) threw |= tap_stimulus(g, n, staged, ran);
+  if (g.tick_taps && !g.mems_taps) threw |= stage_tapped(g, n, staged, ran);
   if (threw) [[unlikely]]
     g.each([&](GyroSystem& s, std::size_t k) { s.cut_frame(g, k, staged[k], ran[k]); });
   if (g.size == 0) return;
@@ -608,23 +611,26 @@ void GyroSystem::analog_frame(Group& g, long n) {
   if (g.mems_taps) tap_tick(g);
 }
 
-[[gnu::noinline]] bool GyroSystem::tap_stimulus(Group& g, long n, std::span<long> staged,
+[[gnu::noinline]] bool GyroSystem::stage_tapped(Group& g, long n, std::span<long> staged,
                                                 std::span<long> ran) {
   bool threw = false;
   for (long i = 0; i < n; ++i)
     for (std::size_t k = 0; k < g.size; ++k) {
       const Lane& m = g.lanes[k];
-      if (!m.w_stim || i >= staged[k]) continue;
+      if (!m.w_stim || m.member->error) continue;
       GyroSystem& s = *m.member->sys;
-      const sensor::StimulusSample& u = g.stim[m.index][static_cast<std::size_t>(i)];
+      const long tick = s.base_ticks_ + i;
+      sensor::StimulusSample& u = g.stim[m.index][static_cast<std::size_t>(i)];
       try {
-        s.probe_->on_frame({sensor::ProbePoint::Stimulus, s.base_ticks_ + i, u.rate_dps, u.temp_c});
-      } catch (...) {
-        // The first throw in tick order wins: a tick-by-tick run samples no
-        // later tick. That run stepped the ring before the tap.
-        m.member->error = std::current_exception();
-        staged[k] = i;
+        u = m.member->src->sample(tick);
+        // A tick-by-tick run steps the ring before the tap, so a tap that
+        // throws leaves this tick stepped.
         ran[k] = i + 1;
+        s.probe_->on_frame({sensor::ProbePoint::Stimulus, tick, u.rate_dps, u.temp_c});
+        staged[k] = i + 1;
+      } catch (...) {
+        // The member reads and taps no later tick.
+        m.member->error = std::current_exception();
         threw = true;
       }
     }

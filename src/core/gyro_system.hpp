@@ -24,7 +24,8 @@
 // run keeps its cadence.
 //
 // At Ideal fidelity the analog ticks run as frames: each member stages its
-// stimulus for the frame with one StimulusSource::sample_block call, and one
+// stimulus for the frame with one StimulusSource::sample_block call (one
+// sample() and its tap a tick while its probe wants Stimulus taps), and one
 // GyroMems::step_frame call advances the rings through the frame. Full
 // fidelity steps its charge amps and SAR converters every tick, so it runs
 // tick by tick through step(). Ideal systems that share base rate, adc_div
@@ -56,6 +57,7 @@
 #include "common/state_archive.hpp"
 #include "common/trace.hpp"
 #include "core/drive_loop.hpp"
+#include "core/noise_crew.hpp"
 #include "obs/observability.hpp"
 #include "core/rate_sensor.hpp"
 #include "core/sense_chain.hpp"
@@ -65,9 +67,6 @@
 #include "sensor/gyro_mems.hpp"
 
 namespace ascp::core {
-
-class NoiseCrew;
-struct NoiseMember;
 
 enum class Fidelity { Ideal, Full };
 
@@ -272,7 +271,7 @@ class GyroSystem : public RateSensor {
   struct Group {
     static constexpr std::size_t kMax = sensor::GyroMems::kLanes;
     /// Most ticks one kernel call advances: a noise-crew block.
-    static constexpr long kRows = 64;
+    static constexpr long kRows = NoiseCrew::kBlock;
     std::array<Lane, kMax> lanes;
     std::array<sensor::GyroMems*, kMax> rings{};
     std::array<sensor::GyroInputs, kMax> in;
@@ -330,12 +329,13 @@ class GyroSystem : public RateSensor {
   /// block: every member's stimulus rows and their Stimulus taps, one
   /// step_frame call, then a one-tick frame's taps (tap_tick).
   static void analog_frame(Group& g, long n);
-  /// The Stimulus taps of a frame's staged rows, tick by tick across the
-  /// members. A member whose tap throws keeps the exception and taps no
-  /// later tick; its `staged` rows are then those before the tick that
-  /// threw, and `ran` one more (a tick-by-tick run taps after the step).
-  /// Returns whether a tap threw; out of line.
-  static bool tap_stimulus(Group& g, long n, std::span<long> staged, std::span<long> ran);
+  /// The frame's rows of the members whose probes want Stimulus taps, tick
+  /// by tick across the members: each row read with sample() and then
+  /// tapped. A member whose source or tap throws keeps the exception and
+  /// reads no later tick; `staged` counts its rows read and tapped, `ran`
+  /// the ticks a tick-by-tick run stepped (one more, when the tap threw: it
+  /// taps after the step). Returns whether one threw; out of line.
+  static bool stage_tapped(Group& g, long n, std::span<long> staged, std::span<long> ran);
   /// One DSP frame of every member of `g`.
   static void run_dsp(Group& g);
   /// run_analog, then run_dsp when `dsp`, reading the clock at each task

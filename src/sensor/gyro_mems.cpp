@@ -66,7 +66,7 @@ double GyroMems::pickoff_cap(double displacement) const {
   return cap_k_ * displacement / (1.0 - clamped * 0.5);
 }
 
-template <std::size_t L, bool kEveryTick>
+template <std::size_t L>
 void GyroMems::frame(const GyroFrameLane* lanes, long n) {
   static_assert(L >= 1 && L <= kLanes);
   // One array per quantity, one element per lane. Every lane runs exactly
@@ -80,10 +80,10 @@ void GyroMems::frame(const GyroFrameLane* lanes, long n) {
   Lanes s, k1, k2, k3, k4, q;
   GyroMems* ring[L];
   const StimulusSample* stim[L];
-  const double* ahead[L];  ///< the Brownian stream's cursor, or null (drawn inline)
+  const double* ahead[L];  ///< the Brownian stream's cursor (ReadAhead::next)
   double v_drive[L], v_control[L], dt[L], half_dt[L], sixth_dt[L];
   double w0d2[L], w0s2[L], dd[L], ds[L], kq[L], fd[L], fc[L], noise_scale[L], coriolis[L];
-  double noise[L];
+  double noise[L], z[L];  ///< the tick's Brownian force and its standard normal deviate
   std::uint64_t temp_key[L], rate_key[L];
 
   // The temperature terms step() reads from the ring's cache.
@@ -119,12 +119,16 @@ void GyroMems::frame(const GyroFrameLane* lanes, long n) {
     if (g.drive_fault_ == DriveElectrodeFault::Open) v_drive[l] = 0.0;
     else if (g.drive_fault_ == DriveElectrodeFault::Stuck) v_drive[l] = g.stuck_v_;
     v_control[l] = lanes[l].v_control;
+    // The first tick's deviate is read before anything else is loaded: an
+    // inline draw is a call, and every value live across it is spilled
+    // (about 3 ns a step() call).
+    ahead[l] = g.brownian_.ahead;
+    z[l] = g.brownian_.next(ahead[l]);
     load_terms(l);
     load_coriolis(l, stim[l][0].rate_dps);
     dt[l] = g.dt_;
     half_dt[l] = 0.5 * g.dt_;
     sixth_dt[l] = g.dt_ / 6.0;
-    ahead[l] = g.brownian_.ahead;
     s.x[l] = g.s_.x;
     s.vx[l] = g.s_.vx;
     s.y[l] = g.s_.y;
@@ -155,7 +159,8 @@ void GyroMems::frame(const GyroFrameLane* lanes, long n) {
 
   for (long i = 0; i < n; ++i) {
     for (std::size_t l = 0; l < L; ++l) {
-      // The first tick's terms are loaded above, so step() checks no key.
+      // The first tick's terms and deviate are loaded above, so step()
+      // checks no key.
       if (i > 0) {
         const StimulusSample& u = stim[l][i];
         if (std::bit_cast<std::uint64_t>(u.temp_c) != temp_key[l]) [[unlikely]] {
@@ -164,9 +169,9 @@ void GyroMems::frame(const GyroFrameLane* lanes, long n) {
         }
         if (std::bit_cast<std::uint64_t>(u.rate_dps) != rate_key[l]) [[unlikely]]
           load_coriolis(l, u.rate_dps);
+        z[l] = ring[l]->brownian_.next(ahead[l]);
       }
-      const double z = ahead[l] ? *ahead[l]++ : ring[l]->brownian_.gen.gaussian();
-      noise[l] = noise_scale[l] * z;
+      noise[l] = noise_scale[l] * z[l];
     }
     // Classic RK4.
     derivative(s, k1);
@@ -183,11 +188,11 @@ void GyroMems::frame(const GyroFrameLane* lanes, long n) {
       s.y[l] = s.y[l] + h * (k1.y[l] + 2 * k2.y[l] + 2 * k3.y[l] + k4.y[l]);
       s.vy[l] = s.vy[l] + h * (k1.vy[l] + 2 * k2.vy[l] + 2 * k3.vy[l] + k4.vy[l]);
     }
-    if (kEveryTick || i == n - 1)
-      for (std::size_t l = 0; l < L; ++l)
-        lanes[l].pick[kEveryTick ? i : 0] =
-            GyroOutputs{ring[l]->pickoff_cap(s.x[l]), ring[l]->pickoff_cap(s.y[l])};
   }
+  // The last tick's pickoffs, two divisions each: the only ones a frame's
+  // caller samples.
+  for (std::size_t l = 0; l < L; ++l)
+    *lanes[l].pick = GyroOutputs{ring[l]->pickoff_cap(s.x[l]), ring[l]->pickoff_cap(s.y[l])};
   for (std::size_t l = 0; l < L; ++l) {
     ring[l]->s_ = State{s.x[l], s.vx[l], s.y[l], s.vy[l]};
     ring[l]->brownian_.ahead = ahead[l];
@@ -200,19 +205,18 @@ void GyroMems::frame(const GyroFrameLane* lanes, long n) {
   const StimulusSample stim{in.rate_dps, in.temp_c};
   GyroOutputs out;
   const GyroFrameLane lane{this, &stim, in.v_drive, in.v_control, &out};
-  frame<1, false>(&lane, 1);
+  frame<1>(&lane, 1);
   return out;
 }
 
-void GyroMems::step_frame(std::span<const GyroFrameLane> lanes, long n, bool every_tick) {
+void GyroMems::step_frame(std::span<const GyroFrameLane> lanes, long n) {
   using Kernel = void (*)(const GyroFrameLane*, long);
   static constexpr auto kKernels = []<std::size_t... I>(std::index_sequence<I...>) {
-    return std::array<std::array<Kernel, kLanes>, 2>{
-        {{&frame<I + 1, false>...}, {&frame<I + 1, true>...}}};
+    return std::array<Kernel, kLanes>{&frame<I + 1>...};
   }(std::make_index_sequence<kLanes>{});
   if (lanes.empty() || lanes.size() > kLanes || n < 1)
     throw std::invalid_argument("GyroMems::step_frame: 1 to kLanes rings and at least one tick");
-  kKernels[every_tick ? 1 : 0][lanes.size() - 1](lanes.data(), n);
+  kKernels[lanes.size() - 1](lanes.data(), n);
 }
 
 void GyroMems::reset() { s_ = State{}; }

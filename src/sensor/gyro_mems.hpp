@@ -20,14 +20,14 @@
 // with its neighbours'. Each lane's state, temperature terms and step sizes
 // stay in the kernel for the whole frame; the temperature terms are keyed on
 // the temperature's bit pattern and the Coriolis term on the rate's, and the
-// pickoffs, two divisions each, are evaluated on the frame's last tick only
-// unless every tick's are asked for. Every lane computes exactly its own
-// ring's scalar step, tick after tick (each keeps its temperature-term cache
-// and draws its Brownian deviate from its own Rng), and step() is the
-// one-lane, one-tick instance. The Brownian deviate is a standard normal the
-// temperature scales, so it can be drawn ahead from a copy of the ring's Rng
-// and read through the stream's cursor (brownian(), core/noise_crew.hpp), as
-// the charge amps' and PGAs' noise is.
+// pickoffs, two divisions each, are evaluated on the frame's last tick only:
+// a caller that samples every tick's runs one-tick frames. Every lane
+// computes exactly its own ring's scalar step, tick after tick (each keeps
+// its temperature-term cache and draws its Brownian deviate from its own
+// Rng), and step() is the one-lane, one-tick instance. The Brownian deviate
+// is a standard normal the temperature scales, so it can be drawn ahead from
+// a copy of the ring's Rng and read through the stream's cursor (brownian(),
+// core/noise_crew.hpp), as the charge amps' and PGAs' noise is.
 #pragma once
 
 #include <cstddef>
@@ -97,7 +97,7 @@ struct GyroFrameLane {
   const StimulusSample* stim = nullptr;  ///< each tick's rate and temperature: n rows
   double v_drive = 0.0;                  ///< drive electrode voltage, held over the frame [V]
   double v_control = 0.0;                ///< control electrode voltage, held over the frame [V]
-  GyroOutputs* pick = nullptr;  ///< the last tick's pickoffs, or n rows of them (every_tick)
+  GyroOutputs* pick = nullptr;           ///< the last tick's pickoffs
 };
 
 /// RK4-integrated two-mode ring model.
@@ -116,11 +116,11 @@ class GyroMems {
   /// Advance lanes[l].ring through n ticks, for 1 to kLanes distinct rings
   /// in lockstep: tick i steps with lanes[l].stim[i] and the lane's two
   /// electrode voltages. Each lane is bit-identical to n step() calls with
-  /// those inputs: the ring's state, its Brownian stream and pick[0], the
-  /// last call's output; with `every_tick`, pick[i] is call i's. Faults and
-  /// quadrature steps injected between calls act on the next one. Throws
-  /// std::invalid_argument on a lane count outside 1…kLanes or n < 1.
-  static void step_frame(std::span<const GyroFrameLane> lanes, long n, bool every_tick = false);
+  /// those inputs: the ring's state, its Brownian stream and *pick, the
+  /// last call's output. Faults and quadrature steps injected between calls
+  /// act on the next one. Throws std::invalid_argument on a lane count
+  /// outside 1…kLanes or n < 1.
+  static void step_frame(std::span<const GyroFrameLane> lanes, long n);
 
   // ---- fault injection -----------------------------------------------------
   void inject_drive_fault(DriveElectrodeFault fault, double stuck_v = 0.0) {
@@ -177,9 +177,9 @@ class GyroMems {
     double w0d2, w0s2, dd, ds, fpv, kq;
   };
 
-  /// The one RK4: L lanes through n ticks, writing every tick's pickoffs
-  /// or the last tick's.
-  template <std::size_t L, bool kEveryTick>
+  /// The one RK4: L lanes through n ticks, writing the last tick's
+  /// pickoffs.
+  template <std::size_t L>
   static void frame(const GyroFrameLane* lanes, long n);
   /// Recompute the temperature terms for `temp_c` and the current
   /// quadrature step, and key them on both bit patterns.

@@ -58,8 +58,7 @@ class StimulusSource {
   /// Evaluate ticks tick, tick + 1, … into `out`, in order: the samples and
   /// the source state that out.size() sample() calls give. `done` counts the
   /// samples written, so a caller learns how far a call that throws got. The
-  /// default calls sample(); a final source runs the same loop over its own
-  /// sample(), inlined.
+  /// default calls sample().
   virtual void sample_block(long tick, std::span<StimulusSample> out, std::size_t& done) {
     for (done = 0; done < out.size(); ++done) out[done] = sample(tick + static_cast<long>(done));
   }
@@ -98,10 +97,6 @@ class SyntheticSource final : public StimulusSource {
     // with the origin subtracted in exact integer arithmetic first.
     const double t = static_cast<double>(tick - origin_) * dt_;
     return {rate_.at(t), temp_.at(t)};
-  }
-
-  void sample_block(long tick, std::span<StimulusSample> out, std::size_t& done) override {
-    for (done = 0; done < out.size(); ++done) out[done] = sample(tick + static_cast<long>(done));
   }
 
   void serialize_state(StateArchive& ar) override {

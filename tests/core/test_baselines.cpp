@@ -101,32 +101,24 @@ TEST(Baselines, RespondsWithCorrectPolarityConsistency) {
   EXPECT_LT(dp * dn, 0.0);
 }
 
-// ---- MEMS frames ---------------------------------------------------------------
-// The analog ticks of a conditioning cycle stage their stimulus and its taps
-// ahead of one MEMS frame; a tick-by-tick run stepped the ring before each
-// tick's taps. A baseline whose probe's stimulus tap or whose source throws
-// in the middle of a frame must be left as a twin advanced one tick per call
-// is: the ring stepped through the ticks that completed, the counter at the
-// tick that threw, the same outputs. The twin's probe also wants post-MEMS
-// taps, so its one-tick frames tap after the step, as a tick-by-tick run
-// did, and do not share the frame's throw bookkeeping.
+// ---- throws inside a conditioning cycle -----------------------------------------
+// The frame loop runs a conditioning cycle's analog ticks in one call. A
+// baseline whose probe's stimulus tap or whose source throws in the middle
+// of a cycle must be left as a twin advanced one tick per call is: the ring
+// stepped through the ticks that completed (a tap follows its tick's step),
+// the counter at the tick that threw, the same outputs.
 
-/// Throws from the stimulus tap on one tick (if any); with `mems`, it also
-/// wants the post-MEMS taps, so the frames are one tick long.
+/// Throws from the stimulus tap on one tick (if any).
 class StimulusBomb final : public sensor::Probe {
  public:
-  StimulusBomb(long at, bool mems) : at_(at), mems_(mems) {}
-  bool wants(sensor::ProbePoint p) const override {
-    return p == sensor::ProbePoint::Stimulus || (mems_ && p == sensor::ProbePoint::PostMems);
-  }
+  explicit StimulusBomb(long at) : at_(at) {}
+  bool wants(sensor::ProbePoint p) const override { return p == sensor::ProbePoint::Stimulus; }
   void on_frame(const sensor::ProbeFrame& f) override {
-    if (f.point == sensor::ProbePoint::Stimulus && f.tick == at_)
-      throw std::runtime_error("probe exploded");
+    if (f.tick == at_) throw std::runtime_error("probe exploded");
   }
 
  private:
   long at_;
-  bool mems_;
 };
 
 /// A constant stimulus whose sample for one tick (if any) throws.
@@ -146,24 +138,23 @@ class BombSource final : public sensor::StimulusSource {
   long at_;
 };
 
-TEST(Baselines, ThrowMidFrameLeavesTheTickByTickState) {
+TEST(Baselines, ThrowMidCycleLeavesTheTickByTickState) {
   constexpr long kAt = 2051;  // ≡ 3 (mod loop_div 8), after two DAQ outputs
   for (const bool tap : {true, false}) {
     SCOPED_TRACE(tap ? "stimulus tap throws" : "source throws");
     const BaselineConfig cfg = adxrs300_like();
     ASSERT_EQ(kAt % cfg.loop_div, 3);
     const double fs = cfg.analog_fs;
-    AnalogGyroBaseline framed(cfg), stepped(cfg);
-    StimulusBomb probe_a(tap ? kAt : -1, /*mems=*/false);
-    StimulusBomb probe_b(tap ? kAt : -1, /*mems=*/true);
-    framed.set_probe(&probe_a);
+    AnalogGyroBaseline cycled(cfg), stepped(cfg);
+    StimulusBomb probe_a(tap ? kAt : -1), probe_b(tap ? kAt : -1);
+    cycled.set_probe(&probe_a);
     stepped.set_probe(&probe_b);
-    framed.power_on(7);
+    cycled.power_on(7);
     stepped.power_on(7);
     const long source_at = tap ? -1 : kAt;
     BombSource src_a(fs, source_at), src_b(fs, source_at);
     std::vector<double> out_a, out_b;
-    EXPECT_THROW(framed.run(src_a, 3000.0 / fs, &out_a), std::runtime_error);
+    EXPECT_THROW(cycled.run(src_a, 3000.0 / fs, &out_a), std::runtime_error);
     long calls = 0;
     for (; calls < 3000; ++calls) {
       try {
@@ -175,7 +166,7 @@ TEST(Baselines, ThrowMidFrameLeavesTheTickByTickState) {
     EXPECT_EQ(calls, kAt);
     EXPECT_FALSE(out_a.empty());
     EXPECT_EQ(out_a, out_b);
-    EXPECT_EQ(state_twin::state_of(framed), state_twin::state_of(stepped));
+    EXPECT_EQ(state_twin::state_of(cycled), state_twin::state_of(stepped));
   }
 }
 

@@ -811,17 +811,22 @@ class ThrowingSource : public sensor::StimulusSource {
 };
 
 TEST(ChannelFarm, ThrowingGroupMembersFailAloneGroupMatesFinish) {
-  // Lockstep groups on one worker with four members that throw: one from
+  // Lockstep groups on one worker with five members that throw: one from
   // its fault campaign mid-advance, one from its probe's post-MEMS tap on
   // the first conversion tick, before that tick's DSP frame, and in the
-  // second advance one from its probe's stimulus tap and one from its
+  // second advance two from their probes' stimulus taps and one from its
   // source, each in the middle of a frame on a tick that is no conversion.
-  // Each is marked failed and left as a solo throwing advance leaves it; the
-  // group-mates stream exactly like a farm without the bombs. A member of a
-  // group of two at adc_div 4, whose probe wants post-MEMS taps, runs in
-  // one-tick frames and sees one frame a tick, as its solo twin does.
+  // One of the two tap throwers reads a push queue, whose cursor moves with
+  // every sample read, so it must read no further than a tick-by-tick run.
+  // Each is marked failed and left as a solo throwing advance leaves it,
+  // its source included; the group-mates stream exactly like a farm without
+  // the bombs. A member of a group of two at adc_div 4, whose probe wants
+  // post-MEMS taps, runs in one-tick frames and sees one frame a tick, as
+  // its solo twin does.
   constexpr long kFirst = 38400;  // ticks of the first advance, 20 ms
-  static_assert((kFirst + 1003) % 8 == 3 && (kFirst + 2005) % 8 == 5);
+  constexpr long kQueued = kFirst + kFirst / 2;
+  static_assert((kFirst + 1003) % 8 == 3 && (kFirst + 2005) % 8 == 5 &&
+                (kFirst + 1501) % 8 == 5);
   ThrowingProbe mems_bomb(sensor::ProbePoint::PostMems, /*at=*/7);
   ThrowingProbe stim_bomb(sensor::ProbePoint::Stimulus, /*at=*/kFirst + 1003);
   ChannelConfig mems_thrower = channel(ChannelKind::GyroIdeal, 30.0, 25.0);
@@ -841,6 +846,18 @@ TEST(ChannelFarm, ThrowingGroupMembersFailAloneGroupMatesFinish) {
   mems_tapped.probe = &farm_mems;
   ChannelConfig mems_mate = channel(ChannelKind::GyroIdeal, -15.0, 60.0);
   mems_mate.configure = div4;
+  ThrowingProbe queue_bomb(sensor::ProbePoint::Stimulus, /*at=*/kFirst + 1501);
+  ChannelConfig queue_thrower = channel(ChannelKind::GyroIdeal, 0.0, 25.0);
+  queue_thrower.probe = &queue_bomb;
+  queue_thrower.stimulus_factory = [](double) {
+    sensor::QueueSource::Config qc;
+    qc.capacity = kQueued;
+    auto q = std::make_unique<sensor::QueueSource>(qc);
+    for (long k = 0; k < kQueued; ++k)
+      q->push({20.0 * std::sin(1e-3 * static_cast<double>(k)),
+               25.0 + 1e-4 * static_cast<double>(k)});
+    return q;
+  };
   std::vector<ChannelConfig> specs = {channel(ChannelKind::GyroIdeal, 20.0, 25.0),
                                       throwing_config(/*inject_at=*/100),
                                       channel(ChannelKind::GyroIdeal, -35.0, 50.0),
@@ -849,8 +866,9 @@ TEST(ChannelFarm, ThrowingGroupMembersFailAloneGroupMatesFinish) {
                                       stim_thrower,
                                       source_thrower,
                                       mems_tapped,
-                                      mems_mate};
-  const std::vector<std::size_t> throwers = {1, 3, 5, 6};
+                                      mems_mate,
+                                      queue_thrower};
+  const std::vector<std::size_t> throwers = {1, 3, 5, 6, 9};
   const std::vector<std::size_t> mates = {0, 2, 4, 7, 8};
   constexpr std::size_t kTapped = 7;
   FarmConfig fc;
@@ -864,14 +882,17 @@ TEST(ChannelFarm, ThrowingGroupMembersFailAloneGroupMatesFinish) {
   EXPECT_EQ(farm.channel_error(3), "probe exploded");
   EXPECT_EQ(farm.channel_error(5), "probe exploded");
   EXPECT_EQ(farm.channel_error(6), "source exploded");
-  // The stimulus thrower's twin also taps post-MEMS, so it runs one-tick
+  EXPECT_EQ(farm.channel_error(9), "probe exploded");
+  // The stimulus throwers' twins also tap post-MEMS, so they run one-tick
   // frames that tap after the step, as a tick-by-tick run did.
   ThrowingProbe twin_stim_bomb(sensor::ProbePoint::Stimulus, kFirst + 1003, /*mems=*/true);
+  ThrowingProbe twin_queue_bomb(sensor::ProbePoint::Stimulus, kFirst + 1501, /*mems=*/true);
   for (const std::size_t i : throwers) {
     ASSERT_TRUE(farm.channel_failed(i));
     // The solo twin advances as the farm did until it throws.
     ChannelConfig twin = farm.channel(i).config();
     if (i == 5) twin.probe = &twin_stim_bomb;
+    if (i == 9) twin.probe = &twin_queue_bomb;
     ConditioningChannel thrower(twin);
     bool threw = false;
     for (const double s : {0.02, 0.01}) {
@@ -887,7 +908,12 @@ TEST(ChannelFarm, ThrowingGroupMembersFailAloneGroupMatesFinish) {
     EXPECT_EQ(farm.channel(i).outputs().size(), thrower.outputs().size());
     EXPECT_EQ(farm.channel(i).gyro()->dsp_samples(), thrower.gyro()->dsp_samples());
     EXPECT_EQ(state_of(*farm.channel(i).gyro()), state_of(*thrower.gyro())) << "channel " << i;
+    EXPECT_EQ(farm.channel(i).stimulus()->cursor(), thrower.stimulus()->cursor())
+        << "channel " << i;
+    EXPECT_EQ(farm.channel(i).stimulus()->underruns(), thrower.stimulus()->underruns())
+        << "channel " << i;
   }
+  EXPECT_EQ(farm.channel(9).stimulus()->cursor(), kFirst + 1501 + 1);
 
   ChannelConfig tapped_solo = farm.channel(kTapped).config();
   tapped_solo.probe = &solo_mems;
@@ -904,6 +930,7 @@ TEST(ChannelFarm, ThrowingGroupMembersFailAloneGroupMatesFinish) {
   specs[5].probe = nullptr;
   specs[6].stimulus_factory = nullptr;
   specs[kTapped].probe = nullptr;
+  specs[9].probe = nullptr;
   ChannelFarm clean(specs, fc);
   clean.advance(0.02);
   clean.advance(0.01);

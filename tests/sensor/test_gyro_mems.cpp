@@ -346,34 +346,29 @@ struct FrameRig {
 
   /// One frame of n ticks: the lanes in one call, the twins tick by tick
   /// with the frame's electrode voltages (near-resonant drive, a control
-  /// voltage of each lane's own), every pickoff and state compared.
-  void frame(long n, bool every_tick,
-             const std::function<StimulusSample(std::size_t, long)>& stim = stimulus) {
+  /// voltage of each lane's own), the last tick's pickoffs and the states
+  /// compared.
+  void frame(long n, const std::function<StimulusSample(std::size_t, long)>& stim = stimulus) {
     const std::size_t L = lanes.size();
     std::vector<std::vector<StimulusSample>> rows(L);
-    std::vector<std::vector<GyroOutputs>> pick(L);
+    std::vector<GyroOutputs> pick(L);
     std::vector<GyroFrameLane> lane(L);
     for (std::size_t l = 0; l < L; ++l) {
       for (long i = 0; i < n; ++i) rows[l].push_back(stim(l, tick + i));
-      pick[l].resize(every_tick ? static_cast<std::size_t>(n) : 1);
       const GyroMemsConfig& cfg = solo[l].config();
       lane[l] = {&lanes[l], rows[l].data(),
                  0.5 * std::sin(kTwoPi * cfg.f0_hz * static_cast<double>(tick) / cfg.sim_fs),
-                 0.01 * std::cos(0.003 * frames + static_cast<double>(l)), pick[l].data()};
+                 0.01 * std::cos(0.003 * frames + static_cast<double>(l)), &pick[l]};
     }
-    GyroMems::step_frame(lane, n, every_tick);
+    GyroMems::step_frame(lane, n);
     for (std::size_t l = 0; l < L; ++l) {
-      for (long i = 0; i < n; ++i) {
-        const auto r = static_cast<std::size_t>(i);
-        const GyroOutputs ref = solo[l].step(
-            {lane[l].v_drive, lane[l].v_control, rows[l][r].rate_dps, rows[l][r].temp_c});
-        if (!every_tick && i < n - 1) continue;
-        const GyroOutputs got = pick[l][every_tick ? r : 0];
-        ASSERT_EQ(bits(got.dc_primary), bits(ref.dc_primary))
-            << "lane " << l << " tick " << tick + i << " of a " << n << "-tick frame";
-        ASSERT_EQ(bits(got.dc_sense), bits(ref.dc_sense))
-            << "lane " << l << " tick " << tick + i << " of a " << n << "-tick frame";
-      }
+      GyroOutputs ref;
+      for (const StimulusSample& u : rows[l])
+        ref = solo[l].step({lane[l].v_drive, lane[l].v_control, u.rate_dps, u.temp_c});
+      ASSERT_EQ(bits(pick[l].dc_primary), bits(ref.dc_primary))
+          << "lane " << l << " tick " << tick + n - 1 << ", the last of a " << n << "-tick frame";
+      ASSERT_EQ(bits(pick[l].dc_sense), bits(ref.dc_sense))
+          << "lane " << l << " tick " << tick + n - 1 << ", the last of a " << n << "-tick frame";
       ASSERT_EQ(state_of(lanes[l]), state_of(solo[l]))
           << "lane " << l << " after a " << n << "-tick frame";
     }
@@ -381,12 +376,22 @@ struct FrameRig {
     ++frames;
   }
 
-  /// One frame of each length, the last tick's pickoffs and then every
-  /// tick's.
+  /// Frames of `len` ticks, or `len` one-tick frames: the form a caller
+  /// that samples every tick's pickoffs runs, so each of them is compared.
+  void ticks(long len, bool one_tick_frames,
+             const std::function<StimulusSample(std::size_t, long)>& stim = stimulus) {
+    for (long done = 0; done < len && !::testing::Test::HasFatalFailure();) {
+      const long n = one_tick_frames ? 1 : len;
+      frame(n, stim);
+      done += n;
+    }
+  }
+
+  /// One frame of each length, then as many ticks in one-tick frames.
   void round() {
-    for (const bool every_tick : {false, true})
+    for (const bool one_tick_frames : {false, true})
       for (const long n : kFrameLengths) {
-        frame(n, every_tick);
+        ticks(n, one_tick_frames);
         if (::testing::Test::HasFatalFailure()) return;
       }
   }
@@ -429,7 +434,7 @@ TEST(GyroMemsFrame, RestoredRingsContinueInFrames) {
   for (std::size_t n = 1; n <= GyroMems::kLanes; ++n) {
     FrameRig rig(n);
     rig.round();
-    rig.frame(7, false);
+    rig.frame(7);
     for (std::size_t l = 0; l < n; ++l) {
       const auto image = state_of(rig.lanes[l]);
       rig.lanes[l] = GyroMems(rig.solo[l].config(), ascp::Rng(1));
@@ -462,9 +467,9 @@ TEST(GyroMemsFrame, CoriolisKeyIsInvisible) {
       while (j + 1 < holds.size() && at >= holds[j].second) ++j;
       return StimulusSample{holds[j].first, 25.0};
     };
-    while (rig.tick < holds.back().second)
+    for (int pass = 0; rig.tick < holds.back().second; ++pass)
       for (const long len : kFrameLengths) {
-        rig.frame(len, rig.frames % 2 == 1, stim);
+        rig.ticks(len, pass % 2 == 1, stim);
         if (::testing::Test::HasFatalFailure()) return;
       }
   }
@@ -481,9 +486,9 @@ TEST(GyroMemsFrame, RejectsLaneCountsOutsideOneToKLanesAndEmptyFrames) {
   EXPECT_THROW(GyroMems::step_frame({}, 1), std::invalid_argument);
   EXPECT_THROW(GyroMems::step_frame(all, 1), std::invalid_argument);
   EXPECT_THROW(GyroMems::step_frame(all.first(2), 0), std::invalid_argument);
-  EXPECT_THROW(GyroMems::step_frame(all.first(2), -1, true), std::invalid_argument);
+  EXPECT_THROW(GyroMems::step_frame(all.first(1), -1), std::invalid_argument);
   EXPECT_NO_THROW(GyroMems::step_frame(all.first(GyroMems::kLanes), 2));
-  EXPECT_NO_THROW(GyroMems::step_frame(all.first(1), 2, true));
+  EXPECT_NO_THROW(GyroMems::step_frame(all.first(1), 2));
 }
 
 }  // namespace
