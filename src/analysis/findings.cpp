@@ -1,6 +1,6 @@
 #include "analysis/findings.hpp"
 
-#include <cstdio>
+#include "obs/export.hpp"
 
 namespace ascp::analysis {
 
@@ -39,30 +39,6 @@ bool Report::mentions(const std::string& needle) const {
   return false;
 }
 
-namespace {
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-}  // namespace
-
 std::string to_json(const Report& rep) {
   std::string out = "{\n  \"errors\": " + std::to_string(rep.errors()) +
                     ",\n  \"warnings\": " + std::to_string(rep.warnings()) +
@@ -72,9 +48,9 @@ std::string to_json(const Report& rep) {
     out += first ? "\n" : ",\n";
     first = false;
     out += std::string("    {\"severity\": \"") + severity_name(f.severity) +
-           "\", \"analyzer\": \"" + json_escape(f.analyzer) +
-           "\", \"location\": \"" + json_escape(f.location) +
-           "\", \"message\": \"" + json_escape(f.message) + "\"}";
+           "\", \"analyzer\": \"" + obs::json_escape(f.analyzer) +
+           "\", \"location\": \"" + obs::json_escape(f.location) +
+           "\", \"message\": \"" + obs::json_escape(f.message) + "\"}";
   }
   out += "\n  ]\n}\n";
   return out;

@@ -1,10 +1,13 @@
 // range_lint.hpp — static fixed-point range analyzer for the DSP chain.
 //
 // The paper's flow dimensions every datapath register during the MATLAB
-// exploration; the fx:: formats in common/fixed.hpp record that dimensioning
-// (Q1_14 ADC/carriers, Q1_22 filter nodes, Q4_18 accumulators, wide CIC
-// integrators). This analyzer closes the loop statically: it propagates
-// worst-case amplitude bounds through the *actual* shipped chain — the same
+// exploration. The DSP blocks compute in double, and `Quantizer`
+// (SenseChainConfig::datapath_bits) is their one run-time register model;
+// this analyzer checks each node against the Q format declared for it
+// (Q1_14 ADC samples and carriers, Q1_22 filter and loop outputs, Q4_18
+// products, states and integrators, plus the CIC's input register and int64
+// integrators). It closes the loop statically: it propagates worst-case
+// amplitude bounds through the *actual* shipped chain — the same
 // coefficient generators (design_lowpass, design_butterworth_lowpass, RBJ
 // biquads) and the same clamps the runtime uses — and proves each node stays
 // inside its declared format, or pinpoints the stage and coefficient that
@@ -35,7 +38,7 @@ namespace ascp::analysis {
 /// Operating conditions the bounds are proven over (datasheet limits).
 struct RangeInputSpec {
   double adc_rail_v = 2.5;     ///< sense/primary ADC clamp (= reference) [V]
-  double vref_v = 2.5;         ///< full-scale voltage one fx FS unit maps to
+  double vref_v = 2.5;         ///< full-scale voltage one FS unit maps to
   double temp_lo_c = -40.0;    ///< compensation proven over this temperature…
   double temp_hi_c = 85.0;     ///< …range (paper Table 1 operating range)
   double carrier_min_hz = 13e3;///< lowest drive frequency (PLL rail) — sets
@@ -45,7 +48,7 @@ struct RangeInputSpec {
 /// Worst-case bound at one chain node, against its declared format.
 struct StageRange {
   std::string stage;     ///< e.g. "sense.fir"
-  std::string format;    ///< declared fx format, e.g. "Q1_22"
+  std::string format;    ///< declared register format, e.g. "Q1_22"
   double bound = 0.0;    ///< proven worst-case |value| [FS units of vref]
   double limit = 0.0;    ///< format positive full scale [FS units]
   double l1_bound = 0.0; ///< adversarial (L1) bound, 0 when not applicable

@@ -257,11 +257,9 @@ void AnalogGyroBaseline::serialize_state(StateArchive& ar) {
 void AnalogGyroBaseline::run(const sensor::Profile& rate, const sensor::Profile& temp,
                              double seconds, std::vector<double>* out) {
   // Profiles are evaluated from t = 0 at the start of this call (the
-  // RateSensor contract) unless the owner pinned the stimulus to the global
-  // tick axis; the origin makes the wrapper bit-identical to the historical
-  // (ticks − run_origin)·dt evaluation.
-  sensor::SyntheticSource src(rate, temp, cfg_.analog_fs,
-                              cfg_.stimulus_global_time ? 0 : ticks_);
+  // RateSensor contract); the origin makes the wrapper bit-identical to the
+  // historical (ticks − run_origin)·dt evaluation.
+  sensor::SyntheticSource src(rate, temp, cfg_.analog_fs, ticks_);
   run(src, seconds, out);
 }
 

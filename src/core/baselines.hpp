@@ -53,9 +53,6 @@ struct BaselineConfig {
 
   double full_scale_dps = 300.0;
   double output_rate_hz = 1875.0;    ///< DAQ sampling of the analog output
-  /// Evaluate profiles on the device's global tick axis instead of
-  /// restarting t at 0 each run() (see GyroSystemConfig::stimulus_global_time).
-  bool stimulus_global_time = false;
 };
 
 /// ADXRS300-class configuration (Table 2).

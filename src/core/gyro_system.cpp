@@ -764,12 +764,10 @@ std::vector<TaskInfo> GyroSystem::schedule_tasks() const {
 void GyroSystem::run(const sensor::Profile& rate, const sensor::Profile& temp, double seconds,
                      std::vector<double>* out) {
   // Profiles are evaluated from t = 0 at the start of this call (the
-  // RateSensor contract) unless the owner pinned the stimulus to the global
-  // tick axis; either way the arithmetic inside SyntheticSource is exactly
+  // RateSensor contract); the arithmetic inside SyntheticSource is exactly
   // the historical tick·dt evaluation, so this wrapper is bit-identical to
   // the pre-seam hard-wired path.
-  sensor::SyntheticSource src(rate, temp, cfg_.analog_fs,
-                              cfg_.stimulus_global_time ? 0 : base_ticks_);
+  sensor::SyntheticSource src(rate, temp, cfg_.analog_fs, base_ticks_);
   run(src, seconds, out);
 }
 

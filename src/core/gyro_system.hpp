@@ -102,12 +102,6 @@ struct GyroSystemConfig {
   afe::DacConfig dac{};
 
   bool with_mcu = false;  ///< instantiate the 8051 monitor subsystem
-  /// Evaluate the rate/temperature profiles on the channel's global tick
-  /// axis instead of restarting t at 0 each run() call. Set by owners (the
-  /// fleet engine) that advance one continuous timeline through many run()
-  /// calls — required for checkpoint resume to be bit-exact, because a
-  /// resumed run must see the stimulus continue, not restart.
-  bool stimulus_global_time = false;
   /// Instantiate the safety supervisor + DIAG register block. The nominal
   /// numeric path is bit-identical with or without it (pass-through until a
   /// monitor trips).

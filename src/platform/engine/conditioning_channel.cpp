@@ -59,27 +59,19 @@ ConditioningChannel::ConditioningChannel(const ChannelConfig& cfg) : cfg_(cfg) {
       sys_cfg.with_safety =
           cfg_.with_safety || cfg_.with_faults || static_cast<bool>(cfg_.campaign_factory);
       if (cfg_.configure) cfg_.configure(sys_cfg);
-      // The channel owns one continuous timeline: profiles are evaluated on
-      // the global tick axis, so advance(a); advance(b) — and a checkpoint
-      // resume — see the stimulus continue rather than restart at t = 0.
-      sys_cfg.stimulus_global_time = true;
       auto sys = std::make_unique<core::GyroSystem>(sys_cfg);
       gyro_ = sys.get();
       sensor_ = std::move(sys);
       base_rate_hz_ = sys_cfg.analog_fs;
       break;
     }
-    case ChannelKind::Adxrs300: {
-      auto bl_cfg = core::adxrs300_like();
-      bl_cfg.stimulus_global_time = true;
-      sensor_ = std::make_unique<core::AnalogGyroBaseline>(bl_cfg);
-      base_rate_hz_ = bl_cfg.analog_fs;
-      break;
-    }
+    case ChannelKind::Adxrs300:
     case ChannelKind::Gyrostar: {
-      auto bl_cfg = core::gyrostar_like();
-      bl_cfg.stimulus_global_time = true;
-      sensor_ = std::make_unique<core::AnalogGyroBaseline>(bl_cfg);
+      const auto bl_cfg = cfg_.kind == ChannelKind::Adxrs300 ? core::adxrs300_like()
+                                                             : core::gyrostar_like();
+      auto bl = std::make_unique<core::AnalogGyroBaseline>(bl_cfg);
+      baseline_ = bl.get();
+      sensor_ = std::move(bl);
       base_rate_hz_ = bl_cfg.analog_fs;
       break;
     }
@@ -98,8 +90,8 @@ ConditioningChannel::ConditioningChannel(const ChannelConfig& cfg) : cfg_(cfg) {
       obs_->events.set_flight_recorder(&obs_->recorder);
     if (gyro_)
       gyro_->set_observability(obs_->sink());
-    else if (auto* bl = dynamic_cast<core::AnalogGyroBaseline*>(sensor_.get()))
-      bl->set_observability(obs_->sink());
+    else
+      baseline_->set_observability(obs_->sink());
   }
 
   if (gyro_ && cfg_.with_trace) {
@@ -123,8 +115,10 @@ ConditioningChannel::ConditioningChannel(const ChannelConfig& cfg) : cfg_(cfg) {
   }
 
   // The stimulus seam: a factory-built source, or a SyntheticSource wrapping
-  // the profile fields (origin 0 — the channel owns one continuous global
-  // timeline, matching the stimulus_global_time setting above).
+  // the profile fields at origin 0. The channel runs its sensor on this
+  // source alone, so its profiles are evaluated on the global tick axis:
+  // advance(a); advance(b) — and a checkpoint resume — see the stimulus
+  // continue rather than restart at t = 0.
   if (cfg_.stimulus_factory) {
     stimulus_ = cfg_.stimulus_factory(base_rate_hz_);
     if (!stimulus_) throw StateError("channel stimulus factory returned null");
@@ -144,8 +138,8 @@ ConditioningChannel::ConditioningChannel(const ChannelConfig& cfg) : cfg_(cfg) {
   if (probe) {
     if (gyro_)
       gyro_->set_probe(probe);
-    else if (auto* bl = dynamic_cast<core::AnalogGyroBaseline*>(sensor_.get()))
-      bl->set_probe(probe);
+    else
+      baseline_->set_probe(probe);
   }
   // Ingestion-side events (queue underrun) come from the channel itself.
   if (obs_ && stimulus_->kind() != sensor::StimulusKind::Synthetic)
@@ -306,13 +300,10 @@ void ConditioningChannel::serialize_state(StateArchive& ar) {
     throw StateError("checkpoint fault-campaign presence mismatch");
   if (campaign_) campaign_->serialize_state(ar);
 
-  if (gyro_) {
+  if (gyro_)
     gyro_->serialize_state(ar);
-  } else {
-    auto* bl = dynamic_cast<core::AnalogGyroBaseline*>(sensor_.get());
-    if (!bl) throw StateError("checkpoint: unknown sensor architecture");
-    bl->serialize_state(ar);
-  }
+  else
+    baseline_->serialize_state(ar);
   ar.end_section();
 }
 

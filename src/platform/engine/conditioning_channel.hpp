@@ -35,6 +35,7 @@
 #include "sensor/environment.hpp"
 
 namespace ascp::core {
+class AnalogGyroBaseline;
 class GyroSystem;
 struct GyroSystemConfig;
 }
@@ -229,6 +230,7 @@ class ConditioningChannel {
   ChannelConfig cfg_;
   std::unique_ptr<core::RateSensor> sensor_;
   core::GyroSystem* gyro_ = nullptr;  ///< non-owning; set for gyro kinds
+  core::AnalogGyroBaseline* baseline_ = nullptr;  ///< non-owning; set for baseline kinds
   std::unique_ptr<safety::FaultCampaign> campaign_;
   std::unique_ptr<TraceRecorder> trace_;
   std::unique_ptr<obs::Observability> obs_;

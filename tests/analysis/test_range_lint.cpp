@@ -3,6 +3,9 @@
 // range, and pinpoints the saturating stage when a configuration breaks.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+
 #include "analysis/range_lint.hpp"
 #include "core/gyro_system.hpp"
 
@@ -79,6 +82,36 @@ TEST(RangeLint, SaturatingConfigurationPinpointsTheStage) {
     if (f.severity == Severity::Error && f.location == "sense.compensation")
       names_stage = true;
   EXPECT_TRUE(names_stage) << rep.format();
+}
+
+TEST(RangeLint, DeclaredFormatLimitsAreTheirLargestValues) {
+  // A declared Qi_f register holds one sign bit, i integer and f fraction
+  // bits, so its positive full scale is (2^(i+f) − 1) / 2^f: one LSB below
+  // 2^i. Every node of both sense modes and of the drive loop that names
+  // one of these formats must carry exactly that limit.
+  const std::map<std::string, double> largest = {{"Q1_14", 2.0 - std::ldexp(1.0, -14)},
+                                                 {"Q1_22", 2.0 - std::ldexp(1.0, -22)},
+                                                 {"Q4_18", 16.0 - std::ldexp(1.0, -18)}};
+  auto cfg = core::default_gyro_system(core::Fidelity::Full);
+  std::vector<StageRange> stages = drive_loop_ranges(cfg.drive);
+  for (const core::SenseMode mode : {core::SenseMode::ClosedLoop, core::SenseMode::OpenLoop}) {
+    cfg.sense.mode = mode;
+    const auto sense = sense_chain_ranges(cfg.sense, cfg.comp);
+    stages.insert(stages.end(), sense.begin(), sense.end());
+  }
+  int checked = 0;
+  for (const StageRange& s : stages) {
+    const auto it = largest.find(s.format);
+    if (it == largest.end()) {
+      // The only other formats are the CIC's input register and accumulator.
+      EXPECT_TRUE(s.format == "Q(16)@vref" || s.format == "int64") << s.stage << ": " << s.format;
+      continue;
+    }
+    EXPECT_EQ(s.limit, it->second) << s.stage << " (" << s.format << ") is off by "
+                                   << s.limit - it->second;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(RangeLint, HeadroomIsPositiveAndFinite) {
